@@ -24,11 +24,6 @@ driver, once under the single-threaded fused loop, and once under the
 sharded meta-driver with 4 shards across a worker pool — the scaling
 headline for >1M-PHV traces.  ``--sharded-phvs 0`` skips it.
 
-Since PR 4 the sharded cell is measured under *both* shard transports: the
-default pickle pool channel and the ``shm`` shared-memory transport
-(``repro.engine.transport``), so the trajectory records what moving the
-serialization off the parent's thread buys.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py [--phvs 3000] [--rounds 3]
@@ -54,7 +49,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import dgen
 from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-from repro.drmt.traffic import PacketGenerator
+from repro.traffic import PacketGenerator
 from repro.dsim import RMTSimulator
 from repro.p4 import samples
 from repro.programs import TABLE1_ORDER, get_program
@@ -143,7 +138,7 @@ def measure_drmt_cell(name: str, engine: str, packets: int, rounds: int) -> Dict
 #: The sharded cell's workload: per-flow accumulators, flow id in container 0.
 SHARDED_FLOWS = 8
 SHARDED_SHARDS = 4
-SHARDED_ENGINES = ("generic", "fused", "sharded", "sharded_shm")
+SHARDED_ENGINES = ("generic", "fused", "sharded")
 
 
 def measure_sharded_cells(
@@ -154,10 +149,7 @@ def measure_sharded_cells(
     The flow-counters program keeps one accumulator per flow (state cells
     flow-owned by construction), so hash-partitioning the trace on the flow
     container is bit-for-bit safe and the sharded meta-driver can fan the
-    shards across a process pool.  The sharded configuration runs twice —
-    once per shard transport (``sharded`` = the pickle pool channel,
-    ``sharded_shm`` = flat shared-memory buffers) — so the cell records the
-    serialization tax directly.  ``workers`` caps the pool; the recorded
+    shards across a process pool.  ``workers`` caps the pool; the recorded
     ``cpu_count`` tells readers how much parallelism the machine offered.
     """
     program = make_flow_counters_variant(SHARDED_FLOWS)
@@ -165,14 +157,13 @@ def measure_sharded_cells(
         program.pipeline_spec(), program.machine_code(), opt_level=dgen.OPT_FUSED
     )
     inputs = program.traffic_generator(seed=42).generate(phvs)
-    sharding = dict(engine="sharded", shards=shards, workers=workers, shard_key=[0])
     simulators = {
         "generic": RMTSimulator(description, engine="generic"),
         "fused": RMTSimulator(description, engine="fused"),
-        "sharded": RMTSimulator(description, transport="pickle", **sharding),
-        "sharded_shm": RMTSimulator(description, transport="shm", **sharding),
+        "sharded": RMTSimulator(
+            description, engine="sharded", shards=shards, workers=workers, shard_key=[0]
+        ),
     }
-    transports = {"sharded": "pickle", "sharded_shm": "shm"}
     cells: Dict[str, Dict[str, float]] = {}
     for label, simulator in simulators.items():
         engine_seen = None
@@ -185,8 +176,6 @@ def measure_sharded_cells(
 
         best = _best_of(rounds, run)
         cells[label] = {"seconds": best, "phvs_per_sec": phvs / best, "engine": engine_seen}
-        if label in transports:
-            cells[label]["transport"] = transports[label]
     return {
         "program": program.name,
         "phvs": phvs,
@@ -197,7 +186,6 @@ def measure_sharded_cells(
         "cells": cells,
         "speedup_sharded_vs_fused": cells["fused"]["seconds"] / cells["sharded"]["seconds"],
         "speedup_sharded_vs_generic": cells["generic"]["seconds"] / cells["sharded"]["seconds"],
-        "speedup_shm_vs_pickle": cells["sharded"]["seconds"] / cells["sharded_shm"]["seconds"],
     }
 
 
@@ -346,8 +334,7 @@ def format_table(record: dict) -> str:
         )
         lines.append(
             f"  {rates}sharded/fused {sharded['speedup_sharded_vs_fused']:.2f}x, "
-            f"sharded/generic {sharded['speedup_sharded_vs_generic']:.2f}x, "
-            f"shm/pickle {sharded.get('speedup_shm_vs_pickle', 1.0):.2f}x"
+            f"sharded/generic {sharded['speedup_sharded_vs_generic']:.2f}x"
         )
     return "\n".join(lines)
 

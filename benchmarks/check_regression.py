@@ -14,7 +14,7 @@ Compared cells (only keys present in both records are compared):
 
 * per-program RMT throughput at every recorded opt level (PHVs/sec);
 * per-program dRMT throughput under every recorded engine (packets/sec);
-* the sharded scaling cell's engines/transports (PHVs/sec).
+* the sharded scaling cell's engines (PHVs/sec).
 
 Usage::
 

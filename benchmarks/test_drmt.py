@@ -18,7 +18,7 @@ from repro.drmt import (
     generate_bundle,
     validate_schedule,
 )
-from repro.drmt.traffic import PacketGenerator, values_field
+from repro.traffic import PacketGenerator, values_field
 from repro.p4 import build_dependency_graph, samples
 
 PROGRAMS = {

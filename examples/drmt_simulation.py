@@ -16,7 +16,7 @@ Run with:  python examples/drmt_simulation.py
 """
 
 from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle, validate_schedule
-from repro.drmt.traffic import PacketGenerator, values_field
+from repro.traffic import PacketGenerator, values_field
 from repro.p4 import build_dependency_graph, samples
 
 

@@ -22,7 +22,6 @@ from .alu_dsl import grammar, parse_and_analyze
 from .dsim import RMTSimulator, TrafficGenerator
 from .drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
 from .engine.base import ENGINE_CHOICES
-from .engine.transport import TRANSPORT_CHOICES
 from .errors import DruzhbaError, SimulationError
 from .hardware import PipelineSpec, describe_pipeline
 from .machine_code import MachineCode
@@ -142,12 +141,6 @@ def dsim_main(argv: Optional[List[str]] = None) -> int:
              "state-indexing fields); omit for contiguous blocks, which the "
              "state-conflict check only admits for state-free workloads",
     )
-    parser.add_argument(
-        "--transport", default=None, choices=TRANSPORT_CHOICES,
-        help="how shard data crosses the worker-pool boundary (pickle = the "
-             "default pool serialization; shm = flat shared-memory buffers, "
-             "falling back to pickle when the trace is not flat-packable)",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -175,7 +168,6 @@ def dsim_main(argv: Optional[List[str]] = None) -> int:
             shards=args.shards,
             workers=args.workers,
             shard_key=shard_key,
-            transport=args.transport,
         )
         result = simulator.run_traffic(traffic, args.phvs)
     except DruzhbaError as error:
@@ -283,12 +275,6 @@ def drmt_main(argv: Optional[List[str]] = None) -> int:
              "the fields the program's register accesses index by",
     )
     parser.add_argument(
-        "--transport", default=None, choices=TRANSPORT_CHOICES,
-        help="how shard data crosses the worker-pool boundary (pickle = the "
-             "default pool serialization; shm = flat shared-memory buffers, "
-             "falling back to pickle when the trace is not flat-packable)",
-    )
-    parser.add_argument(
         "--dump-fused", action="store_true",
         help="print the generated fused dRMT program source and exit",
     )
@@ -326,7 +312,6 @@ def drmt_main(argv: Optional[List[str]] = None) -> int:
             shards=args.shards,
             workers=args.workers,
             shard_key=shard_key,
-            transport=args.transport,
         )
         result = simulator.run_traffic(args.packets, seed=args.seed)
     except DruzhbaError as error:

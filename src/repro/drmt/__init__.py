@@ -23,7 +23,7 @@ from .scheduler import (
 from .simulator import DRMTSimulator, DrmtPacketRecord, DrmtSimulationResult
 from .table_config import load_entries, parse_entries, parse_entry_line, populate_store
 from .tables import MatchActionTable, MatchPattern, TableEntry, TableStore
-from .traffic import PacketGenerator, values_field
+from ..traffic import PacketGenerator, values_field
 
 __all__ = [
     "DrmtHardwareParams",

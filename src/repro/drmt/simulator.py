@@ -28,6 +28,10 @@ ladder:
   sharding knobs are configured and falls back to the unsharded driver on a
   state conflict; ``engine="sharded"`` raises on conflict instead.
 
+The choice among them is :func:`repro.engine.base.resolve_engine`, the rule
+the RMT facade uses too; ``auto`` tries sharded, fused, generic (only when
+the hazard analysis finds none) and tick, in that order.
+
 Sequential drivers report per-run (not cumulative) per-processor statistics;
 reusing one simulator for several runs keeps accumulating register and
 table-hit state exactly like the tick interpreter.
@@ -38,12 +42,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..engine.base import (
+    ENGINE_AUTO,
+    ENGINE_GENERIC,
+    ENGINE_SHARDED,
+    ENGINE_TICK,
+    ShardingConfig,
+    resolve_engine,
+    run_sharded_or_fall_back,
+)
 from ..errors import DruzhbaError, SimulationError
+from ..traffic import PacketGenerator
 from .codegen import DrmtProgramBundle
+from .fused import run_to_completion_hazard
 from .processor import MatchActionProcessor, PacketContext, RegisterFile
 from .table_config import parse_entries, populate_store
 from .tables import TableEntry, TableStore
-from .traffic import PacketGenerator
 
 
 @dataclass
@@ -71,7 +85,7 @@ class DrmtSimulationResult:
     """Output of one dRMT simulation run.
 
     ``engine`` names the driver that produced the result (``tick``,
-    ``generic`` or ``fused``).
+    ``generic``, ``fused`` or ``sharded[<inner>]``).
     """
 
     records: List[DrmtPacketRecord] = field(default_factory=list)
@@ -131,26 +145,15 @@ class DRMTSimulator:
         shard_key: Optional[Sequence[str]] = None,
         shard_threshold: Optional[int] = None,
         shard_pool_threshold: Optional[int] = None,
-        transport: Optional[str] = None,
     ):
-        from ..engine.transport import resolve_transport
-
         self.bundle = bundle
         self.register_dump_limit = register_dump_limit
         self.engine = engine
-        if shards is not None and shards < 1:
-            raise SimulationError(f"shard count must be at least 1, got {shards}")
-        if workers is not None and workers < 1:
-            raise SimulationError(f"worker count must be at least 1, got {workers}")
-        self.shards = shards
-        self.workers = workers
-        self.shard_key = shard_key
-        self.shard_threshold = shard_threshold
-        self.shard_pool_threshold = shard_pool_threshold
-        # Resolved eagerly so an invalid transport name fails at construction.
-        self.transport = resolve_transport(transport)
-        # Set once sharding this bundle proved impossible (no sequential
-        # inner driver) or conflicted: auto stops attempting it.
+        self.sharding = ShardingConfig.from_knobs(
+            engine, shards, workers, shard_key, shard_threshold, shard_pool_threshold
+        )
+        # Set once a shard-state conflict forced a fallback: auto stops
+        # attempting the doomed sharded run for this simulator.
         self._auto_shard_conflict = False
         self.tables = TableStore(bundle.program)
         if table_entries is not None:
@@ -189,18 +192,39 @@ class DRMTSimulator:
         ``(packet_id, processor, tick, fields)`` after every (packet, cycle)
         execution.
         """
-        mode = self._resolve_mode(
-            tick_accurate,
-            input_size=len(packets) if self.engine in ("auto", "sharded") else None,
+        fused_available = generic_available = True
+        if self.engine == ENGINE_AUTO and not tick_accurate:
+            # Only auto consults availability, and only as far as it must:
+            # fused comes from the bundle's cached generation, the hazard
+            # analysis runs only when fused is unavailable.  An explicit
+            # fused or generic request goes straight to its driver, which
+            # raises the generator's or the hazard analysis's own error.
+            fused_available = self._fused_available()
+            generic_available = fused_available or (
+                run_to_completion_hazard(self.bundle.program, self.bundle.schedule) is None
+            )
+        mode = resolve_engine(
+            self.engine,
+            fused_available=fused_available,
+            tick_accurate=tick_accurate,
+            context="dRMT bundle",
+            sharded_available=self.sharding.configured,
+            input_size=None if self._auto_shard_conflict else len(packets),
+            shard_threshold=self.sharding.threshold,
+            generic_available=generic_available,
         )
         if observer is not None and mode != "fused":
             raise SimulationError(
                 f"snapshot observers require the fused engine, not {mode!r}"
             )
-        if mode == "tick":
+        if mode == ENGINE_TICK:
             return self._run_tick(packets)
-        if mode == "sharded":
-            return self._run_sharded(packets)
+        if mode == ENGINE_SHARDED:
+            return run_sharded_or_fall_back(
+                self,
+                lambda: self._run_sharded(packets),
+                lambda: self.run_packets(packets),
+            )
         return self._run_sequential(packets, mode, observer)
 
     # Engine-protocol alias: packet dicts in, result out.
@@ -216,7 +240,7 @@ class DRMTSimulator:
         from ..engine import drmt as drivers
 
         inputs, work = drivers.prepare_packets(packets)
-        if mode == "generic":
+        if mode == ENGINE_GENERIC:
             if self._generic_driver is None:
                 self._generic_driver = drivers.RunToCompletionDriver(
                     self.bundle, self.tables, self.registers
@@ -237,46 +261,36 @@ class DRMTSimulator:
             engine=mode,
         )
 
-    def _run_sharded(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
-        """Run the trace under the sharded meta-driver (see repro.engine.sharded).
+    def _fused_available(self) -> bool:
+        """Whether the bundle's fused loop generates (cached on the bundle).
 
-        Under ``engine="auto"`` a shard-state conflict (or an unshardable
-        program) falls back to the unsharded sequential driver; an explicit
-        ``engine="sharded"`` propagates the error instead.
+        Only a generator refusal (a :class:`DruzhbaError` such as
+        ``CodegenError``) makes fused unavailable; any other exception is a
+        generator bug and propagates.
         """
-        from ..engine import drmt as drivers
-        from ..engine import sharded as sharded_engine
+        try:
+            self.bundle.fused_program()
+        except DruzhbaError:
+            return False
+        return True
 
-        try:
-            driver = sharded_engine.ShardedDrmtDriver(
-                self.bundle,
-                self.tables,
-                self.registers,
-                shards=(
-                    self.shards if self.shards is not None else sharded_engine.DEFAULT_SHARDS
-                ),
-                workers=self.workers,
-                key=self.shard_key,
-                pool_threshold=(
-                    self.shard_pool_threshold
-                    if self.shard_pool_threshold is not None
-                    else sharded_engine.DEFAULT_POOL_THRESHOLD
-                ),
-                transport=self.transport,
-            )
-        except SimulationError:
-            if self.engine != "auto":
-                raise
-            self._auto_shard_conflict = True
-            return self._run_fallback(packets)
+    def _run_sharded(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
+        """Run the trace under the sharded meta-driver (see repro.engine.sharded)."""
+        from ..engine import drmt as drivers
+        from ..engine.sharded import ShardedDrmtDriver
+
+        sharding = self.sharding
+        driver = ShardedDrmtDriver(
+            self.bundle,
+            self.tables,
+            self.registers,
+            shards=sharding.shards,
+            workers=sharding.workers,
+            key=sharding.key,
+            pool_threshold=sharding.pool_threshold,
+        )
         inputs, work = drivers.prepare_packets(packets)
-        try:
-            fields, dropped = driver.run(work)
-        except sharded_engine.ShardStateConflictError:
-            if self.engine != "auto":
-                raise
-            self._auto_shard_conflict = True
-            return self._run_fallback(packets)
+        fields, dropped = driver.run(work)
         return drivers.assemble_result(
             self.bundle,
             self.tables,
@@ -287,63 +301,6 @@ class DRMTSimulator:
             self.register_dump_limit,
             engine=driver.engine_name,
         )
-
-    def _run_fallback(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
-        """Unsharded rerun after the sharded driver declined the trace."""
-        mode = self._resolve_mode(False, input_size=None, allow_sharded=False)
-        if mode == "tick":
-            return self._run_tick(packets)
-        return self._run_sequential(packets, mode)
-
-    def _resolve_mode(
-        self,
-        tick_accurate: bool,
-        input_size: Optional[int] = None,
-        allow_sharded: bool = True,
-    ) -> str:
-        """dRMT-specific engine selection (generic is gated by the hazard analysis)."""
-        from ..engine.base import (
-            DEFAULT_SHARD_AUTO_THRESHOLD,
-            ENGINE_CHOICES,
-            auto_shard_eligible,
-        )
-        from .fused import run_to_completion_hazard
-
-        if self.engine not in ENGINE_CHOICES:
-            raise SimulationError(
-                f"unknown engine {self.engine!r}; choose one of {', '.join(ENGINE_CHOICES)}"
-            )
-        if tick_accurate or self.engine == "tick":
-            return "tick"
-        if self.engine == "sharded":
-            return "sharded"
-        if self.engine == "auto":
-            sharding_configured = (
-                self.shards is not None
-                or self.workers is not None
-                or self.shard_key is not None
-            )
-            if (
-                allow_sharded
-                and not self._auto_shard_conflict
-                and auto_shard_eligible(
-                    sharding_configured,
-                    input_size,
-                    self.shard_threshold
-                    if self.shard_threshold is not None
-                    else DEFAULT_SHARD_AUTO_THRESHOLD,
-                )
-            ):
-                return "sharded"
-            try:
-                self.bundle.fused_program()
-                return "fused"
-            except DruzhbaError:
-                pass
-            if run_to_completion_hazard(self.bundle.program, self.bundle.schedule) is None:
-                return "generic"
-            return "tick"
-        return self.engine
 
     def _run_tick(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
         """The paper's per-tick round-robin processor loop."""

@@ -11,7 +11,7 @@ from .pipeline import Pipeline
 from .reference import ReferenceSimulator, ReferenceStage
 from .simulator import RMTSimulator, SimulationResult, simulate
 from .trace import Trace, TraceRecord
-from .traffic import (
+from ..traffic import (
     DEFAULT_MAX_VALUE,
     TrafficGenerator,
     choice_field,

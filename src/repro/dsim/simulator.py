@@ -6,7 +6,7 @@ generator), runs the feedforward pipeline, and returns the output trace
 together with the final state vectors.
 
 Execution is delegated to the unified engine layer (:mod:`repro.engine`),
-which provides three drivers:
+whose :func:`~repro.engine.base.resolve_engine` picks one of four drivers:
 
 * **tick** — the paper's §3.3 model: one PHV enters per tick, PHVs in flight
   advance one stage per tick with read/write-half commits.  Always
@@ -43,15 +43,16 @@ from typing import Dict, List, Optional, Sequence
 from ..engine.base import (
     DEFAULT_SHARD_AUTO_THRESHOLD,
     ENGINE_AUTO,
-    ENGINE_FUSED,
     ENGINE_GENERIC,
     ENGINE_SHARDED,
     ENGINE_TICK,
+    ShardingConfig,
     resolve_engine,
+    run_sharded_or_fall_back,
 )
 from ..engine.result import SimulationResult
 from ..errors import SimulationError
-from .traffic import TrafficGenerator
+from ..traffic import TrafficGenerator
 
 __all__ = ["RMTSimulator", "SimulationResult", "simulate"]
 
@@ -61,11 +62,8 @@ class RMTSimulator:
 
     ``shards``/``workers``/``shard_key`` configure the sharded meta-driver
     (see the module docstring); ``shard_threshold`` is the input count at
-    which ``engine="auto"`` starts sharding, ``shard_pool_threshold`` the
-    count below which shards run in process rather than across a pool, and
-    ``transport`` how shard data crosses the pool boundary (``"pickle"``,
-    the default, or ``"shm"`` for flat shared-memory buffers — see
-    :mod:`repro.engine.transport`).
+    which ``engine="auto"`` starts sharding and ``shard_pool_threshold`` the
+    count below which shards run in process rather than across a pool.
     """
 
     def __init__(
@@ -79,55 +77,31 @@ class RMTSimulator:
         shard_key: Optional[Sequence[int]] = None,
         shard_threshold: int = DEFAULT_SHARD_AUTO_THRESHOLD,
         shard_pool_threshold: Optional[int] = None,
-        transport: Optional[str] = None,
     ):
-        from ..engine.transport import resolve_transport
-
         self.description = description
         self.engine = engine
         self._runtime_values = runtime_values
         self._initial_state = initial_state
-        if shards is not None and shards < 1:
-            raise SimulationError(f"shard count must be at least 1, got {shards}")
-        if workers is not None and workers < 1:
-            raise SimulationError(f"worker count must be at least 1, got {workers}")
-        self.shards = shards
-        self.workers = workers
-        self.shard_key = shard_key
-        self.shard_threshold = shard_threshold
-        self.shard_pool_threshold = shard_pool_threshold
-        # Resolved eagerly so an invalid transport name fails at construction.
-        self.transport = resolve_transport(transport)
+        self.sharding = ShardingConfig.from_knobs(
+            engine, shards, workers, shard_key, shard_threshold, shard_pool_threshold
+        )
         # Set once a conflict forced a fallback: auto stops attempting the
         # doomed sharded run (and its full-trace rerun) for this simulator.
         self._auto_shard_conflict = False
 
-    def _sharding_configured(self) -> bool:
-        return (
-            self.shards is not None
-            or self.workers is not None
-            or self.shard_key is not None
-            or self.engine == ENGINE_SHARDED
-        )
+    def _run_sharded(self, phv_values: Sequence[Sequence[int]]) -> SimulationResult:
+        from ..engine.sharded import ShardedRmtDriver
 
-    def _sharded_driver(self):
-        from ..engine import sharded
-
-        return sharded.ShardedRmtDriver(
+        sharding = self.sharding
+        return ShardedRmtDriver(
             self.description,
             runtime_values=self._runtime_values,
             initial_state=self._initial_state_copy(),
-            shards=self.shards if self.shards is not None else sharded.DEFAULT_SHARDS,
-            workers=self.workers,
-            key=self.shard_key,
-            on_conflict="raise",
-            pool_threshold=(
-                self.shard_pool_threshold
-                if self.shard_pool_threshold is not None
-                else sharded.DEFAULT_POOL_THRESHOLD
-            ),
-            transport=self.transport,
-        )
+            shards=sharding.shards,
+            workers=sharding.workers,
+            key=sharding.key,
+            pool_threshold=sharding.pool_threshold,
+        ).run(phv_values)
 
     # ------------------------------------------------------------------
     # Running
@@ -145,46 +119,28 @@ class RMTSimulator:
         """
         from ..engine import rmt as drivers
 
-        sharding = self._sharding_configured()
         mode = resolve_engine(
             self.engine,
             fused_available=self.description.fused_function is not None,
             tick_accurate=tick_accurate,
             context="pipeline description",
-            sharded_available=sharding,
+            sharded_available=self.sharding.configured,
             # A remembered conflict disables the auto selection (input size
             # unknown) without making an explicit request unavailable.
-            input_size=(
-                len(phv_values) if sharding and not self._auto_shard_conflict else None
-            ),
-            shard_threshold=self.shard_threshold,
+            input_size=None if self._auto_shard_conflict else len(phv_values),
+            shard_threshold=self.sharding.threshold,
         )
         if mode == ENGINE_SHARDED:
-            from ..engine.sharded import ShardStateConflictError
-
-            driver = self._sharded_driver()
-            if self.engine != ENGINE_AUTO:
-                return driver.run(phv_values)
-            try:
-                return driver.run(phv_values)
-            except ShardStateConflictError:
-                # Remember the conflict so later auto runs skip the doomed
-                # sharded attempt, and fall through to the unsharded driver.
-                self._auto_shard_conflict = True
-                mode = (
-                    ENGINE_FUSED
-                    if self.description.fused_function is not None
-                    else ENGINE_GENERIC
-                )
+            return run_sharded_or_fall_back(
+                self, lambda: self._run_sharded(phv_values), lambda: self.run(phv_values)
+            )
         if mode == ENGINE_TICK:
-            return drivers.run_tick(
-                self.description, phv_values, self._runtime_values, self._initial_state_copy()
-            )
-        if mode == ENGINE_GENERIC:
-            return drivers.run_generic(
-                self.description, phv_values, self._runtime_values, self._initial_state_copy()
-            )
-        return drivers.run_fused(
+            runner = drivers.run_tick
+        elif mode == ENGINE_GENERIC:
+            runner = drivers.run_generic
+        else:
+            runner = drivers.run_fused
+        return runner(
             self.description, phv_values, self._runtime_values, self._initial_state_copy()
         )
 
@@ -215,7 +171,6 @@ def simulate(
     shards: Optional[int] = None,
     workers: Optional[int] = None,
     shard_key: Optional[Sequence[int]] = None,
-    transport: Optional[str] = None,
 ) -> SimulationResult:
     """One-shot convenience wrapper around :class:`RMTSimulator`."""
     simulator = RMTSimulator(
@@ -226,6 +181,5 @@ def simulate(
         shards=shards,
         workers=workers,
         shard_key=shard_key,
-        transport=transport,
     )
     return simulator.run(phv_values)

@@ -2,7 +2,7 @@
 
 Both switch architectures of the paper — the RMT pipeline (§3) and dRMT's
 run-to-completion processors (§4) — execute compiled programs through the
-same three-driver ladder:
+same driver ladder:
 
 * **tick** — the paper's cycle-accurate interpreters (``dsim.Pipeline`` for
   RMT, the round-robin processor loop for dRMT).  Always available; the
@@ -15,10 +15,15 @@ same three-driver ladder:
 * **fused** — the generated ``run_trace`` loop emitted by dgen (RMT opt
   level 3, and the dRMT fused program), where the driver itself is generated
   code.
+* **sharded** — a meta-driver (:mod:`repro.engine.sharded`) that
+  hash-partitions the trace per flow, runs each shard under fused or
+  generic (in process or across a worker pool), and merges the results
+  under a state-conflict check.
 
-:func:`repro.engine.base.resolve_engine` implements the selection rules
-(``auto`` prefers fused, then generic; ``tick_accurate=True`` always forces
-the tick driver), and every simulator facade —
+:func:`repro.engine.base.resolve_engine` is the one selection rule every
+facade calls (``auto`` prefers sharded when configured and the trace is
+large, then fused, then generic, then tick; ``tick_accurate=True`` always
+forces the tick driver), and every simulator facade —
 :class:`repro.dsim.RMTSimulator`, :class:`repro.drmt.DRMTSimulator` and
 :class:`repro.engine.rtc.RunToCompletionSimulator` — satisfies the
 :class:`~repro.engine.base.ExecutionEngine` protocol: a common
@@ -35,6 +40,7 @@ from .base import (
     ENGINE_SHARDED,
     ENGINE_TICK,
     ExecutionEngine,
+    ShardingConfig,
     available_engines,
     resolve_engine,
 )
@@ -49,15 +55,7 @@ from .sharded import (
     plan_shards,
     stable_flow_hash,
 )
-from .transport import (
-    TRANSPORT_CHOICES,
-    TRANSPORT_PICKLE,
-    TRANSPORT_SHM,
-    PickleTransport,
-    SharedMemoryTransport,
-    ShardTransport,
-    resolve_transport,
-)
+from .transport import ShardTransport
 
 __all__ = [
     "ENGINE_AUTO",
@@ -68,6 +66,7 @@ __all__ = [
     "ENGINE_CHOICES",
     "DEFAULT_SHARD_AUTO_THRESHOLD",
     "ExecutionEngine",
+    "ShardingConfig",
     "available_engines",
     "resolve_engine",
     "SimulationResult",
@@ -82,11 +81,5 @@ __all__ = [
     "ShardedRmtDriver",
     "plan_shards",
     "stable_flow_hash",
-    "TRANSPORT_CHOICES",
-    "TRANSPORT_PICKLE",
-    "TRANSPORT_SHM",
-    "PickleTransport",
-    "SharedMemoryTransport",
     "ShardTransport",
-    "resolve_transport",
 ]

@@ -20,21 +20,22 @@ recognises four drivers, forming a ladder from most faithful to fastest:
     sequential driver (fused, else generic) — across a ``multiprocessing``
     pool when the trace is large enough and the program picklable — and
     deterministically merges the per-shard results under the read-tracked
-    state-conflict rule.  How shard data crosses the pool boundary is a
-    *transport* choice (:mod:`repro.engine.transport`): the default pickle
-    channel, or flat shared-memory buffers (``transport="shm"``).
-    Available when the simulator facade was configured with sharding knobs.
+    state-conflict rule.  Available when the simulator facade was
+    configured with sharding knobs (a :class:`ShardingConfig`).
 
+:func:`resolve_engine` is the one selection rule every facade calls:
 ``auto`` resolves to the fastest available driver (sharded when configured
 and the trace is at least :data:`DEFAULT_SHARD_AUTO_THRESHOLD` inputs long,
-else fused, else generic); ``tick_accurate=True`` on a ``run`` call always
-forces the tick driver, no matter which engine the simulator was configured
-with.
+else fused, else generic, else tick); ``tick_accurate=True`` on a ``run``
+call always forces the tick driver, no matter which engine the simulator was
+configured with.  :func:`run_sharded_or_fall_back` is the one place ``auto``
+recovers from a shard-state conflict.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass
+from typing import Callable, Optional, Protocol, Sequence, Tuple, TypeVar, runtime_checkable
 
 from ..errors import SimulationError
 
@@ -51,6 +52,13 @@ ENGINE_CHOICES = (ENGINE_AUTO, ENGINE_TICK, ENGINE_GENERIC, ENGINE_FUSED, ENGINE
 #: per-worker program compilation) dominates any win.
 DEFAULT_SHARD_AUTO_THRESHOLD = 200_000
 
+#: Shard count used when a facade enables sharding without choosing one.
+DEFAULT_SHARDS = 4
+
+#: Below this many inputs the pool is never engaged: shards run in process
+#: (same partition, same merge — bit-for-bit the pool path's result).
+DEFAULT_POOL_THRESHOLD = 100_000
+
 
 @runtime_checkable
 class ExecutionEngine(Protocol):
@@ -66,20 +74,85 @@ class ExecutionEngine(Protocol):
         ...
 
 
-def auto_shard_eligible(
-    sharded_available: bool,
-    input_size: Optional[int],
-    shard_threshold: int = DEFAULT_SHARD_AUTO_THRESHOLD,
-) -> bool:
-    """The one auto-selection rule for the sharded meta-driver.
+class ShardStateConflictError(SimulationError):
+    """Two shards touched the same state cell (or a blind partition saw a write).
 
-    Shared by every facade so the policy cannot drift: ``auto`` reaches for
-    sharding only when the facade carries a sharding configuration and the
-    trace is known to hold at least ``shard_threshold`` inputs.
+    ``key`` addresses the conflicting cell (``(stage, slot, var)`` on the RMT
+    side, ``(register, index)`` on the dRMT side); ``shards`` are the shard
+    indices involved.
     """
-    return (
-        sharded_available and input_size is not None and input_size >= shard_threshold
-    )
+
+    def __init__(self, message: str, key: Tuple = (), shards: Tuple[int, ...] = ()):
+        super().__init__(message)
+        self.key = key
+        self.shards = shards
+
+
+@dataclass(frozen=True)
+class ShardingConfig:
+    """A facade's sharding knobs, validated and defaulted once.
+
+    ``configured`` says whether the sharded driver is available to the
+    facade: some knob was set, or ``engine="sharded"`` was requested.
+    ``key`` is the flow key (PHV containers on RMT, packet fields on dRMT);
+    ``None`` lets the driver derive one (dRMT) or block-partition (RMT).
+    ``threshold`` is the input count at which ``auto`` starts sharding and
+    ``pool_threshold`` the count below which shards run in process.
+    """
+
+    configured: bool
+    shards: int
+    workers: Optional[int]
+    key: Optional[Tuple]
+    threshold: int
+    pool_threshold: int
+
+    @classmethod
+    def from_knobs(
+        cls,
+        engine: str,
+        shards: Optional[int] = None,
+        workers: Optional[int] = None,
+        key: Optional[Sequence] = None,
+        threshold: Optional[int] = None,
+        pool_threshold: Optional[int] = None,
+    ) -> "ShardingConfig":
+        """Validate a facade's keyword knobs (``None`` = default)."""
+        if shards is not None and shards < 1:
+            raise SimulationError(f"shard count must be at least 1, got {shards}")
+        if workers is not None and workers < 1:
+            raise SimulationError(f"worker count must be at least 1, got {workers}")
+        return cls(
+            configured=engine == ENGINE_SHARDED
+            or any(knob is not None for knob in (shards, workers, key)),
+            shards=DEFAULT_SHARDS if shards is None else shards,
+            workers=workers,
+            key=None if key is None else tuple(key),
+            threshold=DEFAULT_SHARD_AUTO_THRESHOLD if threshold is None else threshold,
+            pool_threshold=DEFAULT_POOL_THRESHOLD if pool_threshold is None else pool_threshold,
+        )
+
+
+Result = TypeVar("Result")
+
+
+def run_sharded_or_fall_back(
+    simulator, run_sharded: Callable[[], Result], rerun: Callable[[], Result]
+) -> Result:
+    """The one auto-conflict fallback, shared by every sharding facade.
+
+    An explicit ``engine="sharded"`` propagates a
+    :class:`ShardStateConflictError`.  Under ``auto`` the conflict is
+    remembered on ``simulator._auto_shard_conflict`` — later runs skip the
+    doomed sharded attempt — and ``rerun`` executes the trace unsharded.
+    """
+    try:
+        return run_sharded()
+    except ShardStateConflictError:
+        if simulator.engine != ENGINE_AUTO:
+            raise
+        simulator._auto_shard_conflict = True
+    return rerun()
 
 
 def available_engines(
@@ -102,6 +175,7 @@ def resolve_engine(
     sharded_available: bool = False,
     input_size: Optional[int] = None,
     shard_threshold: int = DEFAULT_SHARD_AUTO_THRESHOLD,
+    generic_available: bool = True,
 ) -> str:
     """Resolve a requested engine name to a concrete driver.
 
@@ -109,12 +183,17 @@ def resolve_engine(
 
     * ``tick_accurate=True`` always wins and selects ``tick``;
     * ``auto`` selects ``sharded`` when the facade carries a sharding
-      configuration (``sharded_available``) and the trace is known to hold at
-      least ``shard_threshold`` inputs, else ``fused`` when the compiled
-      program carries a fused entry point, otherwise ``generic``;
+      configuration (``sharded_available``), the trace is known to hold at
+      least ``shard_threshold`` inputs and a sequential driver exists for the
+      shards; else ``fused`` when the compiled program carries a fused entry
+      point; else ``generic`` when ``generic_available`` (dRMT gates it on
+      the run-to-completion hazard analysis); otherwise ``tick``;
     * ``fused`` or ``sharded`` requested explicitly raises
       :class:`SimulationError` when unavailable (instead of silently
       degrading), naming the drivers that *are* available for the program.
+      ``generic_available`` gates ``auto`` only: an explicit ``generic``
+      request reaches the driver, which refuses an unsafe program itself
+      and names the hazard.
     """
     if requested not in ENGINE_CHOICES:
         raise SimulationError(
@@ -122,11 +201,18 @@ def resolve_engine(
         )
     if tick_accurate:
         return ENGINE_TICK
-    available = available_engines(fused_available, sharded_available)
     if requested == ENGINE_AUTO:
-        if auto_shard_eligible(sharded_available, input_size, shard_threshold):
+        if (
+            sharded_available
+            and (fused_available or generic_available)
+            and input_size is not None
+            and input_size >= shard_threshold
+        ):
             return ENGINE_SHARDED
-        return ENGINE_FUSED if fused_available else ENGINE_GENERIC
+        if fused_available:
+            return ENGINE_FUSED
+        return ENGINE_GENERIC if generic_available else ENGINE_TICK
+    available = available_engines(fused_available, sharded_available)
     if requested not in available:
         hint = (
             "generate at opt level 3, or use engine='auto'"

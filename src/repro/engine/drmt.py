@@ -349,20 +349,6 @@ def written_registers(program: P4Program) -> frozenset:
     )
 
 
-def written_packet_fields(program: P4Program) -> frozenset:
-    """The packet fields some table-reachable action can write.
-
-    This is the shm transport's output-field universe: an output packet dict
-    can only ever contain its input fields plus these destinations.
-    """
-    return frozenset(
-        call.args[0]
-        for action in _reachable_actions(program)
-        for call in action.body
-        if call.op in ("modify_field", "add_to_field", "subtract_from_field", "register_read")
-    )
-
-
 def derive_state_fields(program: P4Program) -> Optional[Tuple[str, ...]]:
     """The packet fields that index this program's *writable* stateful registers.
 

@@ -26,11 +26,8 @@ compiled description: a :class:`~repro.dgen.emit.PipelineDescription` itself
 carries an executed module namespace (functions created by ``exec``) and
 cannot cross a process boundary, but its *source text* can — a handle ships
 the source plus the resolved runtime values, and every worker compiles it
-once into a process-local namespace cache.  The handle is transport-neutral:
-the pickle transport ships it next to each shard's trace slice, while the
-shm transport (:mod:`repro.engine.transport`) ships only the handle and a
-shared-buffer view, reconstructing ``work``/``state`` worker-side before
-calling :meth:`RmtShardHandle.run`.
+once into a process-local namespace cache.  The worker pool
+(:mod:`repro.engine.transport`) pickles it next to each shard's trace slice.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """The sharded meta-driver: per-flow partitioning for very large traces.
 
 ``run_trace`` — under every sequential driver — is single-threaded, so a
->1M-PHV workload is bounded by one core.  This module adds the scaling seam
-the ROADMAP calls for: a driver satisfying the :class:`ExecutionEngine`
-contract that
+>1M-PHV workload is bounded by one core.  This module adds a scaling seam:
+a driver satisfying the :class:`ExecutionEngine` contract that
 
 1. **partitions** the input trace into shards — by a stable hash of the
    *state-indexing fields* (the flow key) so each shard owns its slice of
@@ -28,51 +27,53 @@ rules below reject the violations that final values can reveal.
 * Under a **flow key**, a cell changed by two different shards means two
   flows share that state — their tick/generic interleaving cannot be
   reproduced shard-locally, so the merge raises
-  :class:`ShardStateConflictError` (or falls back to the unsharded driver
-  when the facade runs under ``engine="auto"``).
+  :class:`ShardStateConflictError` (which a facade running under
+  ``engine="auto"`` turns into an unsharded rerun, see
+  :func:`repro.engine.base.run_sharded_or_fall_back`).
 * A shard that merely *reads* state another shard wrote is invisible to a
   write-based check, so on the RMT side the merge consults the static
   read-set analysis (:mod:`repro.machine_code.readsets`): a state cell whose
   value the machine code routes into a PHV container is read by *every*
   packet, and any write to such an exposed cell by any shard is a conflict.
-  Cells the machine code never exposes keep the one-writer flow rule — this
-  per-cell refinement (PR 4) is what lets programs that expose only
-  read-only cells (configuration thresholds) shard legally where PR 3's
-  whole-state strict rule forced a fallback.  On the dRMT side the read-set
-  analysis lives in shard-key derivation: accesses to registers no action
-  writes are ignored (read-only cells cannot change), and an *explicit*
-  ``shard_key`` carries the contract that register cells are flow-owned for
-  reads as well as writes; the automatically derived key needs no contract
-  at all — it is restricted to the single-field, uniform-size case where
-  cell-sharing packets co-shard by construction.
+  Cells the machine code never exposes keep the one-writer flow rule, so
+  programs that expose only read-only cells (configuration thresholds)
+  shard legally.  On the dRMT side the read-set analysis lives in shard-key
+  derivation: accesses to registers no action writes are ignored
+  (read-only cells cannot change), and an *explicit* ``shard_key`` carries
+  the contract that register cells are flow-owned for reads as well as
+  writes; the automatically derived key needs no contract at all — it is
+  restricted to the single-field, uniform-size case where cell-sharing
+  packets co-shard by construction.
 * Under **block partitioning** (no key), there is no ownership contract at
   all, so *any* state write is a conflict: only programs whose state
   provably never changes (stateless workloads) may be split blindly.
 
 A shard of one — or an empty trace — degrades to the wrapped driver running
-in process, so ``sharded`` is always safe to request explicitly.
-
-How shard data crosses the process boundary is the *transport*'s concern
-(:mod:`repro.engine.transport`): the default ``pickle`` transport ships
-every payload through the pool's pickle channel, while the ``shm`` transport
-lays traces and per-shard state out in ``multiprocessing.shared_memory``
-flat buffers, with outputs written in place and merged without a second
-copy.  Both drivers accept ``transport=`` (a name or a transport instance).
+in process, so ``sharded`` is always safe to request explicitly.  Whether
+the shards run in process or across a pool is
+:class:`repro.engine.transport.ShardTransport`'s decision.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..errors import SimulationError
+from ..errors import DruzhbaError, SimulationError
 from ..machine_code import readsets
-from .base import ENGINE_FUSED, ENGINE_GENERIC, ENGINE_SHARDED
+from .base import (
+    DEFAULT_POOL_THRESHOLD,
+    DEFAULT_SHARDS,
+    ENGINE_FUSED,
+    ENGINE_GENERIC,
+    ENGINE_SHARDED,
+    ShardStateConflictError,
+)
 from . import drmt as drmt_drivers
 from . import rmt as rmt_drivers
 from .result import SimulationResult, sequential_result
-from .transport import ShardTransport, resolve_transport
+from .transport import ShardTransport
 
 __all__ = [
     "DEFAULT_POOL_THRESHOLD",
@@ -84,13 +85,6 @@ __all__ = [
     "plan_shards",
     "stable_flow_hash",
 ]
-
-#: Below this many inputs the pool is never engaged: shards run in process
-#: (same partition, same merge — bit-for-bit the pool path's result).
-DEFAULT_POOL_THRESHOLD = 100_000
-
-#: Shard count used when a facade enables sharding without choosing one.
-DEFAULT_SHARDS = 4
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -113,20 +107,6 @@ def stable_flow_hash(values: Sequence[int]) -> int:
             if not value:
                 break
     return folded
-
-
-class ShardStateConflictError(SimulationError):
-    """Two shards touched the same state cell (or a blind partition saw a write).
-
-    ``key`` addresses the conflicting cell (``(stage, slot, var)`` on the RMT
-    side, ``(register, index)`` on the dRMT side); ``shards`` are the shard
-    indices involved.
-    """
-
-    def __init__(self, message: str, key: Tuple = (), shards: Tuple[int, ...] = ()):
-        super().__init__(message)
-        self.key = key
-        self.shards = shards
 
 
 class ShardPlan:
@@ -309,19 +289,6 @@ def merge_register_states(
     }
 
 
-def routes_stateful_output(description, values: Dict[str, int]) -> bool:
-    """True when any output multiplexer selects a stateful ALU's output.
-
-    A routed stateful output copies the ALU's pre-update state value into a
-    PHV container, so downstream outputs *read* state.  The per-cell form of
-    this predicate — which cells, not whether — lives in
-    :func:`repro.machine_code.readsets.exposed_state_slots` and is what the
-    merge actually consults; this boolean stays for callers that only need
-    the coarse answer.
-    """
-    return readsets.routes_stateful_output(description.spec, values)
-
-
 # ----------------------------------------------------------------------
 # Shard execution (pool or in-process; see repro.engine.transport)
 # ----------------------------------------------------------------------
@@ -347,11 +314,8 @@ class ShardedRmtDriver:
     ``key`` names the PHV containers whose values identify a flow (the
     state-indexing fields); ``key=None`` selects contiguous block
     partitioning, valid only for workloads that never write state (the merge
-    enforces this).  ``on_conflict`` is ``"raise"`` (explicit
-    ``engine="sharded"``) or ``"fallback"`` (``engine="auto"``: rerun the
-    whole trace under the wrapped driver).  ``transport`` selects how shard
-    data crosses the pool boundary (``"pickle"``, ``"shm"`` or a
-    :class:`~repro.engine.transport.ShardTransport` instance).
+    enforces this).  A merge conflict raises
+    :class:`ShardStateConflictError`.
     """
 
     def __init__(
@@ -362,20 +326,12 @@ class ShardedRmtDriver:
         shards: int = DEFAULT_SHARDS,
         workers: Optional[int] = None,
         key: Optional[Sequence[int]] = None,
-        on_conflict: str = "raise",
         pool_threshold: int = DEFAULT_POOL_THRESHOLD,
-        transport: Union[str, ShardTransport, None] = None,
     ):
-        if on_conflict not in ("raise", "fallback"):
-            raise SimulationError(
-                f"on_conflict must be 'raise' or 'fallback', got {on_conflict!r}"
-            )
         self.description = description
         self.shards = shards
         self.workers = resolve_workers(workers, shards)
-        self.on_conflict = on_conflict
         self.pool_threshold = pool_threshold
-        self.transport = resolve_transport(transport)
         self._values = (
             runtime_values if runtime_values is not None else description.runtime_values()
         )
@@ -442,7 +398,7 @@ class ShardedRmtDriver:
         handle = rmt_drivers.shard_handle(description, self.inner_mode, self._values)
         shard_works = plan.scatter(work)
         shard_states = [_copy_state(base_state) for _ in range(len(plan))]
-        results = self.transport.run_rmt_shards(
+        results = ShardTransport().run_rmt_shards(
             handle, shard_works, shard_states, self.workers, len(work), self.pool_threshold
         )
         if keys is None:
@@ -455,17 +411,12 @@ class ShardedRmtDriver:
             exposed_slots = readsets.exposed_state_slots(
                 description.spec, self._exposure_values
             )
-        try:
-            merged_state = merge_pipeline_states(
-                base_state,
-                [state for _outputs, state in results],
-                strict_reason,
-                exposed_slots,
-            )
-        except ShardStateConflictError:
-            if self.on_conflict == "fallback":
-                return self._run_unsharded(inputs, _copy_state(base_state))
-            raise
+        merged_state = merge_pipeline_states(
+            base_state,
+            [state for _outputs, state in results],
+            strict_reason,
+            exposed_slots,
+        )
         outputs = plan.gather(len(work), [outputs for outputs, _state in results])
         return sequential_result(
             inputs, outputs, merged_state, description.spec.depth, self.engine_name
@@ -497,8 +448,7 @@ class ShardedDrmtDriver:
     ``registers``/``tables`` (exactly what a sequential run would have left
     behind), and the mutated packet field dicts plus drop flags are returned
     for the facade to assemble into its result record.  On a merge conflict
-    nothing is applied.  ``transport`` selects how shard data crosses the
-    pool boundary (``"pickle"``, ``"shm"`` or a transport instance).
+    nothing is applied.
     """
 
     def __init__(
@@ -510,7 +460,6 @@ class ShardedDrmtDriver:
         workers: Optional[int] = None,
         key: Optional[Sequence[str]] = None,
         pool_threshold: int = DEFAULT_POOL_THRESHOLD,
-        transport: Union[str, ShardTransport, None] = None,
     ):
         self.bundle = bundle
         self.tables = tables
@@ -518,7 +467,6 @@ class ShardedDrmtDriver:
         self.shards = shards
         self.workers = resolve_workers(workers, shards)
         self.pool_threshold = pool_threshold
-        self.transport = resolve_transport(transport)
         self.key: Optional[Tuple[str, ...]]
         #: Reduce key values modulo the register size before hashing (set only
         #: for the derived single-field key, where it makes cell sharing
@@ -535,7 +483,7 @@ class ShardedDrmtDriver:
         try:
             bundle.fused_program()
             self.inner_mode = "fused"
-        except Exception:
+        except DruzhbaError:  # a generator refusal; any other error is a bug
             hazard = drmt_drivers.run_to_completion_hazard(bundle.program, bundle.schedule)
             if hazard is not None:
                 raise SimulationError(
@@ -583,7 +531,7 @@ class ShardedDrmtDriver:
             {name: list(array) for name, array in base_arrays.items()}
             for _ in range(len(plan))
         ]
-        results = self.transport.run_drmt_shards(
+        results = ShardTransport().run_drmt_shards(
             handle,
             shard_works,
             shard_tables,

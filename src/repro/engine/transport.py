@@ -1,73 +1,21 @@
-"""Shard transports: how shard inputs, outputs and state cross process lines.
+"""Shard execution: in process, or across a fork-preferred worker pool.
 
-The sharded meta-driver (:mod:`repro.engine.sharded`) fans shards across a
-``multiprocessing`` pool.  *How* each shard's trace slice and state copy
-reach the worker — and how the results come home — is the transport's job:
-
-``pickle``
-    The default and the PR-3 behaviour: the pool pickles every payload
-    (handle + trace slice + state copy) on the way out and every result on
-    the way back.  Works for any value the drivers produce, but a >1M-PHV
-    trace pays a serialize/deserialize round trip proportional to its size,
-    all of it on the parent's single thread.
-``shm``
-    A ``multiprocessing.shared_memory`` transport: the parent packs the
-    integer trace into one flat int64 buffer *once*, hands each worker a
-    (name, offset, count) view, and workers write outputs and final state
-    back in place — the parent reads the merged buffers directly, so no
-    per-shard result pickling happens at all, and the per-shard
-    deserialization cost moves into the workers where it runs in parallel.
-
-The shm transport only fits *flat-packable* shards: every value an int64,
-every RMT PHV the same width, every dRMT packet the same field set (plus at
-most 63 statically-written extra fields).  When a trace does not fit — or
-numpy is unavailable — the transport falls back to the pickle path
-automatically and records why in :attr:`SharedMemoryTransport.last_fallback_reason`.
-
-Both transports produce bit-for-bit the same results as the in-process shard
-loop; the transport is a wire-format choice, never a semantics choice.
+The sharded meta-driver (:mod:`repro.engine.sharded`) hands every shard's
+trace slice and private state copy to :class:`ShardTransport`, which runs
+them either sequentially in process or across a ``multiprocessing`` pool
+whose pickle channel carries each payload (program handle + trace slice +
+state copy) out and each result home.  Both paths produce bit-for-bit the
+same per-shard results; the pool is a scheduling choice, never a semantics
+choice.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
-from ..errors import SimulationError
-
-try:  # numpy backs the flat buffer views; without it shm degrades to pickle.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-
-TRANSPORT_PICKLE = "pickle"
-TRANSPORT_SHM = "shm"
-TRANSPORT_CHOICES = (TRANSPORT_PICKLE, TRANSPORT_SHM)
-
-__all__ = [
-    "TRANSPORT_CHOICES",
-    "TRANSPORT_PICKLE",
-    "TRANSPORT_SHM",
-    "PickleTransport",
-    "SharedMemoryTransport",
-    "ShardTransport",
-    "ShardTransportError",
-    "resolve_transport",
-]
-
-
-class ShardTransportError(SimulationError):
-    """A shard's values did not fit the transport's wire format mid-run.
-
-    Raised by shm workers when an *output* value falls outside int64 (inputs
-    are checked before the pool engages); the parent catches it and reruns
-    the shards over the pickle transport.
-    """
-
-
-class _NotFlatPackable(Exception):
-    """Parent-side verdict: this trace cannot use the flat shm layout."""
+__all__ = ["ShardTransport"]
 
 
 def _picklable(handle) -> bool:
@@ -88,54 +36,32 @@ def _pool_map(function, payloads: Sequence, workers: int) -> List:
         return pool.map(function, payloads, chunksize=1)
 
 
-def _attach_shared_memory(name: str):
-    """Attach to an existing segment without registering it for cleanup.
-
-    The resource tracker unlinks every segment a process *registered* when
-    that process exits; a worker that merely attaches must not register, or
-    the tracker tears the parent's segment down (and warns) behind its back.
-    Python 3.13 grew ``track=False`` for exactly this; earlier versions need
-    the registration suppressed around the attach.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python <= 3.12
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
+def _execute_shard(payload: Tuple) -> Tuple:
+    """Pool entry point: run one shard through its handle."""
+    handle, args = payload
+    return handle.run(*args)
 
 
-# ----------------------------------------------------------------------
-# Transport base
-# ----------------------------------------------------------------------
 class ShardTransport:
-    """Common pool-engagement policy shared by every transport.
+    """Runs shards in process or across a pool, behind one entry point each.
 
     The pool engages only when more than one shard and worker are available,
     the trace is at least ``pool_threshold`` inputs long and the program
     handle is picklable; otherwise the shards run sequentially in process —
-    same partition, same merge, bit-for-bit the same result, and the
-    transport choice is irrelevant.
+    same partition, same merge, bit-for-bit the same result.
     """
 
-    name = "?"
-
-    def _pool_eligible(
-        self, shard_count: int, workers: int, total: int, pool_threshold: int, handle
-    ) -> bool:
-        return (
-            shard_count > 1
+    @staticmethod
+    def _run(handle, shard_args: List[Tuple], workers: int, total: int, pool_threshold: int):
+        if (
+            len(shard_args) > 1
             and workers > 1
             and total >= pool_threshold
             and _picklable(handle)
-        )
+        ):
+            payloads = [(handle, args) for args in shard_args]
+            return _pool_map(_execute_shard, payloads, workers)
+        return [handle.run(*args) for args in shard_args]
 
     def run_rmt_shards(
         self,
@@ -147,9 +73,7 @@ class ShardTransport:
         pool_threshold: int,
     ) -> List[Tuple]:
         """Run every RMT shard; returns one ``(outputs, final_state)`` per shard."""
-        if not self._pool_eligible(len(works), workers, total, pool_threshold, handle):
-            return [handle.run(work, state) for work, state in zip(works, states)]
-        return self._pool_rmt_shards(handle, works, states, workers)
+        return self._run(handle, list(zip(works, states)), workers, total, pool_threshold)
 
     def run_drmt_shards(
         self,
@@ -162,480 +86,6 @@ class ShardTransport:
         pool_threshold: int,
     ) -> List[Tuple]:
         """Run every dRMT shard; returns ``(fields, dropped, arrays, hits)`` per shard."""
-        if not self._pool_eligible(len(works), workers, total, pool_threshold, handle):
-            return [
-                handle.run(work, shard_tables, shard_arrays)
-                for work, shard_tables, shard_arrays in zip(works, tables, arrays)
-            ]
-        return self._pool_drmt_shards(handle, works, tables, arrays, workers)
-
-    def _pool_rmt_shards(self, handle, works, states, workers):  # pragma: no cover
-        raise NotImplementedError
-
-    def _pool_drmt_shards(self, handle, works, tables, arrays, workers):  # pragma: no cover
-        raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# Pickle transport (the default)
-# ----------------------------------------------------------------------
-def _execute_pickled_shard(payload: Tuple) -> Tuple:
-    """Pool entry point: run one shard through its handle."""
-    handle, args = payload
-    return handle.run(*args)
-
-
-class PickleTransport(ShardTransport):
-    """Ship every shard payload and result through the pool's pickle channel."""
-
-    name = TRANSPORT_PICKLE
-
-    def _pool_rmt_shards(self, handle, works, states, workers):
-        payloads = [(handle, (work, state)) for work, state in zip(works, states)]
-        return _pool_map(_execute_pickled_shard, payloads, workers)
-
-    def _pool_drmt_shards(self, handle, works, tables, arrays, workers):
-        payloads = [
-            (handle, (work, shard_tables, shard_arrays))
-            for work, shard_tables, shard_arrays in zip(works, tables, arrays)
-        ]
-        return _pool_map(_execute_pickled_shard, payloads, workers)
-
-
-# ----------------------------------------------------------------------
-# Shared-memory transport
-# ----------------------------------------------------------------------
-def _pack_int64(rows, context: str):
-    """Flatten nested int rows into an int64 ndarray or rule the trace out."""
-    try:
-        return _np.asarray(rows, dtype=_np.int64)
-    except (OverflowError, ValueError, TypeError) as error:
-        raise _NotFlatPackable(f"{context}: {error}") from error
-
-
-def _flatten_state(state: List[List[List[int]]]) -> List[int]:
-    return [value for vectors in state for variables in vectors for value in variables]
-
-
-def _unflatten_state(flat: Sequence[int], dims: Tuple[int, int, int]) -> List[List[List[int]]]:
-    depth, slots, variables = dims
-    iterator = iter(flat)
-    return [
-        [[next(iterator) for _ in range(variables)] for _ in range(slots)]
-        for _ in range(depth)
-    ]
-
-
-def _close_segment(shm, unlink: bool = False) -> None:
-    """Release a segment, tolerating still-live buffer exports.
-
-    A ``close()`` while a numpy view of ``shm.buf`` is still referenced (for
-    example by the traceback of a propagating exception) raises
-    ``BufferError``; the mapping is then released when the view is collected,
-    and ``unlink`` — which does not need the mapping closed — still removes
-    the name, so neither failure may mask the original exception.
-    """
-    try:
-        shm.close()
-    except BufferError:  # a view outlives us; the GC closes the mapping later
-        pass
-    if unlink:
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already removed
-            pass
-
-
-def _rmt_shm_worker(payload: Tuple) -> int:
-    """Pool entry point: run one RMT shard against the shared buffer."""
-    handle, name, start, count, width, state_offset, state_dims, shard = payload
-    state_length = state_dims[0] * state_dims[1] * state_dims[2]
-    shm = _attach_shared_memory(name)
-    flat = None
-    try:
-        flat = _np.frombuffer(shm.buf, dtype=_np.int64)
-        work = flat[start * width : (start + count) * width].reshape(count, width).tolist()
-        state = _unflatten_state(
-            flat[state_offset : state_offset + state_length].tolist(), state_dims
+        return self._run(
+            handle, list(zip(works, tables, arrays)), workers, total, pool_threshold
         )
-        outputs, final_state = handle.run(work, state)
-        try:
-            flat[start * width : (start + count) * width] = _np.asarray(
-                outputs, dtype=_np.int64
-            ).reshape(count * width)
-            flat[state_offset : state_offset + state_length] = _np.asarray(
-                _flatten_state(final_state), dtype=_np.int64
-            )
-        except (OverflowError, ValueError, TypeError) as error:
-            raise ShardTransportError(
-                f"shard {shard} produced values outside the shm transport's int64 "
-                f"wire format ({error}); rerunning over the pickle transport"
-            ) from error
-    finally:
-        flat = None  # release the buffer export before closing the mapping
-        _close_segment(shm)
-    return shard
-
-
-def _drmt_shm_worker(payload: Tuple) -> int:
-    """Pool entry point: run one dRMT shard against the shared buffer."""
-    (
-        handle,
-        tables,
-        name,
-        start,
-        count,
-        in_fields,
-        extra_fields,
-        n_total,
-        presence_offset,
-        dropped_offset,
-        arrays_offset,
-        hits_offset,
-        array_layout,
-        table_names,
-        shard,
-    ) = payload
-    n_in = len(in_fields)
-    shm = _attach_shared_memory(name)
-    flat = None
-    try:
-        flat = _np.frombuffer(shm.buf, dtype=_np.int64)
-        rows = (
-            flat[start * n_total : (start + count) * n_total]
-            .reshape(count, n_total)[:, :n_in]
-            .tolist()
-        )
-        work = [dict(zip(in_fields, row)) for row in rows]
-        arrays: Dict[str, List[int]] = {}
-        cursor = arrays_offset
-        for array_name, size in array_layout:
-            arrays[array_name] = flat[cursor : cursor + size].tolist()
-            cursor += size
-        fields, dropped, arrays, hits = handle.run(work, tables, arrays)
-        out_rows = []
-        presence = []
-        for packet in fields:
-            row = [packet[field] for field in in_fields]
-            bits = 0
-            for position, field in enumerate(extra_fields):
-                if field in packet:
-                    bits |= 1 << position
-                    row.append(packet[field])
-                else:
-                    row.append(0)
-            out_rows.append(row)
-            presence.append(bits)
-        try:
-            flat[start * n_total : (start + count) * n_total] = _np.asarray(
-                out_rows, dtype=_np.int64
-            ).reshape(count * n_total)
-            flat[presence_offset + start : presence_offset + start + count] = presence
-            flat[dropped_offset + start : dropped_offset + start + count] = [
-                1 if flag else 0 for flag in dropped
-            ]
-            cursor = arrays_offset
-            for array_name, size in array_layout:
-                flat[cursor : cursor + size] = _np.asarray(
-                    arrays[array_name], dtype=_np.int64
-                )
-                cursor += size
-            hit_values = []
-            for table_name in table_names:
-                hit_count, miss_count = hits[table_name]
-                hit_values.extend((hit_count, miss_count))
-            flat[hits_offset : hits_offset + 2 * len(table_names)] = hit_values
-        except (OverflowError, ValueError, TypeError, KeyError) as error:
-            raise ShardTransportError(
-                f"shard {shard} produced values outside the shm transport's flat "
-                f"wire format ({error}); rerunning over the pickle transport"
-            ) from error
-    finally:
-        flat = None  # release the buffer export before closing the mapping
-        _close_segment(shm)
-    return shard
-
-
-class SharedMemoryTransport(ShardTransport):
-    """Lay shard traces and state out in ``multiprocessing.shared_memory``.
-
-    Inputs are packed once by the parent; workers receive buffer views, write
-    outputs and final state in place, and the parent merges straight out of
-    the buffer — no per-shard result pickling.  Falls back to the pickle
-    transport when the trace is not flat-packable (non-int64 values, ragged
-    dRMT field sets, more than 63 statically-written extra fields, or numpy
-    missing); :attr:`last_fallback_reason` records why.
-    """
-
-    name = TRANSPORT_SHM
-
-    def __init__(self):
-        self.last_fallback_reason: Optional[str] = None
-        self._pickle = PickleTransport()
-
-    # ------------------------------------------------------------------
-    # RMT
-    # ------------------------------------------------------------------
-    def _pool_rmt_shards(self, handle, works, states, workers):
-        self.last_fallback_reason = None  # this run's verdict, not a stale one
-        try:
-            return self._shm_rmt_shards(handle, works, states, workers)
-        except _NotFlatPackable as verdict:
-            self.last_fallback_reason = str(verdict)
-            return self._pickle._pool_rmt_shards(handle, works, states, workers)
-        except ShardTransportError as error:
-            self.last_fallback_reason = str(error)
-            return self._pickle._pool_rmt_shards(handle, works, states, workers)
-
-    def _shm_rmt_shards(self, handle, works, states, workers):
-        if _np is None:
-            raise _NotFlatPackable("numpy is unavailable")
-        from multiprocessing import shared_memory
-
-        counts = [len(work) for work in works]
-        rows = [row for work in works for row in work]
-        widths = {len(row) for row in rows}
-        if len(widths) != 1:
-            raise _NotFlatPackable(f"PHV widths vary across the trace: {sorted(widths)}")
-        width = widths.pop()
-        if width == 0:
-            raise _NotFlatPackable("zero-width PHVs cannot be flat-packed")
-        matrix = _pack_int64(rows, "input PHVs are not int64-packable")
-
-        dims = (
-            len(states[0]),
-            len(states[0][0]) if states[0] else 0,
-            len(states[0][0][0]) if states[0] and states[0][0] else 0,
-        )
-        state_length = dims[0] * dims[1] * dims[2]
-        state_rows = []
-        for state in states:
-            flat_state = _flatten_state(state)
-            if len(flat_state) != state_length:
-                raise _NotFlatPackable("ragged pipeline state vectors")
-            state_rows.append(flat_state)
-        packed_states = _pack_int64(state_rows, "pipeline state is not int64-packable")
-
-        total_rows = len(rows)
-        # The segment can be page-rounded above the requested size, so every
-        # buffer access below uses exact [offset : offset + length] slices.
-        cells = total_rows * width + len(works) * state_length
-        shm = shared_memory.SharedMemory(create=True, size=max(cells, 1) * 8)
-        flat = None
-        try:
-            flat = _np.frombuffer(shm.buf, dtype=_np.int64)
-            flat[: total_rows * width] = matrix.reshape(total_rows * width)
-            states_offset = total_rows * width
-            if state_length:
-                flat[states_offset : states_offset + len(works) * state_length] = (
-                    packed_states.reshape(len(works) * state_length)
-                )
-            payloads = []
-            start = 0
-            for shard, count in enumerate(counts):
-                payloads.append(
-                    (
-                        handle,
-                        shm.name,
-                        start,
-                        count,
-                        width,
-                        states_offset + shard * state_length,
-                        dims,
-                        shard,
-                    )
-                )
-                start += count
-            _pool_map(_rmt_shm_worker, payloads, workers)
-            results = []
-            start = 0
-            for shard, count in enumerate(counts):
-                outputs = (
-                    flat[start * width : (start + count) * width]
-                    .reshape(count, width)
-                    .tolist()
-                )
-                state_offset = states_offset + shard * state_length
-                final_state = _unflatten_state(
-                    flat[state_offset : state_offset + state_length].tolist(), dims
-                )
-                results.append((outputs, final_state))
-                start += count
-            return results
-        finally:
-            flat = None  # release the buffer export before closing the mapping
-            _close_segment(shm, unlink=True)
-
-    # ------------------------------------------------------------------
-    # dRMT
-    # ------------------------------------------------------------------
-    def _pool_drmt_shards(self, handle, works, tables, arrays, workers):
-        self.last_fallback_reason = None  # this run's verdict, not a stale one
-        try:
-            return self._shm_drmt_shards(handle, works, tables, arrays, workers)
-        except _NotFlatPackable as verdict:
-            self.last_fallback_reason = str(verdict)
-            return self._pickle._pool_drmt_shards(handle, works, tables, arrays, workers)
-        except ShardTransportError as error:
-            self.last_fallback_reason = str(error)
-            return self._pickle._pool_drmt_shards(handle, works, tables, arrays, workers)
-
-    def _shm_drmt_shards(self, handle, works, tables, arrays, workers):
-        if _np is None:
-            raise _NotFlatPackable("numpy is unavailable")
-        from multiprocessing import shared_memory
-
-        from .drmt import written_packet_fields
-
-        counts = [len(work) for work in works]
-        packets = [packet for work in works for packet in work]
-        in_fields = list(packets[0])
-        n_in = len(in_fields)
-        if n_in == 0:
-            raise _NotFlatPackable("packets carry no fields")
-        extra_fields = sorted(written_packet_fields(handle.program) - set(in_fields))
-        if len(extra_fields) > 63:
-            raise _NotFlatPackable(
-                f"{len(extra_fields)} statically-written extra fields exceed the "
-                "presence bitmask (63)"
-            )
-        n_total = n_in + len(extra_fields)
-        try:
-            rows = []
-            for packet in packets:
-                if len(packet) != n_in:
-                    raise _NotFlatPackable(
-                        "packet field sets vary across the trace"
-                    )
-                rows.append(
-                    [packet[field] for field in in_fields] + [0] * len(extra_fields)
-                )
-        except KeyError as error:
-            raise _NotFlatPackable(
-                f"packet field sets vary across the trace (missing {error})"
-            ) from error
-        matrix = _pack_int64(rows, "packet fields are not int64-packable")
-
-        array_layout = [(name, len(array)) for name, array in sorted(arrays[0].items())]
-        arrays_length = sum(size for _name, size in array_layout)
-        array_rows = []
-        for shard_arrays in arrays:
-            row = []
-            for name, size in array_layout:
-                values = shard_arrays.get(name)
-                if values is None or len(values) != size:
-                    raise _NotFlatPackable("register array layouts vary across shards")
-                row.extend(values)
-            array_rows.append(row)
-        packed_arrays = _pack_int64(array_rows, "register arrays are not int64-packable")
-        table_names = sorted(tables[0])
-
-        total_rows = len(packets)
-        shard_count = len(works)
-        presence_offset = total_rows * n_total
-        dropped_offset = presence_offset + total_rows
-        arrays_offset = dropped_offset + total_rows
-        hits_offset = arrays_offset + shard_count * arrays_length
-        # The segment can be page-rounded above the requested size, so every
-        # buffer access below uses exact [offset : offset + length] slices.
-        cells = hits_offset + shard_count * 2 * len(table_names)
-        shm = shared_memory.SharedMemory(create=True, size=max(cells, 1) * 8)
-        flat = None
-        try:
-            flat = _np.frombuffer(shm.buf, dtype=_np.int64)
-            flat[: total_rows * n_total] = matrix.reshape(total_rows * n_total)
-            flat[presence_offset : arrays_offset] = 0
-            if arrays_length:
-                flat[arrays_offset : hits_offset] = packed_arrays.reshape(
-                    shard_count * arrays_length
-                )
-            if table_names:
-                flat[hits_offset : cells] = 0
-            payloads = []
-            start = 0
-            for shard, count in enumerate(counts):
-                payloads.append(
-                    (
-                        handle,
-                        tables[shard],
-                        shm.name,
-                        start,
-                        count,
-                        in_fields,
-                        extra_fields,
-                        n_total,
-                        presence_offset,
-                        dropped_offset,
-                        arrays_offset + shard * arrays_length,
-                        hits_offset + shard * 2 * len(table_names),
-                        array_layout,
-                        table_names,
-                        shard,
-                    )
-                )
-                start += count
-            _pool_map(_drmt_shm_worker, payloads, workers)
-            results = []
-            start = 0
-            for shard, count in enumerate(counts):
-                block = flat[start * n_total : (start + count) * n_total].reshape(
-                    count, n_total
-                )
-                presence = flat[
-                    presence_offset + start : presence_offset + start + count
-                ].tolist()
-                fields = []
-                for row, bits in zip(block.tolist(), presence):
-                    packet = dict(zip(in_fields, row[:n_in]))
-                    for position, field in enumerate(extra_fields):
-                        if bits & (1 << position):
-                            packet[field] = row[n_in + position]
-                    fields.append(packet)
-                dropped = [
-                    bool(flag)
-                    for flag in flat[
-                        dropped_offset + start : dropped_offset + start + count
-                    ].tolist()
-                ]
-                shard_arrays: Dict[str, List[int]] = {}
-                cursor = arrays_offset + shard * arrays_length
-                for name, size in array_layout:
-                    shard_arrays[name] = flat[cursor : cursor + size].tolist()
-                    cursor += size
-                hits_cursor = hits_offset + shard * 2 * len(table_names)
-                hit_values = flat[
-                    hits_cursor : hits_cursor + 2 * len(table_names)
-                ].tolist()
-                hits = {
-                    name: (hit_values[2 * index], hit_values[2 * index + 1])
-                    for index, name in enumerate(table_names)
-                }
-                results.append((fields, dropped, shard_arrays, hits))
-                block = None
-                start += count
-            return results
-        finally:
-            flat = None  # release the buffer exports before closing the mapping
-            _close_segment(shm, unlink=True)
-
-
-def resolve_transport(
-    transport: Union[str, ShardTransport, None]
-) -> ShardTransport:
-    """Resolve a transport name (or pass an instance through) to a transport.
-
-    ``None`` selects the default pickle transport; unknown names raise
-    :class:`SimulationError` listing the valid choices.
-    """
-    if transport is None:
-        return PickleTransport()
-    if isinstance(transport, ShardTransport):
-        return transport
-    if transport == TRANSPORT_PICKLE:
-        return PickleTransport()
-    if transport == TRANSPORT_SHM:
-        return SharedMemoryTransport()
-    raise SimulationError(
-        f"unknown shard transport {transport!r}; choose one of "
-        f"{', '.join(TRANSPORT_CHOICES)}"
-    )

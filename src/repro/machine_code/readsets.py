@@ -15,10 +15,8 @@ container.  Because output-mux routing is unconditional (the mux choice is a
 machine-code constant, not data-dependent), an exposed slot is read by *every*
 packet traversing the pipeline — so the merge rule for an exposed cell is
 "no shard may write it at all", while unexposed cells keep the one-writer
-flow rule.  PR 3 applied the strict rule to the whole state space as soon as
-any stateful output was routed; tracking the read set per cell lifts that:
-programs that expose only read-only cells (configuration thresholds, learned
-constants) now shard legally.
+flow rule, so programs that expose only read-only cells (configuration
+thresholds, learned constants) shard legally.
 
 The executed output mux reduces its machine-code value modulo the choice
 count (see ``pipeline_builder._output_mux_code``); the analysis mirrors that
@@ -27,7 +25,7 @@ reduction so an out-of-domain opcode cannot smuggle a stateful route past it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Tuple
+from typing import FrozenSet, Mapping, Tuple
 
 from . import naming
 
@@ -57,25 +55,3 @@ def exposed_state_slots(spec, values: Mapping[str, int]) -> FrozenSet[StateSlot]
             if width <= code < 2 * width:
                 exposed.add((stage, code - width))
     return frozenset(exposed)
-
-
-def stage_read_sets(spec, values: Mapping[str, int]) -> Dict[int, FrozenSet[int]]:
-    """Per-stage view of :func:`exposed_state_slots`.
-
-    Maps each stage index to the frozenset of stateful slots whose state
-    value that stage's output muxes can read.  Stages that read no state are
-    omitted.
-    """
-    per_stage: Dict[int, set] = {}
-    for stage, slot in exposed_state_slots(spec, values):
-        per_stage.setdefault(stage, set()).add(slot)
-    return {stage: frozenset(slots) for stage, slots in per_stage.items()}
-
-
-def routes_stateful_output(spec, values: Mapping[str, int]) -> bool:
-    """True when any output multiplexer selects a stateful ALU's output.
-
-    The coarse PR-3 predicate, retained for callers that only need the
-    boolean; prefer :func:`exposed_state_slots` for the per-cell merge rule.
-    """
-    return bool(exposed_state_slots(spec, values))

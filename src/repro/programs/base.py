@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import atoms
 from ..chipmunk.allocation import MachineCodeBuilder
-from ..dsim.traffic import TrafficGenerator
+from ..traffic import TrafficGenerator
 from ..errors import DruzhbaError
 from ..hardware import PipelineSpec
 from ..machine_code.pairs import MachineCode

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..chipmunk.allocation import MachineCodeBuilder
-from ..dsim.traffic import choice_field
+from ..traffic import choice_field
 from ..machine_code import naming
 from .base import BenchmarkProgram
 

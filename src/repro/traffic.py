@@ -9,14 +9,11 @@ Both switch architectures are fed by seeded random workload generators:
   generates packets with randomly initialized packet field values based on
   the fields specified in the P4 file instead of PHVs" (paper §4.2).
 
-Historically the two generators lived in separate copies under ``dsim`` and
-``drmt`` and drifted (different laziness, duplicated field-override helpers,
-diverging seed plumbing).  This module is the single home for both; the old
-``repro.dsim.traffic`` and ``repro.drmt.traffic`` modules re-export from here
-for compatibility.  Seed handling is shared: every generator owns one integer
-``seed``, builds a fresh :class:`random.Random` per ``generate``/``iter_*``
-call, and is therefore replayable — the fuzzing workflow relies on this to
-reproduce counterexamples.
+This module is the single home for both generators.  Seed handling is
+shared: every generator owns one integer ``seed``, builds a fresh
+:class:`random.Random` per ``generate``/``iter_*`` call, and is therefore
+replayable — the fuzzing workflow relies on this to reproduce
+counterexamples.
 """
 
 from __future__ import annotations

@@ -150,7 +150,7 @@ class TestEngineFlags:
 
 
 class TestShardingKnobs:
-    """CLI coverage for --shards/--workers/--shard-key/--transport."""
+    """CLI coverage for --shards/--workers/--shard-key."""
 
     DSIM_SHARDED = [
         "--depth", "1", "--width", "2", "--stateful-alu", "pred_raw",
@@ -164,25 +164,15 @@ class TestShardingKnobs:
         ) == 0
         assert "engine: sharded[" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_dsim_transport_happy_path(self, transport, capsys):
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_dsim_sharded_output_matches_unsharded(self, shards, capsys):
+        unsharded = self.DSIM_SHARDED[:-1] + ["generic"]
+        assert dsim_main(unsharded) == 0
+        reference = capsys.readouterr().out
         assert dsim_main(
-            self.DSIM_SHARDED
-            + ["--shards", "2", "--workers", "1", "--shard-key", "0",
-               "--transport", transport]
+            self.DSIM_SHARDED + ["--shards", str(shards), "--workers", "1", "--shard-key", "0"]
         ) == 0
-        assert "engine: sharded[" in capsys.readouterr().err
-
-    def test_dsim_transport_outputs_identical_across_transports(self, capsys):
-        outputs = {}
-        for transport in ("pickle", "shm"):
-            assert dsim_main(
-                self.DSIM_SHARDED
-                + ["--shards", "2", "--workers", "1", "--shard-key", "0",
-                   "--transport", transport]
-            ) == 0
-            outputs[transport] = capsys.readouterr().out
-        assert outputs["pickle"] == outputs["shm"]
+        assert capsys.readouterr().out == reference
 
     def test_dsim_rejects_invalid_shards_and_workers(self, capsys):
         assert dsim_main(self.DSIM_SHARDED + ["--shards", "0"]) == 1
@@ -196,9 +186,9 @@ class TestShardingKnobs:
         assert dsim_main(self.DSIM_SHARDED + ["--shards", "2", "--shard-key", "99"]) == 1
         assert "out of range" in capsys.readouterr().err
 
-    def test_dsim_rejects_unknown_transport_via_argparse(self):
+    def test_dsim_rejects_the_removed_transport_flag(self):
         with pytest.raises(SystemExit):
-            dsim_main(self.DSIM_SHARDED + ["--transport", "smoke-signal"])
+            dsim_main(self.DSIM_SHARDED + ["--shards", "2", "--transport", "pickle"])
 
     def test_drmt_sharded_happy_path(self, capsys):
         assert drmt_main(
@@ -206,13 +196,17 @@ class TestShardingKnobs:
         ) == 0
         assert "(sharded[" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_drmt_transport_happy_path(self, transport, capsys):
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_drmt_sharded_output_matches_unsharded(self, shards, capsys):
+        assert drmt_main(["--packets", "12", "--engine", "fused"]) == 0
+        reference = capsys.readouterr().out
         assert drmt_main(
-            ["--packets", "10", "--engine", "sharded", "--shards", "2",
-             "--workers", "1", "--transport", transport]
+            ["--packets", "12", "--engine", "sharded", "--shards", str(shards),
+             "--workers", "1"]
         ) == 0
-        assert "(sharded[" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "(sharded[fused] engine)" in out
+        assert out.replace("(sharded[fused] engine)", "(fused engine)") == reference
 
     def test_drmt_rejects_invalid_shards_and_workers(self, capsys):
         assert drmt_main(["--packets", "5", "--engine", "sharded", "--shards", "-1"]) == 1
@@ -222,9 +216,9 @@ class TestShardingKnobs:
         ) == 1
         assert "worker count" in capsys.readouterr().err
 
-    def test_drmt_rejects_unknown_transport_via_argparse(self):
+    def test_drmt_rejects_the_removed_transport_flag(self):
         with pytest.raises(SystemExit):
-            drmt_main(["--packets", "5", "--transport", "telepathy"])
+            drmt_main(["--packets", "5", "--engine", "sharded", "--transport", "pickle"])
 
     def test_drmt_explicit_shard_key_happy_path(self, capsys):
         assert drmt_main(

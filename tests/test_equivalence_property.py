@@ -257,7 +257,7 @@ class TestExactLookupSpecialisation:
         """
         from repro.drmt import DRMTSimulator
         from repro.drmt.tables import MatchPattern, TableEntry
-        from repro.drmt.traffic import PacketGenerator
+        from repro.traffic import PacketGenerator
         from repro.traffic import choice_field
 
         bundle = _telemetry_bundle()

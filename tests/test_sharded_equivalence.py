@@ -433,16 +433,17 @@ class TestConflictGuard:
         """An out-of-domain mux opcode cannot smuggle a stateful route past
         the exposure check: it must reduce modulo the choice count exactly
         like the executed mux does."""
-        from repro.engine.sharded import routes_stateful_output
         from repro.machine_code import naming
+        from repro.machine_code.readsets import exposed_state_slots
 
         description = compiled(make_flow_counters_variant(2))  # width 4, choices 9
-        width = description.spec.width
-        choices = description.spec.output_mux_choices
+        spec = description.spec
+        width = spec.width
+        choices = spec.output_mux_choices
         name = naming.output_mux_name(0, 0)
-        assert routes_stateful_output(description, {name: width + choices})
-        assert not routes_stateful_output(description, {name: choices})  # ≡ stateless 0
-        assert not routes_stateful_output(description, {name: 2 * width})  # passthrough
+        assert exposed_state_slots(spec, {name: width + choices}) == {(0, 0)}
+        assert exposed_state_slots(spec, {name: choices}) == frozenset()  # ≡ stateless 0
+        assert exposed_state_slots(spec, {name: 2 * width}) == frozenset()  # passthrough
 
     def test_empty_trace_is_trivially_sharded(self):
         program = make_flow_counters_variant(2)
@@ -461,7 +462,7 @@ class TestConflictGuard:
 class TestReadSetTracking:
     def test_exposed_state_slots_static_pass(self):
         """The static pass names exactly the routed stateful cells."""
-        from repro.machine_code.readsets import exposed_state_slots, stage_read_sets
+        from repro.machine_code.readsets import exposed_state_slots
 
         plain = compiled(make_flow_counters_variant(3))
         assert exposed_state_slots(plain.spec, plain.runtime_values()) == frozenset()
@@ -471,7 +472,6 @@ class TestReadSetTracking:
         assert exposed_state_slots(readers.spec, values) == frozenset(
             {(2, 0), (2, 1), (2, 2)}
         )
-        assert stage_read_sets(readers.spec, values) == {2: frozenset({0, 1, 2})}
 
         cross = compiled(make_flow_counters_cross_reader_variant(3))
         assert exposed_state_slots(cross.spec, cross.runtime_values()) == frozenset(
@@ -576,31 +576,12 @@ class TestReadSetTracking:
 
 
 # ----------------------------------------------------------------------
-# Shard transports
+# Worker pool
 # ----------------------------------------------------------------------
-class TestShardTransports:
-    def test_unknown_transport_rejected_everywhere(self):
-        from repro.engine.transport import resolve_transport
-
-        with pytest.raises(SimulationError, match="pickle, shm"):
-            resolve_transport("carrier-pigeon")
-        program = make_flow_counters_variant(2)
-        description = compiled(program)
-        with pytest.raises(SimulationError, match="unknown shard transport"):
-            RMTSimulator(description, engine="sharded", transport="bogus")
-
-        from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-        from repro.p4 import samples
-
-        bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams())
-        with pytest.raises(SimulationError, match="unknown shard transport"):
-            DRMTSimulator(bundle, engine="sharded", transport="bogus")
-
+class TestShardPool:
     @pytest.mark.parametrize("opt_level", (dgen.OPT_SCC_INLINE, dgen.OPT_FUSED))
-    def test_shm_pool_matches_pickle_pool_and_in_process(self, opt_level):
-        """The transport is a wire-format choice, never a semantics choice."""
-        from repro.engine.transport import SharedMemoryTransport
-
+    def test_pickle_pool_matches_in_process(self, opt_level):
+        """The pool is a scheduling choice, never a semantics choice."""
         program = make_flow_counters_variant(6)
         description = compiled(program, opt_level=opt_level)
         inputs = program.traffic_generator(seed=9).generate(400)
@@ -614,104 +595,52 @@ class TestShardTransports:
             workers=2,
             shard_key=[0],
             shard_pool_threshold=1,
-            transport="pickle",
-        ).run(inputs)
-        shm = SharedMemoryTransport()
-        shared = RMTSimulator(
-            description,
-            engine="sharded",
-            shards=4,
-            workers=2,
-            shard_key=[0],
-            shard_pool_threshold=1,
-            transport=shm,
         ).run(inputs)
         assert_bit_for_bit(pickled, in_process, "pickle pool")
-        assert_bit_for_bit(shared, in_process, "shm pool")
-        assert shm.last_fallback_reason is None
 
-    def test_shm_falls_back_when_values_exceed_int64(self):
-        """Non-flat-packable traces silently take the pickle path, recorded."""
-        from repro.engine.transport import SharedMemoryTransport
-
+    def test_pool_carries_values_beyond_int64(self):
+        """Pool workers receive and return arbitrary-precision container values."""
         program = make_flow_counters_variant(4)
         description = compiled(program)
         inputs = [[index % 4, 1 << 70] + [0] * 4 for index in range(60)]
         reference = RMTSimulator(
             description, engine="sharded", shards=4, workers=1, shard_key=[0]
         ).run(inputs)
-        shm = SharedMemoryTransport()
-        result = RMTSimulator(
+        pooled = RMTSimulator(
             description,
             engine="sharded",
             shards=4,
             workers=2,
             shard_key=[0],
             shard_pool_threshold=1,
-            transport=shm,
         ).run(inputs)
-        assert_bit_for_bit(result, reference, "fallback")
-        assert shm.last_fallback_reason is not None
-        assert "int64" in shm.last_fallback_reason
+        assert_bit_for_bit(pooled, reference, "pool")
+        assert any(value >= 1 << 70 for output in pooled.outputs for value in output)
 
-    def test_shm_transport_on_drmt_matches_in_process(self):
-        from repro.drmt import DRMTSimulator
-        from repro.drmt.traffic import PacketGenerator
-        from repro.engine.transport import SharedMemoryTransport
-        from repro.p4 import samples
-        from repro.drmt import DrmtHardwareParams, generate_bundle
-        from repro.traffic import choice_field
-
-        bundle = generate_bundle(
-            samples.telemetry_pipeline(), DrmtHardwareParams(num_processors=4)
-        )
-        entries = samples.TELEMETRY_ENTRIES
-        generator = PacketGenerator(
-            bundle.program, seed=8, field_overrides={"pkt.flow_id": choice_field([1, 2, 3])}
-        )
-        packets = generator.generate(240)
-        in_process = DRMTSimulator(
-            bundle, table_entries=entries, engine="sharded", shards=3, workers=1,
-            shard_key=["pkt.flow_id"],
-        ).run_packets(packets)
-        shm = SharedMemoryTransport()
-        shared = DRMTSimulator(
-            bundle, table_entries=entries, engine="sharded", shards=3, workers=2,
-            shard_key=["pkt.flow_id"], shard_pool_threshold=1, transport=shm,
-        ).run_packets(packets)
-        TestDrmtSharding._assert_results_equal(shared, in_process)
-        assert shm.last_fallback_reason is None
-
-    def test_shm_transport_on_drmt_falls_back_for_ragged_packets(self):
-        """Packets with differing field sets are not flat-packable."""
+    def test_transport_keyword_is_gone_everywhere(self):
+        """The pickle pool is the only shard channel; no facade selects another."""
         from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-        from repro.drmt.traffic import PacketGenerator
-        from repro.engine.transport import SharedMemoryTransport
+        from repro.dsim import simulate
+        from repro.engine.sharded import ShardedDrmtDriver, ShardedRmtDriver
         from repro.p4 import samples
-        from repro.traffic import choice_field
 
-        bundle = generate_bundle(
-            samples.telemetry_pipeline(), DrmtHardwareParams(num_processors=2)
-        )
-        generator = PacketGenerator(
-            bundle.program, seed=1, field_overrides={"pkt.flow_id": choice_field([1, 2])}
-        )
-        packets = generator.generate(120)
-        del packets[7]["pkt.queue_depth"]  # one ragged packet rules shm out
-        shm = SharedMemoryTransport()
-        shared = DRMTSimulator(
-            bundle, table_entries=samples.TELEMETRY_ENTRIES, engine="sharded",
-            shards=2, workers=2, shard_key=["pkt.flow_id"], shard_pool_threshold=1,
-            transport=shm,
-        ).run_packets(packets)
-        pickled = DRMTSimulator(
-            bundle, table_entries=samples.TELEMETRY_ENTRIES, engine="sharded",
-            shards=2, workers=2, shard_key=["pkt.flow_id"], shard_pool_threshold=1,
-            transport="pickle",
-        ).run_packets(packets)
-        TestDrmtSharding._assert_results_equal(shared, pickled)
-        assert shm.last_fallback_reason is not None
-        assert "field sets vary" in shm.last_fallback_reason
+        program = make_flow_counters_variant(2)
+        description = compiled(program)
+        with pytest.raises(TypeError, match="transport"):
+            RMTSimulator(description, engine="sharded", transport="pickle")
+        with pytest.raises(TypeError, match="transport"):
+            simulate(description, [[0] * 6], transport="pickle")
+        with pytest.raises(TypeError, match="transport"):
+            ShardedRmtDriver(description, transport="pickle")
+
+        bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams())
+        with pytest.raises(TypeError, match="transport"):
+            DRMTSimulator(bundle, engine="sharded", transport="pickle")
+        simulator = DRMTSimulator(bundle)
+        with pytest.raises(TypeError, match="transport"):
+            ShardedDrmtDriver(
+                bundle, simulator.tables, simulator.registers, transport="pickle"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -925,7 +854,7 @@ control ingress {
     def test_explicit_flow_key_matches_tick_and_fused(self, shards):
         """Flow-restricted telemetry traffic shards bit-for-bit."""
         from repro.drmt import DRMTSimulator
-        from repro.drmt.traffic import PacketGenerator
+        from repro.traffic import PacketGenerator
         from repro.traffic import choice_field
 
         bundle, entries = self._telemetry()
@@ -950,7 +879,7 @@ control ingress {
     def test_cross_flow_register_sharing_conflicts_and_auto_falls_back(self):
         """Unmatched flows share bucket 0: conflict, then fallback under auto."""
         from repro.drmt import DRMTSimulator
-        from repro.drmt.traffic import PacketGenerator
+        from repro.traffic import PacketGenerator
 
         bundle, entries = self._telemetry()
         packets = PacketGenerator(bundle.program, seed=5).generate(300)
@@ -979,7 +908,7 @@ control ingress {
     def test_underivable_key_runs_one_shard(self):
         """No safe key (derived None): still correct via a single shard."""
         from repro.drmt import DRMTSimulator
-        from repro.drmt.traffic import PacketGenerator
+        from repro.traffic import PacketGenerator
 
         bundle, entries = self._telemetry()
         packets = PacketGenerator(bundle.program, seed=3).generate(120)
@@ -992,7 +921,7 @@ control ingress {
 
     def test_pool_path_matches_in_process(self):
         from repro.drmt import DRMTSimulator
-        from repro.drmt.traffic import PacketGenerator
+        from repro.traffic import PacketGenerator
         from repro.traffic import choice_field
 
         bundle, entries = self._telemetry()
@@ -1010,9 +939,104 @@ control ingress {
         ).run_packets(packets)
         self._assert_results_equal(pooled, in_process)
 
+    def test_pool_path_with_derived_key_matches_fused(self):
+        """The auto-derived key survives the trip to pool workers."""
+        from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
+
+        bundle = generate_bundle(self.COUNTER_SOURCE, DrmtHardwareParams(num_processors=3))
+        packets = [
+            {"pkt.flow": (index * 7) % 20, "pkt.other": index % 5, "pkt.total": 0}
+            for index in range(120)
+        ]
+        reference = DRMTSimulator(bundle, engine="fused").run_packets(packets)
+        pooled = DRMTSimulator(
+            bundle, engine="sharded", shards=3, workers=2, shard_pool_threshold=1
+        ).run_packets(packets)
+        self._assert_results_equal(pooled, reference)
+        assert pooled.engine == "sharded[fused]"
+
+    def test_pool_path_handles_ragged_packets(self):
+        """Packets with differing field sets shard through the pool unchanged."""
+        from repro.drmt import DRMTSimulator
+        from repro.traffic import PacketGenerator, choice_field
+
+        bundle, entries = self._telemetry(num_processors=2)
+        generator = PacketGenerator(
+            bundle.program, seed=1, field_overrides={"pkt.flow_id": choice_field([1, 2])}
+        )
+        packets = generator.generate(120)
+        del packets[7]["pkt.queue_depth"]
+        in_process = DRMTSimulator(
+            bundle, table_entries=entries, engine="sharded", shards=2, workers=1,
+            shard_key=["pkt.flow_id"],
+        ).run_packets(packets)
+        pooled = DRMTSimulator(
+            bundle, table_entries=entries, engine="sharded", shards=2, workers=2,
+            shard_key=["pkt.flow_id"], shard_pool_threshold=1,
+        ).run_packets(packets)
+        self._assert_results_equal(pooled, in_process)
+
+    def test_fused_generation_bug_propagates(self, monkeypatch):
+        """A generator bug fails loudly instead of degrading to generic."""
+        from repro.drmt import DRMTSimulator
+        from repro.engine.sharded import ShardedDrmtDriver
+        from repro.traffic import PacketGenerator
+
+        bundle, entries = self._telemetry()
+
+        def broken():
+            raise RuntimeError("generator bug")
+
+        monkeypatch.setattr(bundle, "fused_program", broken)
+        simulator = DRMTSimulator(bundle, table_entries=entries)
+        with pytest.raises(RuntimeError, match="generator bug"):
+            ShardedDrmtDriver(bundle, simulator.tables, simulator.registers)
+        packets = PacketGenerator(bundle.program, seed=2).generate(10)
+        with pytest.raises(RuntimeError, match="generator bug"):
+            simulator.run_packets(packets)
+
+    def test_codegen_refusal_takes_the_generic_or_hazard_path(self, monkeypatch):
+        """A CodegenError selects generic, or refuses when generic is unsafe."""
+        from repro.drmt import DRMTSimulator
+        from repro.engine import drmt as drmt_drivers
+        from repro.engine.sharded import ShardedDrmtDriver
+        from repro.errors import CodegenError
+        from repro.traffic import PacketGenerator
+
+        bundle, entries = self._telemetry()
+
+        def refused():
+            raise CodegenError("no fused loop for this bundle")
+
+        monkeypatch.setattr(bundle, "fused_program", refused)
+        simulator = DRMTSimulator(bundle, table_entries=entries)
+        assert ShardedDrmtDriver(bundle, simulator.tables, simulator.registers).inner_mode == (
+            "generic"
+        )
+        packets = PacketGenerator(bundle.program, seed=2).generate(10)
+        assert simulator.run_packets(packets).engine == "generic"
+
+        from repro.drmt import simulator as drmt_simulator
+
+        def hazard(program, schedule):
+            return "shared cell"
+
+        monkeypatch.setattr(drmt_drivers, "run_to_completion_hazard", hazard)
+        monkeypatch.setattr(drmt_simulator, "run_to_completion_hazard", hazard)
+        with pytest.raises(SimulationError, match="run-to-completion is unsafe: shared cell"):
+            ShardedDrmtDriver(bundle, simulator.tables, simulator.registers)
+        # auto has neither fused nor generic left, so it runs tick, sharding
+        # knobs or not.
+        assert DRMTSimulator(bundle, table_entries=entries).run_packets(packets).engine == (
+            "tick"
+        )
+        assert DRMTSimulator(
+            bundle, table_entries=entries, shards=2, workers=1, shard_threshold=1
+        ).run_packets(packets).engine == "tick"
+
     def test_sharded_rejects_observer(self):
         from repro.drmt import DRMTSimulator
-        from repro.drmt.traffic import PacketGenerator
+        from repro.traffic import PacketGenerator
 
         bundle, entries = self._telemetry()
         packets = PacketGenerator(bundle.program, seed=1).generate(10)
@@ -1151,7 +1175,7 @@ control ingress {
     def test_accumulated_statistics_match_sequential_reuse(self):
         """Reusing one simulator across runs accumulates like the tick model."""
         from repro.drmt import DRMTSimulator
-        from repro.drmt.traffic import PacketGenerator
+        from repro.traffic import PacketGenerator
         from repro.traffic import choice_field
 
         bundle, entries = self._telemetry()

@@ -39,14 +39,13 @@ class TestSharedSeedHandling:
 
 
 class TestCompatibilityShims:
-    def test_dsim_and_drmt_shims_reexport_the_shared_classes(self):
-        from repro.drmt import traffic as drmt_traffic
-        from repro.dsim import traffic as dsim_traffic
+    def test_dsim_and_drmt_packages_export_the_shared_classes(self):
+        from repro import drmt, dsim
 
-        assert dsim_traffic.TrafficGenerator is TrafficGenerator
-        assert drmt_traffic.PacketGenerator is PacketGenerator
-        assert dsim_traffic.choice_field is choice_field
-        assert drmt_traffic.values_field is values_field
+        assert dsim.TrafficGenerator is TrafficGenerator
+        assert drmt.PacketGenerator is PacketGenerator
+        assert dsim.choice_field is choice_field
+        assert drmt.values_field is values_field
 
     def test_values_field_is_choice_field_alias(self):
         import random
