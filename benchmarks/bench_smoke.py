@@ -14,9 +14,9 @@ program:
   engine layer's *generic sequential driver* (the new default below level
   3), i.e. the remaining win of generating the driver itself.
 
-Since PR 2 the sweep also covers the dRMT engine: packets/sec for the
-bundled P4 programs under the tick, generic and fused drivers (the fused
-cells run the dict-specialised exact-match lookup since PR 3).
+The sweep also covers the dRMT engine: packets/sec for the bundled P4
+programs under its two sequential drivers, tick and fused (the fused cells
+run the dict-specialised exact-match lookup).
 
 Since PR 3 the sweep adds the *sharded* 1M-PHV cell: the flow-counters
 workload (per-flow state, flow id in container 0) once under the generic
@@ -66,7 +66,7 @@ DRMT_PROGRAMS = {
     "simple_router": (samples.simple_router, samples.SIMPLE_ROUTER_ENTRIES),
     "telemetry_pipeline": (samples.telemetry_pipeline, samples.TELEMETRY_ENTRIES),
 }
-DRMT_ENGINES = ("tick", "generic", "fused")
+DRMT_ENGINES = ("tick", "fused")
 
 #: Default timing rounds (CI can raise via the environment).
 DEFAULT_ROUNDS = max(1, int(os.environ.get("DRUZHBA_BENCH_ROUNDS", "1")))
@@ -263,10 +263,6 @@ def run_sweep(
     if drmt:
         record["drmt"]["speedup_fused_vs_tick"] = {
             name: cells["tick"]["seconds"] / cells["fused"]["seconds"]
-            for name, cells in drmt.items()
-        }
-        record["drmt"]["speedup_generic_vs_tick"] = {
-            name: cells["tick"]["seconds"] / cells["generic"]["seconds"]
             for name, cells in drmt.items()
         }
     if sharded_phvs > 0:

@@ -16,6 +16,10 @@ Compared cells (only keys present in both records are compared):
 * per-program dRMT throughput under every recorded engine (packets/sec);
 * the sharded scaling cell's engines (PHVs/sec).
 
+A baseline cell the current record lacks (a deleted driver, for example) is
+reported on an informational ``dropped:`` line; it never changes the exit
+code.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py --output fresh.json ...
@@ -31,7 +35,7 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,37 +56,37 @@ def find_latest_baseline(root: Path = REPO_ROOT) -> Optional[Path]:
     return best[1] if best else None
 
 
+def _throughputs(record: dict) -> Dict[str, float]:
+    """Every throughput cell of one record, keyed by its label."""
+    cells: Dict[str, float] = {}
+    for name, levels in record.get("programs", {}).items():
+        for level, cell in levels.items():
+            if "phvs_per_sec" in cell:
+                cells[f"rmt/{name}/{level}"] = cell["phvs_per_sec"]
+    for name, engines in record.get("drmt", {}).get("programs", {}).items():
+        for engine, cell in engines.items():
+            if "packets_per_sec" in cell:
+                cells[f"drmt/{name}/{engine}"] = cell["packets_per_sec"]
+    for engine, cell in record.get("sharded", {}).get("cells", {}).items():
+        if "phvs_per_sec" in cell:
+            cells[f"sharded/{engine}"] = cell["phvs_per_sec"]
+    return cells
+
+
 def iter_cells(baseline: dict, current: dict) -> Iterator[Cell]:
     """Yield every throughput cell present in both records."""
-    base_programs = baseline.get("programs", {})
-    for name, cells in current.get("programs", {}).items():
-        for level, cell in cells.items():
-            base_cell = base_programs.get(name, {}).get(level)
-            if base_cell and "phvs_per_sec" in base_cell and "phvs_per_sec" in cell:
-                yield (
-                    f"rmt/{name}/{level}",
-                    base_cell["phvs_per_sec"],
-                    cell["phvs_per_sec"],
-                )
-    base_drmt = baseline.get("drmt", {}).get("programs", {})
-    for name, cells in current.get("drmt", {}).get("programs", {}).items():
-        for engine, cell in cells.items():
-            base_cell = base_drmt.get(name, {}).get(engine)
-            if base_cell and "packets_per_sec" in base_cell and "packets_per_sec" in cell:
-                yield (
-                    f"drmt/{name}/{engine}",
-                    base_cell["packets_per_sec"],
-                    cell["packets_per_sec"],
-                )
-    base_sharded = baseline.get("sharded", {}).get("cells", {})
-    for engine, cell in current.get("sharded", {}).get("cells", {}).items():
-        base_cell = base_sharded.get(engine)
-        if base_cell and "phvs_per_sec" in base_cell and "phvs_per_sec" in cell:
-            yield (
-                f"sharded/{engine}",
-                base_cell["phvs_per_sec"],
-                cell["phvs_per_sec"],
-            )
+    base_cells = _throughputs(baseline)
+    for label, value in _throughputs(current).items():
+        if label in base_cells:
+            yield label, base_cells[label], value
+
+
+def iter_dropped(baseline: dict, current: dict) -> Iterator[str]:
+    """Yield the label of every baseline cell the current record lacks."""
+    current_cells = _throughputs(current)
+    for label in _throughputs(baseline):
+        if label not in current_cells:
+            yield label
 
 
 def check(
@@ -108,6 +112,7 @@ def check(
                      f"({ratio:5.2f}x){marker}")
     if compared == 0:
         lines.append("no comparable cells between the two records")
+    lines.extend(f"dropped: {label}" for label in iter_dropped(baseline, current))
     return lines, regressions
 
 

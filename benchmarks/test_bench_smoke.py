@@ -54,7 +54,10 @@ def test_bench_smoke_sweep(tmp_path, bench_rounds):
         assert summary["geomean"] > 0 and summary["aggregate"] > 0
     drmt = record["drmt"]
     assert set(drmt["programs"]) == {"simple_router"}
+    assert DRMT_ENGINES == ("tick", "fused")
+    assert "speedup_generic_vs_tick" not in drmt
     for cells in drmt["programs"].values():
+        assert set(cells) == set(DRMT_ENGINES)
         for engine in DRMT_ENGINES:
             assert cells[engine]["packets_per_sec"] > 0
 

@@ -21,7 +21,7 @@ from . import atoms, dgen
 from .alu_dsl import grammar, parse_and_analyze
 from .dsim import RMTSimulator, TrafficGenerator
 from .drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-from .engine.base import ENGINE_CHOICES
+from .engine.base import ENGINE_CHOICES, ENGINE_GENERIC
 from .errors import DruzhbaError, SimulationError
 from .hardware import PipelineSpec, describe_pipeline
 from .machine_code import MachineCode
@@ -256,7 +256,8 @@ def drmt_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--ticks-per-action", type=int, default=1)
     parser.add_argument("--milp", action="store_true", help="use the MILP scheduler when available")
     parser.add_argument(
-        "--engine", default="auto", choices=ENGINE_CHOICES,
+        "--engine", default="auto",
+        choices=[engine for engine in ENGINE_CHOICES if engine != ENGINE_GENERIC],
         help="execution driver (auto = the generated fused run_trace when it builds, "
              "tick = the paper's per-tick processor loop; sharded = partition the "
              "packet trace per flow and run the shards in parallel)",

@@ -8,7 +8,7 @@ configuration file.
 """
 
 from .codegen import DrmtProgramBundle, StaticAnalysis, analyze_program, generate_bundle
-from .fused import DrmtFusedProgram, generate_fused, run_to_completion_hazard
+from .fused import DrmtFusedProgram, generate_fused
 from .processor import MatchActionProcessor, PacketContext, RegisterFile
 from .resources import DEFAULT_HARDWARE, DrmtHardwareParams
 from .scheduler import (
@@ -32,7 +32,6 @@ __all__ = [
     "DrmtProgramBundle",
     "DrmtFusedProgram",
     "generate_fused",
-    "run_to_completion_hazard",
     "StaticAnalysis",
     "analyze_program",
     "Schedule",

@@ -30,24 +30,16 @@ locals and folded back into the table's counters on exit — so the inner
 loop is no longer scan-bound while the observable statistics stay identical
 to the interpreter's.  Ternary and LPM tables keep the scan.
 
-A second entry point, ``run_trace_observed``, additionally calls
-``observer(packet_id, processor, tick, fields)`` after every (packet,
-cycle-segment) execution: the per-processor snapshot hook that lets
-debugging tools watch what the production fast path computes.
-
-:func:`run_to_completion_hazard` is the static analysis used by the
-*generic* (non-generated) run-to-completion driver in
-:mod:`repro.engine.drmt`: plain per-packet run-to-completion reorders
-cross-packet register accesses unless every access to a given register is
-launched at a single schedule cycle, and the analysis reports the registers
-for which that fails.
+This loop is dRMT's only sequential driver besides the tick interpreter:
+``DRMTSimulator`` runs it directly, and the sharded meta-driver runs it once
+per shard.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dgen.optimize.peephole import peephole_block
 from ..errors import CodegenError
@@ -56,9 +48,8 @@ from ..ir.printer import to_source
 from ..p4.program import Action, P4Program, Table
 from .scheduler import ACTION_OP, MATCH_OP, Operation, Schedule
 
-#: Names of the generated entry points.
+#: Name of the generated entry point.
 RUN_TRACE_FUNCTION_NAME = "run_trace"
-RUN_TRACE_OBSERVED_FUNCTION_NAME = "run_trace_observed"
 
 
 def _ident(name: str) -> str:
@@ -102,55 +93,6 @@ def visit_orders(schedule: Schedule, num_processors: int) -> List[Tuple[int, ...
 
 
 # ----------------------------------------------------------------------
-# Static analysis
-# ----------------------------------------------------------------------
-def _table_register_cycles(program: P4Program, schedule: Schedule) -> Dict[str, Set[int]]:
-    """Map each register to the set of schedule cycles that may access it."""
-    touches: Dict[str, Set[int]] = {}
-    for (table_name, kind), start in schedule.start_times.items():
-        if kind != ACTION_OP:
-            continue
-        table = program.tables[table_name]
-        action_names = list(table.actions)
-        if table.default_action is not None:
-            action_names.append(table.default_action)
-        for action_name in action_names:
-            action = program.actions.get(action_name)
-            if action is None:
-                continue
-            for call in action.body:
-                if call.op == "register_read":
-                    touches.setdefault(call.args[1], set()).add(start)
-                elif call.op == "register_write":
-                    touches.setdefault(call.args[0], set()).add(start)
-    return touches
-
-
-def run_to_completion_hazard(program: P4Program, schedule: Schedule) -> Optional[str]:
-    """Why plain run-to-completion would diverge from the tick model, if at all.
-
-    Packet-local state (fields, matched entries) is order-insensitive; only
-    the shared registers can observe the difference between the tick model's
-    cross-packet interleaving and per-packet run-to-completion.  When every
-    access to a register launches at one schedule cycle, the accesses hit the
-    register in packet arrival order under both execution orders; otherwise a
-    later packet's early-cycle access can overtake an earlier packet's
-    late-cycle access in the tick model, and run-to-completion is unsafe.
-
-    Returns a human-readable reason, or ``None`` when run-to-completion is
-    bit-for-bit faithful.
-    """
-    for register, cycles in sorted(_table_register_cycles(program, schedule).items()):
-        if len(cycles) > 1:
-            return (
-                f"register {register!r} is accessed by operations launched at cycles "
-                f"{sorted(cycles)}; the tick model interleaves those accesses across "
-                "packets, which run-to-completion order cannot reproduce"
-            )
-    return None
-
-
-# ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
 class DrmtFusedGenerator:
@@ -168,7 +110,7 @@ class DrmtFusedGenerator:
     # Module assembly
     # ------------------------------------------------------------------
     def generate(self) -> ir.Module:
-        """Build the fused dRMT module (both entry points)."""
+        """Build the fused dRMT module."""
         schedule = self.schedule
         module = ir.Module(
             docstring=(
@@ -189,15 +131,11 @@ class DrmtFusedGenerator:
                 ),
             ],
         )
-        module.functions.append(self._run_trace_function(observed=False))
-        module.functions.append(self._run_trace_function(observed=True))
+        module.functions.append(self._run_trace_function())
         module.trailer.append(ir.Assign("RUN_TRACE", RUN_TRACE_FUNCTION_NAME))
-        module.trailer.append(
-            ir.Assign("RUN_TRACE_OBSERVED", RUN_TRACE_OBSERVED_FUNCTION_NAME)
-        )
         return module
 
-    def _run_trace_function(self, observed: bool) -> ir.FunctionDef:
+    def _run_trace_function(self) -> ir.FunctionDef:
         segments = _segments(self.schedule)
         body: List[ir.IRStmt] = []
         body.append(ir.Assign("n", "len(packets)"))
@@ -227,7 +165,7 @@ class DrmtFusedGenerator:
                 body.append(
                     ir.Assign(f"reg_{_ident(register_name)}", f"registers[{register_name!r}]")
                 )
-            loop_body = self._tick_loop_body(segments, observed)
+            loop_body = self._tick_loop_body(segments)
             tick_loop = ir.For("t", "range(n + MAKESPAN - 1)", peephole_block(loop_body))
             body.append(tick_loop)
             for table_name in exact_tables:
@@ -241,38 +179,23 @@ class DrmtFusedGenerator:
                     )
                 )
         body.append(ir.Return("dropped"))
-        params = ["packets", "tables", "registers"]
-        if observed:
-            params.append("observer")
         return ir.FunctionDef(
-            name=RUN_TRACE_OBSERVED_FUNCTION_NAME if observed else RUN_TRACE_FUNCTION_NAME,
-            params=params,
+            name=RUN_TRACE_FUNCTION_NAME,
+            params=["packets", "tables", "registers"],
             body=body,
             docstring=(
                 "Fused dRMT trace loop: walk global ticks and execute the inlined "
                 "per-cycle operation segments in the tick interpreter's exact "
                 "packet/processor interleaving.  Mutates the packet field dicts and "
                 "register arrays in place and returns the per-packet dropped flags."
-                + (
-                    "  Calls observer(packet_id, processor, tick, fields) after every "
-                    "(packet, cycle) execution; the hook receives the live field dict."
-                    if observed
-                    else ""
-                )
             ),
         )
 
-    def _tick_loop_body(
-        self, segments: Dict[int, List[Operation]], observed: bool
-    ) -> List[ir.IRStmt]:
-        dispatch: List[Tuple[str, List[ir.IRStmt]]] = []
-        for cycle in sorted(segments):
-            stmts = self._segment_stmts(segments[cycle])
-            if observed:
-                stmts.append(
-                    ir.ExprStmt("observer(p, p % NUM_PROCESSORS, t, fields)")
-                )
-            dispatch.append((f"c == {cycle}", stmts))
+    def _tick_loop_body(self, segments: Dict[int, List[Operation]]) -> List[ir.IRStmt]:
+        dispatch: List[Tuple[str, List[ir.IRStmt]]] = [
+            (f"c == {cycle}", self._segment_stmts(segments[cycle]))
+            for cycle in sorted(segments)
+        ]
         inner: List[ir.IRStmt] = [
             ir.Assign("p", "t - c"),
             ir.If(
@@ -492,21 +415,11 @@ class DrmtFusedProgram:
     module: ir.Module
     source: str
     namespace: Dict[str, object]
-    hazard: Optional[str]
 
     @property
     def run_trace(self) -> Callable:
         """The generated ``run_trace(packets, tables, registers)`` entry point."""
         return self.namespace["RUN_TRACE"]  # type: ignore[return-value]
-
-    @property
-    def run_trace_observed(self) -> Callable:
-        """The observed variant (per-processor snapshot hooks)."""
-        return self.namespace["RUN_TRACE_OBSERVED"]  # type: ignore[return-value]
-
-    def source_line_count(self) -> int:
-        """Number of non-blank source lines (the Figure 6 code-size metric)."""
-        return sum(1 for line in self.source.splitlines() if line.strip())
 
 
 def generate_fused(
@@ -522,12 +435,7 @@ def generate_fused(
     namespace: Dict[str, object] = {"__name__": module_name}
     code = compile(source, filename=f"<{module_name}>", mode="exec")
     exec(code, namespace)  # noqa: S102 - executing our own generated code is the point of dgen
-    fused = DrmtFusedProgram(
-        module=module,
-        source=source,
-        namespace=namespace,
-        hazard=run_to_completion_hazard(program, schedule),
-    )
-    if not callable(fused.run_trace) or not callable(fused.run_trace_observed):
+    fused = DrmtFusedProgram(module=module, source=source, namespace=namespace)
+    if not callable(fused.run_trace):
         raise CodegenError("fused dRMT generation produced no callable run_trace")
     return fused

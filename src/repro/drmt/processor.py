@@ -44,8 +44,8 @@ class RegisterFile:
         """The live register arrays, keyed by name.
 
         The returned lists are the registers themselves, not copies: the
-        fused and generic dRMT drivers index them directly (with the
-        instance count baked into the generated code), so their mutations
+        fused dRMT driver indexes them directly (with the instance count
+        baked into the generated code), so its mutations
         are visible to every other consumer of this register file.
         """
         return self._arrays

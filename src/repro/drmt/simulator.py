@@ -5,32 +5,28 @@ given to a processor in a round robin fashion.  Matches and actions performed
 on packets specified by the given table entries are performed according to
 the given dRMT schedule."
 
-Like the RMT side, execution goes through the unified engine layer's driver
-ladder:
+Execution goes through the unified engine layer's drivers:
 
 * **tick** — the per-tick round-robin processor loop below (the paper's
   model; ``tick_accurate=True`` forces it);
-* **generic** — per-packet run-to-completion over operation closures
-  compiled once from the schedule; selected only when the static hazard
-  analysis proves it bit-for-bit faithful (see
-  :func:`repro.drmt.fused.run_to_completion_hazard`);
 * **fused** — the bundle's generated ``run_trace`` loop, which replays the
   tick interpreter's exact cross-packet interleaving and is faithful for
   any program; the default whenever generation succeeds.
 * **sharded** — the meta-driver of :mod:`repro.engine.sharded`: packets are
   hash-partitioned by the program's *state-indexing fields* (the packet
   fields its register accesses index by, derived automatically, or an
-  explicit ``shard_key``), each shard runs under the fused or generic
-  sequential driver on private register/table-counter copies, and the
-  results are merged back — register arrays cell by cell under a conflict
-  check, hit/miss counters summed, records renumbered to input order.
-  ``engine="auto"`` reaches for it above ``shard_threshold`` packets when
-  sharding knobs are configured and falls back to the unsharded driver on a
-  state conflict; ``engine="sharded"`` raises on conflict instead.
+  explicit ``shard_key``), each shard runs the fused loop on private
+  register/table-counter copies, and the results are merged back —
+  register arrays cell by cell under a conflict check, hit/miss counters
+  summed, records renumbered to input order.  ``engine="auto"`` reaches for
+  it above ``shard_threshold`` packets when sharding knobs are configured
+  and falls back to the unsharded driver on a state conflict;
+  ``engine="sharded"`` raises on conflict instead.
 
-The choice among them is :func:`repro.engine.base.resolve_engine`, the rule
-the RMT facade uses too; ``auto`` tries sharded, fused, generic (only when
-the hazard analysis finds none) and tick, in that order.
+dRMT has no generic driver.  The choice among the three is
+:func:`repro.engine.base.resolve_engine`, the rule the RMT facade uses too;
+``auto`` tries sharded, fused and tick, in that order, and runs tick only
+when fused generation refuses the bundle.
 
 Sequential drivers report per-run (not cumulative) per-processor statistics;
 reusing one simulator for several runs keeps accumulating register and
@@ -40,11 +36,11 @@ table-hit state exactly like the tick interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..engine.base import (
     ENGINE_AUTO,
-    ENGINE_GENERIC,
+    ENGINE_FUSED,
     ENGINE_SHARDED,
     ENGINE_TICK,
     ShardingConfig,
@@ -54,7 +50,6 @@ from ..engine.base import (
 from ..errors import DruzhbaError, SimulationError
 from ..traffic import PacketGenerator
 from .codegen import DrmtProgramBundle
-from .fused import run_to_completion_hazard
 from .processor import MatchActionProcessor, PacketContext, RegisterFile
 from .table_config import parse_entries, populate_store
 from .tables import TableEntry, TableStore
@@ -85,7 +80,7 @@ class DrmtSimulationResult:
     """Output of one dRMT simulation run.
 
     ``engine`` names the driver that produced the result (``tick``,
-    ``generic``, ``fused`` or ``sharded[<inner>]``).
+    ``fused`` or ``sharded[fused]``).
     """
 
     records: List[DrmtPacketRecord] = field(default_factory=list)
@@ -171,38 +166,28 @@ class DRMTSimulator:
             )
             for index in range(bundle.hardware.num_processors)
         ]
-        self._generic_driver = None
 
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
     def run_packets(
-        self,
-        packets: Sequence[Dict[str, int]],
-        tick_accurate: bool = False,
-        observer: Optional[Callable] = None,
+        self, packets: Sequence[Dict[str, int]], tick_accurate: bool = False
     ) -> DrmtSimulationResult:
         """Simulate an explicit packet trace (one packet injected per tick).
 
         The driver follows the engine layer's selection rules: ``auto``
-        prefers the bundle's fused ``run_trace`` (falling back to the
-        generic run-to-completion driver when it is provably faithful, and
-        to the tick interpreter otherwise); ``tick_accurate=True`` always
-        forces the per-tick model.  ``observer`` (fused only) receives
-        ``(packet_id, processor, tick, fields)`` after every (packet, cycle)
-        execution.
+        prefers the bundle's fused ``run_trace`` and falls back to the tick
+        interpreter only when fused generation refuses the bundle;
+        ``tick_accurate=True`` always forces the per-tick model.
         """
-        fused_available = generic_available = True
-        if self.engine == ENGINE_AUTO and not tick_accurate:
-            # Only auto consults availability, and only as far as it must:
-            # fused comes from the bundle's cached generation, the hazard
-            # analysis runs only when fused is unavailable.  An explicit
-            # fused or generic request goes straight to its driver, which
-            # raises the generator's or the hazard analysis's own error.
-            fused_available = self._fused_available()
-            generic_available = fused_available or (
-                run_to_completion_hazard(self.bundle.program, self.bundle.schedule) is None
-            )
+        # Only auto consults availability (fused generation is cached on the
+        # bundle); an explicit fused request goes straight to the generator,
+        # which raises its own error.
+        fused_available = (
+            self._fused_available()
+            if self.engine == ENGINE_AUTO and not tick_accurate
+            else True
+        )
         mode = resolve_engine(
             self.engine,
             fused_available=fused_available,
@@ -211,12 +196,8 @@ class DRMTSimulator:
             sharded_available=self.sharding.configured,
             input_size=None if self._auto_shard_conflict else len(packets),
             shard_threshold=self.sharding.threshold,
-            generic_available=generic_available,
+            generic_available=False,
         )
-        if observer is not None and mode != "fused":
-            raise SimulationError(
-                f"snapshot observers require the fused engine, not {mode!r}"
-            )
         if mode == ENGINE_TICK:
             return self._run_tick(packets)
         if mode == ENGINE_SHARDED:
@@ -225,31 +206,17 @@ class DRMTSimulator:
                 lambda: self._run_sharded(packets),
                 lambda: self.run_packets(packets),
             )
-        return self._run_sequential(packets, mode, observer)
+        return self._run_fused(packets)
 
     # Engine-protocol alias: packet dicts in, result out.
     run = run_packets
 
-    def _run_sequential(
-        self,
-        packets: Sequence[Dict[str, int]],
-        mode: str,
-        observer: Optional[Callable] = None,
-    ) -> DrmtSimulationResult:
-        """Run the whole trace under one sequential driver (generic or fused)."""
+    def _run_fused(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
+        """Run the whole trace under the bundle's generated fused loop."""
         from ..engine import drmt as drivers
 
         inputs, work = drivers.prepare_packets(packets)
-        if mode == ENGINE_GENERIC:
-            if self._generic_driver is None:
-                self._generic_driver = drivers.RunToCompletionDriver(
-                    self.bundle, self.tables, self.registers
-                )
-            dropped = self._generic_driver.run(work)
-        else:
-            dropped = drivers.run_fused(
-                self.bundle, self.tables, self.registers, work, observer=observer
-            )
+        dropped = drivers.run_fused(self.bundle, self.tables, self.registers, work)
         return drivers.assemble_result(
             self.bundle,
             self.tables,
@@ -258,7 +225,7 @@ class DRMTSimulator:
             work,
             dropped,
             self.register_dump_limit,
-            engine=mode,
+            engine=ENGINE_FUSED,
         )
 
     def _fused_available(self) -> bool:

@@ -8,28 +8,29 @@ recognises four drivers, forming a ladder from most faithful to fastest:
     dRMT).  Always available; the only driver the time-travel debugger's
     per-tick recorder can follow.
 ``generic``
-    A sequential driver that loops over the compiled per-stage /
-    per-operation functions with no per-tick bookkeeping.  Available at
-    every optimisation level.
+    A sequential driver that loops over the compiled per-stage functions
+    with no per-tick bookkeeping.  Available for RMT pipeline descriptions
+    at every optimisation level; dRMT has no generic driver.
 ``fused``
     The generated ``run_trace`` loop (the driver itself is generated code).
     Available when the program was generated with a fused entry point.
 ``sharded``
     A meta-driver (:mod:`repro.engine.sharded`) that partitions the input
     trace into per-flow shards, runs every shard under the fastest
-    sequential driver (fused, else generic) — across a ``multiprocessing``
-    pool when the trace is large enough and the program picklable — and
-    deterministically merges the per-shard results under the read-tracked
-    state-conflict rule.  Available when the simulator facade was
-    configured with sharding knobs (a :class:`ShardingConfig`).
+    sequential driver (fused, else generic on RMT) — across a
+    ``multiprocessing`` pool when the trace is large enough and the program
+    picklable — and deterministically merges the per-shard results under the
+    read-tracked state-conflict rule.  Available when the simulator facade
+    was configured with sharding knobs (a :class:`ShardingConfig`).
 
 :func:`resolve_engine` is the one selection rule every facade calls:
 ``auto`` resolves to the fastest available driver (sharded when configured
 and the trace is at least :data:`DEFAULT_SHARD_AUTO_THRESHOLD` inputs long,
-else fused, else generic, else tick); ``tick_accurate=True`` on a ``run``
-call always forces the tick driver, no matter which engine the simulator was
-configured with.  :func:`run_sharded_or_fall_back` is the one place ``auto``
-recovers from a shard-state conflict.
+else fused, else generic where the architecture has one, else tick);
+``tick_accurate=True`` on a ``run`` call always forces the tick driver, no
+matter which engine the simulator was configured with.
+:func:`run_sharded_or_fall_back` is the one place ``auto`` recovers from a
+shard-state conflict.
 """
 
 from __future__ import annotations
@@ -156,15 +157,31 @@ def run_sharded_or_fall_back(
 
 
 def available_engines(
-    fused_available: bool, sharded_available: bool = False
+    fused_available: bool, sharded_available: bool = False, generic_available: bool = True
 ) -> tuple:
     """The drivers a compiled program can actually run under, in ladder order."""
-    available = [ENGINE_TICK, ENGINE_GENERIC]
+    available = [ENGINE_TICK]
+    if generic_available:
+        available.append(ENGINE_GENERIC)
     if fused_available:
         available.append(ENGINE_FUSED)
     if sharded_available:
         available.append(ENGINE_SHARDED)
     return tuple(available)
+
+
+#: Why an explicitly requested driver is unavailable, and what to do instead.
+_UNAVAILABLE = {
+    ENGINE_GENERIC: ("has no generic driver", "use engine='fused', or engine='auto'"),
+    ENGINE_FUSED: (
+        "carries no fused run_trace entry point",
+        "generate at opt level 3, or use engine='auto'",
+    ),
+    ENGINE_SHARDED: (
+        "has no sharding configuration",
+        "configure the simulator with shards=/workers=, or use engine='auto'",
+    ),
+}
 
 
 def resolve_engine(
@@ -186,14 +203,13 @@ def resolve_engine(
       configuration (``sharded_available``), the trace is known to hold at
       least ``shard_threshold`` inputs and a sequential driver exists for the
       shards; else ``fused`` when the compiled program carries a fused entry
-      point; else ``generic`` when ``generic_available`` (dRMT gates it on
-      the run-to-completion hazard analysis); otherwise ``tick``;
-    * ``fused`` or ``sharded`` requested explicitly raises
+      point; else ``generic`` when ``generic_available``; otherwise ``tick``;
+    * ``generic``, ``fused`` or ``sharded`` requested explicitly raises
       :class:`SimulationError` when unavailable (instead of silently
       degrading), naming the drivers that *are* available for the program.
-      ``generic_available`` gates ``auto`` only: an explicit ``generic``
-      request reaches the driver, which refuses an unsafe program itself
-      and names the hazard.
+
+    ``generic_available`` says whether the architecture has a generic driver
+    at all: RMT facades leave it ``True``, dRMT passes ``False``.
     """
     if requested not in ENGINE_CHOICES:
         raise SimulationError(
@@ -212,18 +228,9 @@ def resolve_engine(
         if fused_available:
             return ENGINE_FUSED
         return ENGINE_GENERIC if generic_available else ENGINE_TICK
-    available = available_engines(fused_available, sharded_available)
+    available = available_engines(fused_available, sharded_available, generic_available)
     if requested not in available:
-        hint = (
-            "generate at opt level 3, or use engine='auto'"
-            if requested == ENGINE_FUSED
-            else "configure the simulator with shards=/workers=, or use engine='auto'"
-        )
-        reason = (
-            "carries no fused run_trace entry point"
-            if requested == ENGINE_FUSED
-            else "has no sharding configuration"
-        )
+        reason, hint = _UNAVAILABLE[requested]
         raise SimulationError(
             f"the {requested} engine was requested but this {context} {reason} "
             f"({hint}); available drivers for this {context}: {', '.join(available)}"

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..dgen.emit import PipelineDescription
 from ..errors import SimulationError
 from .base import ENGINE_GENERIC, ENGINE_TICK, resolve_engine
-from .rmt import prepare_inputs, run_stage_loop
+from .rmt import prepare_inputs, run_fused, run_generic
 from .result import SimulationResult, sequential_result
 
 
@@ -67,26 +67,15 @@ class RunToCompletionSimulator:
             tick_accurate=tick_accurate,
             context="pipeline description",
         )
-        state = self._initial_state_copy()
-        if state is None:
-            state = self.description.initial_state()
-        values = self._runtime_values
-        if values is None:
-            values = self.description.runtime_values()
-
         if mode == ENGINE_TICK:
-            result = self._run_tick(phv_values, state, values)
-        elif mode == ENGINE_GENERIC:
-            inputs, work = prepare_inputs(self.description, phv_values)
-            outputs = run_stage_loop(self.description.stage_functions, work, state, values)
-            result = sequential_result(
-                inputs, outputs, state, self.description.spec.depth, mode
-            )
-        else:  # fused
-            inputs, work = prepare_inputs(self.description, phv_values)
-            outputs = self.description.fused_function(work, state, values)
-            result = sequential_result(
-                inputs, outputs, state, self.description.spec.depth, mode
+            result = self._run_tick(phv_values)
+        else:
+            runner = run_generic if mode == ENGINE_GENERIC else run_fused
+            result = runner(
+                self.description,
+                phv_values,
+                self._runtime_values,
+                self._initial_state_copy(),
             )
         result.engine = f"rtc-{mode}"
         # Run-to-completion latency: the last packet (injected at tick n-1)
@@ -103,12 +92,7 @@ class RunToCompletionSimulator:
     # ------------------------------------------------------------------
     # Tick-accurate run-to-completion model
     # ------------------------------------------------------------------
-    def _run_tick(
-        self,
-        phv_values: Sequence[Sequence[int]],
-        state: List[List[List[int]]],
-        values: Optional[Dict[str, int]],
-    ) -> SimulationResult:
+    def _run_tick(self, phv_values: Sequence[Sequence[int]]) -> SimulationResult:
         """Per-tick model: every processor advances its packets one stage per tick.
 
         A packet injected at tick ``p`` executes stage ``s`` at tick
@@ -116,6 +100,12 @@ class RunToCompletionSimulator:
         the shared per-stage state is touched in an identical order and the
         results match the other drivers bit for bit.
         """
+        state = self._initial_state_copy()
+        if state is None:
+            state = self.description.initial_state()
+        values = self._runtime_values
+        if values is None:
+            values = self.description.runtime_values()
         inputs, work = prepare_inputs(self.description, phv_values)
         stage_functions = self.description.stage_functions
         depth = self.description.spec.depth

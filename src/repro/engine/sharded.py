@@ -8,10 +8,10 @@ a driver satisfying the :class:`ExecutionEngine` contract that
    *state-indexing fields* (the flow key) so each shard owns its slice of
    the program state, or into contiguous blocks when no key applies;
 2. **fans the shards out** across a ``multiprocessing`` pool, each shard
-   running under any wrapped sequential driver (generic or fused, RMT or
-   dRMT) on a private copy of the program state — with a sequential
-   in-process fallback for unpicklable programs and for traces below a
-   configurable size threshold, where pool overhead would dominate;
+   running under a wrapped sequential driver (generic or fused on RMT, the
+   fused loop on dRMT) on a private copy of the program state — with a
+   sequential in-process fallback for unpicklable programs and for traces
+   below a configurable size threshold, where pool overhead would dominate;
 3. **deterministically merges** the per-shard results: output PHVs/packets
    are restored to input order, and the per-stage / per-register state is
    merged cell by cell under a conflict check.
@@ -441,7 +441,11 @@ class ShardedDrmtDriver:
     indices, several index fields, mixed register sizes) runs as one shard
     unless the caller supplies an explicit ``shard_key`` — which carries
     the caller's contract that register cells are flow-owned for reads as
-    well as writes.
+    well as writes, and must name fields the program declares.
+
+    Every shard runs the bundle's fused loop; a bundle the fused generator
+    refuses cannot be sharded (the facade's ``auto`` runs it on the tick
+    interpreter instead).
 
     ``run`` executes the shards and **applies** the merged state: register
     arrays and table hit/miss counters are folded back into the caller's
@@ -474,6 +478,13 @@ class ShardedDrmtDriver:
         self.key_modulus: Optional[int] = None
         if key is not None:
             self.key = tuple(key)
+            known = set(bundle.program.all_fields())
+            for field in self.key:
+                if field not in known:
+                    raise SimulationError(
+                        f"flow-key field {field!r} is not a field of program "
+                        f"{bundle.program.name!r}"
+                    )
         else:
             derived = drmt_drivers.derive_auto_shard_key(bundle.program)
             if derived is None:
@@ -482,20 +493,16 @@ class ShardedDrmtDriver:
                 self.key, self.key_modulus = derived
         try:
             bundle.fused_program()
-            self.inner_mode = "fused"
-        except DruzhbaError:  # a generator refusal; any other error is a bug
-            hazard = drmt_drivers.run_to_completion_hazard(bundle.program, bundle.schedule)
-            if hazard is not None:
-                raise SimulationError(
-                    "the sharded dRMT driver needs a sequential inner driver, but "
-                    f"fused generation failed and run-to-completion is unsafe: {hazard}"
-                )
-            self.inner_mode = "generic"
+        except DruzhbaError as error:  # a generator refusal; any other error is a bug
+            raise SimulationError(
+                f"the sharded dRMT driver runs the fused loop per shard, but fused "
+                f"generation refused this bundle: {error}"
+            ) from error
 
     @property
     def engine_name(self) -> str:
-        """The driver name reported on results (``sharded[<inner>]``)."""
-        return f"{ENGINE_SHARDED}[{self.inner_mode}]"
+        """The driver name reported on results."""
+        return f"{ENGINE_SHARDED}[{ENGINE_FUSED}]"
 
     def run(
         self, work: List[Dict[str, int]]
@@ -519,7 +526,7 @@ class ShardedDrmtDriver:
                 ]
         shard_count = self.shards if self.key is not None else 1
         plan = plan_shards(len(work), shard_count, keys)
-        handle = drmt_drivers.drmt_shard_handle(self.bundle, self.inner_mode)
+        handle = drmt_drivers.drmt_shard_handle(self.bundle)
         base_arrays = {
             name: list(array) for name, array in self.registers.arrays().items()
         }

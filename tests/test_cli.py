@@ -141,6 +141,10 @@ class TestEngineFlags:
             assert drmt_main(["--packets", "12", "--engine", engine]) == 0
             out = capsys.readouterr().out
             assert f"({engine} engine)" in out
+        # dRMT has no generic driver, so argparse refuses it.
+        with pytest.raises(SystemExit):
+            drmt_main(["--packets", "5", "--engine", "generic"])
+        assert "invalid choice: 'generic'" in capsys.readouterr().err
 
     def test_drmt_dump_fused(self, capsys):
         assert drmt_main(["--dump-fused"]) == 0
@@ -226,3 +230,10 @@ class TestShardingKnobs:
              "--workers", "1", "--shard-key", "ipv4.dstAddr"]
         ) == 0
         assert "(sharded[" in capsys.readouterr().out
+
+    def test_drmt_rejects_unknown_shard_key_field(self, capsys):
+        assert drmt_main(
+            ["--packets", "12", "--engine", "sharded", "--shards", "2",
+             "--workers", "1", "--shard-key", "pkt.flwo_id"]
+        ) == 1
+        assert "'pkt.flwo_id'" in capsys.readouterr().err

@@ -196,14 +196,12 @@ class TestTelemetryPipeline:
         assert result.records[1].outputs["meta.alarm"] == 1
 
 
-class TestGenericDriverExactMatchProbes:
-    """The generic run-to-completion driver shares the exact-match dict index.
+class TestFusedDriverExactMatchProbes:
+    """The fused driver probes all-exact tables through their dict index.
 
-    PR 3 dict-specialised all-exact tables in the *fused* generator; the
-    generic driver kept the linear scan.  It now probes
-    :meth:`MatchActionTable.exact_index` for all-exact tables — one dict
-    probe per match — with hit/miss counters preserved, while ternary/LPM
-    tables keep the scan.
+    :meth:`MatchActionTable.exact_index` replaces the linear scan for
+    all-exact tables — one dict probe per match — with hit/miss counters
+    preserved, while ternary/LPM tables keep the scan.
     """
 
     def _flow_restricted_packets(self, bundle, count):
@@ -214,7 +212,7 @@ class TestGenericDriverExactMatchProbes:
         )
         return generator.generate(count)
 
-    def test_generic_driver_never_scans_all_exact_tables(self, monkeypatch):
+    def test_fused_driver_never_scans_all_exact_tables(self, monkeypatch):
         """The scan path must not run for an all-exact table."""
         from repro.drmt.tables import MatchActionTable
 
@@ -222,7 +220,7 @@ class TestGenericDriverExactMatchProbes:
             samples.telemetry_pipeline(), DrmtHardwareParams(num_processors=2)
         )
         simulator = DRMTSimulator(
-            bundle, table_entries=samples.TELEMETRY_ENTRIES, engine="generic"
+            bundle, table_entries=samples.TELEMETRY_ENTRIES, engine="fused"
         )
         packets = self._flow_restricted_packets(bundle, 40)
         exact_names = {
@@ -235,16 +233,16 @@ class TestGenericDriverExactMatchProbes:
 
         def guarded_lookup(table, fields):
             assert table.name not in exact_names, (
-                f"generic driver scanned all-exact table {table.name!r}"
+                f"fused driver scanned all-exact table {table.name!r}"
             )
             return original_lookup(table, fields)
 
         monkeypatch.setattr(MatchActionTable, "lookup", guarded_lookup)
         result = simulator.run_packets(packets)
-        assert result.engine == "generic"
+        assert result.engine == "fused"
         assert result.packets_processed == len(packets)
 
-    def test_generic_counters_match_the_tick_interpreter(self):
+    def test_fused_counters_match_the_tick_interpreter(self):
         """Dict probes count hits and misses exactly like lookup() did."""
         bundle = generate_bundle(
             samples.telemetry_pipeline(), DrmtHardwareParams(num_processors=2)
@@ -253,23 +251,23 @@ class TestGenericDriverExactMatchProbes:
         tick = DRMTSimulator(
             bundle, table_entries=samples.TELEMETRY_ENTRIES, engine="tick"
         ).run_packets(packets)
-        generic = DRMTSimulator(
-            bundle, table_entries=samples.TELEMETRY_ENTRIES, engine="generic"
+        fused = DRMTSimulator(
+            bundle, table_entries=samples.TELEMETRY_ENTRIES, engine="fused"
         ).run_packets(packets)
-        assert generic.table_hits == tick.table_hits
-        assert [record.outputs for record in generic.records] == [
+        assert fused.table_hits == tick.table_hits
+        assert [record.outputs for record in fused.records] == [
             record.outputs for record in tick.records
         ]
-        assert generic.register_dump == tick.register_dump
+        assert fused.register_dump == tick.register_dump
 
     def test_entries_added_between_runs_are_picked_up(self):
-        """The dict index refreshes per run, like the fused loop's."""
+        """The generated prologue rebuilds the dict index on every run."""
         from repro.drmt.table_config import parse_entries, populate_store
 
         bundle = generate_bundle(
             samples.telemetry_pipeline(), DrmtHardwareParams(num_processors=2)
         )
-        simulator = DRMTSimulator(bundle, engine="generic")  # no entries yet
+        simulator = DRMTSimulator(bundle, engine="fused")  # no entries yet
         packets = self._flow_restricted_packets(bundle, 20)
         first = simulator.run_packets(packets)
         assert all(hits == 0 for hits, _ in first.table_hits.values())

@@ -705,6 +705,18 @@ class TestShardedSelection:
         assert "available drivers" in message
         assert "tick, generic, fused" in message
 
+        from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
+        from repro.p4 import samples
+
+        bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams())
+        with pytest.raises(SimulationError) as excinfo:
+            DRMTSimulator(bundle, engine="generic").run_packets([])
+        message = str(excinfo.value)
+        assert "has no generic driver" in message
+        assert "available drivers for this dRMT bundle: tick, fused" in message
+        with pytest.raises(SimulationError, match="dRMT bundle: tick, fused, sharded"):
+            DRMTSimulator(bundle, engine="generic", shards=2).run_packets([])
+
 
 # ----------------------------------------------------------------------
 # dRMT sharding
@@ -977,7 +989,7 @@ control ingress {
         self._assert_results_equal(pooled, in_process)
 
     def test_fused_generation_bug_propagates(self, monkeypatch):
-        """A generator bug fails loudly instead of degrading to generic."""
+        """A generator bug fails loudly instead of degrading to tick."""
         from repro.drmt import DRMTSimulator
         from repro.engine.sharded import ShardedDrmtDriver
         from repro.traffic import PacketGenerator
@@ -995,55 +1007,82 @@ control ingress {
         with pytest.raises(RuntimeError, match="generator bug"):
             simulator.run_packets(packets)
 
-    def test_codegen_refusal_takes_the_generic_or_hazard_path(self, monkeypatch):
-        """A CodegenError selects generic, or refuses when generic is unsafe."""
+    def test_codegen_refusal_runs_tick_and_refuses_sharding(self, monkeypatch):
+        """A CodegenError makes auto run tick; the sharded driver refuses."""
         from repro.drmt import DRMTSimulator
-        from repro.engine import drmt as drmt_drivers
         from repro.engine.sharded import ShardedDrmtDriver
         from repro.errors import CodegenError
         from repro.traffic import PacketGenerator
 
         bundle, entries = self._telemetry()
+        packets = PacketGenerator(bundle.program, seed=2).generate(10)
+        reference = DRMTSimulator(bundle, table_entries=entries, engine="tick").run_packets(
+            packets
+        )
 
         def refused():
             raise CodegenError("no fused loop for this bundle")
 
         monkeypatch.setattr(bundle, "fused_program", refused)
         simulator = DRMTSimulator(bundle, table_entries=entries)
-        assert ShardedDrmtDriver(bundle, simulator.tables, simulator.registers).inner_mode == (
-            "generic"
-        )
-        packets = PacketGenerator(bundle.program, seed=2).generate(10)
-        assert simulator.run_packets(packets).engine == "generic"
-
-        from repro.drmt import simulator as drmt_simulator
-
-        def hazard(program, schedule):
-            return "shared cell"
-
-        monkeypatch.setattr(drmt_drivers, "run_to_completion_hazard", hazard)
-        monkeypatch.setattr(drmt_simulator, "run_to_completion_hazard", hazard)
-        with pytest.raises(SimulationError, match="run-to-completion is unsafe: shared cell"):
+        with pytest.raises(SimulationError, match="no fused loop for this bundle"):
             ShardedDrmtDriver(bundle, simulator.tables, simulator.registers)
-        # auto has neither fused nor generic left, so it runs tick, sharding
+        # auto has no sequential driver left, so it runs tick, sharding
         # knobs or not.
-        assert DRMTSimulator(bundle, table_entries=entries).run_packets(packets).engine == (
-            "tick"
-        )
+        auto = simulator.run_packets(packets)
+        assert auto.engine == "tick"
+        self._assert_results_equal(auto, reference)
         assert DRMTSimulator(
             bundle, table_entries=entries, shards=2, workers=1, shard_threshold=1
         ).run_packets(packets).engine == "tick"
+        with pytest.raises(SimulationError, match="no fused loop for this bundle"):
+            DRMTSimulator(
+                bundle, table_entries=entries, engine="sharded", shards=2, workers=1
+            ).run_packets(packets)
 
-    def test_sharded_rejects_observer(self):
+    def test_observer_keyword_is_gone_everywhere(self):
+        """dRMT has no observed driver: observer= is a TypeError on every path."""
         from repro.drmt import DRMTSimulator
+        from repro.engine import drmt as drmt_drivers
         from repro.traffic import PacketGenerator
 
         bundle, entries = self._telemetry()
         packets = PacketGenerator(bundle.program, seed=1).generate(10)
-        with pytest.raises(SimulationError, match="observer"):
-            DRMTSimulator(
-                bundle, table_entries=entries, engine="sharded", shards=2
-            ).run_packets(packets, observer=lambda *args: None)
+        for engine in ("auto", "tick", "fused", "sharded"):
+            simulator = DRMTSimulator(
+                bundle, table_entries=entries, engine=engine, shards=2, workers=1
+            )
+            with pytest.raises(TypeError, match="observer"):
+                simulator.run_packets(packets, observer=lambda *args: None)
+        simulator = DRMTSimulator(bundle, table_entries=entries)
+        work = [dict(packet) for packet in packets]
+        with pytest.raises(TypeError, match="observer"):
+            drmt_drivers.run_fused(
+                bundle, simulator.tables, simulator.registers, work,
+                observer=lambda *args: None,
+            )
+
+    def test_unknown_flow_key_field_rejected(self):
+        """A misspelt shard_key fails loudly instead of planning one shard."""
+        from repro.drmt import DRMTSimulator
+        from repro.engine.sharded import ShardedDrmtDriver
+        from repro.traffic import PacketGenerator
+
+        bundle, entries = self._telemetry()
+        packets = PacketGenerator(bundle.program, seed=2).generate(10)
+        simulator = DRMTSimulator(
+            bundle, table_entries=entries, engine="sharded", shards=4, workers=1,
+            shard_key=["pkt.flwo_id"],
+        )
+        with pytest.raises(SimulationError, match="'pkt.flwo_id'"):
+            simulator.run_packets(packets)
+        with pytest.raises(SimulationError, match="'pkt.flwo_id'"):
+            ShardedDrmtDriver(
+                bundle, simulator.tables, simulator.registers, key=["pkt.flow_id", "pkt.flwo_id"]
+            )
+        assert ShardedDrmtDriver(
+            bundle, simulator.tables, simulator.registers, key=["pkt.flow_id"]
+        ).key == ("pkt.flow_id",)
 
     #: Per-flow counter plus a *read-only* configuration register read at a
     #: constant index.  Under PR 3's write-blind derivation the constant
