@@ -21,7 +21,7 @@ from . import atoms, dgen
 from .alu_dsl import grammar, parse_and_analyze
 from .dsim import RMTSimulator, TrafficGenerator
 from .drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-from .engine.base import ENGINE_CHOICES, ENGINE_GENERIC
+from .engine.base import ENGINE_AUTO, ENGINE_CHOICES, ENGINE_FUSED, ENGINE_TICK
 from .errors import DruzhbaError, SimulationError
 from .hardware import PipelineSpec, describe_pipeline
 from .machine_code import MachineCode
@@ -257,23 +257,10 @@ def drmt_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--milp", action="store_true", help="use the MILP scheduler when available")
     parser.add_argument(
         "--engine", default="auto",
-        choices=[engine for engine in ENGINE_CHOICES if engine != ENGINE_GENERIC],
+        choices=[ENGINE_AUTO, ENGINE_TICK, ENGINE_FUSED],
         help="execution driver (auto = the generated fused run_trace when it builds, "
-             "tick = the paper's per-tick processor loop; sharded = partition the "
-             "packet trace per flow and run the shards in parallel)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count for the sharded engine (default 4)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the sharded engine (default: min(shards, cores))",
-    )
-    parser.add_argument(
-        "--shard-key",
-        help="comma-separated packet field names identifying a flow; defaults to "
-             "the fields the program's register accesses index by",
+             "else tick; tick = the paper's per-tick processor loop; fused = the "
+             "generated run_trace)",
     )
     parser.add_argument(
         "--dump-fused", action="store_true",
@@ -305,15 +292,7 @@ def drmt_main(argv: Optional[List[str]] = None) -> int:
             return 0
         print(bundle.describe())
         print(bundle.schedule.describe())
-        shard_key = args.shard_key.split(",") if args.shard_key else None
-        simulator = DRMTSimulator(
-            bundle,
-            table_entries=entries,
-            engine=args.engine,
-            shards=args.shards,
-            workers=args.workers,
-            shard_key=shard_key,
-        )
+        simulator = DRMTSimulator(bundle, table_entries=entries, engine=args.engine)
         result = simulator.run_traffic(args.packets, seed=args.seed)
     except DruzhbaError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -30,9 +30,8 @@ locals and folded back into the table's counters on exit — so the inner
 loop is no longer scan-bound while the observable statistics stay identical
 to the interpreter's.  Ternary and LPM tables keep the scan.
 
-This loop is dRMT's only sequential driver besides the tick interpreter:
-``DRMTSimulator`` runs it directly, and the sharded meta-driver runs it once
-per shard.
+This loop is dRMT's only driver besides the tick interpreter;
+``DRMTSimulator`` runs it directly.
 """
 
 from __future__ import annotations

@@ -12,25 +12,14 @@ Execution goes through the unified engine layer's drivers:
 * **fused** — the bundle's generated ``run_trace`` loop, which replays the
   tick interpreter's exact cross-packet interleaving and is faithful for
   any program; the default whenever generation succeeds.
-* **sharded** — the meta-driver of :mod:`repro.engine.sharded`: packets are
-  hash-partitioned by the program's *state-indexing fields* (the packet
-  fields its register accesses index by, derived automatically, or an
-  explicit ``shard_key``), each shard runs the fused loop on private
-  register/table-counter copies, and the results are merged back —
-  register arrays cell by cell under a conflict check, hit/miss counters
-  summed, records renumbered to input order.  ``engine="auto"`` reaches for
-  it above ``shard_threshold`` packets when sharding knobs are configured
-  and falls back to the unsharded driver on a state conflict;
-  ``engine="sharded"`` raises on conflict instead.
 
-dRMT has no generic driver.  The choice among the three is
+dRMT has no generic driver.  The choice between the two is
 :func:`repro.engine.base.resolve_engine`, the rule the RMT facade uses too;
-``auto`` tries sharded, fused and tick, in that order, and runs tick only
-when fused generation refuses the bundle.
+``auto`` runs tick only when fused generation refuses the bundle.
 
-Sequential drivers report per-run (not cumulative) per-processor statistics;
-reusing one simulator for several runs keeps accumulating register and
-table-hit state exactly like the tick interpreter.
+The fused driver reports per-run per-processor statistics, where the tick
+interpreter's processors count cumulatively across runs.  Register and
+table-hit state accumulate across runs of one simulator under both drivers.
 """
 
 from __future__ import annotations
@@ -38,15 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..engine.base import (
-    ENGINE_AUTO,
-    ENGINE_FUSED,
-    ENGINE_SHARDED,
-    ENGINE_TICK,
-    ShardingConfig,
-    resolve_engine,
-    run_sharded_or_fall_back,
-)
+from ..engine.base import ENGINE_AUTO, ENGINE_FUSED, ENGINE_TICK, resolve_engine
 from ..errors import DruzhbaError, SimulationError
 from ..traffic import PacketGenerator
 from .codegen import DrmtProgramBundle
@@ -79,8 +60,8 @@ class DrmtPacketRecord:
 class DrmtSimulationResult:
     """Output of one dRMT simulation run.
 
-    ``engine`` names the driver that produced the result (``tick``,
-    ``fused`` or ``sharded[fused]``).
+    ``engine`` names the driver that produced the result (``tick`` or
+    ``fused``).
     """
 
     records: List[DrmtPacketRecord] = field(default_factory=list)
@@ -135,21 +116,10 @@ class DRMTSimulator:
         table_entries: Union[str, Sequence[Tuple[str, TableEntry]], None] = None,
         register_dump_limit: int = 16,
         engine: str = "auto",
-        shards: Optional[int] = None,
-        workers: Optional[int] = None,
-        shard_key: Optional[Sequence[str]] = None,
-        shard_threshold: Optional[int] = None,
-        shard_pool_threshold: Optional[int] = None,
     ):
         self.bundle = bundle
         self.register_dump_limit = register_dump_limit
         self.engine = engine
-        self.sharding = ShardingConfig.from_knobs(
-            engine, shards, workers, shard_key, shard_threshold, shard_pool_threshold
-        )
-        # Set once a shard-state conflict forced a fallback: auto stops
-        # attempting the doomed sharded run for this simulator.
-        self._auto_shard_conflict = False
         self.tables = TableStore(bundle.program)
         if table_entries is not None:
             if isinstance(table_entries, str):
@@ -193,19 +163,10 @@ class DRMTSimulator:
             fused_available=fused_available,
             tick_accurate=tick_accurate,
             context="dRMT bundle",
-            sharded_available=self.sharding.configured,
-            input_size=None if self._auto_shard_conflict else len(packets),
-            shard_threshold=self.sharding.threshold,
             generic_available=False,
         )
         if mode == ENGINE_TICK:
             return self._run_tick(packets)
-        if mode == ENGINE_SHARDED:
-            return run_sharded_or_fall_back(
-                self,
-                lambda: self._run_sharded(packets),
-                lambda: self.run_packets(packets),
-            )
         return self._run_fused(packets)
 
     # Engine-protocol alias: packet dicts in, result out.
@@ -240,34 +201,6 @@ class DRMTSimulator:
         except DruzhbaError:
             return False
         return True
-
-    def _run_sharded(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
-        """Run the trace under the sharded meta-driver (see repro.engine.sharded)."""
-        from ..engine import drmt as drivers
-        from ..engine.sharded import ShardedDrmtDriver
-
-        sharding = self.sharding
-        driver = ShardedDrmtDriver(
-            self.bundle,
-            self.tables,
-            self.registers,
-            shards=sharding.shards,
-            workers=sharding.workers,
-            key=sharding.key,
-            pool_threshold=sharding.pool_threshold,
-        )
-        inputs, work = drivers.prepare_packets(packets)
-        fields, dropped = driver.run(work)
-        return drivers.assemble_result(
-            self.bundle,
-            self.tables,
-            self.registers,
-            inputs,
-            fields,
-            dropped,
-            self.register_dump_limit,
-            engine=driver.engine_name,
-        )
 
     def _run_tick(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
         """The paper's per-tick round-robin processor loop."""

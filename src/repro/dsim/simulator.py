@@ -46,9 +46,10 @@ from ..engine.base import (
     ENGINE_GENERIC,
     ENGINE_SHARDED,
     ENGINE_TICK,
+    ShardStateConflictError,
     ShardingConfig,
+    check_flow_key,
     resolve_engine,
-    run_sharded_or_fall_back,
 )
 from ..engine.result import SimulationResult
 from ..errors import SimulationError
@@ -64,6 +65,8 @@ class RMTSimulator:
     (see the module docstring); ``shard_threshold`` is the input count at
     which ``engine="auto"`` starts sharding and ``shard_pool_threshold`` the
     count below which shards run in process rather than across a pool.
+    Knobs, ``shard_key`` included, are validated here rather than on the
+    first trace long enough to shard.
     """
 
     def __init__(
@@ -85,6 +88,8 @@ class RMTSimulator:
         self.sharding = ShardingConfig.from_knobs(
             engine, shards, workers, shard_key, shard_threshold, shard_pool_threshold
         )
+        if shard_key is not None:
+            check_flow_key(shard_key, description.spec.width)
         # Set once a conflict forced a fallback: auto stops attempting the
         # doomed sharded run (and its full-trace rerun) for this simulator.
         self._auto_shard_conflict = False
@@ -131,9 +136,14 @@ class RMTSimulator:
             shard_threshold=self.sharding.threshold,
         )
         if mode == ENGINE_SHARDED:
-            return run_sharded_or_fall_back(
-                self, lambda: self._run_sharded(phv_values), lambda: self.run(phv_values)
-            )
+            try:
+                return self._run_sharded(phv_values)
+            except ShardStateConflictError:
+                if self.engine != ENGINE_AUTO:
+                    raise
+                # Remembered: later auto runs skip the doomed sharded attempt.
+                self._auto_shard_conflict = True
+            return self.run(phv_values)
         if mode == ENGINE_TICK:
             runner = drivers.run_tick
         elif mode == ENGINE_GENERIC:

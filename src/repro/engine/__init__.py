@@ -15,17 +15,18 @@ same driver ladder:
 * **fused** — the generated ``run_trace`` loop emitted by dgen (RMT opt
   level 3, and the dRMT fused program), where the driver itself is generated
   code.
-* **sharded** — a meta-driver (:mod:`repro.engine.sharded`) that
+* **sharded** — RMT only: a meta-driver (:mod:`repro.engine.sharded`) that
   hash-partitions the trace per flow, runs each shard under fused (or
-  generic on RMT below opt level 3), in process or across a worker pool,
-  and merges the results under a state-conflict check.
+  generic below opt level 3), in process or across a worker pool, and
+  merges the results under a state-conflict check.
 
 :func:`repro.engine.base.resolve_engine` is the one selection rule every
-facade calls (``auto`` prefers sharded when configured and the trace is
-large, then fused, then generic where it exists, then tick;
-``tick_accurate=True`` always forces the tick driver), and every simulator
-facade — :class:`repro.dsim.RMTSimulator`, :class:`repro.drmt.DRMTSimulator`
-and :class:`repro.engine.rtc.RunToCompletionSimulator` — satisfies the
+facade calls (``auto`` prefers sharded when the RMT facade is configured
+for it and the trace is large, then fused, then generic where it exists,
+then tick; ``tick_accurate=True`` always forces the tick driver), and every
+simulator facade — :class:`repro.dsim.RMTSimulator`,
+:class:`repro.drmt.DRMTSimulator` and
+:class:`repro.engine.rtc.RunToCompletionSimulator` — satisfies the
 :class:`~repro.engine.base.ExecutionEngine` protocol: a common
 ``run(inputs, tick_accurate=False)`` contract returning a simulation result
 that names the driver that produced it.
@@ -48,7 +49,6 @@ from .result import SimulationResult, sequential_result
 from .rmt import push_phv, run_stage_loop, stage_pairs
 from .rtc import RunToCompletionSimulator
 from .sharded import (
-    ShardedDrmtDriver,
     ShardedRmtDriver,
     ShardPlan,
     ShardStateConflictError,
@@ -77,7 +77,6 @@ __all__ = [
     "RunToCompletionSimulator",
     "ShardPlan",
     "ShardStateConflictError",
-    "ShardedDrmtDriver",
     "ShardedRmtDriver",
     "plan_shards",
     "stable_flow_hash",

@@ -15,13 +15,13 @@ recognises four drivers, forming a ladder from most faithful to fastest:
     The generated ``run_trace`` loop (the driver itself is generated code).
     Available when the program was generated with a fused entry point.
 ``sharded``
-    A meta-driver (:mod:`repro.engine.sharded`) that partitions the input
+    A meta-driver (:mod:`repro.engine.sharded`) that partitions an RMT input
     trace into per-flow shards, runs every shard under the fastest
-    sequential driver (fused, else generic on RMT) — across a
-    ``multiprocessing`` pool when the trace is large enough and the program
-    picklable — and deterministically merges the per-shard results under the
-    read-tracked state-conflict rule.  Available when the simulator facade
-    was configured with sharding knobs (a :class:`ShardingConfig`).
+    sequential driver (fused, else generic) — across a ``multiprocessing``
+    pool when the trace is large enough — and deterministically merges the
+    per-shard results under the read-tracked state-conflict rule.  Available
+    only on :class:`repro.dsim.RMTSimulator`, once configured with sharding
+    knobs (a :class:`ShardingConfig`); dRMT has no sharded driver.
 
 :func:`resolve_engine` is the one selection rule every facade calls:
 ``auto`` resolves to the fastest available driver (sharded when configured
@@ -29,14 +29,12 @@ and the trace is at least :data:`DEFAULT_SHARD_AUTO_THRESHOLD` inputs long,
 else fused, else generic where the architecture has one, else tick);
 ``tick_accurate=True`` on a ``run`` call always forces the tick driver, no
 matter which engine the simulator was configured with.
-:func:`run_sharded_or_fall_back` is the one place ``auto`` recovers from a
-shard-state conflict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence, Tuple, TypeVar, runtime_checkable
+from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from ..errors import SimulationError
 
@@ -78,9 +76,8 @@ class ExecutionEngine(Protocol):
 class ShardStateConflictError(SimulationError):
     """Two shards touched the same state cell (or a blind partition saw a write).
 
-    ``key`` addresses the conflicting cell (``(stage, slot, var)`` on the RMT
-    side, ``(register, index)`` on the dRMT side); ``shards`` are the shard
-    indices involved.
+    ``key`` addresses the conflicting ``(stage, slot, var)`` cell; ``shards``
+    are the shard indices involved.
     """
 
     def __init__(self, message: str, key: Tuple = (), shards: Tuple[int, ...] = ()):
@@ -91,12 +88,12 @@ class ShardStateConflictError(SimulationError):
 
 @dataclass(frozen=True)
 class ShardingConfig:
-    """A facade's sharding knobs, validated and defaulted once.
+    """The RMT facade's sharding knobs, validated and defaulted once.
 
     ``configured`` says whether the sharded driver is available to the
     facade: some knob was set, or ``engine="sharded"`` was requested.
-    ``key`` is the flow key (PHV containers on RMT, packet fields on dRMT);
-    ``None`` lets the driver derive one (dRMT) or block-partition (RMT).
+    ``key`` is the flow key (PHV container indices, checked against the
+    pipeline width by :func:`check_flow_key`); ``None`` block-partitions.
     ``threshold`` is the input count at which ``auto`` starts sharding and
     ``pool_threshold`` the count below which shards run in process.
     """
@@ -118,7 +115,7 @@ class ShardingConfig:
         threshold: Optional[int] = None,
         pool_threshold: Optional[int] = None,
     ) -> "ShardingConfig":
-        """Validate a facade's keyword knobs (``None`` = default)."""
+        """Validate the facade's keyword knobs (``None`` = default)."""
         if shards is not None and shards < 1:
             raise SimulationError(f"shard count must be at least 1, got {shards}")
         if workers is not None and workers < 1:
@@ -134,26 +131,24 @@ class ShardingConfig:
         )
 
 
-Result = TypeVar("Result")
+def check_flow_key(key: Optional[Sequence[int]], width: int) -> Optional[Tuple[int, ...]]:
+    """An RMT flow key as PHV container indices, checked against ``width``.
 
-
-def run_sharded_or_fall_back(
-    simulator, run_sharded: Callable[[], Result], rerun: Callable[[], Result]
-) -> Result:
-    """The one auto-conflict fallback, shared by every sharding facade.
-
-    An explicit ``engine="sharded"`` propagates a
-    :class:`ShardStateConflictError`.  Under ``auto`` the conflict is
-    remembered on ``simulator._auto_shard_conflict`` — later runs skip the
-    doomed sharded attempt — and ``rerun`` executes the trace unsharded.
+    ``None`` (no key: block partitioning) passes through.  The facade calls
+    this at construction and the sharded driver again on its own ``key``, so
+    a bad key fails before any trace runs.
     """
-    try:
-        return run_sharded()
-    except ShardStateConflictError:
-        if simulator.engine != ENGINE_AUTO:
-            raise
-        simulator._auto_shard_conflict = True
-    return rerun()
+    if key is None:
+        return None
+    containers = tuple(int(container) for container in key)
+    for container in containers:
+        if not 0 <= container < width:
+            raise SimulationError(
+                f"flow-key container {container} out of range for width {width}"
+            )
+    if not containers:
+        raise SimulationError("an explicit flow key needs at least one container")
+    return containers
 
 
 def available_engines(
@@ -179,7 +174,7 @@ _UNAVAILABLE = {
     ),
     ENGINE_SHARDED: (
         "has no sharding configuration",
-        "configure the simulator with shards=/workers=, or use engine='auto'",
+        "only RMTSimulator shards traces; use engine='auto'",
     ),
 }
 

@@ -193,11 +193,6 @@ def run_fused(
 _NAMESPACE_CACHE: Dict[str, Dict[str, object]] = {}
 
 
-def seed_namespace_cache(source: str, namespace: Dict[str, object]) -> None:
-    """Register an already-executed description namespace for its source text."""
-    _NAMESPACE_CACHE.setdefault(source, namespace)
-
-
 def _namespace_for(source: str) -> Dict[str, object]:
     namespace = _NAMESPACE_CACHE.get(source)
     if namespace is None:
@@ -257,7 +252,7 @@ def shard_handle(
             "description carries no fused run_trace entry point "
             f"(opt level {description.opt_level})"
         )
-    seed_namespace_cache(description.source, description.namespace)
+    _NAMESPACE_CACHE.setdefault(description.source, description.namespace)
     return RmtShardHandle(
         source=description.source,
         mode=mode,

@@ -6,24 +6,15 @@ them either sequentially in process or across a ``multiprocessing`` pool
 whose pickle channel carries each payload (program handle + trace slice +
 state copy) out and each result home.  Both paths produce bit-for-bit the
 same per-shard results; the pool is a scheduling choice, never a semantics
-choice.
+choice.  A payload that fails to pickle is a bug and raises from the pool.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = ["ShardTransport"]
-
-
-def _picklable(handle) -> bool:
-    try:
-        pickle.dumps(handle)
-        return True
-    except Exception:
-        return False
 
 
 def _pool_map(function, payloads: Sequence, workers: int) -> List:
@@ -38,30 +29,18 @@ def _pool_map(function, payloads: Sequence, workers: int) -> List:
 
 def _execute_shard(payload: Tuple) -> Tuple:
     """Pool entry point: run one shard through its handle."""
-    handle, args = payload
-    return handle.run(*args)
+    handle, work, state = payload
+    return handle.run(work, state)
 
 
 class ShardTransport:
-    """Runs shards in process or across a pool, behind one entry point each.
+    """Runs RMT shards in process or across a pool, behind one entry point.
 
-    The pool engages only when more than one shard and worker are available,
-    the trace is at least ``pool_threshold`` inputs long and the program
-    handle is picklable; otherwise the shards run sequentially in process —
-    same partition, same merge, bit-for-bit the same result.
+    The pool engages only when more than one shard and worker are available
+    and the trace is at least ``pool_threshold`` inputs long; otherwise the
+    shards run sequentially in process — same partition, same merge,
+    bit-for-bit the same result.
     """
-
-    @staticmethod
-    def _run(handle, shard_args: List[Tuple], workers: int, total: int, pool_threshold: int):
-        if (
-            len(shard_args) > 1
-            and workers > 1
-            and total >= pool_threshold
-            and _picklable(handle)
-        ):
-            payloads = [(handle, args) for args in shard_args]
-            return _pool_map(_execute_shard, payloads, workers)
-        return [handle.run(*args) for args in shard_args]
 
     def run_rmt_shards(
         self,
@@ -73,19 +52,7 @@ class ShardTransport:
         pool_threshold: int,
     ) -> List[Tuple]:
         """Run every RMT shard; returns one ``(outputs, final_state)`` per shard."""
-        return self._run(handle, list(zip(works, states)), workers, total, pool_threshold)
-
-    def run_drmt_shards(
-        self,
-        handle,
-        works: Sequence[List[Dict[str, int]]],
-        tables: Sequence[Dict[str, object]],
-        arrays: Sequence[Dict[str, List[int]]],
-        workers: int,
-        total: int,
-        pool_threshold: int,
-    ) -> List[Tuple]:
-        """Run every dRMT shard; returns ``(fields, dropped, arrays, hits)`` per shard."""
-        return self._run(
-            handle, list(zip(works, tables, arrays)), workers, total, pool_threshold
-        )
+        if len(works) > 1 and workers > 1 and total >= pool_threshold:
+            payloads = [(handle, work, state) for work, state in zip(works, states)]
+            return _pool_map(_execute_shard, payloads, workers)
+        return [handle.run(work, state) for work, state in zip(works, states)]

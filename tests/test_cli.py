@@ -146,6 +146,16 @@ class TestEngineFlags:
             drmt_main(["--packets", "5", "--engine", "generic"])
         assert "invalid choice: 'generic'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("processors", [2, 4])
+    def test_drmt_fused_output_matches_tick(self, processors, capsys):
+        base = ["--packets", "12", "--processors", str(processors)]
+        assert drmt_main(base + ["--engine", "tick"]) == 0
+        reference = capsys.readouterr().out
+        assert drmt_main(base + ["--engine", "fused"]) == 0
+        out = capsys.readouterr().out
+        assert "(fused engine)" in out
+        assert out.replace("(fused engine)", "(tick engine)") == reference
+
     def test_drmt_dump_fused(self, capsys):
         assert drmt_main(["--dump-fused"]) == 0
         out = capsys.readouterr().out
@@ -154,7 +164,7 @@ class TestEngineFlags:
 
 
 class TestShardingKnobs:
-    """CLI coverage for --shards/--workers/--shard-key."""
+    """CLI coverage for druzhba-dsim's --shards/--workers/--shard-key."""
 
     DSIM_SHARDED = [
         "--depth", "1", "--width", "2", "--stateful-alu", "pred_raw",
@@ -189,51 +199,17 @@ class TestShardingKnobs:
         assert "--shard-key" in capsys.readouterr().err
         assert dsim_main(self.DSIM_SHARDED + ["--shards", "2", "--shard-key", "99"]) == 1
         assert "out of range" in capsys.readouterr().err
+        # A short auto trace still validates the key instead of running fused.
+        assert dsim_main(
+            ["--depth", "1", "--width", "2", "--opt-level", "3", "--phvs", "5",
+             "--engine", "auto", "--shards", "2", "--shard-key", "99"]
+        ) == 1
+        assert "out of range" in capsys.readouterr().err
 
     def test_dsim_rejects_the_removed_transport_flag(self):
         with pytest.raises(SystemExit):
             dsim_main(self.DSIM_SHARDED + ["--shards", "2", "--transport", "pickle"])
 
-    def test_drmt_sharded_happy_path(self, capsys):
-        assert drmt_main(
-            ["--packets", "10", "--engine", "sharded", "--shards", "2", "--workers", "1"]
-        ) == 0
-        assert "(sharded[" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_drmt_sharded_output_matches_unsharded(self, shards, capsys):
-        assert drmt_main(["--packets", "12", "--engine", "fused"]) == 0
-        reference = capsys.readouterr().out
-        assert drmt_main(
-            ["--packets", "12", "--engine", "sharded", "--shards", str(shards),
-             "--workers", "1"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "(sharded[fused] engine)" in out
-        assert out.replace("(sharded[fused] engine)", "(fused engine)") == reference
-
-    def test_drmt_rejects_invalid_shards_and_workers(self, capsys):
-        assert drmt_main(["--packets", "5", "--engine", "sharded", "--shards", "-1"]) == 1
-        assert "shard count" in capsys.readouterr().err
-        assert drmt_main(
-            ["--packets", "5", "--engine", "sharded", "--shards", "2", "--workers", "0"]
-        ) == 1
-        assert "worker count" in capsys.readouterr().err
-
     def test_drmt_rejects_the_removed_transport_flag(self):
         with pytest.raises(SystemExit):
-            drmt_main(["--packets", "5", "--engine", "sharded", "--transport", "pickle"])
-
-    def test_drmt_explicit_shard_key_happy_path(self, capsys):
-        assert drmt_main(
-            ["--packets", "12", "--engine", "sharded", "--shards", "2",
-             "--workers", "1", "--shard-key", "ipv4.dstAddr"]
-        ) == 0
-        assert "(sharded[" in capsys.readouterr().out
-
-    def test_drmt_rejects_unknown_shard_key_field(self, capsys):
-        assert drmt_main(
-            ["--packets", "12", "--engine", "sharded", "--shards", "2",
-             "--workers", "1", "--shard-key", "pkt.flwo_id"]
-        ) == 1
-        assert "'pkt.flwo_id'" in capsys.readouterr().err
+            drmt_main(["--packets", "5", "--transport", "pickle"])

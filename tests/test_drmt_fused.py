@@ -11,7 +11,6 @@ from repro.drmt import (
     generate_bundle,
 )
 from repro.drmt.fused import visit_orders
-from repro.errors import SimulationError
 from repro.p4 import samples
 
 SEEDS = (0, 7, 1234)
@@ -182,21 +181,226 @@ class TestHazardAnalysis:
         assert equal, detail
         assert fused.register_dump == tick.register_dump
 
-    def test_sharded_shards_replay_interleaving_on_hazardous_program(self):
-        """Sharded dRMT runs fused shards, so the shared register stays exact."""
-        bundle = generate_bundle(HAZARD_PROGRAM, DrmtHardwareParams(num_processors=3))
-        packets = PacketGenerator(bundle.program, seed=0).generate(120)
-        tick = DRMTSimulator(bundle, engine="tick").run_packets(packets)
-        for simulator in (
-            DRMTSimulator(bundle, shards=2, workers=1, shard_threshold=1),
-            DRMTSimulator(bundle, engine="sharded", shards=2, workers=1),
-        ):
-            sharded = simulator.run_packets(packets)
-            assert sharded.engine == "sharded[fused]"
-            equal, detail = _records_equal(tick, sharded)
-            assert equal, detail
-            assert sharded.register_dump == tick.register_dump
-            assert sharded.table_hits == tick.table_hits
+
+#: A per-flow counter whose register index comes straight from a packet field.
+COUNTER_PROGRAM = """
+header_type pkt_t {
+    fields {
+        flow : 16;
+        other : 16;
+        total : 16;
+    }
+}
+
+header pkt_t pkt;
+
+register per_flow {
+    width : 32;
+    instance_count : 8;
+}
+
+action bump() {
+    register_read(pkt.total, per_flow, pkt.flow);
+    add_to_field(pkt.total, 1);
+    register_write(per_flow, pkt.flow, pkt.total);
+}
+
+table counters {
+    reads {
+        pkt.flow : exact;
+    }
+    actions { bump; }
+    default_action : bump;
+}
+
+control ingress {
+    apply(counters);
+}
+"""
+
+#: The counter plus a second register indexed by a different field.
+TWO_REGISTER_PROGRAM = COUNTER_PROGRAM.replace(
+    "register per_flow {\n    width : 32;\n    instance_count : 8;\n}",
+    "register per_flow {\n    width : 32;\n    instance_count : 8;\n}\n\n"
+    "register by_other {\n    width : 32;\n    instance_count : 8;\n}",
+).replace(
+    "    register_write(per_flow, pkt.flow, pkt.total);\n}",
+    "    register_write(per_flow, pkt.flow, pkt.total);\n"
+    "    register_write(by_other, pkt.other, pkt.total);\n}",
+)
+
+#: A per-flow counter that also reads a never-written register at a constant index.
+READ_ONLY_CONFIG_PROGRAM = """
+header_type pkt_t {
+    fields {
+        flow : 16;
+        limit : 16;
+        total : 16;
+    }
+}
+
+header pkt_t pkt;
+
+register per_flow {
+    width : 32;
+    instance_count : 8;
+}
+
+register config {
+    width : 32;
+    instance_count : 4;
+}
+
+action bump() {
+    register_read(pkt.limit, config, 2);
+    register_read(pkt.total, per_flow, pkt.flow);
+    add_to_field(pkt.total, 1);
+    register_write(per_flow, pkt.flow, pkt.total);
+}
+
+table counters {
+    reads {
+        pkt.flow : exact;
+    }
+    actions { bump; }
+    default_action : bump;
+}
+
+control ingress {
+    apply(counters);
+}
+"""
+
+#: A program whose only register is read, never written.
+PURE_READER_PROGRAM = """
+header_type pkt_t {
+    fields {
+        flow : 16;
+        limit : 16;
+    }
+}
+
+header pkt_t pkt;
+
+register config {
+    width : 32;
+    instance_count : 4;
+}
+
+action tag() {
+    register_read(pkt.limit, config, 1);
+}
+
+table taggers {
+    reads {
+        pkt.flow : exact;
+    }
+    actions { tag; }
+    default_action : tag;
+}
+
+control ingress {
+    apply(taggers);
+}
+"""
+
+#: name -> (source, packet list).  Flow values exceed the 8-cell registers,
+#: so distinct flows collide on one cell (3 and 11, say) through index wrap.
+REGISTER_PROGRAMS = {
+    "per_flow_counter": (
+        COUNTER_PROGRAM,
+        [
+            {"pkt.flow": (index * 7) % 20, "pkt.other": index % 5, "pkt.total": 0}
+            for index in range(120)
+        ],
+    ),
+    "two_registers": (
+        TWO_REGISTER_PROGRAM,
+        [
+            {"pkt.flow": index % 6, "pkt.other": (index * 3) % 6, "pkt.total": 0}
+            for index in range(80)
+        ],
+    ),
+    "read_only_config": (
+        READ_ONLY_CONFIG_PROGRAM,
+        [{"pkt.flow": (index * 5) % 16, "pkt.limit": 0, "pkt.total": 0} for index in range(120)],
+    ),
+    "pure_reader": (
+        PURE_READER_PROGRAM,
+        [{"pkt.flow": index % 9, "pkt.limit": 0} for index in range(60)],
+    ),
+}
+
+
+def _assert_fused_matches_tick(bundle, packets, entries=None):
+    tick = DRMTSimulator(bundle, table_entries=entries, engine="tick").run_packets(packets)
+    fused = DRMTSimulator(bundle, table_entries=entries, engine="fused").run_packets(packets)
+    assert fused.engine == "fused"
+    assert len(fused.records) == len(tick.records) == len(packets)
+    equal, detail = _records_equal(tick, fused)
+    assert equal, detail
+    assert fused.ticks == tick.ticks
+    assert fused.per_processor_packets == tick.per_processor_packets
+    assert fused.table_hits == tick.table_hits
+    assert fused.register_dump == tick.register_dump
+    return tick
+
+
+class TestRegisterProgramsFusedMatchesTick:
+    """Register-indexed programs and flow-shaped traffic: fused == tick."""
+
+    @pytest.mark.parametrize("num_processors", [1, 2, 3, 4])
+    @pytest.mark.parametrize("program_name", sorted(REGISTER_PROGRAMS))
+    def test_bit_for_bit(self, program_name, num_processors):
+        source, packets = REGISTER_PROGRAMS[program_name]
+        bundle = generate_bundle(source, DrmtHardwareParams(num_processors=num_processors))
+        _assert_fused_matches_tick(bundle, [dict(packet) for packet in packets])
+
+    def test_per_flow_counter_wraps_the_register_index(self):
+        """Flows 3 and 11 share cell 3 of the 8-cell register."""
+        source, packets = REGISTER_PROGRAMS["per_flow_counter"]
+        bundle = generate_bundle(source, DrmtHardwareParams(num_processors=3))
+        tick = _assert_fused_matches_tick(bundle, [dict(packet) for packet in packets])
+        expected = [0] * 8
+        for packet in packets:
+            expected[packet["pkt.flow"] % 8] += 1
+        assert tick.register_dump["per_flow"] == expected
+
+    @pytest.mark.parametrize("num_processors", [1, 2, 4, 7])
+    def test_flow_restricted_telemetry(self, num_processors):
+        """Traffic limited to the three bucketized flows."""
+        from repro.traffic import choice_field
+
+        bundle = generate_bundle(
+            samples.telemetry_pipeline(), DrmtHardwareParams(num_processors=num_processors)
+        )
+        generator = PacketGenerator(
+            bundle.program, seed=5, field_overrides={"pkt.flow_id": choice_field([1, 2, 3])}
+        )
+        _assert_fused_matches_tick(bundle, generator.generate(300), samples.TELEMETRY_ENTRIES)
+
+    def test_unmatched_telemetry_flows_share_bucket_zero(self):
+        """Flows the bucketizer misses all update the same register cell."""
+        bundle = generate_bundle(
+            samples.telemetry_pipeline(), DrmtHardwareParams(num_processors=4)
+        )
+        packets = PacketGenerator(bundle.program, seed=5).generate(300)
+        assert any(packet["pkt.flow_id"] not in (1, 2, 3) for packet in packets)
+        _assert_fused_matches_tick(bundle, packets, samples.TELEMETRY_ENTRIES)
+
+    def test_ragged_packets(self):
+        """A packet missing a declared field runs the same on both drivers."""
+        from repro.traffic import choice_field
+
+        bundle = generate_bundle(
+            samples.telemetry_pipeline(), DrmtHardwareParams(num_processors=2)
+        )
+        generator = PacketGenerator(
+            bundle.program, seed=1, field_overrides={"pkt.flow_id": choice_field([1, 2])}
+        )
+        packets = generator.generate(120)
+        del packets[7]["pkt.queue_depth"]
+        _assert_fused_matches_tick(bundle, packets, samples.TELEMETRY_ENTRIES)
 
 
 class TestVisitOrders:

@@ -276,3 +276,116 @@ class TestFusedDriverExactMatchProbes:
         )
         second = simulator.run_packets(packets)
         assert any(hits > 0 for hits, _ in second.table_hits.values())
+
+
+class TestDrmtEngineSelection:
+    """The facade's two drivers: fused by default, tick when generation refuses."""
+
+    @staticmethod
+    def _telemetry(num_processors=4):
+        bundle = generate_bundle(
+            samples.telemetry_pipeline(), DrmtHardwareParams(num_processors=num_processors)
+        )
+        return bundle, samples.TELEMETRY_ENTRIES
+
+    @staticmethod
+    def _assert_records_equal(result, reference):
+        assert [
+            (
+                record.packet_id,
+                record.processor,
+                record.arrival_tick,
+                record.completed_tick,
+                record.outputs,
+                record.dropped,
+            )
+            for record in result.records
+        ] == [
+            (
+                record.packet_id,
+                record.processor,
+                record.arrival_tick,
+                record.completed_tick,
+                record.outputs,
+                record.dropped,
+            )
+            for record in reference.records
+        ]
+        assert result.register_dump == reference.register_dump
+        assert result.table_hits == reference.table_hits
+        assert result.ticks == reference.ticks
+
+    def test_fused_generation_bug_propagates(self, monkeypatch):
+        """A generator bug fails loudly instead of degrading to tick."""
+        bundle, entries = self._telemetry()
+
+        def broken():
+            raise RuntimeError("generator bug")
+
+        monkeypatch.setattr(bundle, "fused_program", broken)
+        simulator = DRMTSimulator(bundle, table_entries=entries)
+        packets = PacketGenerator(bundle.program, seed=2).generate(10)
+        with pytest.raises(RuntimeError, match="generator bug"):
+            simulator.run_packets(packets)
+
+    def test_codegen_refusal_runs_tick_and_refuses_fused(self, monkeypatch):
+        """A CodegenError makes auto run tick; an explicit fused request raises it."""
+        from repro.errors import CodegenError
+
+        bundle, entries = self._telemetry()
+        packets = PacketGenerator(bundle.program, seed=2).generate(10)
+        reference = DRMTSimulator(bundle, table_entries=entries, engine="tick").run_packets(
+            packets
+        )
+
+        def refused():
+            raise CodegenError("no fused loop for this bundle")
+
+        monkeypatch.setattr(bundle, "fused_program", refused)
+        auto = DRMTSimulator(bundle, table_entries=entries).run_packets(packets)
+        assert auto.engine == "tick"
+        self._assert_records_equal(auto, reference)
+        assert auto.per_processor_packets == reference.per_processor_packets
+        with pytest.raises(CodegenError, match="no fused loop for this bundle"):
+            DRMTSimulator(bundle, table_entries=entries, engine="fused").run_packets(packets)
+
+    def test_observer_keyword_is_gone_everywhere(self):
+        """dRMT has no observed driver: observer= is a TypeError on every path."""
+        from repro.engine import drmt as drmt_drivers
+
+        bundle, entries = self._telemetry()
+        packets = PacketGenerator(bundle.program, seed=1).generate(10)
+        for engine in ("auto", "tick", "fused"):
+            simulator = DRMTSimulator(bundle, table_entries=entries, engine=engine)
+            with pytest.raises(TypeError, match="observer"):
+                simulator.run_packets(packets, observer=lambda *args: None)
+        simulator = DRMTSimulator(bundle, table_entries=entries)
+        work = [dict(packet) for packet in packets]
+        with pytest.raises(TypeError, match="observer"):
+            drmt_drivers.run_fused(
+                bundle, simulator.tables, simulator.registers, work,
+                observer=lambda *args: None,
+            )
+
+    def test_accumulated_statistics_match_sequential_reuse(self):
+        """Reusing one simulator across runs accumulates state like the tick model.
+
+        Registers and table counters accumulate under both drivers; the
+        per-processor packet counts are per run under fused and cumulative
+        under tick (see the ``repro.drmt.simulator`` module docstring).
+        """
+        from repro.traffic import choice_field
+
+        bundle, entries = self._telemetry()
+        generator = PacketGenerator(
+            bundle.program, seed=2, field_overrides={"pkt.flow_id": choice_field([1, 2, 3])}
+        )
+        packets = generator.generate(100)
+        fused = DRMTSimulator(bundle, table_entries=entries, engine="fused")
+        tick = DRMTSimulator(bundle, table_entries=entries, engine="tick")
+        for _ in range(2):
+            fused_result = fused.run_packets(packets)
+            tick_result = tick.run_packets(packets)
+        self._assert_records_equal(fused_result, tick_result)
+        assert fused_result.per_processor_packets == {0: 25, 1: 25, 2: 25, 3: 25}
+        assert tick_result.per_processor_packets == {0: 50, 1: 50, 2: 50, 3: 50}

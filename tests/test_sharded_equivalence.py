@@ -1,10 +1,10 @@
 """Property-based equivalence tests for the sharded meta-driver.
 
 The sharded driver's contract is *bit-for-bit equality* with the unsharded
-sequential drivers — outputs restored to input order, per-stage /
-per-register state merged — whenever its state-conflict check admits a
-partition, and a loud, early refusal (or, under ``engine="auto"``, a
-transparent fallback) whenever it does not.  These tests pin that contract
+sequential drivers — outputs restored to input order, per-stage state
+merged — whenever its state-conflict check admits a partition, and a loud,
+early refusal (or, under ``engine="auto"``, a transparent fallback)
+whenever it does not.  These tests pin that contract
 down three ways:
 
 * randomized flow-parallel programs, traces and shard counts (sharded ==
@@ -17,6 +17,8 @@ down three ways:
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,22 +338,13 @@ class TestConflictGuard:
             ).run(inputs)
 
     def test_bad_shard_knobs_rejected_eagerly(self):
-        """Invalid knobs are a construction-time error on both facades."""
+        """Invalid knobs are a construction-time error."""
         program = make_flow_counters_variant(2)
         description = compiled(program)
         with pytest.raises(SimulationError, match="worker count"):
             RMTSimulator(description, engine="auto", shards=4, workers=0)
         with pytest.raises(SimulationError, match="shard count"):
             RMTSimulator(description, engine="sharded", shards=0)
-
-        from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-        from repro.p4 import samples
-
-        bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams())
-        with pytest.raises(SimulationError, match="worker count"):
-            DRMTSimulator(bundle, engine="auto", shards=4, workers=0)
-        with pytest.raises(SimulationError, match="shard count"):
-            DRMTSimulator(bundle, engine="sharded", shards=-1)
 
     def test_conflicting_attempt_leaves_no_trace_on_fallback(self):
         """The failed sharded attempt must not leak partial state anywhere."""
@@ -598,6 +591,28 @@ class TestShardPool:
         ).run(inputs)
         assert_bit_for_bit(pickled, in_process, "pickle pool")
 
+    def test_unpicklable_handle_fails_loudly(self, monkeypatch):
+        """A payload that cannot reach the pool raises; no silent in-process rerun."""
+        from repro.engine.rmt import RmtShardHandle
+
+        def refuse(self):
+            raise pickle.PicklingError("shard handle refused to pickle")
+
+        monkeypatch.setattr(RmtShardHandle, "__reduce__", refuse)
+        program = make_flow_counters_variant(4)
+        description = compiled(program)
+        inputs = program.traffic_generator(seed=3).generate(40)
+        simulator = RMTSimulator(
+            description,
+            engine="sharded",
+            shards=2,
+            workers=2,
+            shard_key=[0],
+            shard_pool_threshold=1,
+        )
+        with pytest.raises(pickle.PicklingError, match="refused to pickle"):
+            simulator.run(inputs)
+
     def test_pool_carries_values_beyond_int64(self):
         """Pool workers receive and return arbitrary-precision container values."""
         program = make_flow_counters_variant(4)
@@ -621,7 +636,7 @@ class TestShardPool:
         """The pickle pool is the only shard channel; no facade selects another."""
         from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
         from repro.dsim import simulate
-        from repro.engine.sharded import ShardedDrmtDriver, ShardedRmtDriver
+        from repro.engine.sharded import ShardedRmtDriver
         from repro.p4 import samples
 
         program = make_flow_counters_variant(2)
@@ -636,11 +651,6 @@ class TestShardPool:
         bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams())
         with pytest.raises(TypeError, match="transport"):
             DRMTSimulator(bundle, engine="sharded", transport="pickle")
-        simulator = DRMTSimulator(bundle)
-        with pytest.raises(TypeError, match="transport"):
-            ShardedDrmtDriver(
-                bundle, simulator.tables, simulator.registers, transport="pickle"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -684,6 +694,27 @@ class TestShardedSelection:
             RMTSimulator(
                 description, engine="sharded", shards=2, shard_key=[99]
             ).run([[0, 0, 0, 0]])
+        # Under auto the key is checked when the simulator is built, not on
+        # the first trace long enough to shard.
+        with pytest.raises(SimulationError, match="out of range"):
+            RMTSimulator(description, engine="auto", shard_key=[99])
+        with pytest.raises(SimulationError, match="at least one container"):
+            RMTSimulator(description, engine="auto", shard_key=[])
+
+    @pytest.mark.parametrize("engine", ["auto", "tick", "generic", "fused", "sharded"])
+    def test_flow_key_checked_at_construction_under_every_engine(self, engine):
+        """The facade's one key check runs before any driver is chosen."""
+        description = compiled(make_flow_counters_variant(2))
+        width = description.spec.width
+        with pytest.raises(SimulationError, match="out of range"):
+            RMTSimulator(description, engine=engine, shard_key=[width])
+        with pytest.raises(SimulationError, match="out of range"):
+            RMTSimulator(description, engine=engine, shard_key=[0, -1])
+        with pytest.raises(SimulationError, match="at least one container"):
+            RMTSimulator(description, engine=engine, shard_key=[])
+        assert RMTSimulator(
+            description, engine=engine, shard_key=[width - 1]
+        ).sharding.key == (width - 1,)
 
     def test_unavailable_engine_error_lists_available_drivers(self):
         """The error for an unavailable driver names the ones that exist."""
@@ -714,520 +745,29 @@ class TestShardedSelection:
         message = str(excinfo.value)
         assert "has no generic driver" in message
         assert "available drivers for this dRMT bundle: tick, fused" in message
-        with pytest.raises(SimulationError, match="dRMT bundle: tick, fused, sharded"):
-            DRMTSimulator(bundle, engine="generic", shards=2).run_packets([])
-
-
-# ----------------------------------------------------------------------
-# dRMT sharding
-# ----------------------------------------------------------------------
-class TestDrmtSharding:
-    @staticmethod
-    def _telemetry(num_processors=4):
-        from repro.drmt import DrmtHardwareParams, generate_bundle
-        from repro.p4 import samples
-
-        bundle = generate_bundle(
-            samples.telemetry_pipeline(), DrmtHardwareParams(num_processors=num_processors)
-        )
-        return bundle, samples.TELEMETRY_ENTRIES
-
-    @staticmethod
-    def _assert_results_equal(result, reference):
-        assert [record.outputs for record in result.records] == [
-            record.outputs for record in reference.records
-        ]
-        assert [record.dropped for record in result.records] == [
-            record.dropped for record in reference.records
-        ]
-        assert [
-            (record.packet_id, record.processor, record.arrival_tick, record.completed_tick)
-            for record in result.records
-        ] == [
-            (record.packet_id, record.processor, record.arrival_tick, record.completed_tick)
-            for record in reference.records
-        ]
-        assert result.register_dump == reference.register_dump
-        assert result.table_hits == reference.table_hits
-        assert result.ticks == reference.ticks
-        assert result.per_processor_packets == reference.per_processor_packets
-
-    COUNTER_SOURCE = """
-header_type pkt_t {
-    fields {
-        flow : 16;
-        other : 16;
-        total : 16;
-    }
-}
-
-header pkt_t pkt;
-
-register per_flow {
-    width : 32;
-    instance_count : 8;
-}
-
-action bump() {
-    register_read(pkt.total, per_flow, pkt.flow);
-    add_to_field(pkt.total, 1);
-    register_write(per_flow, pkt.flow, pkt.total);
-}
-
-table counters {
-    reads {
-        pkt.flow : exact;
-    }
-    actions { bump; }
-    default_action : bump;
-}
-
-control ingress {
-    apply(counters);
-}
-"""
-
-    #: Same program plus a second register indexed by a *different* field —
-    #: a tuple hash over (flow, other) would split packets that share a
-    #: per_flow cell across shards, so no auto key may be derived.
-    TWO_REGISTER_SOURCE = COUNTER_SOURCE.replace(
-        "register per_flow {\n    width : 32;\n    instance_count : 8;\n}",
-        "register per_flow {\n    width : 32;\n    instance_count : 8;\n}\n\n"
-        "register by_other {\n    width : 32;\n    instance_count : 8;\n}",
-    ).replace(
-        "    register_write(per_flow, pkt.flow, pkt.total);\n}",
-        "    register_write(per_flow, pkt.flow, pkt.total);\n"
-        "    register_write(by_other, pkt.other, pkt.total);\n}",
-    )
-
-    def test_derived_state_fields(self):
-        from repro.drmt import DrmtHardwareParams, generate_bundle
-        from repro.engine.drmt import derive_auto_shard_key, derive_state_fields
-        from repro.p4 import samples
-
-        telemetry, _ = self._telemetry()
-        # telemetry rewrites its index field (meta.bucket) mid-program, so no
-        # input-derived key exists; simple_router indexes by a constant.
-        assert derive_state_fields(telemetry.program) is None
-        router = generate_bundle(samples.simple_router(), DrmtHardwareParams())
-        assert derive_state_fields(router.program) is None
-
-        counter = generate_bundle(self.COUNTER_SOURCE, DrmtHardwareParams())
-        assert derive_state_fields(counter.program) == ("pkt.flow",)
-        assert derive_auto_shard_key(counter.program) == (("pkt.flow",), 8)
-
-        two = generate_bundle(self.TWO_REGISTER_SOURCE, DrmtHardwareParams())
-        assert derive_state_fields(two.program) == ("pkt.flow", "pkt.other")
-        # A multi-field tuple hash cannot give shards exclusive cell
-        # ownership, so the driver gets no auto key for this program.
-        assert derive_auto_shard_key(two.program) is None
-
-    @pytest.mark.parametrize("shards", (2, 4))
-    def test_auto_key_shards_per_flow_counters_bit_for_bit(self, shards):
-        """Derived single-field key: sharded == fused, including index wrap.
-
-        Flow values deliberately exceed the 8-cell register, so distinct
-        flows collide on cells (e.g. 3 and 11); the modulo-reduced key keeps
-        every colliding pair in one shard, which is what makes the derived
-        key sound without any caller contract.
-        """
-        from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-
-        bundle = generate_bundle(self.COUNTER_SOURCE, DrmtHardwareParams(num_processors=3))
-        packets = [
-            {"pkt.flow": (index * 7) % 20, "pkt.other": index % 5, "pkt.total": 0}
-            for index in range(120)
-        ]
-        reference = DRMTSimulator(bundle, engine="fused").run_packets(packets)
-        sharded = DRMTSimulator(
-            bundle, engine="sharded", shards=shards, workers=1
-        ).run_packets(packets)
-        self._assert_results_equal(sharded, reference)
-        assert sharded.engine == "sharded[fused]"
-
-    def test_multi_field_index_program_runs_one_shard(self):
-        """No sound auto key: the driver degrades to a single shard, exactly."""
-        from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-        from repro.engine.sharded import ShardedDrmtDriver
-
-        bundle = generate_bundle(self.TWO_REGISTER_SOURCE, DrmtHardwareParams())
-        simulator = DRMTSimulator(bundle, engine="sharded", shards=4, workers=1)
-        driver = ShardedDrmtDriver(bundle, simulator.tables, simulator.registers, shards=4)
-        assert driver.key is None
-        packets = [
-            {"pkt.flow": index % 6, "pkt.other": (index * 3) % 6, "pkt.total": 0}
-            for index in range(80)
-        ]
-        reference = DRMTSimulator(bundle, engine="fused").run_packets(packets)
-        sharded = simulator.run_packets(packets)
-        self._assert_results_equal(sharded, reference)
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_explicit_flow_key_matches_tick_and_fused(self, shards):
-        """Flow-restricted telemetry traffic shards bit-for-bit."""
-        from repro.drmt import DRMTSimulator
-        from repro.traffic import PacketGenerator
-        from repro.traffic import choice_field
-
-        bundle, entries = self._telemetry()
-        generator = PacketGenerator(
-            bundle.program, seed=5, field_overrides={"pkt.flow_id": choice_field([1, 2, 3])}
-        )
-        packets = generator.generate(300)
-        tick = DRMTSimulator(bundle, table_entries=entries, engine="tick").run_packets(packets)
-        fused = DRMTSimulator(bundle, table_entries=entries, engine="fused").run_packets(packets)
-        sharded = DRMTSimulator(
-            bundle,
-            table_entries=entries,
-            engine="sharded",
-            shards=shards,
-            workers=1,
-            shard_key=["pkt.flow_id"],
-        ).run_packets(packets)
-        self._assert_results_equal(fused, tick)
-        self._assert_results_equal(sharded, tick)
-        assert sharded.engine == "sharded[fused]"
-
-    def test_cross_flow_register_sharing_conflicts_and_auto_falls_back(self):
-        """Unmatched flows share bucket 0: conflict, then fallback under auto."""
-        from repro.drmt import DRMTSimulator
-        from repro.traffic import PacketGenerator
-
-        bundle, entries = self._telemetry()
-        packets = PacketGenerator(bundle.program, seed=5).generate(300)
-        with pytest.raises(ShardStateConflictError):
-            DRMTSimulator(
-                bundle,
-                table_entries=entries,
-                engine="sharded",
-                shards=4,
-                workers=1,
-                shard_key=["pkt.flow_id"],
-            ).run_packets(packets)
-        reference = DRMTSimulator(bundle, table_entries=entries, engine="fused").run_packets(packets)
-        auto = DRMTSimulator(
-            bundle,
-            table_entries=entries,
-            engine="auto",
-            shards=4,
-            workers=1,
-            shard_key=["pkt.flow_id"],
-            shard_threshold=1,
-        ).run_packets(packets)
-        self._assert_results_equal(auto, reference)
-        assert auto.engine == "fused"  # fell back
-
-    def test_underivable_key_runs_one_shard(self):
-        """No safe key (derived None): still correct via a single shard."""
-        from repro.drmt import DRMTSimulator
-        from repro.traffic import PacketGenerator
-
-        bundle, entries = self._telemetry()
-        packets = PacketGenerator(bundle.program, seed=3).generate(120)
-        reference = DRMTSimulator(bundle, table_entries=entries, engine="fused").run_packets(packets)
-        sharded = DRMTSimulator(
-            bundle, table_entries=entries, engine="sharded", shards=4, workers=1
-        ).run_packets(packets)
-        self._assert_results_equal(sharded, reference)
-        assert sharded.engine == "sharded[fused]"
-
-    def test_pool_path_matches_in_process(self):
-        from repro.drmt import DRMTSimulator
-        from repro.traffic import PacketGenerator
-        from repro.traffic import choice_field
-
-        bundle, entries = self._telemetry()
-        generator = PacketGenerator(
-            bundle.program, seed=8, field_overrides={"pkt.flow_id": choice_field([1, 2, 3])}
-        )
-        packets = generator.generate(240)
-        in_process = DRMTSimulator(
-            bundle, table_entries=entries, engine="sharded", shards=3, workers=1,
-            shard_key=["pkt.flow_id"],
-        ).run_packets(packets)
-        pooled = DRMTSimulator(
-            bundle, table_entries=entries, engine="sharded", shards=3, workers=2,
-            shard_key=["pkt.flow_id"], shard_pool_threshold=1,
-        ).run_packets(packets)
-        self._assert_results_equal(pooled, in_process)
-
-    def test_pool_path_with_derived_key_matches_fused(self):
-        """The auto-derived key survives the trip to pool workers."""
-        from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-
-        bundle = generate_bundle(self.COUNTER_SOURCE, DrmtHardwareParams(num_processors=3))
-        packets = [
-            {"pkt.flow": (index * 7) % 20, "pkt.other": index % 5, "pkt.total": 0}
-            for index in range(120)
-        ]
-        reference = DRMTSimulator(bundle, engine="fused").run_packets(packets)
-        pooled = DRMTSimulator(
-            bundle, engine="sharded", shards=3, workers=2, shard_pool_threshold=1
-        ).run_packets(packets)
-        self._assert_results_equal(pooled, reference)
-        assert pooled.engine == "sharded[fused]"
-
-    def test_pool_path_handles_ragged_packets(self):
-        """Packets with differing field sets shard through the pool unchanged."""
-        from repro.drmt import DRMTSimulator
-        from repro.traffic import PacketGenerator, choice_field
-
-        bundle, entries = self._telemetry(num_processors=2)
-        generator = PacketGenerator(
-            bundle.program, seed=1, field_overrides={"pkt.flow_id": choice_field([1, 2])}
-        )
-        packets = generator.generate(120)
-        del packets[7]["pkt.queue_depth"]
-        in_process = DRMTSimulator(
-            bundle, table_entries=entries, engine="sharded", shards=2, workers=1,
-            shard_key=["pkt.flow_id"],
-        ).run_packets(packets)
-        pooled = DRMTSimulator(
-            bundle, table_entries=entries, engine="sharded", shards=2, workers=2,
-            shard_key=["pkt.flow_id"], shard_pool_threshold=1,
-        ).run_packets(packets)
-        self._assert_results_equal(pooled, in_process)
-
-    def test_fused_generation_bug_propagates(self, monkeypatch):
-        """A generator bug fails loudly instead of degrading to tick."""
-        from repro.drmt import DRMTSimulator
-        from repro.engine.sharded import ShardedDrmtDriver
-        from repro.traffic import PacketGenerator
-
-        bundle, entries = self._telemetry()
-
-        def broken():
-            raise RuntimeError("generator bug")
-
-        monkeypatch.setattr(bundle, "fused_program", broken)
-        simulator = DRMTSimulator(bundle, table_entries=entries)
-        with pytest.raises(RuntimeError, match="generator bug"):
-            ShardedDrmtDriver(bundle, simulator.tables, simulator.registers)
-        packets = PacketGenerator(bundle.program, seed=2).generate(10)
-        with pytest.raises(RuntimeError, match="generator bug"):
-            simulator.run_packets(packets)
-
-    def test_codegen_refusal_runs_tick_and_refuses_sharding(self, monkeypatch):
-        """A CodegenError makes auto run tick; the sharded driver refuses."""
-        from repro.drmt import DRMTSimulator
-        from repro.engine.sharded import ShardedDrmtDriver
-        from repro.errors import CodegenError
-        from repro.traffic import PacketGenerator
-
-        bundle, entries = self._telemetry()
-        packets = PacketGenerator(bundle.program, seed=2).generate(10)
-        reference = DRMTSimulator(bundle, table_entries=entries, engine="tick").run_packets(
-            packets
-        )
-
-        def refused():
-            raise CodegenError("no fused loop for this bundle")
-
-        monkeypatch.setattr(bundle, "fused_program", refused)
-        simulator = DRMTSimulator(bundle, table_entries=entries)
-        with pytest.raises(SimulationError, match="no fused loop for this bundle"):
-            ShardedDrmtDriver(bundle, simulator.tables, simulator.registers)
-        # auto has no sequential driver left, so it runs tick, sharding
-        # knobs or not.
-        auto = simulator.run_packets(packets)
-        assert auto.engine == "tick"
-        self._assert_results_equal(auto, reference)
-        assert DRMTSimulator(
-            bundle, table_entries=entries, shards=2, workers=1, shard_threshold=1
-        ).run_packets(packets).engine == "tick"
-        with pytest.raises(SimulationError, match="no fused loop for this bundle"):
-            DRMTSimulator(
-                bundle, table_entries=entries, engine="sharded", shards=2, workers=1
-            ).run_packets(packets)
-
-    def test_observer_keyword_is_gone_everywhere(self):
-        """dRMT has no observed driver: observer= is a TypeError on every path."""
-        from repro.drmt import DRMTSimulator
-        from repro.engine import drmt as drmt_drivers
-        from repro.traffic import PacketGenerator
-
-        bundle, entries = self._telemetry()
-        packets = PacketGenerator(bundle.program, seed=1).generate(10)
-        for engine in ("auto", "tick", "fused", "sharded"):
-            simulator = DRMTSimulator(
-                bundle, table_entries=entries, engine=engine, shards=2, workers=1
-            )
-            with pytest.raises(TypeError, match="observer"):
-                simulator.run_packets(packets, observer=lambda *args: None)
-        simulator = DRMTSimulator(bundle, table_entries=entries)
-        work = [dict(packet) for packet in packets]
-        with pytest.raises(TypeError, match="observer"):
-            drmt_drivers.run_fused(
-                bundle, simulator.tables, simulator.registers, work,
-                observer=lambda *args: None,
-            )
-
-    def test_unknown_flow_key_field_rejected(self):
-        """A misspelt shard_key fails loudly instead of planning one shard."""
-        from repro.drmt import DRMTSimulator
-        from repro.engine.sharded import ShardedDrmtDriver
-        from repro.traffic import PacketGenerator
-
-        bundle, entries = self._telemetry()
-        packets = PacketGenerator(bundle.program, seed=2).generate(10)
-        simulator = DRMTSimulator(
-            bundle, table_entries=entries, engine="sharded", shards=4, workers=1,
-            shard_key=["pkt.flwo_id"],
-        )
-        with pytest.raises(SimulationError, match="'pkt.flwo_id'"):
-            simulator.run_packets(packets)
-        with pytest.raises(SimulationError, match="'pkt.flwo_id'"):
-            ShardedDrmtDriver(
-                bundle, simulator.tables, simulator.registers, key=["pkt.flow_id", "pkt.flwo_id"]
-            )
-        assert ShardedDrmtDriver(
-            bundle, simulator.tables, simulator.registers, key=["pkt.flow_id"]
-        ).key == ("pkt.flow_id",)
-
-    #: Per-flow counter plus a *read-only* configuration register read at a
-    #: constant index.  Under PR 3's write-blind derivation the constant
-    #: index made the whole program unshardable; read tracking sees that
-    #: ``config`` is never written and derives the per-flow key anyway.
-    READ_ONLY_CONFIG_SOURCE = """
-header_type pkt_t {
-    fields {
-        flow : 16;
-        limit : 16;
-        total : 16;
-    }
-}
-
-header pkt_t pkt;
-
-register per_flow {
-    width : 32;
-    instance_count : 8;
-}
-
-register config {
-    width : 32;
-    instance_count : 4;
-}
-
-action bump() {
-    register_read(pkt.limit, config, 2);
-    register_read(pkt.total, per_flow, pkt.flow);
-    add_to_field(pkt.total, 1);
-    register_write(per_flow, pkt.flow, pkt.total);
-}
-
-table counters {
-    reads {
-        pkt.flow : exact;
-    }
-    actions { bump; }
-    default_action : bump;
-}
-
-control ingress {
-    apply(counters);
-}
-"""
-
-    #: A program whose only register is read-only: any partition is safe.
-    PURE_READER_SOURCE = """
-header_type pkt_t {
-    fields {
-        flow : 16;
-        limit : 16;
-    }
-}
-
-header pkt_t pkt;
-
-register config {
-    width : 32;
-    instance_count : 4;
-}
-
-action tag() {
-    register_read(pkt.limit, config, 1);
-}
-
-table taggers {
-    reads {
-        pkt.flow : exact;
-    }
-    actions { tag; }
-    default_action : tag;
-}
-
-control ingress {
-    apply(taggers);
-}
-"""
-
-    def test_read_only_register_does_not_block_the_auto_key(self):
-        """Read tracking: a never-written register is ignored by derivation."""
-        from repro.drmt import DrmtHardwareParams, generate_bundle
-        from repro.engine.drmt import (
-            derive_auto_shard_key,
-            derive_state_fields,
-            written_registers,
-        )
-
-        bundle = generate_bundle(self.READ_ONLY_CONFIG_SOURCE, DrmtHardwareParams())
-        assert written_registers(bundle.program) == frozenset({"per_flow"})
-        assert derive_state_fields(bundle.program) == ("pkt.flow",)
-        assert derive_auto_shard_key(bundle.program) == (("pkt.flow",), 8)
-
-    @pytest.mark.parametrize("shards", (2, 4))
-    def test_read_only_config_program_shards_bit_for_bit(self, shards):
-        from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-
-        bundle = generate_bundle(
-            self.READ_ONLY_CONFIG_SOURCE, DrmtHardwareParams(num_processors=3)
-        )
-        packets = [
-            {"pkt.flow": (index * 5) % 16, "pkt.limit": 0, "pkt.total": 0}
-            for index in range(120)
-        ]
-        reference = DRMTSimulator(bundle, engine="fused").run_packets(packets)
-        sharded = DRMTSimulator(
-            bundle, engine="sharded", shards=shards, workers=1
-        ).run_packets(packets)
-        self._assert_results_equal(sharded, reference)
-        assert sharded.engine == "sharded[fused]"
-
-    def test_pure_reader_program_block_partitions(self):
-        """Only read-only state: block partitioning is admitted and exact."""
-        from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-        from repro.engine.drmt import derive_auto_shard_key
-        from repro.engine.sharded import ShardedDrmtDriver
-
-        bundle = generate_bundle(self.PURE_READER_SOURCE, DrmtHardwareParams())
-        assert derive_auto_shard_key(bundle.program) == ((), None)
-        simulator = DRMTSimulator(bundle, engine="sharded", shards=4, workers=1)
-        driver = ShardedDrmtDriver(bundle, simulator.tables, simulator.registers, shards=4)
-        assert driver.key == ()
-        packets = [{"pkt.flow": index % 9, "pkt.limit": 0} for index in range(60)]
-        reference = DRMTSimulator(bundle, engine="fused").run_packets(packets)
-        sharded = simulator.run_packets(packets)
-        self._assert_results_equal(sharded, reference)
-        assert sharded.engine == "sharded[fused]"
-
-    def test_accumulated_statistics_match_sequential_reuse(self):
-        """Reusing one simulator across runs accumulates like the tick model."""
-        from repro.drmt import DRMTSimulator
-        from repro.traffic import PacketGenerator
-        from repro.traffic import choice_field
-
-        bundle, entries = self._telemetry()
-        generator = PacketGenerator(
-            bundle.program, seed=2, field_overrides={"pkt.flow_id": choice_field([1, 2, 3])}
-        )
-        packets = generator.generate(100)
-        sequential = DRMTSimulator(bundle, table_entries=entries, engine="fused")
-        sharded = DRMTSimulator(
-            bundle, table_entries=entries, engine="sharded", shards=3, workers=1,
-            shard_key=["pkt.flow_id"],
-        )
-        for _ in range(2):
-            reference = sequential.run_packets(packets)
-            result = sharded.run_packets(packets)
-        self._assert_results_equal(result, reference)
+        with pytest.raises(SimulationError) as excinfo:
+            DRMTSimulator(bundle, engine="sharded").run_packets([])
+        message = str(excinfo.value)
+        assert "available drivers for this dRMT bundle: tick, fused" in message
+        assert "shards=" not in message
+
+        # dRMT has no sharding knobs at all, on the facade or the CLI.
+        for keyword, value in (
+            ("shards", 2),
+            ("workers", 1),
+            ("shard_key", ["pkt.flow_id"]),
+            ("shard_threshold", 1),
+            ("shard_pool_threshold", 1),
+        ):
+            with pytest.raises(TypeError, match=keyword):
+                DRMTSimulator(bundle, **{keyword: value})
+        from repro.cli import drmt_main
+
+        for flags in (
+            ["--shards", "2"],
+            ["--workers", "1"],
+            ["--shard-key", "pkt.flow_id"],
+            ["--engine", "sharded"],
+        ):
+            with pytest.raises(SystemExit):
+                drmt_main(["--packets", "5"] + flags)
