@@ -47,6 +47,9 @@ def test_bench_smoke_sweep(tmp_path, bench_rounds):
         # fused loop; the extra baseline cell pins the tick interpreter.
         assert cells[dgen.OPT_LEVEL_NAMES[dgen.OPT_SCC_INLINE]]["engine"] == "generic"
         assert cells[dgen.OPT_LEVEL_NAMES[dgen.OPT_FUSED]]["engine"] == "fused"
+        # Only the fused cell records the (non-gating) facade overhead.
+        assert cells[dgen.OPT_LEVEL_NAMES[dgen.OPT_FUSED]]["facade_ratio"] > 0
+        assert "facade_ratio" not in cells[TICK_BASELINE]
         assert cells[TICK_BASELINE]["engine"] == "tick"
     for summary_key in ("speedup_fused_vs_tick", "speedup_fused_vs_inlining"):
         summary = record[summary_key]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..dsim.trace import Trace, TraceRecord
+from ..dsim.trace import Trace
 from ..errors import SimulationError
 
 
@@ -52,6 +52,9 @@ class SimulationResult:
 
 def validate_widths(inputs: Sequence[Sequence[int]], width: int) -> None:
     """Raise :class:`SimulationError` when any PHV has the wrong width."""
+    # One pass at C speed; the indexed loop below only names the first bad PHV.
+    if set(map(len, inputs)) <= {width}:
+        return
     for index, values in enumerate(inputs):
         if len(values) != width:
             raise SimulationError(
@@ -70,13 +73,12 @@ def sequential_result(
 
     The tick model runs one tick per input plus ``depth`` drain ticks; the
     sequential drivers do no ticking of their own but report the equivalent
-    count so results stay comparable across drivers.
+    count so results stay comparable across drivers.  ``inputs`` becomes
+    both the result's ``input_trace`` and the output trace's input column;
+    the trace's records are built only when read (see
+    :class:`~repro.dsim.trace.Trace`).
     """
-    trace = Trace()
-    trace.records = list(
-        map(TraceRecord, range(len(inputs)), map(tuple, inputs), map(tuple, outputs))
-    )
-    trace.final_state = final_state
+    trace = Trace.from_columns(inputs, list(map(tuple, outputs)), final_state)
     ticks = len(inputs) + depth if inputs else 0
     return SimulationResult(
         input_trace=inputs, output_trace=trace, ticks=ticks, engine=engine

@@ -126,12 +126,16 @@ def run_tick(
 
 def prepare_inputs(
     description: PipelineDescription, phv_values: Sequence[Sequence[int]]
-) -> Tuple[List[List[int]], List[List[int]]]:
-    """Validate widths and coerce one working copy of the input trace."""
-    inputs: List[List[int]] = [list(values) for values in phv_values]
-    validate_widths(inputs, description.spec.width)
-    work = [list(map(int, values)) for values in inputs]
-    return inputs, work
+) -> List[List[int]]:
+    """Coerce the input trace to integer lists in one pass and check widths.
+
+    The result is both the loop input and the result's ``input_trace``: no
+    sequential driver mutates its input lists (each stage rebinds ``phv`` to
+    a fresh list), so one copy serves both.
+    """
+    work = [list(map(int, values)) for values in phv_values]
+    validate_widths(work, description.spec.width)
+    return work
 
 
 def run_generic(
@@ -141,12 +145,12 @@ def run_generic(
     initial_state: Optional[List[List[List[int]]]],
 ) -> SimulationResult:
     """Generic sequential driver over the description's stage functions."""
-    inputs, work = prepare_inputs(description, phv_values)
+    work = prepare_inputs(description, phv_values)
     state = initial_state if initial_state is not None else description.initial_state()
     values = runtime_values if runtime_values is not None else description.runtime_values()
     outputs = run_stage_loop(description.stage_functions, work, state, values)
     return sequential_result(
-        inputs, outputs, state, description.spec.depth, ENGINE_GENERIC
+        work, outputs, state, description.spec.depth, ENGINE_GENERIC
     )
 
 
@@ -171,7 +175,7 @@ def run_fused(
             "description carries no fused run_trace entry point "
             f"(opt level {description.opt_level})"
         )
-    inputs, work = prepare_inputs(description, phv_values)
+    work = prepare_inputs(description, phv_values)
     state = initial_state if initial_state is not None else description.initial_state()
     values = runtime_values if runtime_values is not None else description.runtime_values()
     if observer is None:
@@ -179,7 +183,7 @@ def run_fused(
     else:
         outputs = fused(work, state, values, observer)
     return sequential_result(
-        inputs, outputs, state, description.spec.depth, ENGINE_FUSED
+        work, outputs, state, description.spec.depth, ENGINE_FUSED
     )
 
 

@@ -106,7 +106,7 @@ class RunToCompletionSimulator:
         values = self._runtime_values
         if values is None:
             values = self.description.runtime_values()
-        inputs, work = prepare_inputs(self.description, phv_values)
+        work = prepare_inputs(self.description, phv_values)
         stage_functions = self.description.stage_functions
         depth = self.description.spec.depth
         total = len(work)
@@ -131,7 +131,7 @@ class RunToCompletionSimulator:
                         retained.append((packet, phv, stage + 1))
                 queue[:] = retained
 
-        return sequential_result(inputs, outputs, state, depth, ENGINE_TICK)
+        return sequential_result(work, outputs, state, depth, ENGINE_TICK)
 
     def _initial_state_copy(self) -> Optional[List[List[List[int]]]]:
         if self._initial_state is None:

@@ -309,14 +309,6 @@ class ShardedRmtDriver:
         """The driver name reported on results (``sharded[<inner>]``)."""
         return f"{ENGINE_SHARDED}[{self.inner_mode}]"
 
-    def _run_unsharded(self, phv_values, initial_state) -> SimulationResult:
-        runner = (
-            rmt_drivers.run_fused
-            if self.inner_mode == ENGINE_FUSED
-            else rmt_drivers.run_generic
-        )
-        return runner(self.description, phv_values, self._values, initial_state)
-
     def run(
         self, phv_values: Sequence[Sequence[int]], tick_accurate: bool = False
     ) -> SimulationResult:
@@ -326,7 +318,7 @@ class ShardedRmtDriver:
                 "the sharded driver has no tick-accurate mode; request the tick engine"
             )
         description = self.description
-        inputs, work = rmt_drivers.prepare_inputs(description, phv_values)
+        work = rmt_drivers.prepare_inputs(description, phv_values)
         base_state = (
             self._initial_state
             if self._initial_state is not None
@@ -339,12 +331,13 @@ class ShardedRmtDriver:
                 for phv in work
             ]
         plan = plan_shards(len(work), self.shards, keys)
-        if len(plan) <= 1:
-            result = self._run_unsharded(inputs, _copy_state(base_state))
-            result.engine = self.engine_name
-            return result
-
         handle = rmt_drivers.shard_handle(description, self.inner_mode, self._values)
+        if len(plan) <= 1:
+            outputs, state = handle.run(work, _copy_state(base_state))
+            return sequential_result(
+                work, outputs, state, description.spec.depth, self.engine_name
+            )
+
         shard_works = plan.scatter(work)
         shard_states = [_copy_state(base_state) for _ in range(len(plan))]
         results = ShardTransport().run_rmt_shards(
@@ -368,7 +361,7 @@ class ShardedRmtDriver:
         )
         outputs = plan.gather(len(work), [outputs for outputs, _state in results])
         return sequential_result(
-            inputs, outputs, merged_state, description.spec.depth, self.engine_name
+            work, outputs, merged_state, description.spec.depth, self.engine_name
         )
 
 

@@ -90,7 +90,7 @@ def compare_traces(
     count_only: bool = False,
     limit: Optional[int] = None,
 ) -> EquivalenceReport:
-    """Compare two output traces record by record.
+    """Compare two output traces PHV by PHV.
 
     ``containers`` restricts the comparison to the specification's relevant
     containers; when omitted every container is compared.  The traces must
@@ -110,31 +110,34 @@ def compare_traces(
       still materialised unless ``count_only`` is set, so it doubles as a
       cheap "find one counterexample" mode.
     """
-    if len(pipeline_trace) != len(spec_trace):
+    pipeline_outputs = pipeline_trace.outputs()
+    spec_outputs = spec_trace.outputs()
+    if len(pipeline_outputs) != len(spec_outputs):
         raise EquivalenceError(
-            f"trace lengths differ: pipeline={len(pipeline_trace)}, spec={len(spec_trace)}"
+            f"trace lengths differ: pipeline={len(pipeline_outputs)}, spec={len(spec_outputs)}"
         )
     if containers is None:
-        width = pipeline_trace[0].num_containers if len(pipeline_trace) else 0
+        width = len(pipeline_outputs[0]) if pipeline_outputs else 0
         containers = list(range(width))
 
-    report = EquivalenceReport(compared_phvs=len(pipeline_trace), compared_containers=list(containers))
-    for pipeline_record, spec_record in zip(pipeline_trace, spec_trace):
-        outputs = pipeline_record.outputs
-        expected_outputs = spec_record.outputs
+    report = EquivalenceReport(compared_phvs=len(pipeline_outputs), compared_containers=list(containers))
+    for index, (outputs, expected_outputs) in enumerate(zip(pipeline_outputs, spec_outputs)):
         for container in containers:
             actual = outputs[container]
             expected = expected_outputs[container]
             if actual != expected:
                 report.mismatch_count += 1
                 if not count_only:
+                    # Only a mismatch reads the pipeline's records (for the
+                    # id and inputs); a clean verdict never builds them.
+                    record = pipeline_trace[index]
                     report.mismatches.append(
                         Mismatch(
-                            phv_id=pipeline_record.phv_id,
+                            phv_id=record.phv_id,
                             container=container,
                             expected=expected,
                             actual=actual,
-                            inputs=pipeline_record.inputs,
+                            inputs=record.inputs,
                         )
                     )
                 if limit is not None and report.mismatch_count > limit:
