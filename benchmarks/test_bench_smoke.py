@@ -63,6 +63,9 @@ def test_bench_smoke_sweep(tmp_path, bench_rounds):
         assert set(cells) == set(DRMT_ENGINES)
         for engine in DRMT_ENGINES:
             assert cells[engine]["packets_per_sec"] > 0
+        # As for RMT, only the fused cell records the facade overhead.
+        assert cells["fused"]["facade_ratio"] > 0
+        assert "facade_ratio" not in cells["tick"]
 
     # The record round-trips through JSON and renders as a table.
     path = tmp_path / "bench.json"

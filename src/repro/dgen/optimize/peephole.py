@@ -91,7 +91,14 @@ def _foldable(node: ast.AST) -> bool:
 
 
 def _evaluate(node: ast.AST) -> Optional[ast.AST]:
-    """Evaluate a foldable node; ``None`` when evaluation fails (e.g. ``1 // 0``)."""
+    """Evaluate a foldable node; ``None`` when the arithmetic fails.
+
+    Only the errors integer arithmetic can raise are swallowed
+    (``ZeroDivisionError`` and ``OverflowError`` via :class:`ArithmeticError`,
+    ``ValueError`` for a negative shift): the expression then stays unfolded
+    and fails at run time exactly as unoptimised code would.  Any other error
+    is a folder bug and propagates.
+    """
     expression = ast.Expression(body=node)
     ast.fix_missing_locations(expression)
     try:
@@ -100,7 +107,7 @@ def _evaluate(node: ast.AST) -> Optional[ast.AST]:
             {"__builtins__": {}},
             dict(_FOLDABLE_CALLS),
         )
-    except Exception:
+    except (ArithmeticError, ValueError):
         return None
     if isinstance(value, bool) or isinstance(value, int):
         return ast.Constant(value=value)
@@ -311,7 +318,7 @@ def _mutated_names(statements: Sequence[ir.IRStmt]) -> Set[str]:
                 names |= _mutated_names(body)
             names |= _mutated_names(statement.orelse)
         elif isinstance(statement, ir.For):
-            names.add(statement.target)
+            names |= _expr_names(statement.target)
             visit_expr(statement.iterable)
             names |= _mutated_names(statement.body)
     return names

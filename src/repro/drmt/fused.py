@@ -21,14 +21,19 @@ walks ticks executing the inlined per-cycle segments in precisely the
 interpreter's interleaving — shared registers observe the identical sequence
 of reads and writes.
 
-Tables whose every read uses the exact match kind are *dict-specialised*:
-instead of hoisting the shared :meth:`MatchActionTable.lookup` (a linear
-scan over the entries), the generated prologue builds the table's
-:meth:`~repro.drmt.tables.MatchActionTable.exact_index` once per trace and
-each match becomes a single dict probe, with hit/miss counts accumulated in
-locals and folded back into the table's counters on exit — so the inner
-loop is no longer scan-bound while the observable statistics stay identical
-to the interpreter's.  Ternary and LPM tables keep the scan.
+No match calls the shared :meth:`MatchActionTable.lookup` (a linear scan
+that tests every entry and takes the best candidate).  The generated
+prologue builds one probe structure per table, once per trace: tables whose
+every read uses the exact match kind are *dict-specialised* through
+:meth:`~repro.drmt.tables.MatchActionTable.exact_index`, so each match is a
+single dict probe; ternary, LPM and mixed tables get
+:meth:`~repro.drmt.tables.MatchActionTable.masked_rows`, and each match is an
+inline first-match loop comparing every field under the row's mask, the
+rows pre-sorted so the first hit is ``lookup``'s winner.  Hit and miss counts
+accumulate in locals and are folded back into the table's counters on exit,
+so the observable statistics stay identical to the interpreter's.  The tick
+interpreter keeps calling ``lookup``, which makes tick-vs-fused equivalence
+an independent check of the row semantics.
 
 This loop is dRMT's only driver besides the tick interpreter;
 ``DRMTSimulator`` runs it directly.
@@ -143,22 +148,22 @@ class DrmtFusedGenerator:
             body.append(
                 ir.If(branches=[("n == 0", [ir.Return("dropped")])], orelse=[])
             )
-            body.append(ir.Comment("hoist table lookups, match results and register arrays"))
-            exact_tables: List[str] = []
-            for table_name in self.program.table_order():
+            body.append(ir.Comment("hoist table probes, match results and register arrays"))
+            table_names = self.program.table_order()
+            for table_name in table_names:
+                # Build each table's probe structure once per trace (a dict
+                # index for all-exact tables, first-match masked rows for the
+                # rest), count hits and misses locally, and fold them back
+                # into the table's counters on exit (identical totals to
+                # ``lookup``).
                 safe = _ident(table_name)
+                body.append(ir.Assign(f"table_{safe}", f"tables[{table_name!r}]"))
                 if self._is_exact(table_name):
-                    # All-exact tables specialise into one dict probe per
-                    # match: build the index once per trace, count hits and
-                    # misses locally, and fold them back into the table's
-                    # counters on exit (identical totals to the linear scan).
-                    exact_tables.append(table_name)
-                    body.append(ir.Assign(f"table_{safe}", f"tables[{table_name!r}]"))
                     body.append(ir.Assign(f"index_{safe}", f"table_{safe}.exact_index()"))
-                    body.append(ir.Assign(f"hits_{safe}", "0"))
-                    body.append(ir.Assign(f"misses_{safe}", "0"))
                 else:
-                    body.append(ir.Assign(f"lookup_{safe}", f"tables[{table_name!r}].lookup"))
+                    body.append(ir.Assign(f"rows_{safe}", f"table_{safe}.masked_rows()"))
+                body.append(ir.Assign(f"hits_{safe}", "0"))
+                body.append(ir.Assign(f"misses_{safe}", "0"))
                 body.append(ir.Assign(f"matched_{safe}", "[None] * n"))
             for register_name in self.program.registers:
                 body.append(
@@ -167,7 +172,7 @@ class DrmtFusedGenerator:
             loop_body = self._tick_loop_body(segments)
             tick_loop = ir.For("t", "range(n + MAKESPAN - 1)", peephole_block(loop_body))
             body.append(tick_loop)
-            for table_name in exact_tables:
+            for table_name in table_names:
                 safe = _ident(table_name)
                 body.append(
                     ir.Assign(f"table_{safe}.hit_count", f"table_{safe}.hit_count + hits_{safe}")
@@ -258,23 +263,48 @@ class DrmtFusedGenerator:
 
     def _match_stmts(self, table_name: str) -> List[ir.IRStmt]:
         safe = _ident(table_name)
+        match_fields = self.program.tables[table_name].match_fields()
         if self._is_exact(table_name):
-            match_fields = self.program.tables[table_name].match_fields()
             key = (
                 "(" + ", ".join(f"fields.get({field!r}, 0)" for field in match_fields) + ",)"
                 if match_fields
                 else "()"
             )
-            lookup_stmts: List[ir.IRStmt] = [
-                ir.Assign("_entry", f"index_{safe}.get({key})"),
-                ir.Assign(f"matched_{safe}[p]", "_entry"),
-                ir.If(
-                    branches=[("_entry is None", [ir.Assign(f"misses_{safe}", f"misses_{safe} + 1")])],
-                    orelse=[ir.Assign(f"hits_{safe}", f"hits_{safe} + 1")],
+            lookup_stmts: List[ir.IRStmt] = [ir.Assign("_entry", f"index_{safe}.get({key})")]
+        else:
+            # First-match scan over the masked rows (see
+            # MatchActionTable.masked_rows): read each field once, then
+            # compare it under every row's mask.
+            lookup_stmts = [
+                ir.Assign(f"_k{index}", f"fields.get({field!r}, 0)")
+                for index, field in enumerate(match_fields)
+            ]
+            row_target = "".join(f"_m{index}, _w{index}, " for index in range(len(match_fields)))
+            row_test = " and ".join(
+                f"_k{index} & _m{index} == _w{index}" for index in range(len(match_fields))
+            )
+            lookup_stmts += [
+                ir.Assign("_entry", "None"),
+                ir.For(
+                    f"{row_target}_row_entry",
+                    f"rows_{safe}",
+                    [
+                        ir.If(
+                            branches=[
+                                (row_test, [ir.Assign("_entry", "_row_entry"), ir.Break()])
+                            ],
+                            orelse=[],
+                        )
+                    ],
                 ),
             ]
-        else:
-            lookup_stmts = [ir.Assign(f"matched_{safe}[p]", f"lookup_{safe}(fields)")]
+        lookup_stmts += [
+            ir.Assign(f"matched_{safe}[p]", "_entry"),
+            ir.If(
+                branches=[("_entry is None", [ir.Assign(f"misses_{safe}", f"misses_{safe} + 1")])],
+                orelse=[ir.Assign(f"hits_{safe}", f"hits_{safe} + 1")],
+            ),
+        ]
         condition = self._enabled_condition(table_name)
         if condition is None:
             return lookup_stmts

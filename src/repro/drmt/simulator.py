@@ -24,7 +24,7 @@ table-hit state accumulate across runs of one simulator under both drivers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..engine.base import ENGINE_AUTO, ENGINE_FUSED, ENGINE_TICK, resolve_engine
@@ -56,31 +56,131 @@ class DrmtPacketRecord:
         return self.completed_tick - self.arrival_tick + 1
 
 
-@dataclass
+#: What two results must share to compare equal (the records included).
+_RESULT_FIELDS = (
+    "records",
+    "ticks",
+    "per_processor_packets",
+    "per_processor_operations",
+    "table_hits",
+    "register_dump",
+    "engine",
+)
+
+
 class DrmtSimulationResult:
     """Output of one dRMT simulation run.
 
     ``engine`` names the driver that produced the result (``tick`` or
     ``fused``).
+
+    The fused driver's result is column-backed (:meth:`from_columns`): it
+    keeps the input and output dict columns and the dropped flags, and
+    builds the :class:`DrmtPacketRecord` list only when :attr:`records` is
+    first read.  Packet ``p``'s id, processor (``p % N``), arrival tick
+    (``p``) and completion tick follow from its index.  From then on the
+    records list is authoritative, as for :class:`repro.dsim.Trace`.
+    :attr:`packets_processed`, :attr:`packets_dropped` and :meth:`describe`
+    read the columns and build no more records than they print.
     """
 
-    records: List[DrmtPacketRecord] = field(default_factory=list)
-    ticks: int = 0
-    per_processor_packets: Dict[int, int] = field(default_factory=dict)
-    per_processor_operations: Dict[int, int] = field(default_factory=dict)
-    table_hits: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    register_dump: Dict[str, List[int]] = field(default_factory=dict)
-    engine: str = "tick"
+    def __init__(
+        self,
+        records: Optional[List[DrmtPacketRecord]] = None,
+        ticks: int = 0,
+        per_processor_packets: Optional[Dict[int, int]] = None,
+        per_processor_operations: Optional[Dict[int, int]] = None,
+        table_hits: Optional[Dict[str, Tuple[int, int]]] = None,
+        register_dump: Optional[Dict[str, List[int]]] = None,
+        engine: str = "tick",
+    ):
+        self._records: Optional[List[DrmtPacketRecord]] = records if records is not None else []
+        self._inputs: Sequence[Dict[str, int]] = ()
+        self._outputs: Sequence[Dict[str, int]] = ()
+        self._dropped: Sequence[bool] = ()
+        self._num_processors = 1
+        self._completion_offset = 0
+        self.ticks = ticks
+        self.per_processor_packets = per_processor_packets or {}
+        self.per_processor_operations = per_processor_operations or {}
+        self.table_hits = table_hits or {}
+        self.register_dump = register_dump or {}
+        self.engine = engine
+
+    @classmethod
+    def from_columns(
+        cls,
+        inputs: Sequence[Dict[str, int]],
+        outputs: Sequence[Dict[str, int]],
+        dropped: Sequence[bool],
+        num_processors: int,
+        completion_offset: int,
+        **summary,
+    ) -> "DrmtSimulationResult":
+        """A result over packets ``0..n-1`` injected round-robin, one per tick.
+
+        Packet ``p`` ran on processor ``p % num_processors``, arrived at tick
+        ``p`` and completed at tick ``p + completion_offset``.  The columns
+        are kept without copying; callers hand over lists they no longer
+        mutate.  ``summary`` carries the remaining constructor fields.
+        """
+        result = cls(**summary)
+        result._records = None
+        result._inputs, result._outputs, result._dropped = inputs, outputs, dropped
+        result._num_processors = num_processors
+        result._completion_offset = completion_offset
+        return result
+
+    def _build_records(self, packets: range) -> List[DrmtPacketRecord]:
+        """The records of ``packets``, built from the columns."""
+        num_processors, offset = self._num_processors, self._completion_offset
+        inputs, outputs, dropped = self._inputs, self._outputs, self._dropped
+        return [
+            DrmtPacketRecord(
+                packet_id=packet,
+                processor=packet % num_processors,
+                arrival_tick=packet,
+                completed_tick=packet + offset,
+                inputs=inputs[packet],
+                outputs=outputs[packet],
+                dropped=bool(dropped[packet]),
+            )
+            for packet in packets
+        ]
+
+    @property
+    def records(self) -> List[DrmtPacketRecord]:
+        """One record per packet, built from the columns on first access."""
+        if self._records is None:
+            self._records = self._build_records(range(len(self._outputs)))
+            self._inputs, self._outputs, self._dropped = (), (), ()
+        return self._records
+
+    @records.setter
+    def records(self, records: List[DrmtPacketRecord]) -> None:
+        self._records = records
+        self._inputs, self._outputs, self._dropped = (), (), ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DrmtSimulationResult):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in _RESULT_FIELDS)
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def packets_processed(self) -> int:
         """Packets that completed the program."""
-        return len(self.records)
+        if self._records is None:
+            return len(self._outputs)
+        return len(self._records)
 
     @property
     def packets_dropped(self) -> int:
         """Packets dropped by an action."""
-        return sum(1 for record in self.records if record.dropped)
+        if self._records is None:
+            return sum(map(bool, self._dropped))
+        return sum(1 for record in self._records if record.dropped)
 
     def throughput(self) -> float:
         """Completed packets per simulation tick."""
@@ -90,20 +190,25 @@ class DrmtSimulationResult:
 
     def describe(self, limit: int = 10) -> str:
         """Human-readable summary (CLI / example output)."""
+        total = self.packets_processed
         lines = [
-            f"dRMT simulation ({self.engine} engine): {self.packets_processed} packets "
+            f"dRMT simulation ({self.engine} engine): {total} packets "
             f"over {self.ticks} ticks ({self.throughput():.2f} packets/tick), "
             f"{self.packets_dropped} dropped",
             f"packets per processor: {dict(sorted(self.per_processor_packets.items()))}",
             f"table hits/misses:     {self.table_hits}",
         ]
-        for record in self.records[:limit]:
+        if self._records is None:
+            shown = self._build_records(range(total)[:limit])
+        else:
+            shown = self._records[:limit]
+        for record in shown:
             lines.append(
                 f"  packet {record.packet_id} (proc {record.processor}, latency {record.latency}): "
                 f"dropped={record.dropped}"
             )
-        if len(self.records) > limit:
-            lines.append(f"  ... ({len(self.records) - limit} more packets)")
+        if total > limit:
+            lines.append(f"  ... ({total - limit} more packets)")
         return "\n".join(lines)
 
 

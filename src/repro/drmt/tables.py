@@ -46,6 +46,26 @@ class MatchPattern:
         raise TableConfigError(f"unknown match kind {self.kind!r}")
 
     @property
+    def match_mask(self) -> int:
+        """The mask ``m`` for which :meth:`matches` is ``v & m == value & m``.
+
+        Exact compares every bit (``-1``); ternary uses its mask (all
+        ``width`` bits when none is given); a ``p``-bit LPM prefix clears the
+        low ``width - p`` bits with a negative mask, which equals the ``>>``
+        comparison for any integer, values wider than the field included.
+        """
+        if self.kind == "exact":
+            return -1
+        if self.kind == "ternary":
+            return self.mask if self.mask is not None else (1 << self.width) - 1
+        if self.kind == "lpm":
+            prefix = self.prefix_len if self.prefix_len is not None else self.width
+            if prefix == 0:
+                return 0
+            return -(1 << max(self.width - prefix, 0))
+        raise TableConfigError(f"unknown match kind {self.kind!r}")
+
+    @property
     def specificity(self) -> int:
         """Used to order LPM entries: longer prefixes win."""
         if self.kind == "lpm":
@@ -155,6 +175,32 @@ class MatchActionTable:
             ):
                 index[key] = entry
         return index
+
+    def masked_rows(self) -> List[tuple]:
+        """The first-match specialisation of a table of any match kinds.
+
+        One row per entry, ``(mask0, want0, mask1, want1, ..., entry)`` in
+        ``match_fields`` order, where ``want = value & mask`` (see
+        :attr:`MatchPattern.match_mask`): a packet matches a row when every
+        ``fields.get(field, 0) & mask == want``.  Rows are sorted by
+        ``(priority, specificity)``, descending and stable, so the first
+        matching row holds the entry :meth:`lookup` returns — ``max`` over
+        the candidates, earliest added on ties.  Rebuild after adding
+        entries; the generated fused loop builds the rows once per
+        ``run_trace`` call.
+        """
+        field_order = self.definition.match_fields()
+        rows = []
+        for entry in self.entries:
+            row: List[object] = []
+            for name in field_order:
+                pattern = entry.patterns[name]
+                mask = pattern.match_mask
+                row += (mask, pattern.value & mask)
+            row.append(entry)
+            rows.append(tuple(row))
+        rows.sort(key=lambda row: (row[-1].priority, row[-1].specificity), reverse=True)
+        return rows
 
 
 class TableStore:

@@ -7,26 +7,42 @@ bundle's generated ``run_trace`` loop (see :mod:`repro.drmt.fused`), which
 replays the tick interpreter's exact interleaving over the same shared table
 store and register file and is therefore faithful for *any* program.
 
+:func:`prepare_packets` copies the trace twice at C speed: once for the
+records' input column and once for the working dicts the loop mutates
+(int-coerced only when some value is not already an ``int``).
+
 :func:`assemble_result` builds the same :class:`DrmtSimulationResult` as the
-tick interpreter; arrival/completion ticks, processor assignment and
-operation counts follow from the round-robin injection discipline (packet
-``p`` enters at tick ``p`` on processor ``p % N`` and completes at tick
+tick interpreter, column-backed: it keeps the input dicts, the mutated
+working dicts and the dropped flags, and the records are built on first
+read.  Arrival/completion ticks, processor assignment and operation counts
+follow from the round-robin injection discipline (packet ``p`` enters at
+tick ``p`` on processor ``p % N`` and completes at tick
 ``p + makespan - 1``), so the records match the tick model field for field.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
-from ..drmt.simulator import DrmtPacketRecord, DrmtSimulationResult
+from ..drmt.simulator import DrmtSimulationResult
 
 
 def prepare_packets(
     packets: Sequence[Dict[str, int]]
 ) -> Tuple[List[Dict[str, int]], List[Dict[str, int]]]:
-    """Copy the input packets and build integer-coerced working dicts."""
-    inputs = [dict(packet) for packet in packets]
-    work = [{name: int(value) for name, value in packet.items()} for packet in inputs]
+    """Copy the input packets and build integer-coerced working dicts.
+
+    Both copies are the caller's own: the result never aliases the packet
+    dicts passed in.  When every field value is already an ``int`` (checked
+    at C speed over the flattened values), the working dicts are plain
+    copies; only mixed-type traces take the per-value ``int()`` pass.
+    """
+    inputs = list(map(dict, packets))
+    if set(map(type, chain.from_iterable(map(dict.values, inputs)))) <= {int}:
+        work = list(map(dict.copy, inputs))
+    else:
+        work = [{name: int(value) for name, value in packet.items()} for packet in inputs]
     return inputs, work
 
 
@@ -40,23 +56,11 @@ def assemble_result(
     register_dump_limit: int,
     engine: str,
 ) -> DrmtSimulationResult:
-    """Build the tick-compatible result record for a sequential dRMT run."""
+    """Build the tick-compatible, column-backed result of a sequential dRMT run."""
     total = len(inputs)
     makespan = bundle.schedule.makespan
     num_processors = bundle.hardware.num_processors
     completion_offset = makespan - 1 if makespan else 0
-    records = [
-        DrmtPacketRecord(
-            packet_id=packet,
-            processor=packet % num_processors,
-            arrival_tick=packet,
-            completed_tick=packet + completion_offset,
-            inputs=inputs[packet],
-            outputs=work[packet],
-            dropped=bool(dropped[packet]),
-        )
-        for packet in range(total)
-    ]
     per_processor_packets = {
         processor: len(range(processor, total, num_processors))
         for processor in range(num_processors)
@@ -65,8 +69,12 @@ def assemble_result(
     ticks = 0
     if total:
         ticks = total + completion_offset if makespan else total
-    return DrmtSimulationResult(
-        records=records,
+    return DrmtSimulationResult.from_columns(
+        inputs,
+        work,
+        dropped,
+        num_processors,
+        completion_offset,
         ticks=ticks,
         per_processor_packets=per_processor_packets,
         per_processor_operations={

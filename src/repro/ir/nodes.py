@@ -57,6 +57,11 @@ class Pass(IRStmt):
 
 
 @dataclass
+class Break(IRStmt):
+    """A ``break`` out of the innermost :class:`For` (the dRMT row scans)."""
+
+
+@dataclass
 class If(IRStmt):
     """An ``if``/``elif``/``else`` chain.
 

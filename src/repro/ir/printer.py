@@ -11,7 +11,19 @@ from __future__ import annotations
 
 from typing import List
 
-from .nodes import Assign, Comment, ExprStmt, For, FunctionDef, If, IRStmt, Module, Pass, Return
+from .nodes import (
+    Assign,
+    Break,
+    Comment,
+    ExprStmt,
+    For,
+    FunctionDef,
+    If,
+    IRStmt,
+    Module,
+    Pass,
+    Return,
+)
 
 _INDENT = "    "
 
@@ -29,6 +41,8 @@ def _emit_stmt(statement: IRStmt, indent: int, lines: List[str]) -> None:
         lines.append(f"{pad}{statement.expression}")
     elif isinstance(statement, Pass):
         lines.append(f"{pad}pass")
+    elif isinstance(statement, Break):
+        lines.append(f"{pad}break")
     elif isinstance(statement, If):
         for index, (condition, body) in enumerate(statement.branches):
             keyword = "if" if index == 0 else "elif"

@@ -1,5 +1,7 @@
 """Unit tests for the dgen optimisation passes (SCC propagation, folding, DCE, inlining)."""
 
+import ast
+
 import pytest
 
 from repro.alu_dsl import ALUInterpreter, parse_and_analyze
@@ -293,6 +295,25 @@ class TestPeephole:
         assert fold_source("int(bool(1) and bool(0))") == ("0", 0)
         source, value = fold_source("x + 0 * 5", {})
         assert value is None and "x" in source
+
+    @pytest.mark.parametrize(
+        "source",
+        ["1 // 0", "5 % 0", "1 << -1", f"{10 ** 400} / 1"],
+        ids=["floordiv-by-zero", "mod-by-zero", "negative-shift", "float-overflow"],
+    )
+    def test_failing_arithmetic_stays_unfolded(self, source):
+        from repro.dgen.optimize import fold_source
+
+        folded, value = fold_source(source)
+        assert value is None
+        assert folded == ast.unparse(ast.parse(source, mode="eval"))
+
+    def test_non_arithmetic_error_while_folding_propagates(self):
+        """Only arithmetic failures are swallowed; anything else is a folder bug."""
+        from repro.dgen.optimize import fold_source
+
+        with pytest.raises(TypeError):
+            fold_source("min()")
 
     def test_fold_source_substitutes_environment(self):
         from repro.dgen.optimize import fold_source

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.drmt import (
@@ -10,8 +12,10 @@ from repro.drmt import (
     PacketGenerator,
     generate_bundle,
 )
+from repro.drmt import MatchPattern, TableEntry
 from repro.drmt.fused import visit_orders
 from repro.p4 import samples
+from repro.traffic import choice_field
 
 SEEDS = (0, 7, 1234)
 
@@ -124,6 +128,14 @@ class TestFusedMatchesTick:
         assert fused.table_hits == tick.table_hits
         assert fused.register_dump == tick.register_dump
         assert fused.engine == "fused"
+
+    @pytest.mark.parametrize("program_name", sorted(PROGRAMS))
+    def test_generated_source_never_calls_lookup(self, program_name):
+        factory, _entries = PROGRAMS[program_name]
+        bundle = generate_bundle(factory(), DrmtHardwareParams(num_processors=4))
+        source = bundle.fused_program().source
+        assert ".lookup" not in source
+        assert ".masked_rows()" in source
 
     @pytest.mark.parametrize("num_processors", [1, 3])
     def test_processor_counts(self, num_processors):
@@ -401,6 +413,214 @@ class TestRegisterProgramsFusedMatchesTick:
         packets = generator.generate(120)
         del packets[7]["pkt.queue_depth"]
         _assert_fused_matches_tick(bundle, packets, samples.TELEMETRY_ENTRIES)
+
+
+#: An LPM table and a mixed exact+ternary table whose entries overlap and
+#: tie on priority and specificity (the earliest-added entry must win), plus
+#: a priority-1 entry that beats longer prefixes and a prefix past the field
+#: width.  The second table matches on the port the first one writes.
+OVERLAP_PROGRAM = """
+header_type pkt_t {
+    fields {
+        dst : 8;
+        proto : 8;
+        port : 8;
+        tag : 8;
+    }
+}
+
+header pkt_t pkt;
+
+register seen {
+    width : 32;
+    instance_count : 8;
+}
+
+action set_port(port) {
+    modify_field(pkt.port, port);
+}
+
+action set_tag(tag) {
+    modify_field(pkt.tag, tag);
+    register_read(pkt.proto, seen, tag);
+    add_to_field(pkt.proto, 1);
+    register_write(seen, tag, pkt.proto);
+}
+
+action mark() {
+    add_to_field(pkt.tag, 100);
+}
+
+table route {
+    reads {
+        pkt.dst : lpm;
+    }
+    actions { set_port; }
+    size : 16;
+}
+
+table classify {
+    reads {
+        pkt.port : exact;
+        pkt.proto : ternary;
+    }
+    actions { set_tag; mark; }
+    size : 16;
+    default_action : mark;
+}
+
+control ingress {
+    apply(route);
+    apply(classify);
+}
+"""
+
+
+def _overlap_entries():
+    def lpm(value, prefix):
+        return {"pkt.dst": MatchPattern("lpm", value, prefix_len=prefix, width=8)}
+
+    def classify(port, value, mask):
+        return {
+            "pkt.port": MatchPattern("exact", port, width=8),
+            "pkt.proto": MatchPattern("ternary", value, mask=mask, width=8),
+        }
+
+    return [
+        ("route", TableEntry(lpm(0x40, 2), "set_port", [1])),
+        ("route", TableEntry(lpm(0x40, 2), "set_port", [2])),  # tie: loses to port 1
+        ("route", TableEntry(lpm(0x44, 6), "set_port", [3])),
+        ("route", TableEntry(lpm(0x00, 0), "set_port", [4])),
+        ("route", TableEntry(lpm(0x45, 12), "set_port", [5])),  # prefix past the width
+        ("route", TableEntry(lpm(0x80, 1), "set_port", [6], priority=1)),
+        ("classify", TableEntry(classify(1, 0x10, 0xF0), "set_tag", [1])),
+        ("classify", TableEntry(classify(1, 0x01, 0x0F), "set_tag", [2])),  # tie at 0x11
+        ("classify", TableEntry(classify(4, 0x00, 0x00), "set_tag", [3])),
+        ("classify", TableEntry(classify(4, 0x06, 0xFF), "set_tag", [4])),
+        ("classify", TableEntry(classify(6, 0x00, 0x00), "mark", [], priority=1)),
+        ("classify", TableEntry(classify(6, 0x06, 0xFF), "set_tag", [5])),
+    ]
+
+
+class TestOverlappingTernaryAndLpmEntries:
+    @pytest.mark.parametrize("num_processors", [1, 2, 3])
+    def test_fused_matches_tick(self, num_processors):
+        bundle = generate_bundle(
+            OVERLAP_PROGRAM, DrmtHardwareParams(num_processors=num_processors)
+        )
+        assert ".lookup" not in bundle.fused_program().source
+        generator = PacketGenerator(
+            bundle.program,
+            seed=3,
+            field_overrides={
+                "pkt.dst": choice_field([0x40, 0x43, 0x44, 0x45, 0x47, 0x80, 0xC4, 0x10]),
+                "pkt.proto": choice_field([0x11, 0x10, 0x01, 0x06, 0x22]),
+            },
+        )
+        tick = _assert_fused_matches_tick(bundle, generator.generate(400), _overlap_entries())
+        # The winners the tick interpreter's lookup picks, tie-breaks included.
+        expected_port = {0x40: 1, 0x43: 1, 0x44: 3, 0x45: 5, 0x47: 3, 0x80: 6, 0xC4: 6, 0x10: 4}
+        tied_tags = set()
+        for record in tick.records:
+            assert record.outputs["pkt.port"] == expected_port[record.inputs["pkt.dst"]]
+            if record.outputs["pkt.port"] == 1 and record.inputs["pkt.proto"] == 0x11:
+                tied_tags.add(record.outputs["pkt.tag"])
+        assert tied_tags == {1}
+        assert tick.table_hits["route"] == (400, 0)
+        assert all(tick.table_hits["classify"])
+
+
+def _mixed_type_packets():
+    """Packets whose values are not all ints: the coercion path."""
+    bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams(num_processors=2))
+    packets = PacketGenerator(bundle.program, seed=11).generate(60)
+    for index, packet in enumerate(packets):
+        if index % 3 == 0:
+            packet["meta.acl_drop"] = bool(index % 2)
+            packet["ipv4.protocol"] = True if index % 6 == 0 else 17
+    return bundle, packets
+
+
+class TestInputIndependence:
+    """The caller's packet dicts and the result's input column never alias."""
+
+    @pytest.mark.parametrize("engine", ["tick", "fused"])
+    def test_caller_packets_not_mutated(self, engine):
+        bundle, packets = _mixed_type_packets()
+        before = copy.deepcopy(packets)
+        DRMTSimulator(
+            bundle, table_entries=samples.SIMPLE_ROUTER_ENTRIES, engine=engine
+        ).run_packets(packets)
+        assert packets == before
+        assert [list(map(type, packet.values())) for packet in packets] == [
+            list(map(type, packet.values())) for packet in before
+        ]
+
+    @pytest.mark.parametrize("engine", ["tick", "fused"])
+    def test_mutating_caller_packets_after_the_call(self, engine):
+        bundle, packets = _mixed_type_packets()
+        before = copy.deepcopy(packets)
+        result = DRMTSimulator(
+            bundle, table_entries=samples.SIMPLE_ROUTER_ENTRIES, engine=engine
+        ).run_packets(packets)
+        for packet in packets:
+            packet["ipv4.ttl"] = -1
+            packet["extra"] = 7
+        assert [record.inputs for record in result.records] == before
+
+    def test_mixed_type_trace_matches_tick(self):
+        bundle, packets = _mixed_type_packets()
+        _assert_fused_matches_tick(bundle, packets, samples.SIMPLE_ROUTER_ENTRIES)
+
+
+class TestColumnBackedResult:
+    def _fused(self, count=50):
+        bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams(num_processors=3))
+        # Half the packets route to port 2 and half of those are UDP: dropped.
+        packets = PacketGenerator(
+            bundle.program,
+            seed=4,
+            field_overrides={
+                "ipv4.dstAddr": choice_field([(192 << 24) + (168 << 16) + 5, 10 << 24]),
+                "ipv4.protocol": choice_field([17, 6]),
+            },
+        ).generate(count)
+        tick = DRMTSimulator(
+            bundle, table_entries=samples.SIMPLE_ROUTER_ENTRIES, engine="tick"
+        ).run_packets(packets)
+        fused = DRMTSimulator(
+            bundle, table_entries=samples.SIMPLE_ROUTER_ENTRIES, engine="fused"
+        ).run_packets(packets)
+        return tick, fused
+
+    def test_summaries_build_no_records(self):
+        tick, fused = self._fused()
+        assert fused.packets_processed == tick.packets_processed == 50
+        assert fused.packets_dropped == tick.packets_dropped > 0
+        assert fused.throughput() == tick.throughput()
+        assert fused._records is None
+        text = fused.describe(limit=4)
+        assert fused._records is None
+        assert text.replace("fused engine", "tick engine") == tick.describe(limit=4)
+        assert "... (46 more packets)" in text
+
+    def test_records_materialise_once_and_stay_authoritative(self):
+        tick, fused = self._fused()
+        records = fused.records
+        assert fused.records is records
+        assert records == tick.records
+        records.pop()
+        assert fused.packets_processed == 49
+        fused.records = tick.records
+        assert fused.packets_processed == 50
+        assert fused.packets_dropped == tick.packets_dropped
+
+    def test_results_compare_by_value(self):
+        tick, fused = self._fused()
+        assert fused != tick  # engine differs
+        fused.engine = "tick"
+        fused.per_processor_packets = tick.per_processor_packets
+        assert fused == tick
 
 
 class TestVisitOrders:

@@ -1,6 +1,7 @@
 """Unit tests for dRMT match+action tables and the table-entry configuration format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.drmt import (
     MatchPattern,
@@ -11,8 +12,10 @@ from repro.drmt import (
     parse_entry_line,
     populate_store,
 )
+from repro.drmt.tables import MatchActionTable
 from repro.errors import TableConfigError
 from repro.p4 import samples
+from repro.p4.program import Table, TableRead
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +138,127 @@ class TestTables:
     def test_unknown_table_rejected(self, router):
         with pytest.raises(TableConfigError):
             TableStore(router)["ghost"]
+
+
+def _first_matching_row(rows, field_names, fields):
+    """The entry of the first row whose every masked field matches (the fused probe)."""
+    for row in rows:
+        if all(
+            fields.get(name, 0) & row[2 * index] == row[2 * index + 1]
+            for index, name in enumerate(field_names)
+        ):
+            return row[-1]
+    return None
+
+
+@st.composite
+def _pattern(draw, kind, width):
+    # Values run below zero and past the field width on purpose.
+    value = draw(st.integers(min_value=-3, max_value=(1 << width) + 3), label="value")
+    if kind == "ternary":
+        mask = draw(st.one_of(st.none(), st.integers(min_value=-2, max_value=(1 << width) + 1)))
+        return MatchPattern(kind="ternary", value=value, mask=mask, width=width)
+    if kind == "lpm":
+        # Prefix 0 (match all), prefixes at and beyond the width, and None (full width).
+        prefix = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=width + 2)))
+        return MatchPattern(kind="lpm", value=value, prefix_len=prefix, width=width)
+    return MatchPattern(kind="exact", value=value, width=width)
+
+
+class TestMaskedRows:
+    """``masked_rows`` first-match probing vs the ``lookup`` scan oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_first_matching_row_is_lookup_winner(self, data):
+        kinds = data.draw(
+            st.lists(st.sampled_from(["exact", "ternary", "lpm"]), min_size=1, max_size=3),
+            label="kinds",
+        )
+        widths = [data.draw(st.sampled_from([3, 4, 8]), label="width") for _ in kinds]
+        field_names = [f"pkt.f{index}" for index in range(len(kinds))]
+        definition = Table(
+            name="t",
+            reads=[
+                TableRead(field=name, match_kind=kind) for name, kind in zip(field_names, kinds)
+            ],
+            actions=["act"],
+            size=256,
+        )
+        table = MatchActionTable(definition, program=None)
+        # Few priorities and a small value domain: priority and specificity
+        # ties between overlapping entries happen often.
+        for number in range(data.draw(st.integers(min_value=0, max_value=12), label="entries")):
+            table.add_entry(
+                TableEntry(
+                    patterns={
+                        name: data.draw(_pattern(kind, width))
+                        for name, kind, width in zip(field_names, kinds, widths)
+                    },
+                    action="act",
+                    action_args=[number],
+                    priority=data.draw(st.integers(min_value=0, max_value=2), label="priority"),
+                )
+            )
+        rows = table.masked_rows()
+        assert sorted(id(row[-1]) for row in rows) == sorted(map(id, table.entries))
+
+        packet_strategy = st.dictionaries(
+            st.sampled_from(field_names), st.integers(min_value=-20, max_value=300), max_size=3
+        )
+        hits = misses = 0
+        for packet in data.draw(st.lists(packet_strategy, max_size=20), label="packets"):
+            expected = table.lookup(packet)
+            assert _first_matching_row(rows, field_names, packet) is expected
+            if expected is None:
+                misses += 1
+            else:
+                hits += 1
+        assert (table.hit_count, table.miss_count) == (hits, misses)
+
+    def test_rows_are_ordered_by_priority_then_specificity(self):
+        definition = Table(
+            name="t", reads=[TableRead(field="pkt.f", match_kind="lpm")], actions=["act"], size=8
+        )
+        table = MatchActionTable(definition, program=None)
+        entries = [
+            TableEntry({"pkt.f": MatchPattern("lpm", 0, prefix_len=0, width=8)}, "act"),
+            TableEntry({"pkt.f": MatchPattern("lpm", 0x10, prefix_len=4, width=8)}, "act"),
+            TableEntry({"pkt.f": MatchPattern("lpm", 0x10, prefix_len=4, width=8)}, "act"),
+            TableEntry({"pkt.f": MatchPattern("lpm", 0, prefix_len=0, width=8)}, "act", priority=1),
+        ]
+        for entry in entries:
+            table.add_entry(entry)
+        rows = table.masked_rows()
+        # Identity, not equality: the two tied entries compare equal.
+        assert [id(row[-1]) for row in rows] == list(map(id, [entries[i] for i in (3, 1, 2, 0)]))
+        assert rows[1][:2] == (-(1 << 4), 0x10)
+        assert rows[0][:2] == (0, 0)
+
+    @pytest.mark.parametrize(
+        "pattern, mask",
+        [
+            (MatchPattern("exact", 5, width=8), -1),
+            (MatchPattern("ternary", 5, mask=0x0F, width=8), 0x0F),
+            (MatchPattern("ternary", 5, width=8), 0xFF),
+            (MatchPattern("lpm", 5, prefix_len=0, width=8), 0),
+            (MatchPattern("lpm", 5, prefix_len=3, width=8), -(1 << 5)),
+            (MatchPattern("lpm", 5, prefix_len=8, width=8), -1),
+            (MatchPattern("lpm", 5, prefix_len=12, width=8), -1),
+            (MatchPattern("lpm", 5, width=8), -1),
+        ],
+    )
+    def test_match_mask(self, pattern, mask):
+        assert pattern.match_mask == mask
+
+    def test_unknown_kind_rejected(self):
+        definition = Table(
+            name="t", reads=[TableRead(field="pkt.f", match_kind="ternary")], actions=["act"], size=8
+        )
+        table = MatchActionTable(definition, program=None)
+        table.add_entry(TableEntry({"pkt.f": MatchPattern("range", 1)}, "act"))
+        with pytest.raises(TableConfigError):
+            table.masked_rows()
 
 
 class TestEntryConfigFormat:

@@ -97,7 +97,7 @@ class TestOptimisationLevelsAgree:
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_pipeline_traces_identical_across_levels(self, data):
-        """Random machine code, random traffic: the three levels agree end to end."""
+        """Random machine code, random traffic: every level agrees end to end."""
         spec = PipelineSpec(
             depth=2,
             width=2,
@@ -123,7 +123,7 @@ class TestOptimisationLevelsAgree:
             results[level] = RMTSimulator(description).run(inputs)
 
         baseline = results[dgen.OPT_UNOPTIMIZED]
-        for level in (dgen.OPT_SCC, dgen.OPT_SCC_INLINE):
+        for level in (dgen.OPT_SCC, dgen.OPT_SCC_INLINE, dgen.OPT_FUSED):
             assert results[level].outputs == baseline.outputs
             assert results[level].final_state == baseline.final_state
 
