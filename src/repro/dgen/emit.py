@@ -79,18 +79,6 @@ class PipelineDescription:
         return function if callable(function) else None
 
     @property
-    def observed_function(self) -> Optional[Callable]:
-        """The fused loop variant with per-stage snapshot hooks, if emitted.
-
-        ``run_trace_observed(inputs, state, values, observer)`` behaves like
-        :attr:`fused_function` but calls ``observer(phv_index, stage, phv,
-        stage_state)`` after every (PHV, stage) execution; the debugger's
-        fused recorder consumes it.
-        """
-        function = self.namespace.get("RUN_TRACE_OBSERVED")
-        return function if callable(function) else None
-
-    @property
     def opt_level_name(self) -> str:
         """Human-readable optimisation level name."""
         return OPT_LEVEL_NAMES[self.opt_level]

@@ -49,8 +49,6 @@ from .optimize.peephole import peephole_block
 
 #: Name of the fused trace-loop entry point emitted at :data:`OPT_FUSED`.
 RUN_TRACE_FUNCTION_NAME = "run_trace"
-#: Name of the fused loop variant with per-stage snapshot hooks.
-RUN_TRACE_OBSERVED_FUNCTION_NAME = "run_trace_observed"
 
 
 def _contains_return(statement: ir.IRStmt) -> bool:
@@ -226,9 +224,6 @@ class PipelineGenerator:
         if self.opt_level == OPT_FUSED:
             self._generate_run_trace(module, stage_alu_codes)
             module.trailer.append(ir.Assign("RUN_TRACE", RUN_TRACE_FUNCTION_NAME))
-            module.trailer.append(
-                ir.Assign("RUN_TRACE_OBSERVED", RUN_TRACE_OBSERVED_FUNCTION_NAME)
-            )
         return module
 
     # ------------------------------------------------------------------
@@ -363,7 +358,7 @@ class PipelineGenerator:
         module: ir.Module,
         stage_alu_codes: List[Tuple[List[ALUCode], List[ALUCode]]],
     ) -> None:
-        """Emit the fused ``run_trace`` entry point (plus its observed twin).
+        """Emit the fused ``run_trace`` entry point.
 
         Every stage body is inlined into one loop over the input trace, so a
         PHV runs through the whole pipeline without any interpreter-side
@@ -373,41 +368,28 @@ class PipelineGenerator:
         written before it is read within its stage.  The assembled loop body
         runs through the constant-propagation/peephole pass, which folds the
         constant residue that ALU inlining leaves behind.
-
-        ``run_trace_observed`` is the same loop with a snapshot hook invoked
-        after every (PHV, stage) execution —
-        ``observer(phv_index, stage, phv, stage_state)`` — so the debugger's
-        recorder can watch exactly what the production fast path computes.
         """
         spec = self.spec
         hoists: Dict[str, str] = {}
-        stage_stmts: List[List[ir.IRStmt]] = []
+        loop_body: List[ir.IRStmt] = []
         for stage, (stateless_codes, stateful_codes) in enumerate(stage_alu_codes):
-            stage_stmts.append(
+            loop_body.append(ir.Comment(f"pipeline stage {stage}, inlined"))
+            loop_body.extend(
                 self._fused_stage_stmts(
                     stage, stateless_codes, stateful_codes, module, f"state_{stage}", hoists
                 )
             )
-
-        def prefix() -> List[ir.IRStmt]:
-            body: List[ir.IRStmt] = []
-            body.append(ir.Comment("hoist loop-invariant state vectors out of the trace loop"))
-            for stage in range(spec.depth):
-                body.append(ir.Assign(f"state_{stage}", f"state[{stage}]"))
-            for name, expression in hoists.items():
-                body.append(ir.Assign(name, expression))
-            body.append(ir.Assign("outputs", "[]"))
-            body.append(ir.Assign("_append", "outputs.append"))
-            return body
-
-        loop_body: List[ir.IRStmt] = []
-        for stage, stmts in enumerate(stage_stmts):
-            loop_body.append(ir.Comment(f"pipeline stage {stage}, inlined"))
-            loop_body.extend(stmts)
         loop_body.append(ir.ExprStmt("_append(phv)"))
         loop_body = peephole_block(loop_body)
 
-        body = prefix()
+        body: List[ir.IRStmt] = []
+        body.append(ir.Comment("hoist loop-invariant state vectors out of the trace loop"))
+        for stage in range(spec.depth):
+            body.append(ir.Assign(f"state_{stage}", f"state[{stage}]"))
+        for name, expression in hoists.items():
+            body.append(ir.Assign(name, expression))
+        body.append(ir.Assign("outputs", "[]"))
+        body.append(ir.Assign("_append", "outputs.append"))
         body.append(ir.For("phv", "inputs", loop_body))
         body.append(ir.Return("outputs"))
         module.functions.append(
@@ -420,33 +402,6 @@ class PipelineGenerator:
                     f"{spec.depth} stages sequentially.  Mutates ``state`` in place and "
                     "returns one output container list per input PHV.  Equivalent to the "
                     "tick-accurate model for this feedforward pipeline."
-                ),
-            )
-        )
-
-        observed_body: List[ir.IRStmt] = []
-        for stage, stmts in enumerate(stage_stmts):
-            observed_body.append(ir.Comment(f"pipeline stage {stage}, inlined"))
-            observed_body.extend(stmts)
-            observed_body.append(
-                ir.ExprStmt(f"observer(_phv_index, {stage}, phv, state_{stage})")
-            )
-        observed_body.append(ir.ExprStmt("_append(phv)"))
-        observed_body = peephole_block(observed_body)
-
-        body = prefix()
-        body.append(ir.For("_phv_index, phv", "enumerate(inputs)", observed_body))
-        body.append(ir.Return("outputs"))
-        module.functions.append(
-            ir.FunctionDef(
-                name=RUN_TRACE_OBSERVED_FUNCTION_NAME,
-                params=["inputs", "state", "values", "observer"],
-                body=body,
-                docstring=(
-                    "Fused trace loop with per-stage snapshot hooks: identical to "
-                    "``run_trace`` but calls ``observer(phv_index, stage, phv, "
-                    "stage_state)`` after every (PHV, stage) execution.  The hook "
-                    "receives live objects; copy them if you keep them."
                 ),
             )
         )

@@ -20,13 +20,12 @@ same driver ladder:
   generic below opt level 3), in process or across a worker pool, and
   merges the results under a state-conflict check.
 
-:func:`repro.engine.base.resolve_engine` is the one selection rule every
-facade calls (``auto`` prefers sharded when the RMT facade is configured
+:func:`repro.engine.base.resolve_engine` is the one selection rule both
+facades call (``auto`` prefers sharded when the RMT facade is configured
 for it and the trace is large, then fused, then generic where it exists,
-then tick; ``tick_accurate=True`` always forces the tick driver), and every
-simulator facade — :class:`repro.dsim.RMTSimulator`,
-:class:`repro.drmt.DRMTSimulator` and
-:class:`repro.engine.rtc.RunToCompletionSimulator` — satisfies the
+then tick; ``tick_accurate=True`` always forces the tick driver).  Both
+facades — :class:`repro.dsim.RMTSimulator` and
+:class:`repro.drmt.DRMTSimulator` — satisfy the
 :class:`~repro.engine.base.ExecutionEngine` protocol: a common
 ``run(inputs, tick_accurate=False)`` contract returning a simulation result
 that names the driver that produced it.
@@ -47,7 +46,6 @@ from .base import (
 )
 from .result import SimulationResult, sequential_result
 from .rmt import push_phv, run_stage_loop, stage_pairs
-from .rtc import RunToCompletionSimulator
 from .sharded import (
     ShardedRmtDriver,
     ShardPlan,
@@ -74,7 +72,6 @@ __all__ = [
     "stage_pairs",
     "push_phv",
     "run_stage_loop",
-    "RunToCompletionSimulator",
     "ShardPlan",
     "ShardStateConflictError",
     "ShardedRmtDriver",

@@ -1,10 +1,10 @@
 """The unified simulation result shared by every RMT-side driver.
 
-Every driver of a compiled pipeline description — tick, generic and fused,
-whether dispatched by :class:`repro.dsim.RMTSimulator` or by the dRMT-style
-:class:`repro.engine.rtc.RunToCompletionSimulator` — returns the same
-:class:`SimulationResult`, so downstream consumers (equivalence checking,
-fuzzing, benchmarks, the CLI) never care which driver ran.
+Every driver of a compiled pipeline description that
+:class:`repro.dsim.RMTSimulator` dispatches — tick, generic, fused and
+sharded — returns the same :class:`SimulationResult`, so downstream
+consumers (equivalence checking, fuzzing, benchmarks, the CLI) never care
+which driver ran.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class SimulationResult:
     ticks:
         Number of simulation ticks executed (inputs + pipeline drain).
     engine:
-        Name of the driver that produced this result (``tick``, ``generic``
-        or ``fused``, optionally qualified by the simulator facade).
+        Name of the driver that produced this result (``tick``, ``generic``,
+        ``fused``, or ``sharded[generic]``/``sharded[fused]`` for a sharded run).
     """
 
     input_trace: List[List[int]]

@@ -102,11 +102,15 @@ def run_tick(
     runtime_values: Optional[Dict[str, int]],
     initial_state: Optional[List[List[List[int]]]],
 ) -> SimulationResult:
-    """Tick-accurate driver: the paper's §3.3 per-tick pipeline model."""
+    """Tick-accurate driver: the paper's §3.3 per-tick pipeline model.
+
+    The input trace is coerced by :func:`prepare_inputs`, as under the
+    sequential drivers, so every driver reports the same ``input_trace``.
+    """
+    inputs = prepare_inputs(description, phv_values)
     pipeline = Pipeline(
         description, runtime_values=runtime_values, initial_state=initial_state
     )
-    inputs = [list(values) for values in phv_values]
     exited: List[PHV] = pipeline.process(inputs)
     if len(exited) != len(inputs):
         raise SimulationError(
@@ -130,8 +134,9 @@ def prepare_inputs(
     """Coerce the input trace to integer lists in one pass and check widths.
 
     The result is both the loop input and the result's ``input_trace``: no
-    sequential driver mutates its input lists (each stage rebinds ``phv`` to
-    a fresh list), so one copy serves both.
+    driver mutates its input lists (each stage rebinds ``phv`` to a fresh
+    list, and the tick model copies each PHV into a :class:`PHV`), so one
+    copy serves both.
     """
     work = [list(map(int, values)) for values in phv_values]
     validate_widths(work, description.spec.width)
@@ -159,17 +164,9 @@ def run_fused(
     phv_values: Sequence[Sequence[int]],
     runtime_values: Optional[Dict[str, int]],
     initial_state: Optional[List[List[List[int]]]],
-    observer: Optional[Callable] = None,
 ) -> SimulationResult:
-    """Fused driver: the generated ``run_trace`` loop (opt level 3).
-
-    With ``observer`` set, the observed variant of the loop is used instead:
-    after every (PHV, stage) execution it calls
-    ``observer(phv_index, stage, phv, stage_state)`` with the live output
-    containers and the stage's state vectors (snapshot them if you keep
-    them), which is what the debugger's fused recorder consumes.
-    """
-    fused = description.fused_function if observer is None else description.observed_function
+    """Fused driver: the generated ``run_trace`` loop (opt level 3)."""
+    fused = description.fused_function
     if fused is None:
         raise SimulationError(
             "description carries no fused run_trace entry point "
@@ -178,10 +175,7 @@ def run_fused(
     work = prepare_inputs(description, phv_values)
     state = initial_state if initial_state is not None else description.initial_state()
     values = runtime_values if runtime_values is not None else description.runtime_values()
-    if observer is None:
-        outputs = fused(work, state, values)
-    else:
-        outputs = fused(work, state, values, observer)
+    outputs = fused(work, state, values)
     return sequential_result(
         work, outputs, state, description.spec.depth, ENGINE_FUSED
     )

@@ -176,107 +176,72 @@ class TestRecordingLevel0:
         assert recording.phv_output(1) == [1]  # old packet count after one packet
 
 
-class TestFusedRecording:
-    """Recording what the production (opt level 3) fast path actually runs."""
+class TestRecordingLevel3:
+    """The tick recorder on the description the production fast path runs."""
 
     @pytest.fixture(scope="class")
-    def fused_and_tick(self):
-        from repro.debugger import record_fused_execution
+    def level3_recording(self):
+        from repro.dsim import RMTSimulator
 
         program = get_program("flowlets")
         description = dgen.generate(
-            program.pipeline_spec(), program.machine_code(), opt_level=3
+            program.pipeline_spec(), program.machine_code(), opt_level=dgen.OPT_FUSED
         )
         inputs = program.traffic_generator(seed=11).generate(30)
-        fused = record_fused_execution(
+        recording = record_execution(
             description, inputs, initial_state=program.initial_pipeline_state()
         )
-        tick = record_execution(
-            description, inputs, initial_state=program.initial_pipeline_state()
-        )
-        return fused, tick, description
+        fused = RMTSimulator(
+            description, initial_state=program.initial_pipeline_state(), engine="fused"
+        ).run(inputs)
+        return recording, fused, description
 
-    def test_one_snapshot_per_phv_stage(self, fused_and_tick):
-        fused, _tick, description = fused_and_tick
-        assert len(fused.snapshots) == len(fused.inputs) * description.spec.depth
+    def test_one_occupancy_per_phv_stage(self, level3_recording):
+        recording, _fused, description = level3_recording
+        occupied = [
+            occupancy
+            for snapshot in recording.snapshots
+            for occupancy in snapshot.stages
+            if occupancy.phv_id is not None
+        ]
+        assert len(occupied) == len(recording.inputs) * description.spec.depth
 
-    def test_snapshots_match_tick_recorder(self, fused_and_tick):
-        """(PHV p, stage s) in the fused loop == tick model at tick p + s."""
-        fused, tick, _description = fused_and_tick
-        for snapshot in fused.snapshots:
-            tick_index = snapshot.phv_id + snapshot.stage
-            tick_snapshot = tick.snapshot(tick_index)
-            occupancy = tick_snapshot.stage(snapshot.stage)
-            assert occupancy.phv_id == snapshot.phv_id
-            assert occupancy.write == snapshot.phv
-            assert tick_snapshot.state[snapshot.stage] == snapshot.state
+    def test_phv_p_is_in_stage_s_at_tick_p_plus_s(self, level3_recording):
+        recording, _fused, description = level3_recording
+        for phv_id in range(len(recording.inputs)):
+            for stage in range(description.spec.depth):
+                occupancy = recording.snapshot(phv_id + stage).stage(stage)
+                assert occupancy.phv_id == phv_id
 
-    def test_outputs_and_final_state_recorded(self, fused_and_tick):
-        fused, tick, _description = fused_and_tick
-        for phv_id in range(len(fused.inputs)):
-            assert fused.phv_output(phv_id) == tick.phv_output(phv_id)
-        assert fused.final_state is not None
+    def test_outputs_and_final_state_match_fused_run(self, level3_recording):
+        recording, fused, _description = level3_recording
+        for phv_id, expected in enumerate(fused.outputs):
+            assert tuple(recording.phv_output(phv_id)) == expected
+        final = recording.snapshot(recording.num_ticks - 1).state
+        assert [[list(alu) for alu in stage] for stage in final] == fused.final_state
+        assert recording.num_ticks == fused.ticks
 
-    def test_journey_and_state_series_queries(self, fused_and_tick):
-        fused, _tick, description = fused_and_tick
-        journey = fused.phv_journey(4)
-        assert [snapshot.stage for snapshot in journey] == list(
+    def test_journey_and_state_series_queries(self, level3_recording):
+        recording, _fused, description = level3_recording
+        journey = recording.phv_journey(4)
+        assert [occupancy.stage for occupancy in journey] == list(
             range(description.spec.depth)
         )
-        series = fused.state_series(0, 0, 0)
-        assert len(series) == len(fused.inputs)
+        series = recording.state_series(0, 0, 0)
+        assert len(series) == len(recording.inputs) + description.spec.depth
 
-    def test_unknown_phv_rejected(self, fused_and_tick):
-        fused, _tick, _description = fused_and_tick
+    def test_unknown_phv_rejected(self, level3_recording):
+        recording, _fused, _description = level3_recording
         with pytest.raises(SimulationError):
-            fused.phv_output(10_000)
+            recording.phv_output(10_000)
 
-    def test_requires_opt_level_3(self):
-        from repro.debugger import record_fused_execution
-
-        program = get_program("sampling")
-        description = dgen.generate(
-            program.pipeline_spec(), program.machine_code(), opt_level=2
-        )
-        with pytest.raises(SimulationError):
-            record_fused_execution(description, [[0]])
-
-    def test_observed_and_fast_loops_agree(self):
-        """The observed twin of run_trace computes identical results."""
-        from repro.dsim import RMTSimulator
-        from repro.engine.rmt import run_fused
-
-        program = get_program("rcp")
-        description = dgen.generate(
-            program.pipeline_spec(), program.machine_code(), opt_level=3
-        )
-        inputs = program.traffic_generator(seed=2).generate(50)
-        fast = RMTSimulator(
-            description, initial_state=program.initial_pipeline_state()
-        ).run(inputs)
-        observed = run_fused(
-            description,
-            inputs,
-            None,
-            program.initial_pipeline_state(),
-            observer=lambda *args: None,
-        )
-        assert observed.outputs == fast.outputs
-        assert observed.final_state == fast.final_state
-
-    def test_fused_recording_does_not_mutate_caller_initial_state(self):
-        from repro.debugger import record_fused_execution
-
+    def test_recording_does_not_mutate_caller_initial_state(self, level3_recording):
+        _recording, _fused, description = level3_recording
         program = get_program("flowlets")
-        description = dgen.generate(
-            program.pipeline_spec(), program.machine_code(), opt_level=3
-        )
         initial = program.initial_pipeline_state()
         snapshot = [[list(alu) for alu in stage] for stage in initial]
         inputs = program.traffic_generator(seed=1).generate(20)
-        first = record_fused_execution(description, inputs, initial_state=initial)
-        first_final = [[list(alu) for alu in stage] for stage in first.final_state]
-        second = record_fused_execution(description, inputs, initial_state=initial)
+        first = record_execution(description, inputs, initial_state=initial)
+        second = record_execution(description, inputs, initial_state=initial)
         assert initial == snapshot
-        assert first.final_state == first_final
-        assert second.final_state == first.final_state
+        assert first.snapshots[-1].state == second.snapshots[-1].state

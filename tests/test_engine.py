@@ -1,13 +1,10 @@
-"""The unified execution-engine layer: selection rules and cross-architecture
-equivalence.
+"""The unified execution-engine layer: selection rules and driver equivalence.
 
 The tentpole guarantee of the engine layer is that one compiled program
-produces bit-for-bit identical results under every driver of *both*
-architectures: the RMT pipeline (tick, generic, fused) and the dRMT-style
-run-to-completion model (tick, generic, fused) touch every stage's state in
-packet arrival order, so outputs and final state cannot differ.  The big
-parametrised test below pins that down for all 12 Table-1 programs over 3
-seeds.
+produces bit-for-bit identical results under every RMT driver: the tick,
+generic and fused drivers touch every stage's state in packet arrival
+order, so outputs and final state cannot differ.  The big parametrised test
+below pins that down for all 12 Table-1 programs over 3 seeds.
 """
 
 from __future__ import annotations
@@ -16,12 +13,7 @@ import pytest
 
 from repro import dgen
 from repro.dsim import RMTSimulator
-from repro.engine import (
-    ENGINE_CHOICES,
-    ExecutionEngine,
-    RunToCompletionSimulator,
-    resolve_engine,
-)
+from repro.engine import ENGINE_CHOICES, ExecutionEngine, resolve_engine
 from repro.errors import SimulationError
 from repro.programs import TABLE1_ORDER, get_program
 
@@ -46,7 +38,7 @@ class TestCrossArchitectureEquivalence:
     @pytest.mark.parametrize("program_name", TABLE1_ORDER)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_all_engines_agree(self, descriptions, program_name, seed):
-        """12 programs x 3 seeds: six drivers across two architectures agree."""
+        """12 programs x 3 seeds: the RMT tick, generic and fused drivers agree."""
         program, description = descriptions[program_name]
         inputs = program.traffic_generator(seed=seed).generate(PHVS)
 
@@ -54,12 +46,6 @@ class TestCrossArchitectureEquivalence:
         for engine in ("tick", "generic", "fused"):
             results[f"rmt-{engine}"] = RMTSimulator(
                 description,
-                initial_state=program.initial_pipeline_state(),
-                engine=engine,
-            ).run(inputs)
-            results[f"rtc-{engine}"] = RunToCompletionSimulator(
-                description,
-                num_processors=3,
                 initial_state=program.initial_pipeline_state(),
                 engine=engine,
             ).run(inputs)
@@ -86,9 +72,6 @@ class TestCrossArchitectureEquivalence:
             RMTSimulator(description, initial_state=state).run(inputs, tick_accurate=True).engine
             == "tick"
         )
-        rtc = RunToCompletionSimulator(description, initial_state=state)
-        assert rtc.run(inputs).engine == "rtc-fused"
-        assert rtc.run(inputs, tick_accurate=True).engine == "rtc-tick"
 
 
 class TestSelectionRules:
@@ -136,11 +119,33 @@ class TestSelectionRules:
                 assert result.outputs == outputs, f"level {level} diverged"
 
 
+class TestDriverTickCounts:
+    """Every RMT driver reports the tick model's latency, not its own."""
+
+    @pytest.mark.parametrize("engine", ("tick", "generic", "fused"))
+    def test_empty_trace(self, descriptions, engine):
+        _program, description = descriptions["sampling"]
+        result = RMTSimulator(description, engine=engine).run([])
+        assert result.ticks == 0
+        assert len(result.output_trace) == 0
+        assert result.engine == engine
+
+    @pytest.mark.parametrize("engine", ("tick", "generic", "fused"))
+    def test_tick_count_is_inputs_plus_drain(self, descriptions, engine):
+        program, description = descriptions["snap_heavy_hitter"]
+        inputs = program.traffic_generator(seed=2).generate(25)
+        result = RMTSimulator(
+            description, initial_state=program.initial_pipeline_state(), engine=engine
+        ).run(inputs)
+        # The last PHV enters at tick 24 and leaves the pipeline after its
+        # final stage, ``depth`` ticks later.
+        assert result.ticks == 25 + description.spec.depth
+
+
 class TestProtocolConformance:
     def test_simulators_satisfy_execution_engine_protocol(self, descriptions):
         program, description = descriptions["sampling"]
         assert isinstance(RMTSimulator(description), ExecutionEngine)
-        assert isinstance(RunToCompletionSimulator(description), ExecutionEngine)
 
         from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
         from repro.p4 import samples
@@ -149,40 +154,36 @@ class TestProtocolConformance:
         assert isinstance(DRMTSimulator(bundle), ExecutionEngine)
 
 
-class TestRunToCompletionSimulator:
-    def test_round_robin_assignment(self, descriptions):
+class TestTestOnlySurfacesAreGone:
+    """The RMT observed twin and the run-to-completion facade stay deleted."""
+
+    def test_level3_module_has_one_trace_loop(self, descriptions):
         _program, description = descriptions["sampling"]
-        simulator = RunToCompletionSimulator(description, num_processors=4)
-        assert [simulator.processor_of(index) for index in range(6)] == [0, 1, 2, 3, 0, 1]
+        assert callable(description.namespace["RUN_TRACE"])
+        assert "RUN_TRACE_OBSERVED" not in description.namespace
+        assert "run_trace_observed" not in description.source
+        assert description.source.count("def run_trace(") == 1
 
-    def test_needs_at_least_one_processor(self, descriptions):
-        _program, description = descriptions["sampling"]
-        with pytest.raises(SimulationError):
-            RunToCompletionSimulator(description, num_processors=0)
+    def test_run_fused_takes_no_observer(self, descriptions):
+        from repro.engine import rmt
 
-    def test_empty_trace(self, descriptions):
-        _program, description = descriptions["sampling"]
-        result = RunToCompletionSimulator(description).run([])
-        assert result.ticks == 0
-        assert len(result.output_trace) == 0
+        program, description = descriptions["sampling"]
+        with pytest.raises(TypeError, match="observer"):
+            rmt.run_fused(
+                description,
+                [[0] * program.width],
+                None,
+                None,
+                observer=lambda *args: None,
+            )
 
-    def test_tick_count_reflects_run_to_completion_latency(self, descriptions):
-        program, description = descriptions["snap_heavy_hitter"]
-        inputs = program.traffic_generator(seed=2).generate(25)
-        result = RunToCompletionSimulator(
-            description, initial_state=program.initial_pipeline_state()
-        ).run(inputs, tick_accurate=True)
-        # Last packet enters at tick 24 and finishes its final stage
-        # depth-1 ticks later (one earlier than the pipeline's exit tick).
-        assert result.ticks == 25 + description.spec.depth - 1
+    def test_facade_and_recorder_exports_are_gone(self):
+        import repro.debugger
+        import repro.engine
 
-    def test_does_not_mutate_caller_initial_state(self, descriptions):
-        program, description = descriptions["flowlets"]
-        initial = program.initial_pipeline_state()
-        snapshot = [[list(alu) for alu in stage] for stage in initial]
-        inputs = program.traffic_generator(seed=9).generate(30)
-        for engine in ("tick", "generic", "fused"):
-            RunToCompletionSimulator(
-                description, initial_state=initial, engine=engine
-            ).run(inputs)
-            assert initial == snapshot, engine
+        assert not hasattr(repro.engine, "RunToCompletionSimulator")
+        assert "RunToCompletionSimulator" not in repro.engine.__all__
+        assert not hasattr(repro.debugger, "record_fused_execution")
+        assert "record_fused_execution" not in repro.debugger.__all__
+        with pytest.raises(ImportError):
+            __import__("repro.engine.rtc")

@@ -90,7 +90,8 @@ class TestFusedEquivalence:
         with pytest.raises(SimulationError):
             RMTSimulator(description).run([[0] * (width + 1)])
 
-    def test_fused_does_not_mutate_caller_initial_state(self):
+    @pytest.mark.parametrize("engine", ["tick", "generic", "fused"])
+    def test_fused_does_not_mutate_caller_initial_state(self, engine):
         program = get_program("flowlets")
         initial = program.initial_pipeline_state()
         snapshot = [[list(alu) for alu in stage] for stage in initial]
@@ -98,8 +99,8 @@ class TestFusedEquivalence:
             program.pipeline_spec(), program.machine_code(), opt_level=dgen.OPT_FUSED
         )
         inputs = program.traffic_generator(seed=3).generate(50)
-        RMTSimulator(description, initial_state=initial).run(inputs)
-        assert initial == snapshot
+        RMTSimulator(description, initial_state=initial, engine=engine).run(inputs)
+        assert initial == snapshot, engine
 
     def test_lower_levels_have_no_fused_function(self):
         program = get_program("sampling")

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import dgen
 from repro.dsim import RMTSimulator
-from repro.engine import ENGINE_SHARDED
+from repro.engine import ENGINE_SHARDED, resolve_engine
 from repro.engine.sharded import (
     ShardPlan,
     ShardStateConflictError,
@@ -726,11 +726,8 @@ class TestShardedSelection:
         assert "carries no fused run_trace entry point" in message
         assert "available drivers for this pipeline description: tick, generic" in message
 
-        from repro.engine import RunToCompletionSimulator
-
-        fused_description = compiled(program)
         with pytest.raises(SimulationError) as excinfo:
-            RunToCompletionSimulator(fused_description, engine="sharded").run([[0, 0, 0, 0]])
+            resolve_engine("sharded", fused_available=True, context="pipeline description")
         message = str(excinfo.value)
         assert "has no sharding configuration" in message
         assert "available drivers" in message

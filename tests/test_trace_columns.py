@@ -6,9 +6,9 @@ keeps the input and output columns and builds :class:`TraceRecord` objects
 only when ``records`` is read.  Two invariants make that sound and are
 pinned here:
 
-* no sequential driver mutates the PHV lists it loops over (generic stage
-  loop, fused ``run_trace``, run-to-completion tick driver), for every
-  Table-1 program at every opt level that has the driver;
+* no driver mutates the PHV lists it loops over (generic stage loop, fused
+  ``run_trace``, the tick driver), for every Table-1 program at every opt
+  level that has the driver;
 * a column-backed trace is indistinguishable from a record-built one: the
   same records as the tick model's, record edits visible through every
   accessor, the same width errors and the same integer coercion.
@@ -21,7 +21,6 @@ import pytest
 from repro import dgen
 from repro.dsim import RMTSimulator
 from repro.dsim import trace as trace_module
-from repro.engine import RunToCompletionSimulator
 from repro.engine.rmt import run_stage_loop
 from repro.errors import SimulationError
 from repro.programs import TABLE1_ORDER, get_program
@@ -45,13 +44,11 @@ def descriptions():
 
 
 def sequential_simulator(description, engine):
-    """A simulator whose run goes through ``prepare_inputs``/``sequential_result``.
+    """A simulator whose run goes through ``prepare_inputs``.
 
     ``sharded`` runs one shard: the passthrough pipeline writes state, which
     a block-partitioned multi-shard run correctly refuses.
     """
-    if engine == "rtc-tick":
-        return RunToCompletionSimulator(description, engine="tick")
     if engine == "sharded":
         return RMTSimulator(description, engine=engine, shards=1)
     return RMTSimulator(description, engine=engine)
@@ -73,10 +70,11 @@ class TestDriversDoNotMutateInputs:
             assert work == expected, "fused run_trace"
 
         # The tick driver loops over the list it returns as ``input_trace``.
-        result = RunToCompletionSimulator(
+        result = RMTSimulator(
             description, initial_state=program.initial_pipeline_state(), engine="tick"
         ).run(work)
-        assert result.input_trace == expected, "run-to-completion tick driver"
+        assert work == expected, "tick driver"
+        assert result.input_trace == expected, "tick driver"
         assert result.output_trace.inputs() == [tuple(phv) for phv in expected]
 
 
@@ -140,7 +138,7 @@ class TestColumnBackedTrace:
         assert report.equivalent
         assert len(result.output_trace) == PHVS
 
-    @pytest.mark.parametrize("engine", ["generic", "fused", "sharded", "rtc-tick"])
+    @pytest.mark.parametrize("engine", ["tick", "generic", "fused", "sharded"])
     def test_width_error_names_first_bad_phv(self, passthrough_descriptions, engine):
         description = passthrough_descriptions[dgen.OPT_FUSED]
         inputs = [[1, 2], [3, 4], [5], [6, 7, 8]]
@@ -148,7 +146,7 @@ class TestColumnBackedTrace:
         with pytest.raises(SimulationError, match=r"^PHV 2 has 1 containers, pipeline width is 2$"):
             simulator.run(inputs)
 
-    @pytest.mark.parametrize("engine", ["generic", "fused", "sharded", "rtc-tick"])
+    @pytest.mark.parametrize("engine", ["tick", "generic", "fused", "sharded"])
     def test_bool_and_str_values_are_coerced_to_int(self, passthrough_descriptions, engine):
         description = passthrough_descriptions[dgen.OPT_FUSED]
         inputs = [[True, "7"], [False, "-3"]]
