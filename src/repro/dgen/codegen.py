@@ -13,9 +13,14 @@ levels of the paper (Figure 6):
   generation time, so each helper collapses to a single ``return`` of the
   behaviour its opcode selects, the opcode parameters disappear, and ``if``
   statements in the ALU body whose conditions fold to constants are pruned.
+  The generated code depends only on the ALU's kind and its own hole
+  values (:meth:`ALUFunctionGenerator.dedup_key`), so the pipeline builder
+  emits one function and one set of helpers per distinct specialisation and
+  lets every slot that shares it call it.
 * **level 2** (version 3, SCC propagation + function inlining): the helper
   functions disappear entirely; their specialised bodies are inlined into the
-  ALU function, which typically collapses to a handful of assignments.
+  ALU function, which typically collapses to a handful of assignments.  Slots
+  share ALU functions as at level 1.
 * **level 3** (fused pipeline): ALU-level code is identical to level 2, but
   the pipeline builder additionally emits a generated ``run_trace`` function
   that loops over the whole input trace inline — one more rung on the paper's
@@ -26,7 +31,7 @@ levels of the paper (Figure 6):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..alu_dsl import semantics
 from ..alu_dsl.ast_nodes import (
@@ -47,7 +52,7 @@ from ..alu_dsl.ast_nodes import (
     UnaryOp,
     Var,
 )
-from ..errors import CodegenError
+from ..errors import CodegenError, MissingMachineCodeError
 from ..ir import nodes as ir
 from ..machine_code import naming
 from .optimize.constant_propagation import (
@@ -100,6 +105,9 @@ class ALUCode:
     ``helpers`` are the per-primitive-site helper functions (empty at the
     inlined level) and ``function`` is the ALU function itself.  ``call``
     renders a call to the ALU function given operand source fragments.
+    ``stage`` and ``slot`` are those of the instance it was generated for;
+    the pipeline builder lets other slots with the same
+    :meth:`ALUFunctionGenerator.dedup_key` call it too.
     """
 
     stage: int
@@ -153,19 +161,45 @@ class ALUFunctionGenerator:
         self.opt_level = opt_level
         self._machine_code = machine_code
         self._helpers: Dict[str, ir.FunctionDef] = {}
+        #: Every hole of this ALU is named ``self._hole_prefix + hole``.
+        self._hole_prefix = naming.alu_hole_prefix(stage, kind, slot)
         self._local_holes: Optional[Dict[str, int]] = None
         if machine_code is not None:
             self._local_holes = {}
             for hole in spec.holes:
-                full = naming.alu_hole_name(stage, kind, slot, hole)
+                full = self._hole_prefix + hole
                 if full in machine_code:
                     self._local_holes[hole] = int(machine_code[full])
+
+    def dedup_key(self) -> Tuple:
+        """Generators of one spec and opt level with equal keys emit the same code.
+
+        The code differs only in its function names.  Above level 0 it depends
+        on the kind and this ALU's own hole values alone, so slots that share
+        them can share one function.  Level 0 reads its holes at run time by
+        stage and slot, so its key is the slot itself.
+        """
+        if self.opt_level == OPT_UNOPTIMIZED:
+            return (self.kind, self.stage, self.slot)
+        return (self.kind, tuple((self._local_holes or {}).items()))
 
     # ------------------------------------------------------------------
     # Public entry point
     # ------------------------------------------------------------------
     def generate(self) -> ALUCode:
-        """Generate this ALU instance's helpers and function."""
+        """Generate this ALU instance's helpers and function.
+
+        A hole missing from the machine code raises
+        :class:`MissingMachineCodeError` with the hole's full pair name.
+        """
+        try:
+            return self._generate()
+        except MissingMachineCodeError as error:
+            if error.name in self.spec.holes:
+                raise MissingMachineCodeError(self._hole_prefix + error.name) from None
+            raise
+
+    def _generate(self) -> ALUCode:
         code = ALUCode(
             stage=self.stage,
             kind=self.kind,
@@ -271,9 +305,8 @@ class ALUFunctionGenerator:
         if name in self.spec.state_vars:
             return f"state[{self.spec.state_vars.index(name)}]"
         if name in self.spec.hole_vars:
-            full = naming.alu_hole_name(self.stage, self.kind, self.slot, name)
             if self.opt_level == OPT_UNOPTIMIZED:
-                return f'values["{full}"]'
+                return f'values["{self._hole_prefix}{name}"]'
             return str(self._require_hole(name))
         return name  # local variable
 
@@ -291,8 +324,7 @@ class ALUFunctionGenerator:
 
         if self.opt_level == OPT_UNOPTIMIZED:
             helper = self._register_generic_helper(expr, hole, len(operand_codes))
-            full = naming.alu_hole_name(self.stage, self.kind, self.slot, hole)
-            args = operand_codes + [f'values["{full}"]']
+            args = operand_codes + [f'values["{self._hole_prefix}{hole}"]']
             return f"{helper}({', '.join(args)})"
 
         template, _arity = specialize_primitive_template(expr, self._local_holes or {})
@@ -321,9 +353,7 @@ class ALUFunctionGenerator:
     def _require_hole(self, hole: str) -> int:
         assert self._local_holes is not None
         if hole not in self._local_holes:
-            from ..errors import MissingMachineCodeError
-
-            raise MissingMachineCodeError(naming.alu_hole_name(self.stage, self.kind, self.slot, hole))
+            raise MissingMachineCodeError(self._hole_prefix + hole)
         return self._local_holes[hole]
 
     # ------------------------------------------------------------------

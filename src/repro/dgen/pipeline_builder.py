@@ -3,9 +3,15 @@
 The :class:`PipelineGenerator` takes the three dgen inputs — the pipeline
 depth/width, the ALU DSL specifications and (for the optimised levels) the
 machine code — and produces a complete pipeline description: a Python module
-that defines one function per ALU, the multiplexer helper functions, one
-``stage_k`` function per pipeline stage and a ``STAGE_FUNCTIONS`` list that
-the simulator iterates over.
+that defines one function per distinct ALU specialisation, the multiplexer
+helper functions, one ``stage_k`` function per pipeline stage and a
+``STAGE_FUNCTIONS`` list that the simulator iterates over.
+
+At levels 1-3 an ALU's code depends only on its kind and its own hole
+values, so slots that agree on both call one shared function, named after
+the first of them (``stage_0_stateless_alu_0``); its docstring lists every
+(stage, slot) that calls it.  Level 0 reads its holes at run time by stage
+and slot, so it keeps one function per slot.
 
 The "initialization code [that] ensures that the input and output
 multiplexers as well as the ALUs are executed in the proper order within the
@@ -175,6 +181,14 @@ class PipelineGenerator:
         self.spec = spec
         self.machine_code = machine_code
         self.opt_level = opt_level
+        #: The machine code as a plain dict, copied once for every ALU to read.
+        self._values: Optional[Dict[str, int]] = (
+            dict(machine_code) if machine_code is not None else None
+        )
+        #: Per :meth:`generate` call: each distinct ALU specialisation's code
+        #: and the (stage, slot)s that call it, keyed on
+        #: :meth:`ALUFunctionGenerator.dedup_key`.
+        self._shared_alus: Dict[Tuple, Tuple[ALUCode, List[Tuple[int, int]]]] = {}
         if machine_code is not None and validate_machine_code:
             missing = spec.validate_machine_code(machine_code)
             if missing:
@@ -213,10 +227,18 @@ class PipelineGenerator:
 
         stage_function_names: List[str] = []
         stage_alu_codes: List[Tuple[List[ALUCode], List[ALUCode]]] = []
+        self._shared_alus = {}
         for stage in range(spec.depth):
             name, codes = self._generate_stage(stage, module)
             stage_function_names.append(name)
             stage_alu_codes.append(codes)
+        for code, callers in self._shared_alus.values():
+            if len(callers) > 1:
+                code.function.docstring = (
+                    f"{code.kind} ALU {code.spec.name!r} shared by (stage, slot) "
+                    + ", ".join(map(str, callers))
+                    + f" ({OPT_LEVEL_NAMES[self.opt_level]})"
+                )
 
         module.trailer.append(
             ir.Assign("STAGE_FUNCTIONS", "[" + ", ".join(stage_function_names) + "]")
@@ -237,9 +259,11 @@ class PipelineGenerator:
         body, out_names = self._stage_body(stage, stateless_codes, stateful_codes, module)
         body.append(ir.Return("[" + ", ".join(out_names) + "]"))
 
-        for code in stateless_codes + stateful_codes:
-            module.functions.extend(code.helpers)
-            module.functions.append(code.function)
+        for codes in (stateless_codes, stateful_codes):
+            for slot, code in enumerate(codes):
+                if (code.stage, code.slot) == (stage, slot):  # its first caller emits it
+                    module.functions.extend(code.helpers)
+                    module.functions.append(code.function)
 
         stage_name = f"stage_{stage}"
         module.functions.append(
@@ -257,33 +281,33 @@ class PipelineGenerator:
         return stage_name, (stateless_codes, stateful_codes)
 
     def _alu_codes(self, stage: int) -> Tuple[List[ALUCode], List[ALUCode]]:
-        """Generate the per-slot stateless and stateful ALU code for one stage."""
-        spec = self.spec
-        values = dict(self.machine_code) if self.machine_code is not None else None
+        """The stateless and stateful ALU code each slot of one stage calls.
 
+        Slots whose :meth:`ALUFunctionGenerator.dedup_key` is equal share one
+        :class:`ALUCode`, generated for the first of them and named after it.
+        """
+        spec = self.spec
         stateless_codes: List[ALUCode] = []
         stateful_codes: List[ALUCode] = []
         for slot in range(spec.width):
-            stateless_codes.append(
-                ALUFunctionGenerator(
-                    spec=spec.stateless_alu,
+            for alu_spec, kind, codes in (
+                (spec.stateless_alu, naming.STATELESS, stateless_codes),
+                (spec.stateful_alu, naming.STATEFUL, stateful_codes),
+            ):
+                generator = ALUFunctionGenerator(
+                    spec=alu_spec,
                     stage=stage,
-                    kind=naming.STATELESS,
+                    kind=kind,
                     slot=slot,
                     opt_level=self.opt_level,
-                    machine_code=values,
-                ).generate()
-            )
-            stateful_codes.append(
-                ALUFunctionGenerator(
-                    spec=spec.stateful_alu,
-                    stage=stage,
-                    kind=naming.STATEFUL,
-                    slot=slot,
-                    opt_level=self.opt_level,
-                    machine_code=values,
-                ).generate()
-            )
+                    machine_code=self._values,
+                )
+                key = generator.dedup_key()
+                if key not in self._shared_alus:
+                    self._shared_alus[key] = (generator.generate(), [])
+                code, callers = self._shared_alus[key]
+                callers.append((stage, slot))
+                codes.append(code)
         return stateless_codes, stateful_codes
 
     def _stage_body(
@@ -655,8 +679,8 @@ class PipelineGenerator:
         return call_args[selected]
 
     def _mc_value(self, pair_name: str) -> int:
-        assert self.machine_code is not None
+        assert self._values is not None
         try:
-            return int(self.machine_code[pair_name])
+            return int(self._values[pair_name])
         except KeyError:
             raise MissingMachineCodeError(pair_name) from None

@@ -81,10 +81,15 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
+def alu_hole_prefix(stage: int, kind: str, slot: int) -> str:
+    """The name shared by every hole of one ALU; append a hole to name the pair."""
+    _check_kind(kind)
+    return f"pipeline_stage_{stage}_{kind}_alu_{slot}_"
+
+
 def alu_hole_name(stage: int, kind: str, slot: int, hole: str) -> str:
     """Name of an ALU hole (opcode, immediate, mux internal to the ALU, ...)."""
-    _check_kind(kind)
-    return f"pipeline_stage_{stage}_{kind}_alu_{slot}_{hole}"
+    return alu_hole_prefix(stage, kind, slot) + hole
 
 
 def input_mux_name(stage: int, kind: str, slot: int, operand: int) -> str:

@@ -6,12 +6,14 @@ compiler under test), it:
 
 1. validates that every machine-code pair the pipeline expects is present;
 2. generates a pipeline description with dgen at the requested optimisation
-   level and an input trace of random PHVs with the traffic generator;
+   level (once per verdict) and an input trace of random PHVs with the
+   traffic generator;
 3. simulates the pipeline and runs the specification on the same input
    trace;
 4. asserts equivalence of the two output traces, and — when they diverge —
    classifies the failure (output mismatch vs. limited-value-range, the
-   paper's §5.2 failure classes).
+   paper's §5.2 failure classes).  The value-range re-fuzz simulates the
+   same description on a second trace.
 """
 
 from __future__ import annotations
@@ -84,11 +86,28 @@ class FuzzTester:
                 max_value=config.max_value,
             )
 
-        outcome = self._run_once(machine_code, config.max_value, config.seed)
-        if outcome.failure_class is FailureClass.OUTPUT_MISMATCH:
+        # Validated above, so dgen need not validate again.  One description
+        # serves both the first run and the re-fuzz.
+        try:
+            description = dgen.generate(
+                self.pipeline_spec,
+                machine_code,
+                opt_level=config.opt_level,
+                validate_machine_code=False,
+            )
+        except DruzhbaError as error:
+            return self._error_outcome(error, config.seed, config.max_value)
+
+        outcome = self._run_once(description, config.max_value, config.seed)
+        if (
+            outcome.failure_class is FailureClass.OUTPUT_MISMATCH
+            and self._min_value() <= config.small_max_value
+        ):
             # Distinguish "wrong everywhere" from "only correct on small values"
             # (paper §5.2): re-fuzz with values restricted to the small range.
-            small = self._run_once(machine_code, config.small_max_value, config.seed + 1)
+            # When the traffic's minimum lies above that range there is no
+            # small value to re-fuzz with, and the mismatch stands.
+            small = self._run_once(description, config.small_max_value, config.seed + 1)
             if small.failure_class is FailureClass.CORRECT:
                 outcome.failure_class = FailureClass.VALUE_RANGE
         return outcome
@@ -121,6 +140,11 @@ class FuzzTester:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _min_value(self) -> int:
+        """The smallest container value the traffic generator may draw."""
+        base = self._traffic_generator
+        return base.min_value if base is not None else self.config.min_value
+
     def _make_traffic(self, max_value: int, seed: int) -> TrafficGenerator:
         base = self._traffic_generator
         if base is not None:
@@ -138,13 +162,10 @@ class FuzzTester:
             max_value=max_value,
         )
 
-    def _run_once(self, machine_code: MachineCode, max_value: int, seed: int) -> FuzzOutcome:
-        config = self.config
-        try:
-            description = dgen.generate(
-                self.pipeline_spec, machine_code, opt_level=config.opt_level
-            )
-        except MissingMachineCodeError as error:
+    @staticmethod
+    def _error_outcome(error: DruzhbaError, seed: int, max_value: int) -> FuzzOutcome:
+        """Classify an error raised while generating or simulating the pipeline."""
+        if isinstance(error, MissingMachineCodeError):
             return FuzzOutcome(
                 failure_class=FailureClass.MISSING_MACHINE_CODE,
                 phvs_tested=0,
@@ -152,15 +173,18 @@ class FuzzTester:
                 seed=seed,
                 max_value=max_value,
             )
-        except DruzhbaError as error:
-            return FuzzOutcome(
-                failure_class=FailureClass.SIMULATION_ERROR,
-                phvs_tested=0,
-                error_message=str(error),
-                seed=seed,
-                max_value=max_value,
-            )
+        return FuzzOutcome(
+            failure_class=FailureClass.SIMULATION_ERROR,
+            phvs_tested=0,
+            error_message=str(error),
+            seed=seed,
+            max_value=max_value,
+        )
 
+    def _run_once(
+        self, description: dgen.PipelineDescription, max_value: int, seed: int
+    ) -> FuzzOutcome:
+        config = self.config
         traffic = self._make_traffic(max_value, seed)
         inputs = traffic.generate(config.num_phvs)
         simulator = RMTSimulator(
@@ -168,22 +192,8 @@ class FuzzTester:
         )
         try:
             result = simulator.run(inputs)
-        except MissingMachineCodeError as error:
-            return FuzzOutcome(
-                failure_class=FailureClass.MISSING_MACHINE_CODE,
-                phvs_tested=0,
-                missing_pairs=[error.name],
-                seed=seed,
-                max_value=max_value,
-            )
         except DruzhbaError as error:
-            return FuzzOutcome(
-                failure_class=FailureClass.SIMULATION_ERROR,
-                phvs_tested=0,
-                error_message=str(error),
-                seed=seed,
-                max_value=max_value,
-            )
+            return self._error_outcome(error, seed, max_value)
 
         spec_trace = self.specification.run(inputs)
         report = compare_traces(

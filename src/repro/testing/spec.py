@@ -47,9 +47,13 @@ class Specification(ABC):
         """Process one PHV: mutate ``state`` and return the expected output containers."""
 
     def run(self, input_trace: Sequence[Sequence[int]]) -> Trace:
-        """Run the specification over a whole input trace."""
+        """Run the specification over a whole input trace.
+
+        The trace is column-backed (:meth:`Trace.from_columns`) and holds its
+        own copy of the inputs, so the caller may reuse its lists.
+        """
         state = self.initial_state()
-        trace = Trace()
+        outputs_column: List[tuple] = []
         for index, phv in enumerate(input_trace):
             if self.num_containers and len(phv) != self.num_containers:
                 raise SpecificationError(
@@ -62,7 +66,8 @@ class Specification(ABC):
                     f"specification produced {len(outputs)} containers for PHV {index}, "
                     f"expected {self.num_containers}"
                 )
-            trace.append(index, phv, outputs)
+            outputs_column.append(tuple(outputs))
+        trace = Trace.from_columns(list(map(tuple, input_trace)), outputs_column)
         trace.spec_state = dict(state)
         return trace
 

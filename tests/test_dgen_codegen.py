@@ -1,5 +1,7 @@
 """Unit tests for ALU-level code generation and the pipeline generator."""
 
+import re
+
 import pytest
 
 from repro import atoms, dgen
@@ -9,10 +11,12 @@ from repro.dgen.codegen import (
     generate_alu,
     helper_function_name,
 )
+from repro.dsim import RMTSimulator
 from repro.errors import CodegenError, MissingMachineCodeError
 from repro.hardware import PipelineSpec
 from repro.ir import to_source
 from repro.machine_code import naming
+from repro.programs import case_study
 
 
 def alu_holes_machine_code(spec, stage, kind, slot, holes):
@@ -175,3 +179,111 @@ class TestGeneratedPipelineSource:
         assert dgen.OPT_LEVEL_NAMES[dgen.OPT_UNOPTIMIZED] == "unoptimized"
         assert dgen.OPT_LEVEL_NAMES[dgen.OPT_SCC] == "scc_propagation"
         assert dgen.OPT_LEVEL_NAMES[dgen.OPT_SCC_INLINE] == "scc_propagation_and_inlining"
+
+
+#: ``def`` lines of generated ALU functions (helpers and mux functions excluded).
+ALU_DEF = re.compile(r"^def stage_\d+_(stateless|stateful)_alu_\d+\(", re.MULTILINE)
+SHARING_LEVELS = (dgen.OPT_SCC, dgen.OPT_SCC_INLINE, dgen.OPT_FUSED)
+
+
+def alu_function_kinds(source):
+    """The kind of every ALU function the source defines, in order."""
+    return ALU_DEF.findall(source)
+
+
+def distinct_alu_keys(spec, machine_code):
+    """Distinct ``(kind, own hole values)`` pairs over every ALU slot of ``spec``."""
+    keys = set()
+    for stage in range(spec.depth):
+        for slot in range(spec.width):
+            for alu, kind in ((spec.stateless_alu, naming.STATELESS), (spec.stateful_alu, naming.STATEFUL)):
+                values = tuple(
+                    machine_code.get(naming.alu_hole_name(stage, kind, slot, hole)) for hole in alu.holes
+                )
+                keys.add((kind, values))
+    return keys
+
+
+@pytest.fixture(scope="module")
+def blue_entry():
+    """A ``blue_*`` case-study entry: a 4x2 pipeline whose slots differ."""
+    return next(entry for entry in case_study.build_corpus() if entry.family == "blue")
+
+
+class TestALUDeduplication:
+    @pytest.fixture(scope="class")
+    def passthrough_4x2(self):
+        spec = PipelineSpec(
+            depth=4,
+            width=2,
+            stateful_alu=atoms.get_atom("if_else_raw"),
+            stateless_alu=atoms.get_atom("stateless_full"),
+            name="dedup_test",
+        )
+        return spec, spec.passthrough_machine_code()
+
+    @pytest.mark.parametrize("level", SHARING_LEVELS)
+    def test_passthrough_slots_share_one_function_per_kind(self, passthrough_4x2, level):
+        spec, mc = passthrough_4x2
+        source = dgen.generate(spec, mc, opt_level=level).source
+        assert sorted(alu_function_kinds(source)) == [naming.STATEFUL, naming.STATELESS]
+        assert "def stage_0_stateless_alu_0(" in source
+        assert "def stage_0_stateful_alu_0(" in source
+        assert "shared by (stage, slot) (0, 0), (0, 1), (1, 0)" in source
+
+    def test_level0_keeps_one_function_per_slot(self, passthrough_4x2):
+        spec, mc = passthrough_4x2
+        source = dgen.generate(spec, mc, opt_level=dgen.OPT_UNOPTIMIZED).source
+        assert len(alu_function_kinds(source)) == 16
+        assert "shared by" not in source
+
+    def test_level1_keeps_figure6_helper_names(self, passthrough_4x2):
+        spec, mc = passthrough_4x2
+        source = dgen.generate(spec, mc, opt_level=dgen.OPT_SCC).source
+        assert "def stage_0_stateful_alu_0_mux3_0(" in source
+        assert "stage_1_stateful_alu_0_mux3_0" not in source
+
+    @pytest.mark.parametrize("level", SHARING_LEVELS)
+    def test_function_count_equals_distinct_keys(self, blue_entry, level):
+        spec, mc = blue_entry.program.pipeline_spec(), blue_entry.machine_code
+        keys = distinct_alu_keys(spec, mc)
+        assert 2 < len(keys) < 2 * spec.depth * spec.width
+        source = dgen.generate(spec, mc, opt_level=level).source
+        assert len(alu_function_kinds(source)) == len(keys)
+
+    @pytest.mark.parametrize("level", dgen.OPT_LEVELS)
+    def test_drivers_agree_on_a_deduplicated_module(self, blue_entry, level):
+        program = blue_entry.program
+        description = dgen.generate(program.pipeline_spec(), blue_entry.machine_code, opt_level=level)
+        inputs = program.traffic_generator().generate(200)
+        engines = ["tick", "generic"] + (["fused"] if level == dgen.OPT_FUSED else [])
+        results = [
+            RMTSimulator(
+                description, initial_state=program.initial_pipeline_state(), engine=engine
+            ).run(inputs)
+            for engine in engines
+        ]
+        for result in results[1:]:
+            assert result.output_trace.outputs() == results[0].output_trace.outputs()
+            assert result.final_state == results[0].final_state
+
+    @pytest.mark.parametrize("level", SHARING_LEVELS)
+    def test_missing_hole_names_the_slot_that_lacks_it(self, passthrough_4x2, level):
+        spec, mc = passthrough_4x2
+        missing = naming.alu_hole_name(1, naming.STATEFUL, 1, "opt_0")
+        with pytest.raises(MissingMachineCodeError) as excinfo:
+            dgen.generate(spec, mc.without([missing]), opt_level=level, validate_machine_code=False)
+        assert excinfo.value.name == missing
+
+    def test_dedup_key_is_the_slot_at_level0(self, raw_atom):
+        holes = {"opt_0": 0, "const_0": 3, "mux3_0": 1}
+        mc = {
+            **alu_holes_machine_code(raw_atom, 0, naming.STATEFUL, 0, holes),
+            **alu_holes_machine_code(raw_atom, 2, naming.STATEFUL, 1, holes),
+        }
+
+        def key(level, stage, slot):
+            return ALUFunctionGenerator(raw_atom, stage, naming.STATEFUL, slot, level, mc).dedup_key()
+
+        assert key(dgen.OPT_SCC, 0, 0) == key(dgen.OPT_SCC, 2, 1)
+        assert key(dgen.OPT_UNOPTIMIZED, 0, 0) != key(dgen.OPT_UNOPTIMIZED, 2, 1)

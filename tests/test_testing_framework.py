@@ -8,6 +8,7 @@ from repro.dsim import Trace, TrafficGenerator
 from repro.errors import EquivalenceError, SpecificationError
 from repro.hardware import PipelineSpec
 from repro.machine_code import naming
+from repro.programs import case_study, get_program
 from repro.testing import (
     CampaignSummary,
     FailureClass,
@@ -69,6 +70,31 @@ class TestSpecifications:
     def test_passthrough_specification(self):
         spec = PassthroughSpecification(num_containers=3)
         assert spec.run([[1, 2, 3]]).outputs() == [(1, 2, 3)]
+
+    def test_run_equals_a_record_by_record_trace(self):
+        def accumulate(phv, state):
+            state["total"] += phv[0]
+            return [state["total"], phv[1]]
+
+        spec = FunctionSpecification(function=accumulate, num_containers=2, state_template={"total": 0})
+        inputs = [[3, 1], [4, 1], [5, 9]]
+        expected = Trace()
+        state = spec.initial_state()
+        for index, phv in enumerate(inputs):
+            expected.append(index, phv, spec.process(phv, state))
+        expected.spec_state = state
+
+        trace = spec.run(inputs)
+        assert trace.records == expected.records
+        assert trace.spec_state == expected.spec_state == {"total": 12}
+
+    def test_run_keeps_its_own_copy_of_the_inputs(self):
+        inputs = [[1, 2], [3, 4]]
+        trace = PassthroughSpecification(num_containers=2).run(inputs)
+        inputs[0][0] = 99
+        inputs.append([5, 6])
+        assert trace.inputs() == [(1, 2), (3, 4)]
+        assert trace.outputs() == [(1, 2), (3, 4)]
 
 
 class TestEquivalence:
@@ -229,3 +255,98 @@ class TestFuzzTester:
         )
         outcome = tester.test(machine_code)
         assert outcome.passed
+
+
+def exposing_seed(traffic, threshold, num_phvs):
+    """First even seed whose fuzz trace holds a value in ``(cap, threshold]``.
+
+    An injected value-range fault shows only on such a trace; the search
+    mirrors ``FuzzTester._make_traffic`` at the default value range (even
+    seeds only, because the re-fuzz uses ``seed + 1``).
+    """
+    seed = 0
+    while True:
+        trace = TrafficGenerator(
+            num_containers=traffic.num_containers,
+            seed=seed,
+            min_value=traffic.min_value,
+            max_value=min(traffic.max_value, FuzzConfig().max_value),
+            field_generators=traffic.field_generators,
+        ).generate(num_phvs)
+        if any(case_study.VALUE_RANGE_CAP < phv[0] <= threshold for phv in trace):
+            return seed
+        seed += 2
+
+
+def corpus_tester(entry, seed, num_phvs=150):
+    program = entry.program
+    return FuzzTester(
+        program.pipeline_spec(),
+        program.specification(),
+        config=FuzzConfig(num_phvs=num_phvs, seed=seed),
+        traffic_generator=program.traffic_generator(),
+        initial_state=program.initial_pipeline_state(),
+    )
+
+
+class TestFuzzVerdictCodegen:
+    """One ``dgen.generate`` per verdict, and the verdicts it must keep."""
+
+    def test_value_range_verdict_generates_once(self, monkeypatch):
+        entry = next(e for e in case_study.build_corpus() if e.family == "injected_value_range")
+        threshold = case_study.VALUE_RANGE_THRESHOLDS[0]
+        seed = exposing_seed(entry.program.traffic_generator(), threshold, 150)
+        calls = []
+        generate = dgen.generate
+
+        def counting_generate(*args, **kwargs):
+            calls.append(kwargs.get("validate_machine_code", True))
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(dgen, "generate", counting_generate)
+        outcome = corpus_tester(entry, seed).test(entry.machine_code)
+        assert outcome.failure_class is FailureClass.VALUE_RANGE
+        assert calls == [False]  # once, and test() has validated already
+
+    def test_all_levels_keep_every_corpus_verdict(self):
+        thresholds = iter(case_study.VALUE_RANGE_THRESHOLDS)
+        for entry in case_study.build_corpus():
+            seed = 0
+            if entry.family == "injected_value_range":
+                seed = exposing_seed(entry.program.traffic_generator(), next(thresholds), 150)
+            outcomes = corpus_tester(entry, seed).test_all_levels(entry.machine_code)
+            classes = {level: outcome.failure_class for level, outcome in outcomes.items()}
+            assert classes == dict.fromkeys(dgen.OPT_LEVELS, entry.expected), entry.program.name
+
+
+class TestRefuzzWithEmptySmallRange:
+    """The §5.2 re-fuzz is skipped when no value fits under ``small_max_value``."""
+
+    @pytest.fixture(scope="class")
+    def sampling_with_wrong_output_mux(self):
+        program = get_program("sampling")
+        machine_code = program.machine_code()
+        name = naming.output_mux_name(0, 0)
+        return program, machine_code.with_pairs({name: machine_code[name] + 1})
+
+    def test_config_minimum_above_small_range(self, sampling_with_wrong_output_mux):
+        program, bad = sampling_with_wrong_output_mux
+        tester = FuzzTester(
+            program.pipeline_spec(),
+            program.specification(),
+            FuzzConfig(num_phvs=50, min_value=200),
+        )
+        outcome = tester.test(bad)
+        assert outcome.failure_class is FailureClass.OUTPUT_MISMATCH
+        assert outcome.max_value == FuzzConfig().max_value
+
+    def test_traffic_generator_minimum_above_small_range(self, sampling_with_wrong_output_mux):
+        program, bad = sampling_with_wrong_output_mux
+        tester = FuzzTester(
+            program.pipeline_spec(),
+            program.specification(),
+            FuzzConfig(num_phvs=50),
+            traffic_generator=TrafficGenerator(num_containers=1, seed=0, min_value=200),
+        )
+        outcome = tester.test(bad)
+        assert outcome.failure_class is FailureClass.OUTPUT_MISMATCH
