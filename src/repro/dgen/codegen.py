@@ -21,17 +21,24 @@ levels of the paper (Figure 6):
   functions disappear entirely; their specialised bodies are inlined into the
   ALU function, which typically collapses to a handful of assignments.  Slots
   share ALU functions as at level 1.
-* **level 3** (fused pipeline): ALU-level code is identical to level 2, but
+* **level 3** (fused pipeline): ALU functions are identical to level 2, but
   the pipeline builder additionally emits a generated ``run_trace`` function
   that loops over the whole input trace inline — one more rung on the paper's
   specialization ladder, moving the simulation driver itself into the
-  generated code (see :mod:`repro.dgen.pipeline_builder`).
+  generated code (see :mod:`repro.dgen.pipeline_builder`).  The loop gets
+  each ALU's work from :meth:`ALUCode.inline`, which lowers the same
+  specialised DSL body a second time with the input-multiplexer fragments
+  and the hoisted state vector in place of the function's parameters.
+
+Every level lowers DSL statements through one routine, :func:`_lower_stmts`;
+levels 2 and 3 specialise the whole body first.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..alu_dsl import semantics
 from ..alu_dsl.ast_nodes import (
@@ -51,6 +58,7 @@ from ..alu_dsl.ast_nodes import (
     Stmt,
     UnaryOp,
     Var,
+    walk_stmts,
 )
 from ..errors import CodegenError, MissingMachineCodeError
 from ..ir import nodes as ir
@@ -98,16 +106,101 @@ def output_mux_function_name(stage: int, container: int) -> str:
     return f"stage_{stage}_output_mux_phv_{container}"
 
 
+def _lower_expr(
+    expr: Expr,
+    var_code: Callable[[str], str],
+    primitive_code: Optional[Callable[[Expr], str]] = None,
+) -> str:
+    """Python source for ``expr``.
+
+    ``var_code`` renders variables and ``primitive_code`` the hole-controlled
+    primitives (a specialised body has none left).
+    """
+    if isinstance(expr, Number):
+        return str(expr.value)
+    if isinstance(expr, Var):
+        return var_code(expr.name)
+    if isinstance(expr, UnaryOp):
+        template = semantics.UNARY_OPS[expr.op][0]
+        return template.format(a=_lower_expr(expr.operand, var_code, primitive_code))
+    if isinstance(expr, BinaryOp):
+        template = semantics.BINARY_OPS[expr.op][0]
+        return template.format(
+            a=_lower_expr(expr.left, var_code, primitive_code),
+            b=_lower_expr(expr.right, var_code, primitive_code),
+        )
+    if primitive_code is None:
+        raise CodegenError(f"unknown expression node {type(expr).__name__}")
+    return primitive_code(expr)
+
+
+def _lower_stmts(
+    stmts: Sequence[Stmt],
+    var_code: Callable[[str], str],
+    primitive_code: Optional[Callable[[Expr], str]] = None,
+    decide: Optional[Callable[[Expr], Optional[int]]] = None,
+) -> List[ir.IRStmt]:
+    """IR for ALU DSL statements, rendering variables as :func:`_lower_expr` does.
+
+    ``decide`` gives an ``if`` condition's value when it is known at
+    generation time (else ``None``): a false branch is dropped and a true
+    one becomes its chain's ``else`` (paper §3.4).
+    """
+    lowered: List[ir.IRStmt] = []
+    for stmt in stmts:
+        if isinstance(stmt, Assign):
+            value = _lower_expr(stmt.value, var_code, primitive_code)
+            lowered.append(ir.Assign(var_code(stmt.target), value))
+        elif isinstance(stmt, Return):
+            lowered.append(ir.Return(_lower_expr(stmt.value, var_code, primitive_code)))
+        elif isinstance(stmt, If):
+            branches = []
+            orelse = stmt.orelse
+            for condition, body in stmt.branches:
+                value = decide(condition) if decide else None
+                if value is None:
+                    condition_code = _lower_expr(condition, var_code, primitive_code)
+                    branches.append(
+                        (condition_code, _lower_stmts(body, var_code, primitive_code, decide))
+                    )
+                elif value:
+                    orelse = body
+                    break
+            orelse = _lower_stmts(orelse, var_code, primitive_code, decide)
+            lowered.extend([ir.If(branches=branches, orelse=orelse)] if branches else orelse)
+        else:  # pragma: no cover - defensive
+            raise CodegenError(f"unknown statement node {type(stmt).__name__}")
+    return lowered
+
+
+def _count_reads(expr: Expr, reads: Counter, times: int = 1) -> None:
+    """Add how often each variable occurs in the source of ``expr`` to ``reads``.
+
+    Occurrences are counted as emitted: the ``/`` and ``%`` templates repeat
+    their divisor to test it for zero.
+    """
+    if isinstance(expr, Var):
+        reads[expr.name] += times
+    elif isinstance(expr, UnaryOp):
+        template = semantics.UNARY_OPS[expr.op][0]
+        _count_reads(expr.operand, reads, times * template.count("{a}"))
+    elif isinstance(expr, BinaryOp):
+        template = semantics.BINARY_OPS[expr.op][0]
+        _count_reads(expr.left, reads, times * template.count("{a}"))
+        _count_reads(expr.right, reads, times * template.count("{b}"))
+
+
 @dataclass
 class ALUCode:
     """Generated code for one ALU instance.
 
     ``helpers`` are the per-primitive-site helper functions (empty at the
-    inlined level) and ``function`` is the ALU function itself.  ``call``
-    renders a call to the ALU function given operand source fragments.
-    ``stage`` and ``slot`` are those of the instance it was generated for;
-    the pipeline builder lets other slots with the same
-    :meth:`ALUFunctionGenerator.dedup_key` call it too.
+    inlined levels) and ``function`` is the ALU function itself.  ``call``
+    renders a call to the ALU function given operand source fragments, and
+    at the inlined levels ``inline`` lowers the specialised DSL ``body``
+    straight into the fused loop instead.  ``stage`` and ``slot`` are those
+    of the instance it was generated for; the pipeline builder lets other
+    slots with the same :meth:`ALUFunctionGenerator.dedup_key` use it too.
     """
 
     stage: int
@@ -117,6 +210,9 @@ class ALUCode:
     opt_level: int
     helpers: List[ir.FunctionDef] = field(default_factory=list)
     function: Optional[ir.FunctionDef] = None
+    #: The DSL statements ``function`` was lowered from (specialised at the
+    #: inlined levels), default output and final ``return`` included.
+    body: Sequence[Stmt] = ()
 
     def call(self, operand_codes: Sequence[str], state_code: str = "state") -> str:
         """Python source for invoking this ALU with the given operand fragments.
@@ -132,6 +228,59 @@ class ALUCode:
         if self.opt_level == OPT_UNOPTIMIZED:
             args.append("values")
         return f"{self.function.name}({', '.join(args)})"
+
+    def inline(
+        self, operand_codes: Sequence[str], state_code: str, output: Optional[str]
+    ) -> Optional[List[ir.IRStmt]]:
+        """This ALU's statements for the fused loop, or ``None`` to keep the call.
+
+        ``output`` is the variable that receives the ALU's output, ``None``
+        when no output multiplexer reads it.  A packet field read once is
+        replaced by its operand fragment; one read more often is bound to a
+        local first.  State variables index ``state_code``, the loop's
+        hoisted state-vector local.  The first top-level ``return`` becomes
+        the assignment to ``output`` and what follows it is unreachable.  A
+        ``return`` inside a branch cannot become straight-line code, so such
+        a body returns ``None``.  Dead stores, such as an unread default
+        output, are left for the peephole pass.
+        """
+        spec = self.spec
+        prefix: List[Stmt] = []
+        for stmt in self.body:
+            if isinstance(stmt, Return):
+                returned = stmt.value
+                break
+            if any(isinstance(inner, Return) for inner in walk_stmts([stmt])):
+                return None
+            prefix.append(stmt)
+
+        reads: Counter = Counter()
+        for stmt in walk_stmts(prefix):
+            if isinstance(stmt, Assign):
+                _count_reads(stmt.value, reads)
+            elif isinstance(stmt, If):
+                for condition, _body in stmt.branches:
+                    _count_reads(condition, reads)
+        if output is not None:
+            _count_reads(returned, reads)
+
+        stmts: List[ir.IRStmt] = []
+        names: Dict[str, str] = {}
+        for packet_field, operand in zip(spec.packet_fields, operand_codes):
+            if reads[packet_field] == 1:
+                names[packet_field] = operand
+            elif reads[packet_field] > 1:
+                stmts.append(ir.Assign(packet_field, operand))
+
+        def var_code(name: str) -> str:
+            if name in spec.state_vars:
+                return f"{state_code}[{spec.state_vars.index(name)}]"
+            return names.get(name, name)
+
+        stmts.extend(_lower_stmts(prefix, var_code))
+        if output is not None:
+            stmts.append(ir.Assign(output, _lower_expr(returned, var_code)))
+        return stmts
 
 
 class ALUFunctionGenerator:
@@ -207,24 +356,23 @@ class ALUFunctionGenerator:
             spec=self.spec,
             opt_level=self.opt_level,
         )
-        body: List[ir.IRStmt] = []
-        if self.spec.is_stateful and self.spec.state_vars:
-            body.append(ir.Comment("default output: value of the first state variable before update"))
-            body.append(ir.Assign("_default_output", "state[0]"))
-
+        spec = self.spec
+        stmts: Sequence[Stmt] = spec.body
         if self.opt_level in _INLINE_LEVELS:
-            specialized = specialize_spec(self.spec, self._local_holes or {})
-            body.extend(self._emit_stmts(specialized.body))
+            stmts = specialize_spec(spec, self._local_holes or {}).body
+        body: List[ir.IRStmt] = []
+        if spec.is_stateful and spec.state_vars:
+            body.append(ir.Comment("default output: value of the first state variable before update"))
+            default = "_default_output"
+            stmts = [Assign(default, Var(spec.state_vars[0])), *stmts, Return(Var(default))]
         else:
-            body.extend(self._emit_stmts(self.spec.body))
+            stmts = [*stmts, Return(Number(0))]
+        decide = self._decided if self.opt_level == OPT_SCC else None
+        body.extend(_lower_stmts(stmts, self._var_code, self._primitive_code, decide))
+        code.body = stmts
 
-        if self.spec.is_stateful and self.spec.state_vars:
-            body.append(ir.Return("_default_output"))
-        else:
-            body.append(ir.Return("0"))
-
-        params = list(self.spec.packet_fields)
-        if self.spec.is_stateful:
+        params = list(spec.packet_fields)
+        if spec.is_stateful:
             params.append("state")
         if self.opt_level == OPT_UNOPTIMIZED:
             params.append("values")
@@ -234,7 +382,7 @@ class ALUFunctionGenerator:
             params=params,
             body=body,
             docstring=(
-                f"{self.spec.kind} ALU {self.spec.name!r} at stage {self.stage}, slot {self.slot} "
+                f"{spec.kind} ALU {spec.name!r} at stage {self.stage}, slot {self.slot} "
                 f"({OPT_LEVEL_NAMES[self.opt_level]})"
             ),
         )
@@ -242,62 +390,12 @@ class ALUFunctionGenerator:
         return code
 
     # ------------------------------------------------------------------
-    # Statement emission
+    # Lowering hooks
     # ------------------------------------------------------------------
-    def _emit_stmts(self, stmts: Sequence[Stmt]) -> List[ir.IRStmt]:
-        emitted: List[ir.IRStmt] = []
-        for stmt in stmts:
-            if isinstance(stmt, Assign):
-                emitted.append(ir.Assign(self._target_code(stmt.target), self._expr_code(stmt.value)))
-            elif isinstance(stmt, Return):
-                emitted.append(ir.Return(self._expr_code(stmt.value)))
-            elif isinstance(stmt, If):
-                emitted.extend(self._emit_if(stmt))
-            else:  # pragma: no cover - defensive
-                raise CodegenError(f"unknown statement node {type(stmt).__name__}")
-        return emitted
-
-    def _emit_if(self, stmt: If) -> List[ir.IRStmt]:
-        # At the SCC levels, conditions whose specialised form folds to a
-        # constant are resolved at generation time (abstract interpretation of
-        # control flow, paper §3.4).  At level 0 every branch is emitted.
-        branches: List = []
-        orelse_stmts: Sequence[Stmt] = stmt.orelse
-        for condition, body in stmt.branches:
-            if self.opt_level != OPT_UNOPTIMIZED:
-                folded = specialize_expr(condition, self._local_holes or {}, self.spec.hole_vars)
-                if isinstance(folded, Number):
-                    if folded.value == 0:
-                        continue
-                    orelse_stmts = body
-                    break
-            branches.append((self._expr_code(condition), self._emit_stmts(body)))
-        if not branches:
-            return self._emit_stmts(orelse_stmts)
-        return [ir.If(branches=branches, orelse=self._emit_stmts(orelse_stmts))]
-
-    def _target_code(self, target: str) -> str:
-        if target in self.spec.state_vars:
-            return f"state[{self.spec.state_vars.index(target)}]"
-        return target
-
-    # ------------------------------------------------------------------
-    # Expression emission
-    # ------------------------------------------------------------------
-    def _expr_code(self, expr: Expr) -> str:
-        if isinstance(expr, Number):
-            return str(expr.value)
-        if isinstance(expr, Var):
-            return self._var_code(expr.name)
-        if isinstance(expr, UnaryOp):
-            template = semantics.UNARY_OPS[expr.op][0]
-            return template.format(a=self._expr_code(expr.operand))
-        if isinstance(expr, BinaryOp):
-            template = semantics.BINARY_OPS[expr.op][0]
-            return template.format(a=self._expr_code(expr.left), b=self._expr_code(expr.right))
-        if isinstance(expr, (MuxExpr, OptExpr, ConstExpr, RelOpExpr, ArithOpExpr, BoolOpExpr)):
-            return self._primitive_code(expr)
-        raise CodegenError(f"unknown expression node {type(expr).__name__}")
+    def _decided(self, condition: Expr) -> Optional[int]:
+        """A condition's value if it folds to a constant under this ALU's holes."""
+        folded = specialize_expr(condition, self._local_holes or {}, self.spec.hole_vars)
+        return folded.value if isinstance(folded, Number) else None
 
     def _var_code(self, name: str) -> str:
         if name in self.spec.packet_fields:
@@ -314,13 +412,15 @@ class ALUFunctionGenerator:
     # Hole-controlled primitives
     # ------------------------------------------------------------------
     def _primitive_code(self, expr) -> str:
+        operand_exprs = self._primitive_operands(expr)
         hole = expr.hole_name
         if hole is None:
             raise CodegenError(
                 f"ALU {self.spec.name!r} has an unnamed primitive site; run analysis first"
             )
-        operand_exprs = self._primitive_operands(expr)
-        operand_codes = [self._expr_code(sub) for sub in operand_exprs]
+        operand_codes = [
+            _lower_expr(sub, self._var_code, self._primitive_code) for sub in operand_exprs
+        ]
 
         if self.opt_level == OPT_UNOPTIMIZED:
             helper = self._register_generic_helper(expr, hole, len(operand_codes))

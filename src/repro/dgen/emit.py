@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..errors import CodegenError
 from ..hardware import PipelineSpec
-from ..ir import Module, to_source
+from ..ir import Module, execute, to_source
 from ..machine_code.pairs import MachineCode
 from .codegen import OPT_LEVEL_NAMES, OPT_UNOPTIMIZED
 
@@ -134,10 +134,7 @@ def compile_description(
     self-contained by construction (it only uses builtins), which mirrors the
     paper's standalone generated Rust file.
     """
-    source = render(module)
-    namespace: Dict[str, object] = {"__name__": module_name}
-    code = compile(source, filename=f"<{module_name}>", mode="exec")
-    exec(code, namespace)  # noqa: S102 - executing our own generated code is the point of dgen
+    source, namespace = execute(module, module_name)
     description = PipelineDescription(
         spec=spec,
         opt_level=opt_level,

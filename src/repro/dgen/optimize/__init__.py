@@ -9,14 +9,13 @@
 * :mod:`peephole` — constant propagation, folding and dead-store
   elimination over assembled (IR-level) fused loop bodies.
 
-The first four passes run over the ALU DSL before lowering to the IR.  A
-second, IR-level fusion step exists at opt level 3: the pipeline builder
-inlines the already-optimised ALU bodies into a generated ``run_trace``
-loop, pruning dead stateless ALUs and hoisting loop-invariant state lookups
-on the way (see :mod:`repro.dgen.pipeline_builder`), then runs the peephole
-pass over the fused loop body to fold the constant residue inlining leaves
-behind.  The dRMT fused program generator applies the same peephole pass to
-its loop bodies.
+The first four passes run over the ALU DSL before lowering to the IR.  At
+opt level 3 the pipeline builder lowers the already-specialised ALU bodies
+a second time, straight into a generated ``run_trace`` loop (see
+:meth:`repro.dgen.codegen.ALUCode.inline`), then runs the peephole pass
+over the assembled loop body: it is the one pass that folds the constant
+residue inlining leaves behind and drops dead stores.  The dRMT fused
+program generator emits its loop directly and does not use it.
 """
 
 from .constant_propagation import (

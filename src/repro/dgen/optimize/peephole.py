@@ -45,8 +45,9 @@ pure, so applying it to any fused loop body is behaviour-preserving.
 from __future__ import annotations
 
 import ast
+import functools
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ...ir import nodes as ir
 
@@ -263,15 +264,17 @@ def fold_source(
 # ----------------------------------------------------------------------
 # Statement-level pass
 # ----------------------------------------------------------------------
-def _expr_names(source: str) -> Set[str]:
-    """Every identifier loaded or called anywhere in an expression string."""
+@functools.lru_cache(maxsize=4096)
+def _expr_names(source: str) -> FrozenSet[str]:
+    """Every identifier loaded or called anywhere in an expression string (memoised)."""
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError:
-        return set()
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        return frozenset()
+    return frozenset(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
 
 
+@functools.lru_cache(maxsize=4096)
 def _is_pure_expr(source: str) -> bool:
     """True when the expression cannot mutate anything (folding builtins only)."""
     try:

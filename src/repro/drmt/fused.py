@@ -45,10 +45,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..dgen.optimize.peephole import peephole_block
 from ..errors import CodegenError
 from ..ir import nodes as ir
-from ..ir.printer import to_source
+from ..ir.printer import execute
 from ..p4.program import Action, P4Program, Table
 from .scheduler import ACTION_OP, MATCH_OP, Operation, Schedule
 
@@ -170,7 +169,7 @@ class DrmtFusedGenerator:
                     ir.Assign(f"reg_{_ident(register_name)}", f"registers[{register_name!r}]")
                 )
             loop_body = self._tick_loop_body(segments)
-            tick_loop = ir.For("t", "range(n + MAKESPAN - 1)", peephole_block(loop_body))
+            tick_loop = ir.For("t", "range(n + MAKESPAN - 1)", loop_body)
             body.append(tick_loop)
             for table_name in table_names:
                 safe = _ident(table_name)
@@ -325,10 +324,10 @@ class DrmtFusedGenerator:
             miss_body = self._action_body(
                 self.program.actions[table.default_action], entry_args=False
             )
-        inner = [
-            ir.If(branches=[("entry is not None", dispatch)], orelse=miss_body)
-        ]
-        stmts = hit_body + inner
+        # When a hit runs what a miss runs (the default action is the only
+        # action and reads no entry arguments), there is nothing to test.
+        inner = [ir.If(branches=[("entry is not None", dispatch)], orelse=miss_body)]
+        stmts = hit_body + (miss_body if dispatch == miss_body else inner)
         condition = self._enabled_condition(table_name)
         if condition is None:
             return stmts
@@ -460,10 +459,7 @@ def generate_fused(
     """Generate, render, compile and wrap the fused program for one bundle."""
     generator = DrmtFusedGenerator(program, schedule, num_processors)
     module = generator.generate()
-    source = to_source(module)
-    namespace: Dict[str, object] = {"__name__": module_name}
-    code = compile(source, filename=f"<{module_name}>", mode="exec")
-    exec(code, namespace)  # noqa: S102 - executing our own generated code is the point of dgen
+    source, namespace = execute(module, module_name)
     fused = DrmtFusedProgram(module=module, source=source, namespace=namespace)
     if not callable(fused.run_trace):
         raise CodegenError("fused dRMT generation produced no callable run_trace")

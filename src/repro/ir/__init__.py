@@ -1,7 +1,7 @@
 """Lightweight IR used by dgen to build and render pipeline descriptions."""
 
 from .nodes import Assign, Comment, ExprStmt, FunctionDef, If, IRStmt, Module, Pass, Return
-from .printer import count_source_lines, to_source
+from .printer import count_source_lines, execute, to_source
 
 __all__ = [
     "Assign",
@@ -15,4 +15,5 @@ __all__ = [
     "Return",
     "to_source",
     "count_source_lines",
+    "execute",
 ]

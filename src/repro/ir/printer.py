@@ -9,7 +9,7 @@ keep the output tidy and annotated.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from .nodes import (
     Assign,
@@ -101,3 +101,15 @@ def to_source(module: Module) -> str:
 def count_source_lines(module: Module) -> int:
     """Number of non-blank lines in the rendered source (a code-size metric)."""
     return sum(1 for line in to_source(module).splitlines() if line.strip())
+
+
+def execute(module: Module, module_name: str) -> Tuple[str, Dict[str, object]]:
+    """Render ``module``, then compile and run it in a fresh namespace.
+
+    Generated code is self-contained by construction (it only uses
+    builtins).  Returns the source text and the executed namespace.
+    """
+    source = to_source(module)
+    namespace: Dict[str, object] = {"__name__": module_name}
+    exec(compile(source, f"<{module_name}>", "exec"), namespace)  # noqa: S102 - generated here
+    return source, namespace

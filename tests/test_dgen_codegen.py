@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro import atoms, dgen
+from repro.alu_dsl import parse_and_analyze
 from repro.dgen.codegen import (
     ALUFunctionGenerator,
     alu_function_name,
@@ -14,7 +15,7 @@ from repro.dgen.codegen import (
 from repro.dsim import RMTSimulator
 from repro.errors import CodegenError, MissingMachineCodeError
 from repro.hardware import PipelineSpec
-from repro.ir import to_source
+from repro.ir import Module, to_source
 from repro.machine_code import naming
 from repro.programs import case_study
 
@@ -287,3 +288,64 @@ class TestALUDeduplication:
 
         assert key(dgen.OPT_SCC, 0, 0) == key(dgen.OPT_SCC, 2, 1)
         assert key(dgen.OPT_UNOPTIMIZED, 0, 0) != key(dgen.OPT_UNOPTIMIZED, 2, 1)
+
+
+#: A stateless ALU that returns from inside a branch: the fused loop cannot
+#: turn it into straight-line code and must keep calling its function.
+BRANCHY_RETURN = """
+type: stateless
+state variables : {}
+hole variables : {}
+packet fields : {pkt_0, pkt_1}
+
+if (rel_op(pkt_0, pkt_1)) {
+    return arith_op(pkt_0, Mux2(pkt_1, C()));
+}
+return pkt_1;
+"""
+
+
+class TestFusedCallFallback:
+    @pytest.fixture(scope="class")
+    def branchy(self):
+        spec = PipelineSpec(
+            depth=2,
+            width=2,
+            stateful_alu=atoms.get_atom("if_else_raw"),
+            stateless_alu=parse_and_analyze(BRANCHY_RETURN, name="branchy_return"),
+            name="branchy_return_pipeline",
+        )
+        pairs = {}
+        for stage in range(spec.depth):
+            for slot in range(spec.width):
+                # Operands phv[0] and phv[1], so both branches run.
+                pairs[naming.input_mux_name(stage, naming.STATELESS, slot, 1)] = 1
+            # Stage k's container k receives stateless slot k's output.
+            pairs[naming.output_mux_name(stage, stage)] = spec.output_mux_value_for(
+                naming.STATELESS, stage
+            )
+        return spec, spec.passthrough_machine_code().with_pairs(pairs)
+
+    @pytest.mark.parametrize("level", dgen.OPT_LEVELS)
+    def test_drivers_agree(self, branchy, level):
+        spec, mc = branchy
+        inputs = [[a, b] for a in range(4) for b in range(4)]
+        reference = RMTSimulator(
+            dgen.generate(spec, mc, opt_level=dgen.OPT_UNOPTIMIZED), engine="tick"
+        ).run(inputs)
+        assert {tuple(out) for out in reference.outputs} != {tuple(phv) for phv in inputs}
+
+        description = dgen.generate(spec, mc, opt_level=level)
+        engines = ["tick", "generic"] + (["fused"] if level == dgen.OPT_FUSED else [])
+        for engine in engines:
+            result = RMTSimulator(description, engine=engine).run(inputs)
+            assert result.engine == engine
+            assert result.outputs == reference.outputs, engine
+            assert result.final_state == reference.final_state, engine
+
+    def test_fused_loop_keeps_the_call(self, branchy):
+        spec, mc = branchy
+        description = dgen.generate(spec, mc, opt_level=dgen.OPT_FUSED)
+        loop = to_source(Module(functions=[description.module.get_function("run_trace")]))
+        # One call per mux-selected stateless ALU; unselected ones are skipped.
+        assert len(re.findall(r"stage_\d+_stateless_alu_\d+\(", loop)) == spec.depth
