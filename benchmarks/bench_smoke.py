@@ -16,7 +16,8 @@ Two headline ratios are reported per program:
 
 Each fused cell also records a non-gating ``facade_ratio``: the whole
 ``RMTSimulator`` call time divided by the bare generated ``run_trace`` time
-on the same trace, i.e. what input preparation and result assembly add.
+on the same trace, prepared by ``repro.engine.rmt.prepare_inputs``, i.e. what
+input preparation and result assembly add.
 
 The sweep also covers the dRMT engine: packets/sec for the bundled P4
 programs under its two sequential drivers, tick and fused (the fused loop
@@ -57,6 +58,7 @@ from typing import Dict, List, Optional, Sequence
 from repro import dgen
 from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
 from repro.engine.drmt import prepare_packets
+from repro.engine.rmt import prepare_inputs
 from repro.traffic import PacketGenerator
 from repro.dsim import RMTSimulator
 from repro.p4 import samples
@@ -131,9 +133,11 @@ def measure_cell(
 def measure_raw_run_trace(description, program, inputs, rounds: int) -> float:
     """Best-of-``rounds`` time of the bare generated ``run_trace`` loop.
 
-    The denominator of the fused cell's ``facade_ratio``; recorded, never gated.
+    Runs on the column :func:`~repro.engine.rmt.prepare_inputs` builds, the
+    one the whole simulator hands its loop.  The denominator of the fused
+    cell's ``facade_ratio``; recorded, never gated.
     """
-    work = [list(map(int, phv)) for phv in inputs]
+    work = prepare_inputs(description, inputs)
     values = description.runtime_values()
     states = [program.initial_pipeline_state() for _ in range(rounds)]
     return _best_of(rounds, lambda: description.fused_function(work, states.pop(), values))

@@ -17,8 +17,10 @@ Compared cells (only keys present in both records are compared):
 * the sharded scaling cell's engines (PHVs/sec).
 
 A baseline cell the current record lacks (a deleted driver, for example) is
-reported on an informational ``dropped:`` line; it never changes the exit
-code.
+reported on an informational ``dropped:`` line, and every ``facade_ratio``
+present in both records (a fused cell's whole-simulator time over its bare
+``run_trace`` time) on an informational ``facade:`` line; neither ever
+changes the exit code.
 
 Usage::
 
@@ -56,29 +58,42 @@ def find_latest_baseline(root: Path = REPO_ROOT) -> Optional[Path]:
     return best[1] if best else None
 
 
-def _throughputs(record: dict) -> Dict[str, float]:
-    """Every throughput cell of one record, keyed by its label."""
-    cells: Dict[str, float] = {}
+def _cells(record: dict) -> Iterator[Tuple[str, str, dict]]:
+    """Every cell of one record: (label, throughput key, cell)."""
     for name, levels in record.get("programs", {}).items():
         for level, cell in levels.items():
-            if "phvs_per_sec" in cell:
-                cells[f"rmt/{name}/{level}"] = cell["phvs_per_sec"]
+            yield f"rmt/{name}/{level}", "phvs_per_sec", cell
     for name, engines in record.get("drmt", {}).get("programs", {}).items():
         for engine, cell in engines.items():
-            if "packets_per_sec" in cell:
-                cells[f"drmt/{name}/{engine}"] = cell["packets_per_sec"]
+            yield f"drmt/{name}/{engine}", "packets_per_sec", cell
     for engine, cell in record.get("sharded", {}).get("cells", {}).items():
-        if "phvs_per_sec" in cell:
-            cells[f"sharded/{engine}"] = cell["phvs_per_sec"]
-    return cells
+        yield f"sharded/{engine}", "phvs_per_sec", cell
+
+
+def _throughputs(record: dict) -> Dict[str, float]:
+    """Every throughput cell of one record, keyed by its label."""
+    return {label: cell[key] for label, key, cell in _cells(record) if key in cell}
+
+
+def _facade_ratios(record: dict) -> Dict[str, float]:
+    """Every recorded ``facade_ratio`` of one record, keyed by its cell's label."""
+    return {
+        label: cell["facade_ratio"]
+        for label, _key, cell in _cells(record)
+        if "facade_ratio" in cell
+    }
+
+
+def _paired(base: Dict[str, float], current: Dict[str, float]) -> Iterator[Cell]:
+    """Yield (label, baseline value, current value) for every label in both."""
+    for label, value in current.items():
+        if label in base:
+            yield label, base[label], value
 
 
 def iter_cells(baseline: dict, current: dict) -> Iterator[Cell]:
     """Yield every throughput cell present in both records."""
-    base_cells = _throughputs(baseline)
-    for label, value in _throughputs(current).items():
-        if label in base_cells:
-            yield label, base_cells[label], value
+    return _paired(_throughputs(baseline), _throughputs(current))
 
 
 def iter_dropped(baseline: dict, current: dict) -> Iterator[str]:
@@ -87,6 +102,11 @@ def iter_dropped(baseline: dict, current: dict) -> Iterator[str]:
     for label in _throughputs(baseline):
         if label not in current_cells:
             yield label
+
+
+def iter_facades(baseline: dict, current: dict) -> Iterator[Cell]:
+    """Yield every ``facade_ratio`` cell present in both records."""
+    return _paired(_facade_ratios(baseline), _facade_ratios(current))
 
 
 def check(
@@ -113,6 +133,10 @@ def check(
     if compared == 0:
         lines.append("no comparable cells between the two records")
     lines.extend(f"dropped: {label}" for label in iter_dropped(baseline, current))
+    lines.extend(
+        f"facade: {label:37s} {base_value:>11.2f}x  -> {current_value:>11.2f}x"
+        for label, base_value, current_value in iter_facades(baseline, current)
+    )
     return lines, regressions
 
 

@@ -168,7 +168,7 @@ class PipelineGenerator:
                 docstring=(
                     f"Execute pipeline stage {stage}: reads the PHV read half, "
                     "updates the stage's stateful-ALU state vectors, and returns the "
-                    "write-half container values."
+                    "write-half container values as a tuple."
                 ),
             )
         )
@@ -207,13 +207,15 @@ class PipelineGenerator:
     def _stage_body(
         self, stage: int, codes: StageCodes, module: ir.Module, fused: bool = False
     ) -> Tuple[List[ir.IRStmt], str]:
-        """One stage's statements and the source of its result-container list.
+        """One stage's statements and the source of its result-container tuple.
 
-        ``stage_k`` returns the list and the fused ``run_trace`` loop assigns
-        it to ``phv``.  The stateless and then the stateful ALUs run first,
-        each taking its input multiplexers' fragments as arguments; the output
-        multiplexers then fill the list.  In the loop (``fused``) an ALU's
-        body is inlined where
+        ``stage_k`` returns the tuple and the fused ``run_trace`` loop assigns
+        it to ``phv``.  A tuple of ints, unlike a list, leaves the garbage
+        collector's care at the first collection it survives, so a long
+        trace's outputs add nothing to later collections.  The stateless and
+        then the stateful ALUs run first, each taking its input multiplexers'
+        fragments as arguments; the output multiplexers then fill the tuple.
+        In the loop (``fused``) an ALU's body is inlined where
         :meth:`ALUCode.inline` can, its state vector is the hoisted
         ``state_<stage>_<slot>`` local, and a stateless ALU that no output
         multiplexer reads is not emitted: it is pure, so skipping it cannot
@@ -252,7 +254,7 @@ class PipelineGenerator:
                 else:
                     body.append(ir.Assign(output, code.call(operands, state)))
         body.append(ir.Comment("output multiplexers select what each PHV container receives"))
-        return body, "[" + ", ".join(results) + "]"
+        return body, "(" + ", ".join(results) + ",)"
 
     # ------------------------------------------------------------------
     # Fused trace loop (opt level 3)
@@ -295,7 +297,7 @@ class PipelineGenerator:
             docstring=(
                 "Fused trace loop (opt level 3): push every input PHV through all "
                 f"{spec.depth} stages sequentially.  Mutates ``state`` in place and "
-                "returns one output container list per input PHV.  Equivalent to the "
+                "returns one output container tuple per input PHV.  Equivalent to the "
                 "tick-accurate model for this feedforward pipeline."
             ),
         )

@@ -38,7 +38,7 @@ class Trace:
     of stages.
 
     A sequential driver's trace is column-backed (:meth:`from_columns`): it
-    keeps the input lists and the output tuples, and builds the records only
+    keeps the input and the output tuples, and builds the records only
     when :attr:`records` is first read.  From then on the records list is
     authoritative, so edits through it (``append``, ``records[i] = ...``)
     show in every accessor.  ``len()``, :meth:`outputs`, :meth:`inputs` and

@@ -33,7 +33,8 @@ once into a process-local namespace cache.  The worker pool
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..dgen.emit import PipelineDescription
 from ..dsim.phv import PHV
@@ -74,9 +75,10 @@ def run_stage_loop(
 ) -> List[Sequence[int]]:
     """The generic sequential driver: all PHVs through all stages, in order.
 
-    Mutates ``state`` in place and returns one output container list per
-    input PHV.  Equivalent to the tick-accurate model for a feedforward
-    pipeline, without any per-tick allocation.
+    Mutates ``state`` in place and returns one output container tuple per
+    input PHV (each generated stage function returns a tuple).  Equivalent
+    to the tick-accurate model for a feedforward pipeline, without any
+    per-tick allocation.
     """
     pairs = stage_pairs(stage_functions, state)
     outputs: List[Sequence[int]] = []
@@ -121,7 +123,7 @@ def run_tick(
         trace.append(phv.phv_id, input_values, phv.snapshot())
     trace.final_state = pipeline.state_snapshot()
     return SimulationResult(
-        input_trace=inputs,
+        input_column=inputs,
         output_trace=trace,
         ticks=pipeline.current_tick,
         engine=ENGINE_TICK,
@@ -129,16 +131,29 @@ def run_tick(
 
 
 def prepare_inputs(
-    description: PipelineDescription, phv_values: Sequence[Sequence[int]]
-) -> List[List[int]]:
-    """Coerce the input trace to integer lists in one pass and check widths.
+    description: PipelineDescription, phv_values: Sequence[Iterable[int]]
+) -> List[Tuple[int, ...]]:
+    """Coerce the input trace to one tuple of exact ``int`` per PHV and check widths.
 
-    The result is both the loop input and the result's ``input_trace``: no
-    driver mutates its input lists (each stage rebinds ``phv`` to a fresh
-    list, and the tick model copies each PHV into a :class:`PHV`), so one
-    copy serves both.
+    The column is the loop input, the output trace's input column and the
+    source of the result's ``input_trace``.  Tuples keep it immutable, so the
+    caller's rows can change after the run without touching the result, and
+    a tuple of ints leaves the garbage collector's care at the first
+    collection it survives, so a long trace adds nothing to later ones.
+
+    When every row is a ``list`` or ``tuple`` and every value's type is
+    exactly ``int`` — the traffic generators' output — both checks and the
+    copy run at C speed.  The row-type check runs first, so a one-shot
+    iterator row is never drained by the value-type check; any other trace
+    (``bool`` or ``IntEnum`` values, ``range`` or iterator rows, ...) takes
+    the ``int()`` pass.
     """
-    work = [list(map(int, values)) for values in phv_values]
+    if set(map(type, phv_values)) <= {list, tuple} and set(
+        map(type, chain.from_iterable(phv_values))
+    ) <= {int}:
+        work = list(map(tuple, phv_values))
+    else:
+        work = [tuple(map(int, values)) for values in phv_values]
     validate_widths(work, description.spec.width)
     return work
 
@@ -215,7 +230,7 @@ class RmtShardHandle:
     values: Dict[str, int] = field(default_factory=dict)
 
     def run(
-        self, work: List[List[int]], state: List[List[List[int]]]
+        self, work: List[Tuple[int, ...]], state: List[List[List[int]]]
     ) -> Tuple[List[Sequence[int]], List[List[List[int]]]]:
         """Run one shard's PHVs to completion; returns (outputs, final state).
 

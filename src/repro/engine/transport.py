@@ -45,7 +45,7 @@ class ShardTransport:
     def run_rmt_shards(
         self,
         handle,
-        works: Sequence[List[List[int]]],
+        works: Sequence[List[Tuple[int, ...]]],
         states: Sequence[List[List[List[int]]]],
         workers: int,
         total: int,

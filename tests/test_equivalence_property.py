@@ -47,6 +47,21 @@ def compile_alu(spec, stage, kind, slot, opt_level, machine_code):
     return namespace[code.function.name]
 
 
+@st.composite
+def shaped_row(draw, width):
+    """One PHV as ``(plain int list, the same values as a list or a tuple)``.
+
+    Sometimes one value of the shaped row is a ``bool``, which sends the
+    trace through ``prepare_inputs``' ``int()`` pass instead of its
+    exact-int fast path.
+    """
+    values = [draw(values_strategy) for _ in range(width)]
+    if draw(st.booleans(), label="has_bool"):
+        values[draw(st.integers(min_value=0, max_value=width - 1))] = draw(st.booleans())
+    row_type = draw(st.sampled_from([list, tuple]), label="row_type")
+    return [int(value) for value in values], row_type(values)
+
+
 def full_machine_code(spec, stage, kind, slot, hole_values):
     return {
         naming.alu_hole_name(stage, kind, slot, hole): value
@@ -107,12 +122,15 @@ class TestOptimisationLevelsAgree:
         """Random pipeline, machine code, state and traffic: every level agrees.
 
         The reference is the paper's per-tick model on the unoptimised
-        description; the generic driver at every level and the fused loop at
-        level 3 must reproduce its outputs, final state and tick count.
+        description, fed plain int lists; the generic driver at every level
+        and the fused loop at level 3 must reproduce its outputs, final state,
+        input trace and tick count.  They are fed the same values with each
+        row drawn as a list or a tuple, sometimes holding a ``bool``, so both
+        of ``prepare_inputs``' coercion paths face the reference.
         """
         spec = PipelineSpec(
-            depth=data.draw(st.integers(min_value=1, max_value=3), label="depth"),
-            width=data.draw(st.integers(min_value=1, max_value=3), label="width"),
+            depth=data.draw(st.integers(min_value=1, max_value=4), label="depth"),
+            width=data.draw(st.integers(min_value=1, max_value=4), label="width"),
             stateful_alu=atoms.get_atom(data.draw(st.sampled_from(ATOM_NAMES), label="stateful")),
             stateless_alu=atoms.get_atom(
                 data.draw(st.sampled_from(STATELESS_ATOM_NAMES), label="stateless")
@@ -126,6 +144,7 @@ class TestOptimisationLevelsAgree:
             upper = (domain - 1) if domain else 63
             pairs[name] = data.draw(st.integers(min_value=0, max_value=upper), label=name)
         machine_code = MachineCode(pairs)
+        assert spec.validate_machine_code(machine_code) == []
         initial_state = [
             [
                 [data.draw(values_strategy, label="state") for _ in range(spec.num_state_vars)]
@@ -134,14 +153,16 @@ class TestOptimisationLevelsAgree:
             for _ in range(spec.depth)
         ]
         count = data.draw(st.integers(min_value=0, max_value=8), label="phvs")
-        inputs = [[data.draw(values_strategy) for _ in range(spec.width)] for _ in range(count)]
+        rows = [data.draw(shaped_row(spec.width), label="row") for _ in range(count)]
+        plain = [plain_row for plain_row, _ in rows]
+        inputs = [row for _, row in rows]
 
         descriptions = {
             level: dgen.generate(spec, machine_code, opt_level=level) for level in dgen.OPT_LEVELS
         }
         baseline = RMTSimulator(
             descriptions[dgen.OPT_UNOPTIMIZED], initial_state=initial_state, engine="tick"
-        ).run(inputs)
+        ).run(plain)
         runs = [(level, "generic") for level in dgen.OPT_LEVELS] + [(dgen.OPT_FUSED, "fused")]
         for level, engine in runs:
             result = RMTSimulator(

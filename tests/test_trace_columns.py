@@ -1,21 +1,28 @@
 """Column-backed output traces and the one-copy input preparation behind them.
 
-A sequential RMT driver coerces the caller's trace once and uses that list
-both as the loop input and as the result's ``input_trace``; its output trace
-keeps the input and output columns and builds :class:`TraceRecord` objects
-only when ``records`` is read.  Two invariants make that sound and are
-pinned here:
+A sequential RMT driver coerces the caller's trace once into a column of
+int tuples and uses that column as the loop input, as the output trace's
+input column and as the source of the result's ``input_trace``; its output
+trace builds :class:`TraceRecord` objects only when ``records`` is read.
+Three invariants make that sound and are pinned here:
 
 * no driver mutates the PHV lists it loops over (generic stage loop, fused
   ``run_trace``, the tick driver), for every Table-1 program at every opt
   level that has the driver;
 * a column-backed trace is indistinguishable from a record-built one: the
   same records as the tick model's, record edits visible through every
-  accessor, the same width errors and the same integer coercion.
+  accessor, the same width errors and the same integer coercion;
+* every driver accepts the same input trace shapes — list or tuple rows,
+  ``bool``/``IntEnum``/``numpy.int64`` values, ``range`` and one-shot
+  iterator rows — gives the plain-int trace's result for each, and keeps
+  its result apart from the caller's rows and from ``input_trace`` edits.
 """
 
 from __future__ import annotations
 
+from enum import IntEnum
+
+import numpy
 import pytest
 
 from repro import dgen
@@ -43,15 +50,15 @@ def descriptions():
     return cache
 
 
-def sequential_simulator(description, engine):
+def sequential_simulator(description, engine, **options):
     """A simulator whose run goes through ``prepare_inputs``.
 
     ``sharded`` runs one shard: the passthrough pipeline writes state, which
     a block-partitioned multi-shard run correctly refuses.
     """
     if engine == "sharded":
-        return RMTSimulator(description, engine=engine, shards=1)
-    return RMTSimulator(description, engine=engine)
+        options["shards"] = 1
+    return RMTSimulator(description, engine=engine, **options)
 
 
 class TestDriversDoNotMutateInputs:
@@ -156,3 +163,98 @@ class TestColumnBackedTrace:
         assert result.input_trace == [[1, 7], [0, -3]]
         for trace_values in (result.outputs, result.input_trace, result.output_trace.inputs()):
             assert all(type(value) is int for phv in trace_values for value in phv)
+
+
+ENGINES = ["tick", "generic", "fused", "sharded"]
+
+#: Every row of :func:`contract_rows` differs from the plain-int trace only in
+#: how its values are carried; each shape replaces one row (``mixed``: all).
+ROW_SHAPES = ["tuple", "bool", "intenum", "numpy", "range", "iterator", "mixed"]
+
+
+def plain_rows(width):
+    """Six int-list PHVs; rows 0 and 3 suit the ``bool`` and ``range`` shapes."""
+    return [
+        [(1, 0)[container % 2] for container in range(width)],
+        [(3, 17, 250, 9, 1023)[container] for container in range(width)],
+        [40 + container for container in range(width)],
+        list(range(4, 4 + width)),
+        [(11, 0, 7, 1023, 5)[container] for container in range(width)],
+        [(2, 8, 6, 4, 12)[container] for container in range(width)],
+    ]
+
+
+def contract_rows(width, shape):
+    """The plain trace with one (``mixed``: every) row carried in ``shape``."""
+    rows = plain_rows(width)
+    fields = IntEnum("Fields", [(f"V{value}", value) for value in sorted(set(rows[1]))])
+    reshape = {
+        "tuple": (5, tuple),
+        "bool": (0, lambda row: [bool(value) for value in row]),
+        "intenum": (1, lambda row: [fields(value) for value in row]),
+        "numpy": (2, lambda row: [numpy.int64(value) for value in row]),
+        "range": (3, lambda row: range(row[0], row[0] + len(row))),
+        "iterator": (4, iter),
+    }
+    for name, (index, convert) in reshape.items():
+        if shape in (name, "mixed"):
+            rows[index] = convert(rows[index])
+    return rows
+
+
+class TestInputContract:
+    """Every driver takes the same input trace shapes and isolates its result."""
+
+    PROGRAM = "flowlets"
+
+    def run(self, descriptions, engine, rows):
+        program, description = descriptions[self.PROGRAM, dgen.OPT_FUSED]
+        return sequential_simulator(
+            description, engine, initial_state=program.initial_pipeline_state()
+        ).run(rows)
+
+    def width(self, descriptions):
+        return descriptions[self.PROGRAM, dgen.OPT_FUSED][1].spec.width
+
+    @pytest.mark.parametrize("shape", ROW_SHAPES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_row_shapes_give_the_plain_trace_result(self, descriptions, engine, shape):
+        width = self.width(descriptions)
+        plain = self.run(descriptions, engine, plain_rows(width))
+        result = self.run(descriptions, engine, contract_rows(width, shape))
+        assert result.outputs == plain.outputs
+        assert result.final_state == plain.final_state
+        assert result.input_trace == plain.input_trace == plain_rows(width)
+        assert result.output_trace.inputs() == [tuple(row) for row in plain_rows(width)]
+        assert result.output_trace.records == plain.output_trace.records
+        for column in (result.input_trace, result.output_trace.inputs(), result.outputs):
+            assert all(type(value) is int for phv in column for value in phv)
+        assert all(type(phv) is list for phv in result.input_trace)
+
+    @pytest.mark.parametrize("row_type", [list, tuple])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_caller_edits_after_run_leave_the_result_alone(self, descriptions, engine, row_type):
+        width = self.width(descriptions)
+        rows = [row_type(row) for row in plain_rows(width)]
+        result = self.run(descriptions, engine, rows)
+        if row_type is list:
+            for row in rows:
+                row[0] += 100
+        rows[1] = row_type([0] * width)
+        rows.append(row_type([5] * width))
+        assert result.input_trace == plain_rows(width)
+        assert result.output_trace.inputs() == [tuple(row) for row in plain_rows(width)]
+        assert len(result.output_trace) == len(plain_rows(width))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_input_trace_edits_leave_the_output_trace_alone(self, descriptions, engine):
+        width = self.width(descriptions)
+        result = self.run(descriptions, engine, plain_rows(width))
+        result.input_trace[0][0] += 100
+        result.input_trace[1] = [0] * width
+        result.input_trace.append([5] * width)
+        assert result.output_trace.inputs() == [tuple(row) for row in plain_rows(width)]
+        assert [record.inputs for record in result.output_trace.records] == [
+            tuple(row) for row in plain_rows(width)
+        ]
+        assert len(result.output_trace) == len(plain_rows(width))
