@@ -9,24 +9,26 @@ which driver ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..dsim.trace import Trace
 from ..errors import SimulationError
 
 
-@dataclass
+@dataclass(init=False)
 class SimulationResult:
     """Everything a simulation run produces.
 
     Attributes
     ----------
-    input_column:
-        The PHV values fed into the pipeline, in input order: one tuple of
-        ``int`` per PHV, as :func:`repro.engine.rmt.prepare_inputs` coerced
-        them.  It is the same list the output trace keeps as its input
-        column, so a result holds one copy of the inputs.
+    input_trace:
+        The PHV values fed into the pipeline, in input order, as integer
+        lists.  A driver passes ``None``: the lists are then built from the
+        output trace's input column on first read and cached, as
+        :attr:`Trace.records <repro.dsim.trace.Trace.records>` is, so a
+        result holds one copy of the inputs until they are read, and editing
+        them does not change the output trace.
     output_trace:
         The output trace: one record per input PHV (same order), plus the
         final per-stage state vectors.
@@ -35,25 +37,29 @@ class SimulationResult:
     engine:
         Name of the driver that produced this result (``tick``, ``generic``,
         ``fused``, or ``sharded[generic]``/``sharded[fused]`` for a sharded run).
-
-    :attr:`input_trace` is the input column as integer lists, built on first
-    read and cached, as :attr:`Trace.records <repro.dsim.trace.Trace.records>`
-    is; editing those lists changes neither the column nor the output trace.
     """
 
-    input_column: Sequence[Tuple[int, ...]]
     output_trace: Trace
     ticks: int
     engine: str = "tick"
-    _input_trace: Optional[List[List[int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __init__(
+        self,
+        input_trace: Optional[List[List[int]]],
+        output_trace: Trace,
+        ticks: int,
+        engine: str = "tick",
+    ) -> None:
+        self._input_trace = input_trace
+        self.output_trace = output_trace
+        self.ticks = ticks
+        self.engine = engine
 
     @property
     def input_trace(self) -> List[List[int]]:
         """The PHV values fed into the pipeline as integer lists, in input order."""
         if self._input_trace is None:
-            self._input_trace = list(map(list, self.input_column))
+            self._input_trace = list(map(list, self.output_trace.inputs()))
         return self._input_trace
 
     @property
@@ -91,14 +97,15 @@ def sequential_result(
     The tick model runs one tick per input plus ``depth`` drain ticks; the
     sequential drivers do no ticking of their own but report the equivalent
     count so results stay comparable across drivers.  ``inputs`` (the
-    :func:`~repro.engine.rmt.prepare_inputs` column) becomes both the
-    result's input column and the output trace's; the trace's records are
-    built only when read (see :class:`~repro.dsim.trace.Trace`).  Generated
-    stage functions and ``run_trace`` already yield tuples, which
-    ``map(tuple, ...)`` passes through without copying.
+    :func:`~repro.engine.rmt.prepare_inputs` column) becomes the output
+    trace's input column, from which the result builds its ``input_trace``
+    on first read; the trace's records too are built only when read (see
+    :class:`~repro.dsim.trace.Trace`).  Generated stage functions and
+    ``run_trace`` already yield tuples, which ``map(tuple, ...)`` passes
+    through without copying.
     """
     trace = Trace.from_columns(inputs, list(map(tuple, outputs)), final_state)
     ticks = len(inputs) + depth if inputs else 0
     return SimulationResult(
-        input_column=inputs, output_trace=trace, ticks=ticks, engine=engine
+        input_trace=None, output_trace=trace, ticks=ticks, engine=engine
     )

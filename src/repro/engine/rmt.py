@@ -123,7 +123,7 @@ def run_tick(
         trace.append(phv.phv_id, input_values, phv.snapshot())
     trace.final_state = pipeline.state_snapshot()
     return SimulationResult(
-        input_column=inputs,
+        input_trace=None,
         output_trace=trace,
         ticks=pipeline.current_tick,
         engine=ENGINE_TICK,
@@ -141,16 +141,19 @@ def prepare_inputs(
     a tuple of ints leaves the garbage collector's care at the first
     collection it survives, so a long trace adds nothing to later ones.
 
-    When every row is a ``list`` or ``tuple`` and every value's type is
-    exactly ``int`` — the traffic generators' output — both checks and the
-    copy run at C speed.  The row-type check runs first, so a one-shot
-    iterator row is never drained by the value-type check; any other trace
-    (``bool`` or ``IntEnum`` values, ``range`` or iterator rows, ...) takes
-    the ``int()`` pass.
+    When the trace is a ``list`` or ``tuple`` of ``list`` or ``tuple`` rows
+    and every value's type is exactly ``int`` — the traffic generators'
+    output — both checks and the copy run at C speed.  The container checks
+    run first, so neither a one-shot trace nor a one-shot row is ever drained
+    by the value-type check; any other trace (a generator, ``bool`` or
+    ``IntEnum`` values, ``range`` or iterator rows, ...) takes the single
+    ``int()`` pass.
     """
-    if set(map(type, phv_values)) <= {list, tuple} and set(
-        map(type, chain.from_iterable(phv_values))
-    ) <= {int}:
+    if (
+        type(phv_values) in (list, tuple)
+        and set(map(type, phv_values)) <= {list, tuple}
+        and set(map(type, chain.from_iterable(phv_values))) <= {int}
+    ):
         work = list(map(tuple, phv_values))
     else:
         work = [tuple(map(int, values)) for values in phv_values]

@@ -28,9 +28,13 @@ import pytest
 from repro import dgen
 from repro.dsim import RMTSimulator
 from repro.dsim import trace as trace_module
+from repro.dsim.trace import Trace
+from repro.engine.result import SimulationResult
 from repro.engine.rmt import run_stage_loop
+from repro.engine.sharded import ShardedRmtDriver
 from repro.errors import SimulationError
 from repro.programs import TABLE1_ORDER, get_program
+from repro.programs.variants import make_flow_counters_variant
 from repro.testing import compare_traces
 
 PHVS = 60
@@ -258,3 +262,38 @@ class TestInputContract:
             tuple(row) for row in plain_rows(width)
         ]
         assert len(result.output_trace) == len(plain_rows(width))
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_sharded_driver_takes_a_one_shot_trace(self, shards):
+        # ShardedRmtDriver.run, unlike RMTSimulator.run, takes len() of
+        # nothing before preparing its inputs, so a generator reaches
+        # prepare_inputs as is and must be read exactly once.
+        program = make_flow_counters_variant(4)
+        description = dgen.generate(
+            program.pipeline_spec(), program.machine_code(), opt_level=dgen.OPT_FUSED
+        )
+        generator = program.traffic_generator(seed=3)
+
+        def run(rows):
+            return ShardedRmtDriver(
+                description,
+                initial_state=program.initial_pipeline_state(),
+                shards=shards,
+                workers=1,
+                key=[0],
+            ).run(rows)
+
+        plain = run(generator.generate(PHVS))
+        result = run(generator.iter_phvs(PHVS))
+        assert len(result.output_trace) == PHVS
+        assert result.outputs == plain.outputs
+        assert result.final_state == plain.final_state
+        assert result.input_trace == plain.input_trace == generator.generate(PHVS)
+
+    def test_result_keeps_a_given_input_trace(self):
+        trace = Trace.from_columns([(1, 2), (3, 4)], [(5, 6), (7, 8)])
+        given = [[1, 2], [3, 4]]
+        assert SimulationResult(input_trace=given, output_trace=trace, ticks=2).input_trace is given
+        built = SimulationResult(None, trace, 2, "fused")
+        assert built.input_trace == given and built.engine == "fused"
+        assert built.input_trace is built.input_trace
