@@ -10,16 +10,32 @@ order — so the per-tick interpreter machinery (operation scans, packet
 contexts, argument re-parsing) disappears from the hot path.
 
 Bit-for-bit fidelity to the tick interpreter is preserved *exactly*, not
-just for well-behaved programs: the generated loop replays the interpreter's
-global execution order.  In the tick model, packet ``p`` (injected at tick
-``p``, processor ``p % N``) executes the operations scheduled at relative
-cycle ``c`` at global tick ``p + c``, and within one tick the processors
-run in id order with each processor's packets in arrival order.  For a fixed
-schedule that order depends only on ``t % N``, so dgen precomputes one
-cycle visit order per residue (``VISIT_ORDERS``) and the generated loop
-walks ticks executing the inlined per-cycle segments in precisely the
-interpreter's interleaving — shared registers observe the identical sequence
-of reads and writes.
+just for well-behaved programs.  In the tick model, packet ``p`` (injected
+at tick ``p``, processor ``p % N``) executes the operations scheduled at
+relative cycle ``c`` at global tick ``p + c``, and within one tick the
+processors run in id order with each processor's packets in arrival order.
+Packets interact only through registers: tables are read-only, hit counts
+are sums and a drop flag affects its own packet.  The generator emits one
+of two loop shapes, recorded in the module's ``LOOP_SHAPE`` global and
+docstring:
+
+* **per packet** (``per_packet``), when :func:`register_hazard` proves that
+  every register some action writes is read and written at one cycle only.
+  Packet ``p`` then reaches each such register at tick ``p + c``, so the
+  tick interleaving orders every register's accesses by packet index, and
+  running each packet's operations to completion, packet after packet, is
+  bit-identical.  Match results live in locals, and a packet that may have
+  been dropped skips its remaining operations with ``continue``.
+* **tick walk** (``tick_walk``) otherwise.  For a fixed schedule the
+  interpreter's order within a tick depends only on ``t % N``, so dgen
+  precomputes one cycle visit order per residue (``VISIT_ORDERS``) and the
+  loop walks ticks executing the inlined per-cycle segments in precisely
+  the interpreter's interleaving, parking match results in per-table lists
+  between segments — shared registers observe the identical sequence of
+  reads and writes.
+
+Both shapes share the per-operation emitters; only the loop header and
+where a match result lives differ.
 
 No match calls the shared :meth:`MatchActionTable.lookup` (a linear scan
 that tests every entry and takes the best candidate).  The generated
@@ -43,16 +59,22 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import CodegenError
 from ..ir import nodes as ir
 from ..ir.printer import execute
+from ..p4.dependency import table_usage
 from ..p4.program import Action, P4Program, Table
 from .scheduler import ACTION_OP, MATCH_OP, Operation, Schedule
 
 #: Name of the generated entry point.
 RUN_TRACE_FUNCTION_NAME = "run_trace"
+
+#: ``LOOP_SHAPE`` of a module that runs each packet to completion.
+LOOP_PER_PACKET = "per_packet"
+#: ``LOOP_SHAPE`` of a module that replays the tick interleaving.
+LOOP_TICK_WALK = "tick_walk"
 
 
 def _ident(name: str) -> str:
@@ -95,6 +117,34 @@ def visit_orders(schedule: Schedule, num_processors: int) -> List[Tuple[int, ...
     return orders
 
 
+def register_hazard(
+    program: P4Program, schedule: Schedule
+) -> Optional[Tuple[str, Tuple[int, ...]]]:
+    """The first written register that actions access at more than one cycle.
+
+    Returns ``(register, cycles)``, or ``None`` when every register that
+    some action writes (default actions included) is read and written at
+    one cycle only.  Then packet ``p`` reaches each such register at tick
+    ``p + cycle``, so the tick interleaving orders every register's accesses
+    by packet index -- the order a per-packet loop produces.  A register
+    that nothing writes never changes, so its readers may sit anywhere.
+    Each table's registers come from :func:`~repro.p4.dependency.table_usage`,
+    the analysis the scheduler orders the tables by.
+    """
+    cycles: Dict[str, Set[int]] = {}
+    written: Set[str] = set()
+    for table_name in program.table_order():
+        usage = table_usage(program, table_name)
+        written |= usage.register_writes
+        start = schedule.start(table_name, ACTION_OP)
+        for register in usage.registers:
+            cycles.setdefault(register, set()).add(start)
+    for register in program.registers:
+        if register in written and len(cycles[register]) > 1:
+            return register, tuple(sorted(cycles[register]))
+    return None
+
+
 # ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
@@ -108,6 +158,7 @@ class DrmtFusedGenerator:
         self.schedule = schedule
         self.num_processors = num_processors
         self._conditions = {apply.table: apply for apply in program.control_flow}
+        self.hazard = register_hazard(program, schedule)
 
     # ------------------------------------------------------------------
     # Module assembly
@@ -115,31 +166,64 @@ class DrmtFusedGenerator:
     def generate(self) -> ir.Module:
         """Build the fused dRMT module."""
         schedule = self.schedule
+        if self.hazard is None:
+            shape = LOOP_PER_PACKET
+            loop = "runs each packet to completion, packet after packet"
+            reason = (
+                "every register an action writes is read and written at one "
+                "cycle, so packets reach it in packet order."
+            )
+        else:
+            register, cycles = self.hazard
+            shape = LOOP_TICK_WALK
+            loop = "replays the tick interpreter's exact cross-packet interleaving"
+            reason = (
+                f"register {register!r} is accessed at cycles "
+                f"{', '.join(map(str, cycles))}, so packets interleave on it."
+            )
         module = ir.Module(
             docstring=(
                 f"Fused dRMT program for {self.program.name!r} generated by dgen.\n\n"
                 f"makespan={schedule.makespan} cycles, "
                 f"{self.num_processors} processors, "
                 f"{len(schedule.start_times)} scheduled operations; the trace loop "
-                "replays the tick interpreter's exact cross-packet interleaving."
+                f"{loop}.\n\nloop shape: {shape}: {reason}"
             ),
             globals=[
                 ir.Assign("PROGRAM_NAME", repr(self.program.name)),
                 ir.Assign("MAKESPAN", str(schedule.makespan)),
                 ir.Assign("NUM_PROCESSORS", str(self.num_processors)),
                 ir.Assign("NUM_OPERATIONS", str(len(schedule.start_times))),
+                ir.Assign("LOOP_SHAPE", repr(shape)),
+            ],
+        )
+        if self.hazard is not None:
+            module.globals.append(
                 ir.Assign(
                     "VISIT_ORDERS",
                     repr(tuple(visit_orders(schedule, self.num_processors))),
-                ),
-            ],
-        )
+                )
+            )
         module.functions.append(self._run_trace_function())
         module.trailer.append(ir.Assign("RUN_TRACE", RUN_TRACE_FUNCTION_NAME))
         return module
 
     def _run_trace_function(self) -> ir.FunctionDef:
         segments = _segments(self.schedule)
+        per_packet = self.hazard is None
+        if per_packet:
+            summary = (
+                "run each packet's inlined operations to completion in schedule "
+                "order, packet after packet, which the module's loop shape proves "
+                "bit-identical to the tick interleaving."
+            )
+            hoisted = "table probes and register arrays"
+        else:
+            summary = (
+                "walk global ticks and execute the inlined per-cycle operation "
+                "segments in the tick interpreter's exact packet/processor interleaving."
+            )
+            hoisted = "table probes, match results and register arrays"
         body: List[ir.IRStmt] = []
         body.append(ir.Assign("n", "len(packets)"))
         body.append(ir.Assign("dropped", "[False] * n"))
@@ -147,7 +231,7 @@ class DrmtFusedGenerator:
             body.append(
                 ir.If(branches=[("n == 0", [ir.Return("dropped")])], orelse=[])
             )
-            body.append(ir.Comment("hoist table probes, match results and register arrays"))
+            body.append(ir.Comment(f"hoist {hoisted}"))
             table_names = self.program.table_order()
             for table_name in table_names:
                 # Build each table's probe structure once per trace (a dict
@@ -163,14 +247,17 @@ class DrmtFusedGenerator:
                     body.append(ir.Assign(f"rows_{safe}", f"table_{safe}.masked_rows()"))
                 body.append(ir.Assign(f"hits_{safe}", "0"))
                 body.append(ir.Assign(f"misses_{safe}", "0"))
-                body.append(ir.Assign(f"matched_{safe}", "[None] * n"))
+                if not per_packet:
+                    body.append(ir.Assign(f"matched_{safe}", "[None] * n"))
             for register_name in self.program.registers:
                 body.append(
                     ir.Assign(f"reg_{_ident(register_name)}", f"registers[{register_name!r}]")
                 )
-            loop_body = self._tick_loop_body(segments)
-            tick_loop = ir.For("t", "range(n + MAKESPAN - 1)", loop_body)
-            body.append(tick_loop)
+            if per_packet:
+                body.append(ir.For("p", "range(n)", self._packet_body()))
+            else:
+                loop_body = self._tick_loop_body(segments)
+                body.append(ir.For("t", "range(n + MAKESPAN - 1)", loop_body))
             for table_name in table_names:
                 safe = _ident(table_name)
                 body.append(
@@ -187,12 +274,23 @@ class DrmtFusedGenerator:
             params=["packets", "tables", "registers"],
             body=body,
             docstring=(
-                "Fused dRMT trace loop: walk global ticks and execute the inlined "
-                "per-cycle operation segments in the tick interpreter's exact "
-                "packet/processor interleaving.  Mutates the packet field dicts and "
+                f"Fused dRMT trace loop: {summary}  Mutates the packet field dicts and "
                 "register arrays in place and returns the per-packet dropped flags."
             ),
         )
+
+    def _packet_body(self) -> List[ir.IRStmt]:
+        """One packet's operations in schedule order; a drop skips the rest."""
+        operations = [op for op, _start in _ordered_operations(self.schedule)]
+        body: List[ir.IRStmt] = [ir.Assign("fields", "packets[p]")]
+        for index, (table_name, kind) in enumerate(operations):
+            if kind == MATCH_OP:
+                body.extend(self._match_stmts(table_name))
+                continue
+            body.extend(self._action_stmts(table_name))
+            if self._may_drop(table_name) and index + 1 < len(operations):
+                body.append(ir.If(branches=[("dropped[p]", [ir.Continue()])], orelse=[]))
+        return body
 
     def _tick_loop_body(self, segments: Dict[int, List[Operation]]) -> List[ir.IRStmt]:
         dispatch: List[Tuple[str, List[ir.IRStmt]]] = [
@@ -228,15 +326,16 @@ class DrmtFusedGenerator:
         )
 
     def _may_drop(self, table_name: str) -> bool:
-        table = self.program.tables[table_name]
-        action_names = list(table.actions)
-        if table.default_action is not None:
-            action_names.append(table.default_action)
-        for action_name in action_names:
-            action = self.program.actions.get(action_name)
-            if action is not None and any(call.op == "drop" for call in action.body):
-                return True
-        return False
+        return any(
+            call.op == "drop"
+            for action_name in self.program.tables[table_name].action_names()
+            for call in self.program.actions[action_name].body
+        )
+
+    def _matched(self, table_name: str) -> str:
+        """Where one packet's match result for ``table_name`` lives."""
+        safe = _ident(table_name)
+        return f"m_{safe}" if self.hazard is None else f"matched_{safe}[p]"
 
     def _segment_stmts(self, operations: Sequence[Operation]) -> List[ir.IRStmt]:
         """One cycle's operations; later ops re-check the drop flag when needed."""
@@ -298,7 +397,7 @@ class DrmtFusedGenerator:
                 ),
             ]
         lookup_stmts += [
-            ir.Assign(f"matched_{safe}[p]", "_entry"),
+            ir.Assign(self._matched(table_name), "_entry"),
             ir.If(
                 branches=[("_entry is None", [ir.Assign(f"misses_{safe}", f"misses_{safe} + 1")])],
                 orelse=[ir.Assign(f"hits_{safe}", f"hits_{safe} + 1")],
@@ -310,14 +409,13 @@ class DrmtFusedGenerator:
         return [
             ir.If(
                 branches=[(condition, lookup_stmts)],
-                orelse=[ir.Assign(f"matched_{safe}[p]", "None")],
+                orelse=[ir.Assign(self._matched(table_name), "None")],
             )
         ]
 
     def _action_stmts(self, table_name: str) -> List[ir.IRStmt]:
         table = self.program.tables[table_name]
-        safe = _ident(table_name)
-        hit_body: List[ir.IRStmt] = [ir.Assign("entry", f"matched_{safe}[p]")]
+        hit_body: List[ir.IRStmt] = [ir.Assign("entry", self._matched(table_name))]
         dispatch = self._action_dispatch(table)
         miss_body: List[ir.IRStmt] = []
         if table.default_action is not None:

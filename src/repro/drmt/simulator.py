@@ -9,9 +9,11 @@ Execution goes through the unified engine layer's drivers:
 
 * **tick** — the per-tick round-robin processor loop below (the paper's
   model; ``tick_accurate=True`` forces it);
-* **fused** — the bundle's generated ``run_trace`` loop, which replays the
-  tick interpreter's exact cross-packet interleaving and is faithful for
-  any program; the default whenever generation succeeds.
+* **fused** — the bundle's generated ``run_trace`` loop, faithful for any
+  program: it runs each packet to completion when the schedule proves that
+  bit-identical to the tick model (every written register is accessed at
+  one cycle), and replays the tick interpreter's exact cross-packet
+  interleaving otherwise; the default whenever generation succeeds.
 
 dRMT has no generic driver.  The choice between the two is
 :func:`repro.engine.base.resolve_engine`, the rule the RMT facade uses too;

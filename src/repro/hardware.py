@@ -12,7 +12,7 @@ or keep the container's previous value (pass-through).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .alu_dsl.ast_nodes import ALUSpec
@@ -150,15 +150,6 @@ class PipelineSpec:
             for container in range(self.width):
                 pairs[naming.output_mux_name(stage, container)] = self.passthrough_value
         return MachineCode(pairs)
-
-
-@dataclass
-class StageLayout:
-    """Resolved layout of a single stage (used by reporting and debug tools)."""
-
-    stage: int
-    stateless_slots: List[str] = field(default_factory=list)
-    stateful_slots: List[str] = field(default_factory=list)
 
 
 def describe_pipeline(spec: PipelineSpec) -> str:

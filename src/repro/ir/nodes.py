@@ -62,6 +62,15 @@ class Break(IRStmt):
 
 
 @dataclass
+class Continue(IRStmt):
+    """A ``continue`` to the next iteration of the innermost :class:`For`.
+
+    The per-packet dRMT loop uses it to skip a dropped packet's remaining
+    operations.
+    """
+
+
+@dataclass
 class If(IRStmt):
     """An ``if``/``elif``/``else`` chain.
 

@@ -15,6 +15,7 @@ from .nodes import (
     Assign,
     Break,
     Comment,
+    Continue,
     ExprStmt,
     For,
     FunctionDef,
@@ -63,6 +64,8 @@ def _emit_stmt(statement: IRStmt, indent: int, lines: List[str]) -> None:
                 _emit_stmt(inner, indent + 1, lines)
         else:
             lines.append(f"{pad}{_INDENT}pass")
+    elif isinstance(statement, Continue):
+        lines.append(f"{pad}continue")
     else:  # pragma: no cover - defensive
         raise TypeError(f"unknown IR statement {type(statement).__name__}")
 

@@ -42,27 +42,34 @@ class TableUsage:
     action_reads: Set[str]
     action_writes: Set[str]
     registers: Set[str]
+    register_writes: Set[str]
 
 
 def table_usage(program: P4Program, table_name: str) -> TableUsage:
-    """Compute the field/register usage of one table across all of its actions."""
+    """Compute the field/register usage of one table across all of its actions.
+
+    The default action counts like any other: a miss runs it.
+    """
     table = program.tables.get(table_name)
     if table is None:
         raise P4SemanticError(f"unknown table {table_name!r}")
     reads: Set[str] = set()
     writes: Set[str] = set()
     registers: Set[str] = set()
-    for action_name in table.actions:
+    register_writes: Set[str] = set()
+    for action_name in table.action_names():
         action = program.actions[action_name]
         reads.update(action.fields_read())
         writes.update(action.fields_written())
         registers.update(action.registers_used())
+        register_writes.update(action.registers_written())
     return TableUsage(
         name=table_name,
         match_fields=set(table.match_fields()),
         action_reads=reads,
         action_writes=writes,
         registers=registers,
+        register_writes=register_writes,
     )
 
 

@@ -119,6 +119,10 @@ class Action:
                 registers.append(call.args[0])
         return registers
 
+    def registers_written(self) -> List[str]:
+        """Registers written by this action."""
+        return [call.args[0] for call in self.body if call.op == "register_write" and call.args]
+
 
 @dataclass
 class TableRead:
@@ -147,6 +151,12 @@ class Table:
     def match_fields(self) -> List[str]:
         """Fully qualified fields this table matches on."""
         return [read.field for read in self.reads]
+
+    def action_names(self) -> List[str]:
+        """Every action the table may run: its entry actions, then the default."""
+        if self.default_action is None or self.default_action in self.actions:
+            return list(self.actions)
+        return [*self.actions, self.default_action]
 
     @property
     def is_exact(self) -> bool:
@@ -236,7 +246,7 @@ class P4Program:
                     raise P4SemanticError(
                         f"table {table.name!r} matches on unknown field {read.field!r}"
                     )
-            for action_name in table.actions:
+            for action_name in table.action_names():
                 if action_name not in self.actions:
                     raise P4SemanticError(
                         f"table {table.name!r} references unknown action {action_name!r}"

@@ -160,7 +160,10 @@ class TestEngineFlags:
         assert drmt_main(["--dump-fused"]) == 0
         out = capsys.readouterr().out
         assert "def run_trace(" in out
-        assert "VISIT_ORDERS" in out
+        # The sample router passes the per-packet proof at any processor count.
+        assert "LOOP_SHAPE = 'per_packet'" in out
+        assert "loop shape: per_packet" in out
+        assert "VISIT_ORDERS" not in out
 
 
 class TestShardingKnobs:

@@ -13,7 +13,7 @@ from repro.drmt import (
     generate_bundle,
 )
 from repro.drmt import MatchPattern, TableEntry
-from repro.drmt.fused import visit_orders
+from repro.drmt.fused import LOOP_PER_PACKET, LOOP_TICK_WALK, register_hazard, visit_orders
 from repro.p4 import samples
 from repro.traffic import choice_field
 
@@ -192,6 +192,100 @@ class TestHazardAnalysis:
         equal, detail = _records_equal(tick, fused)
         assert equal, detail
         assert fused.register_dump == tick.register_dump
+
+
+#: Two tables read the never-written ``config`` register at two cycles:
+#: ``second`` matches the field ``first`` loads, so its action runs later.
+READ_ONLY_TWO_CYCLES_PROGRAM = """
+header_type pkt_t {
+    fields {
+        f : 8;
+        g : 8;
+        h : 8;
+    }
+}
+
+header pkt_t pkt;
+
+register config {
+    width : 8;
+    instance_count : 4;
+}
+
+action load_g() {
+    register_read(pkt.g, config, pkt.f);
+}
+
+action load_h() {
+    register_read(pkt.h, config, pkt.g);
+}
+
+table first {
+    reads {
+        pkt.f : exact;
+    }
+    actions { load_g; }
+    default_action : load_g;
+}
+
+table second {
+    reads {
+        pkt.g : exact;
+    }
+    actions { load_h; }
+    default_action : load_h;
+}
+
+control ingress {
+    apply(first);
+    apply(second);
+}
+"""
+
+
+class TestLoopShape:
+    """The schedule proof picks the loop; the module records which and why."""
+
+    def test_hazard_program_keeps_the_tick_walk(self):
+        bundle = generate_bundle(HAZARD_PROGRAM, DrmtHardwareParams(num_processors=2))
+        first = bundle.schedule.start("first", "action")
+        second = bundle.schedule.start("second", "action")
+        assert first != second
+        assert register_hazard(bundle.program, bundle.schedule) == (
+            "shared",
+            tuple(sorted((first, second))),
+        )
+        fused = bundle.fused_program()
+        assert fused.namespace["LOOP_SHAPE"] == LOOP_TICK_WALK
+        assert (
+            f"loop shape: tick_walk: register 'shared' is accessed at cycles "
+            f"{min(first, second)}, {max(first, second)}" in fused.source
+        )
+        assert "for c in VISIT_ORDERS[t % NUM_PROCESSORS]:" in fused.source
+        assert "matched_first[p]" in fused.source
+
+    def test_read_only_register_at_two_cycles_stays_per_packet(self):
+        bundle = generate_bundle(
+            READ_ONLY_TWO_CYCLES_PROGRAM, DrmtHardwareParams(num_processors=2)
+        )
+        cycles = {bundle.schedule.start(table, "action") for table in ("first", "second")}
+        assert len(cycles) == 2
+        assert register_hazard(bundle.program, bundle.schedule) is None
+        assert bundle.fused_program().namespace["LOOP_SHAPE"] == LOOP_PER_PACKET
+        packets = [{"pkt.f": index % 5, "pkt.g": 0, "pkt.h": 0} for index in range(20)]
+        _assert_fused_matches_tick(bundle, packets)
+
+    @pytest.mark.parametrize("num_processors", [1, 2, 4])
+    @pytest.mark.parametrize("program_name", sorted(PROGRAMS))
+    def test_sample_programs_run_per_packet(self, program_name, num_processors):
+        factory, _entries = PROGRAMS[program_name]
+        bundle = generate_bundle(factory(), DrmtHardwareParams(num_processors=num_processors))
+        fused = bundle.fused_program()
+        assert fused.namespace["LOOP_SHAPE"] == LOOP_PER_PACKET
+        assert "loop shape: per_packet" in fused.source
+        assert "for p in range(n):" in fused.source
+        for tick_walk_only in ("VISIT_ORDERS", "matched_", "if c =="):
+            assert tick_walk_only not in fused.source
 
 
 #: A per-flow counter whose register index comes straight from a packet field.

@@ -110,6 +110,36 @@ class TestGreedyScheduler:
         assert schedule.makespan == DrmtHardwareParams().ticks_per_match + DrmtHardwareParams().ticks_per_action
 
 
+    def test_default_action_writes_order_later_matches(self):
+        """``second`` matches the field only ``first``'s default action writes.
+
+        The match must wait for that action: launched earlier, it would read
+        the stale field on every miss of ``first``.
+        """
+        source = """
+        header_type pkt_t { fields { f : 8; } }
+        header_type meta_t { fields { tmp : 8; out : 8; } }
+        header pkt_t pkt;
+        metadata meta_t meta;
+        action nop() { no_op(); }
+        action setm() { modify_field(meta.tmp, 7); }
+        action mark() { modify_field(meta.out, 1); }
+        table first { reads { pkt.f : exact; } actions { nop; } default_action : setm; }
+        table second { reads { meta.tmp : exact; } actions { mark; } }
+        control ingress { apply(first); apply(second); }
+        """
+        program = parse(source)
+        schedule, graph = scheduled(program)
+        assert graph.edges["first", "second"]["kind"] == "match"
+        assert validate_schedule(schedule, program, graph) == []
+        assert schedule.start_times == {
+            ("first", MATCH_OP): 0,
+            ("first", ACTION_OP): 2,
+            ("second", MATCH_OP): 3,
+            ("second", ACTION_OP): 5,
+        }
+
+
 class TestMilpScheduler:
     def test_milp_schedule_feasible_and_no_worse(self):
         program = samples.simple_router()

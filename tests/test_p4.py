@@ -116,6 +116,13 @@ class TestValidation:
         with pytest.raises(P4SemanticError):
             parse(source)
 
+    def test_table_with_unknown_default_action_rejected(self):
+        source = MINIMAL.replace(
+            "actions { nothing; } }", "actions { nothing; } default_action : nosuch; }"
+        )
+        with pytest.raises(P4SemanticError, match="'nosuch'"):
+            parse(source)
+
     def test_control_applying_unknown_table_rejected(self):
         source = MINIMAL.replace("apply(t2);", "apply(ghost);")
         with pytest.raises(P4SemanticError):
@@ -212,6 +219,21 @@ class TestDependencies:
         assert "ipv4.dstAddr" in usage.match_fields
         with pytest.raises(P4SemanticError):
             table_usage(program, "ghost")
+
+    def test_usage_counts_the_default_action(self):
+        """A miss runs the default action, so its writes and registers count."""
+        source = MINIMAL.replace(
+            "action nothing() { no_op(); }",
+            "action nothing() { no_op(); }\n"
+            "register r { width : 8; instance_count : 2; }\n"
+            "action stash() { modify_field(h.b, 7); register_write(r, 0, h.a); }",
+        ).replace(
+            "actions { nothing; } }", "actions { nothing; } default_action : stash; }"
+        )
+        usage = table_usage(parse(source), "t2")
+        assert usage.action_writes == {"h.b"}
+        assert usage.action_reads == {"h.a"}
+        assert usage.registers == usage.register_writes == {"r"}
 
     def test_action_field_queries(self):
         program = samples.simple_router()
