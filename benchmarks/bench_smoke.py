@@ -6,9 +6,9 @@ the required ``--output``.  The committed trajectory is one
 ``BENCH_PR<N>.json`` per recorded change, starting at ``BENCH_PR1.json``.
 Two headline ratios are reported per program:
 
-* ``fused vs tick`` — the generated ``run_trace`` loop (opt level 3, with
-  the peephole pass) against the paper's tick-accurate interpreter driving
-  the opt-level-2 description.  This is the like-for-like continuation of
+* ``fused vs tick`` — the generated ``run_trace`` loop (opt level 3)
+  against the paper's tick-accurate interpreter driving the opt-level-2
+  description.  This is the like-for-like continuation of
   the PR-1 trajectory, whose level-0..2 cells ran the tick interpreter.
 * ``fused vs inlining`` — against the opt-level-2 description under the
   engine layer's *generic sequential driver* (the new default below level
@@ -22,8 +22,10 @@ input preparation and result assembly add.
 The sweep also covers the dRMT engine: packets/sec for the bundled P4
 programs under its two sequential drivers, tick and fused (the fused loop
 probes exact tables through a dict and the others through masked rows).
-Each fused dRMT cell records its own non-gating ``facade_ratio``: the whole
-``DRMTSimulator`` call divided by the bare generated ``run_trace`` on
+A dRMT cell times ``DRMTSimulator.run_packets`` alone: each round's
+simulator, with its parsed table entries, is built before the timed
+region.  Each fused dRMT cell records its own non-gating ``facade_ratio``:
+that ``run_packets`` time divided by the bare generated ``run_trace`` on
 prepared packet dicts.
 
 Since PR 3 the sweep adds the *sharded* 1M-PHV cell: the flow-counters
@@ -150,10 +152,12 @@ def measure_drmt_cell(name: str, engine: str, packets: int, rounds: int) -> Dict
     if engine == "fused":
         bundle.fused_program()  # build outside the measured region
     trace = PacketGenerator(bundle.program, seed=42).generate(packets)
+    simulators = [
+        DRMTSimulator(bundle, table_entries=entries, engine=engine) for _ in range(rounds)
+    ]
 
     def run():
-        simulator = DRMTSimulator(bundle, table_entries=entries, engine=engine)
-        result = simulator.run_packets(trace)
+        result = simulators.pop().run_packets(trace)
         assert result.packets_processed == packets
         assert result.engine == engine
 

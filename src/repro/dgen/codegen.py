@@ -29,13 +29,22 @@ levels of the paper (Figure 6):
   each ALU's work from :meth:`ALUCode.inline`, which lowers the same
   specialised DSL body a second time with the input-multiplexer fragments
   and the hoisted state vector in place of the function's parameters.
+  Nothing rewrites the loop afterwards: the body is already folded, and
+  ``inline`` itself skips an unread default output and an operand load a
+  local still holds.
 
 Every level lowers DSL statements through one routine, :func:`_lower_stmts`;
-levels 2 and 3 specialise the whole body first.
+levels 2 and 3 specialise the whole body first
+(:func:`~repro.dgen.optimize.constant_propagation.specialize_spec`).  An
+``if`` test is lowered by :func:`_lower_condition` for its truth value only.
+A packet field or local must not take a name the generated code binds
+(:meth:`ALUFunctionGenerator._check_names`).
 """
 
 from __future__ import annotations
 
+import keyword
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -68,6 +77,7 @@ from .optimize.constant_propagation import (
     specialize_primitive_template,
     specialize_spec,
 )
+from .optimize.dce import remove_dead_local_assignments
 from .optimize.inlining import inline_call
 
 #: Optimisation levels accepted throughout dgen.
@@ -84,6 +94,13 @@ OPT_LEVEL_NAMES = {
 }
 #: Levels at which helper functions are inlined into the ALU functions.
 _INLINE_LEVELS = (OPT_SCC_INLINE, OPT_FUSED)
+#: Names the generated code binds (loop and stage variables, the default
+#: output, every generated function) or calls (``int``, ``bool``), which an
+#: ALU's packet fields and locals must not take.
+_RESERVED_NAME = re.compile(
+    r"phv|values|inputs|outputs|_append|_default_output|int|bool"
+    r"|state_\d+_\d+|state(less|ful)_output_\d+|stage_\w*"
+)
 
 
 def alu_function_name(stage: int, kind: str, slot: int) -> str:
@@ -134,6 +151,48 @@ def _lower_expr(
     return primitive_code(expr)
 
 
+#: DSL operators whose Python form, bare, already has the truth value the
+#: ``int(...)``/``bool(...)``-wrapped template computes.
+_CONDITION_OPS = {
+    **{op: op for op in ("==", "!=", "<=", ">=", "<", ">")},
+    "&&": "and",
+    "||": "or",
+}
+
+
+def _lower_condition(
+    expr: Expr,
+    var_code: Callable[[str], str],
+    primitive_code: Optional[Callable[[Expr], str]] = None,
+) -> str:
+    """Python source with the truth value of ``expr``, for an ``if`` test.
+
+    Only truthiness matters there, so relational operators, ``&&``, ``||``
+    and ``!`` lose their ``int(...)``/``bool(...)`` wrappers, and a literal
+    operand of ``&&``/``||`` that cannot change the result (a nonzero one
+    under ``&&``, zero under ``||``) is dropped.
+    """
+    if isinstance(expr, UnaryOp) and expr.op == "!":
+        return f"not ({_lower_condition(expr.operand, var_code, primitive_code)})"
+    if isinstance(expr, BinaryOp) and expr.op in _CONDITION_OPS:
+        operands = [expr.left, expr.right]
+        if expr.op in ("&&", "||"):
+            identity = expr.op == "&&"
+            kept = [
+                operand
+                for operand in operands
+                if not (isinstance(operand, Number) and bool(operand.value) == identity)
+            ]
+            if len(kept) == 1:
+                return _lower_condition(kept[0], var_code, primitive_code)
+            lower = _lower_condition
+        else:
+            lower = _lower_expr
+        left, right = (lower(operand, var_code, primitive_code) for operand in operands)
+        return f"({left}) {_CONDITION_OPS[expr.op]} ({right})"
+    return _lower_expr(expr, var_code, primitive_code)
+
+
 def _lower_stmts(
     stmts: Sequence[Stmt],
     var_code: Callable[[str], str],
@@ -159,7 +218,7 @@ def _lower_stmts(
             for condition, body in stmt.branches:
                 value = decide(condition) if decide else None
                 if value is None:
-                    condition_code = _lower_expr(condition, var_code, primitive_code)
+                    condition_code = _lower_condition(condition, var_code, primitive_code)
                     branches.append(
                         (condition_code, _lower_stmts(body, var_code, primitive_code, decide))
                     )
@@ -230,19 +289,26 @@ class ALUCode:
         return f"{self.function.name}({', '.join(args)})"
 
     def inline(
-        self, operand_codes: Sequence[str], state_code: str, output: Optional[str]
+        self,
+        operand_codes: Sequence[str],
+        state_code: str,
+        output: Optional[str],
+        bound: Dict[str, str],
     ) -> Optional[List[ir.IRStmt]]:
         """This ALU's statements for the fused loop, or ``None`` to keep the call.
 
         ``output`` is the variable that receives the ALU's output, ``None``
-        when no output multiplexer reads it.  A packet field read once is
-        replaced by its operand fragment; one read more often is bound to a
-        local first.  State variables index ``state_code``, the loop's
+        when no output multiplexer reads it; then the locals only the output
+        needed, such as the default output, are not computed.  A packet
+        field read once is replaced by its operand fragment; one read more
+        often is bound to a local first, unless ``bound`` shows that local
+        already holds that fragment.  ``bound`` maps locals to the operand
+        fragments they hold and is updated to the bindings that hold after
+        these statements.  State variables index ``state_code``, the loop's
         hoisted state-vector local.  The first top-level ``return`` becomes
         the assignment to ``output`` and what follows it is unreachable.  A
         ``return`` inside a branch cannot become straight-line code, so such
-        a body returns ``None``.  Dead stores, such as an unread default
-        output, are left for the peephole pass.
+        a body returns ``None``.
         """
         spec = self.spec
         prefix: List[Stmt] = []
@@ -253,6 +319,8 @@ class ALUCode:
             if any(isinstance(inner, Return) for inner in walk_stmts([stmt])):
                 return None
             prefix.append(stmt)
+        if output is None:
+            prefix = remove_dead_local_assignments(prefix, protected=set(spec.state_vars))
 
         reads: Counter = Counter()
         for stmt in walk_stmts(prefix):
@@ -267,10 +335,13 @@ class ALUCode:
         stmts: List[ir.IRStmt] = []
         names: Dict[str, str] = {}
         for packet_field, operand in zip(spec.packet_fields, operand_codes):
+            if bound.get(packet_field) == operand:
+                continue
             if reads[packet_field] == 1:
                 names[packet_field] = operand
             elif reads[packet_field] > 1:
                 stmts.append(ir.Assign(packet_field, operand))
+                bound[packet_field] = operand
 
         def var_code(name: str) -> str:
             if name in spec.state_vars:
@@ -278,6 +349,9 @@ class ALUCode:
             return names.get(name, name)
 
         stmts.extend(_lower_stmts(prefix, var_code))
+        for stmt in walk_stmts(prefix):
+            if isinstance(stmt, Assign):
+                bound.pop(stmt.target, None)
         if output is not None:
             stmts.append(ir.Assign(output, _lower_expr(returned, var_code)))
         return stmts
@@ -349,6 +423,7 @@ class ALUFunctionGenerator:
             raise
 
     def _generate(self) -> ALUCode:
+        self._check_names()
         code = ALUCode(
             stage=self.stage,
             kind=self.kind,
@@ -388,6 +463,23 @@ class ALUFunctionGenerator:
         )
         code.helpers = list(self._helpers.values())
         return code
+
+    def _check_names(self) -> None:
+        """Refuse a packet field or local that generated code binds or calls.
+
+        Those DSL names become Python names in the ALU function and the fused
+        loop, where one such as ``phv`` or ``_default_output`` would overwrite
+        dgen's own variable.
+        """
+        spec = self.spec
+        locals_ = [stmt.target for stmt in walk_stmts(spec.body) if isinstance(stmt, Assign)]
+        for name in (*spec.packet_fields, *locals_):
+            if name not in spec.state_vars and (
+                _RESERVED_NAME.fullmatch(name) or keyword.iskeyword(name)
+            ):
+                raise CodegenError(
+                    f"ALU {spec.name!r}: identifier {name!r} is reserved for generated code"
+                )
 
     # ------------------------------------------------------------------
     # Lowering hooks

@@ -22,12 +22,15 @@ Two granularities are provided:
   values into an expression or statement list, producing an equivalent AST
   with no hole-controlled primitives left.  Together with constant folding
   and dead-branch elimination this is the fully-specialised form used by the
-  version-3 (inlined) code.
+  version-3 (inlined) code.  :func:`specialize_stmts` also substitutes a
+  variable bound to a literal into the code after it, drops
+  self-assignments and replaces an ``if`` whose arms all do what its
+  ``else`` does by that ``else``.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ...alu_dsl import semantics
 from ...alu_dsl.ast_nodes import (
@@ -47,9 +50,10 @@ from ...alu_dsl.ast_nodes import (
     Stmt,
     UnaryOp,
     Var,
+    walk_stmts,
 )
 from ...errors import CodegenError, MissingMachineCodeError
-from .dce import eliminate_dead_branches, remove_dead_local_assignments
+from .dce import remove_dead_local_assignments
 from .folding import fold_expr
 
 
@@ -104,40 +108,44 @@ def specialize_expr(
     expr: Expr,
     holes: Mapping[str, int],
     hole_var_names: Sequence[str] = (),
+    constants: Optional[Mapping[str, Number]] = None,
 ) -> Expr:
     """Substitute hole values into ``expr`` and fold the result.
 
     Every hole-controlled primitive is replaced by the concrete behaviour its
-    machine-code value selects, references to declared hole variables become
-    literal numbers, and constant folding is applied bottom-up.
+    machine-code value selects, references to declared hole variables and
+    to the variables in ``constants`` become literal numbers, and constant
+    folding is applied bottom-up.
     """
-    specialized = _specialize(expr, holes, set(hole_var_names))
+    specialized = _specialize(expr, holes, set(hole_var_names), constants or {})
     return fold_expr(specialized)
 
 
-def _specialize(expr: Expr, holes: Mapping[str, int], hole_vars: set) -> Expr:
+def _specialize(
+    expr: Expr, holes: Mapping[str, int], hole_vars: set, constants: Mapping[str, Number]
+) -> Expr:
     if isinstance(expr, Number):
         return expr
     if isinstance(expr, Var):
         if expr.name in hole_vars:
             return Number(_hole_value(holes, expr.name))
-        return expr
+        return constants.get(expr.name, expr)
     if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _specialize(expr.operand, holes, hole_vars))
+        return UnaryOp(expr.op, _specialize(expr.operand, holes, hole_vars, constants))
     if isinstance(expr, BinaryOp):
         return BinaryOp(
             expr.op,
-            _specialize(expr.left, holes, hole_vars),
-            _specialize(expr.right, holes, hole_vars),
+            _specialize(expr.left, holes, hole_vars, constants),
+            _specialize(expr.right, holes, hole_vars, constants),
         )
     if isinstance(expr, MuxExpr):
         value = _hole_value(holes, expr.hole_name)
         selected = expr.inputs[value % expr.width]
-        return _specialize(selected, holes, hole_vars)
+        return _specialize(selected, holes, hole_vars, constants)
     if isinstance(expr, OptExpr):
         value = _hole_value(holes, expr.hole_name)
         if value % 2 == 0:
-            return _specialize(expr.operand, holes, hole_vars)
+            return _specialize(expr.operand, holes, hole_vars, constants)
         return Number(0)
     if isinstance(expr, ConstExpr):
         return Number(_hole_value(holes, expr.hole_name))
@@ -146,24 +154,24 @@ def _specialize(expr: Expr, holes: Mapping[str, int], hole_vars: set) -> Expr:
         symbol = semantics.REL_OP_SYMBOLS[value % len(semantics.REL_OP_SYMBOLS)]
         return BinaryOp(
             symbol,
-            _specialize(expr.left, holes, hole_vars),
-            _specialize(expr.right, holes, hole_vars),
+            _specialize(expr.left, holes, hole_vars, constants),
+            _specialize(expr.right, holes, hole_vars, constants),
         )
     if isinstance(expr, ArithOpExpr):
         value = _hole_value(holes, expr.hole_name)
         symbol = semantics.ARITH_OP_SYMBOLS[value % len(semantics.ARITH_OP_SYMBOLS)]
         return BinaryOp(
             symbol,
-            _specialize(expr.left, holes, hole_vars),
-            _specialize(expr.right, holes, hole_vars),
+            _specialize(expr.left, holes, hole_vars, constants),
+            _specialize(expr.right, holes, hole_vars, constants),
         )
     if isinstance(expr, BoolOpExpr):
         value = _hole_value(holes, expr.hole_name)
         symbol = semantics.BOOL_OP_SYMBOLS[value % len(semantics.BOOL_OP_SYMBOLS)]
         return BinaryOp(
             symbol,
-            _specialize(expr.left, holes, hole_vars),
-            _specialize(expr.right, holes, hole_vars),
+            _specialize(expr.left, holes, hole_vars, constants),
+            _specialize(expr.right, holes, hole_vars, constants),
         )
     raise CodegenError(f"unknown expression node {type(expr).__name__}")
 
@@ -172,24 +180,59 @@ def specialize_stmts(
     stmts: Sequence[Stmt],
     holes: Mapping[str, int],
     hole_var_names: Sequence[str] = (),
+    constants: Optional[Dict[str, Number]] = None,
 ) -> List[Stmt]:
-    """Specialise a statement list: substitute holes, fold, prune dead branches."""
+    """Specialise a statement list: substitute holes, fold, prune dead branches.
+
+    The folding carries on through the variables the statements assign.  One
+    bound to a literal is substituted into the straight-line code after it:
+    ``constants`` holds those known before ``stmts`` and is updated to those
+    known after them.  A self-assignment (the "unchanged" arm an ``Opt`` or
+    ``Mux`` leaves behind) is dropped, and so is a trailing ``elif`` arm, or
+    every arm, equal to the ``else``: conditions are pure, so only the
+    statements that run matter.
+    """
+    if constants is None:
+        constants = {}
     result: List[Stmt] = []
     for stmt in stmts:
         if isinstance(stmt, Assign):
-            result.append(Assign(stmt.target, specialize_expr(stmt.value, holes, hole_var_names)))
+            value = specialize_expr(stmt.value, holes, hole_var_names, constants)
+            constants.pop(stmt.target, None)
+            if value == Var(stmt.target):
+                continue
+            if isinstance(value, Number):
+                constants[stmt.target] = value
+            result.append(Assign(stmt.target, value))
         elif isinstance(stmt, Return):
-            result.append(Return(specialize_expr(stmt.value, holes, hole_var_names)))
+            result.append(Return(specialize_expr(stmt.value, holes, hole_var_names, constants)))
         elif isinstance(stmt, If):
-            branches = [
-                (
-                    specialize_expr(condition, holes, hole_var_names),
-                    tuple(specialize_stmts(body, holes, hole_var_names)),
-                )
-                for condition, body in stmt.branches
+            branches = []
+            orelse: Sequence[Stmt] = stmt.orelse
+            for condition, body in stmt.branches:
+                condition = specialize_expr(condition, holes, hole_var_names, constants)
+                if not isinstance(condition, Number):
+                    branches.append((condition, body))
+                elif condition.value:  # always runs once reached: the chain ends here
+                    orelse = body
+                    break
+            after_orelse = dict(constants)
+            orelse = specialize_stmts(orelse, holes, hole_var_names, after_orelse)
+            arms = [
+                (condition, tuple(specialize_stmts(body, holes, hole_var_names, dict(constants))))
+                for condition, body in branches
             ]
-            orelse = specialize_stmts(stmt.orelse, holes, hole_var_names)
-            result.extend(eliminate_dead_branches(branches, orelse))
+            while arms and list(arms[-1][1]) == orelse:
+                arms.pop()
+            if arms:
+                result.append(If(tuple(arms), tuple(orelse)))
+                for inner in walk_stmts(result[-1:]):
+                    if isinstance(inner, Assign):
+                        constants.pop(inner.target, None)
+            else:
+                result.extend(orelse)
+                constants.clear()
+                constants.update(after_orelse)
         else:  # pragma: no cover - defensive
             raise CodegenError(f"unknown statement node {type(stmt).__name__}")
     return result

@@ -1,45 +1,17 @@
-"""Dead-code elimination for ALU DSL statement lists.
+"""Dead-assignment elimination for ALU DSL statement lists.
 
-The SCC-propagation pass turns some ``if`` conditions into literal constants;
-this module removes the branches that can never execute — "dead code
-elimination from unused control paths" (paper §3.4) — and drops assignments
-to local variables that are never subsequently read.
+The SCC-propagation pass turns some ``if`` conditions into literal constants
+and prunes the branches that can never execute — "dead code elimination from
+unused control paths" (paper §3.4).  That can leave a local nothing reads;
+this module drops assignments to local variables that are never
+subsequently read.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Set
 
-from ...alu_dsl.ast_nodes import Assign, Expr, If, Number, Return, Stmt
-from .folding import fold_expr
-
-
-def eliminate_dead_branches(
-    branches: Sequence[Tuple[Expr, Tuple[Stmt, ...]]],
-    orelse: Sequence[Stmt],
-) -> List[Stmt]:
-    """Resolve an ``if``/``elif``/``else`` chain whose conditions may be constant.
-
-    Returns a statement list equivalent to the chain under the assumption
-    that every condition has already been specialised (holes substituted) and
-    folded.  Branches with a constant-false condition are removed; the first
-    constant-true condition terminates the chain (its body becomes the final
-    ``else`` of whatever unknown-condition branches precede it, or replaces
-    the chain entirely when it is the first live branch).
-    """
-    live: List[Tuple[Expr, Tuple[Stmt, ...]]] = []
-    final_orelse: Sequence[Stmt] = orelse
-    for condition, body in branches:
-        folded = fold_expr(condition)
-        if isinstance(folded, Number):
-            if folded.value == 0:
-                continue  # branch can never run
-            final_orelse = body  # branch always runs once reached
-            break
-        live.append((folded, body))
-    if not live:
-        return list(final_orelse)
-    return [If(tuple(live), tuple(final_orelse))]
+from ...alu_dsl.ast_nodes import Assign, Expr, If, Return, Stmt
 
 
 def _expr_reads(expr: Expr) -> Set[str]:

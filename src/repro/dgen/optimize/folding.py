@@ -41,7 +41,9 @@ def _fold_algebraic_identities(expr: BinaryOp) -> Expr:
     """Simplify a handful of safe algebraic identities.
 
     Only identities that hold for all integers are applied (``x + 0``,
-    ``0 + x``, ``x - 0``, ``x * 1``, ``1 * x``, ``x * 0``, ``0 * x``); they
+    ``0 + x``, ``x - 0``, ``x * 1``, ``1 * x``, ``x * 0``, ``0 * x``, and
+    ``&&``/``||`` with a literal that decides them: ``x && 0`` is 0 and
+    ``x || 5`` is 1, since a DSL expression has no side effect to skip); they
     commonly appear after ``Opt`` holes resolve to the constant 0.
     """
     left, right = expr.left, expr.right
@@ -62,6 +64,11 @@ def _fold_algebraic_identities(expr: BinaryOp) -> Expr:
             isinstance(right, Number) and right.value == 0
         ):
             return Number(0)
+    elif expr.op in ("&&", "||"):
+        decider = expr.op == "||"  # the truth value that decides the operator
+        for operand in (left, right):
+            if isinstance(operand, Number) and bool(operand.value) == decider:
+                return Number(int(decider))
     return expr
 
 

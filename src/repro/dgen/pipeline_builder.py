@@ -29,9 +29,11 @@ becomes generated code, so the simulator's per-tick machinery (PHV objects,
 read/write-half commits, slot shuffling) disappears from the hot path.  For
 a feedforward pipeline this is semantically identical to the tick-accurate
 model — each stage's state is touched in PHV arrival order either way —
-which :mod:`repro.dsim.simulator` exploits as a fast path.  The peephole
-pass (:mod:`repro.dgen.optimize.peephole`) is the one cleanup of the
-assembled loop body: it folds constants and drops dead stores.
+which :mod:`repro.dsim.simulator` exploits as a fast path.  The loop needs
+no cleanup pass of its own: the ALU bodies arrive folded from the DSL passes
+(:mod:`repro.dgen.optimize`), and the stage emitter loads each packet-field
+operand once and leaves ``phv`` alone where a stage passes every container
+through.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .codegen import (
     input_mux_function_name,
     output_mux_function_name,
 )
-from .optimize.peephole import peephole_block
 
 #: Name of the fused trace-loop entry point emitted at :data:`OPT_FUSED`.
 RUN_TRACE_FUNCTION_NAME = "run_trace"
@@ -205,7 +206,11 @@ class PipelineGenerator:
         return stateless_codes, stateful_codes
 
     def _stage_body(
-        self, stage: int, codes: StageCodes, module: ir.Module, fused: bool = False
+        self,
+        stage: int,
+        codes: StageCodes,
+        module: ir.Module,
+        bound: Optional[Dict[str, str]] = None,
     ) -> Tuple[List[ir.IRStmt], str]:
         """One stage's statements and the source of its result-container tuple.
 
@@ -215,12 +220,15 @@ class PipelineGenerator:
         trace's outputs add nothing to later collections.  The stateless and
         then the stateful ALUs run first, each taking its input multiplexers'
         fragments as arguments; the output multiplexers then fill the tuple.
-        In the loop (``fused``) an ALU's body is inlined where
-        :meth:`ALUCode.inline` can, its state vector is the hoisted
-        ``state_<stage>_<slot>`` local, and a stateless ALU that no output
-        multiplexer reads is not emitted: it is pure, so skipping it cannot
-        change the trace.  Stateful ALUs always run, for their state updates.
+        The fused loop passes ``bound``, the packet-field locals that already
+        hold an operand (see :meth:`ALUCode.inline`).  There an ALU's body is
+        inlined where :meth:`ALUCode.inline` can, its state vector is the
+        hoisted ``state_<stage>_<slot>`` local, and a stateless ALU that no
+        output multiplexer reads is not emitted: it is pure, so skipping it
+        cannot change the trace.  Stateful ALUs always run, for their state
+        updates.
         """
+        fused = bound is not None
         width = self.spec.width
         outputs = {
             kind: [f"{kind}_output_{slot}" for slot in range(width)]
@@ -246,7 +254,7 @@ class PipelineGenerator:
                     for operand in range(code.spec.num_operands)
                 ]
                 state = f"state_{stage}_{slot}" if fused else f"state[{slot}]"
-                inlined = code.inline(operands, state, output) if fused else None
+                inlined = code.inline(operands, state, output, bound) if fused else None
                 if inlined is not None:
                     body.extend(inlined)
                 elif output is None:
@@ -267,17 +275,22 @@ class PipelineGenerator:
         per-tick bookkeeping.  Each stateful slot's state vector is hoisted
         into a local before the loop.  Stage-body locals may be reassigned
         across stages inside one loop iteration; that is safe because every
-        local is written before it is read within its stage.  The assembled
-        loop body runs through the peephole pass, which folds the constant
-        residue inlining leaves behind and drops dead stores.
+        local is written before it is read in the same iteration.  A
+        packet-field local stays bound to its operand across ALUs and stages
+        until an ALU assigns that name or a stage rebinds ``phv``; a stage
+        whose result is ``phv``'s containers in order does not rebind it.
         """
         spec = self.spec
+        unchanged = "(" + ", ".join(f"phv[{c}]" for c in range(spec.width)) + ",)"
+        bound: Dict[str, str] = {}
         loop_body: List[ir.IRStmt] = []
         for stage, codes in enumerate(stage_codes):
             loop_body.append(ir.Comment(f"pipeline stage {stage}, inlined"))
-            stage_body, result = self._stage_body(stage, codes, module, fused=True)
+            stage_body, result = self._stage_body(stage, codes, module, bound)
             loop_body.extend(stage_body)
-            loop_body.append(ir.Assign("phv", result))
+            if result != unchanged:
+                loop_body.append(ir.Assign("phv", result))
+                bound.clear()
         loop_body.append(ir.ExprStmt("_append(phv)"))
 
         body: List[ir.IRStmt] = [
@@ -288,7 +301,7 @@ class PipelineGenerator:
                 body.append(ir.Assign(f"state_{stage}_{slot}", f"state[{stage}][{slot}]"))
         body.append(ir.Assign("outputs", "[]"))
         body.append(ir.Assign("_append", "outputs.append"))
-        body.append(ir.For("phv", "inputs", peephole_block(loop_body)))
+        body.append(ir.For("phv", "inputs", loop_body))
         body.append(ir.Return("outputs"))
         return ir.FunctionDef(
             name=RUN_TRACE_FUNCTION_NAME,
@@ -297,7 +310,8 @@ class PipelineGenerator:
             docstring=(
                 "Fused trace loop (opt level 3): push every input PHV through all "
                 f"{spec.depth} stages sequentially.  Mutates ``state`` in place and "
-                "returns one output container tuple per input PHV.  Equivalent to the "
+                "returns one output row per input PHV, the input row itself where no "
+                "stage changes it.  Equivalent to the "
                 "tick-accurate model for this feedforward pipeline."
             ),
         )

@@ -238,8 +238,18 @@ class P4Program:
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check cross-references: tables, actions, fields and registers must exist."""
+        """Check cross-references: tables, actions, fields and registers must exist.
+
+        Every register must also hold at least one cell, since an access
+        reduces its index modulo the register's ``instance_count``.
+        """
         known_fields = set(self.all_fields())
+        for register in self.registers.values():
+            if register.instance_count < 1:
+                raise P4SemanticError(
+                    f"register {register.name!r} has instance_count "
+                    f"{register.instance_count}; it needs at least one cell"
+                )
         for table in self.tables.values():
             for read in table.reads:
                 if read.field not in known_fields:

@@ -349,3 +349,168 @@ class TestFusedCallFallback:
         loop = to_source(Module(functions=[description.module.get_function("run_trace")]))
         # One call per mux-selected stateless ALU; unselected ones are skipped.
         assert len(re.findall(r"stage_\d+_stateless_alu_\d+\(", loop)) == spec.depth
+
+
+def fused_loop_source(description):
+    """Source of the ``for phv in inputs`` loop of a level-3 description."""
+    source = to_source(Module(functions=[description.module.get_function("run_trace")]))
+    return source[source.index("for phv in inputs"):]
+
+
+#: A stateful ALU that reads its first operand twice.
+SQUARE_SUM = """
+type: stateful
+state variables : {state_0}
+hole variables : {}
+packet fields : {pkt_0, pkt_1}
+
+state_0 = state_0 + pkt_0 * pkt_0;
+"""
+
+#: A stateless ALU that reads its first operand twice.
+SQUARE = """
+type: stateless
+state variables : {}
+hole variables : {}
+packet fields : {pkt_0, pkt_1}
+
+return pkt_0 * pkt_0 + pkt_1;
+"""
+
+#: A stateful ALU whose local takes the name of the stateless ALU's operand.
+SHADOWS_OPERAND = """
+type: stateful
+state variables : {state_0}
+hole variables : {}
+packet fields : {a, b}
+
+pkt_0 = a + 1;
+state_0 = state_0 + pkt_0 * pkt_0;
+"""
+
+
+class TestFusedLoopShape:
+    """The level-3 loop is emitted clean, with no pass over it afterwards."""
+
+    def build(self, stateful, stateless, routes):
+        spec = PipelineSpec(
+            depth=2,
+            width=2,
+            stateful_alu=parse_and_analyze(stateful, name="stateful_under_test"),
+            stateless_alu=parse_and_analyze(stateless, name="stateless_under_test"),
+            name="loop_shape",
+        )
+        pairs = {
+            naming.output_mux_name(stage, container): spec.output_mux_value_for(kind, slot)
+            for stage, container, kind, slot in routes
+        }
+        return spec, spec.passthrough_machine_code().with_pairs(pairs)
+
+    def check_drivers_agree(self, spec, machine_code):
+        inputs = [[a, b] for a in range(4) for b in (0, 3)]
+        reference = RMTSimulator(
+            dgen.generate(spec, machine_code, opt_level=dgen.OPT_UNOPTIMIZED), engine="tick"
+        ).run(inputs)
+        fused = RMTSimulator(dgen.generate(spec, machine_code, opt_level=dgen.OPT_FUSED)).run(
+            inputs
+        )
+        assert fused.engine == "fused"
+        assert fused.outputs == reference.outputs
+        assert fused.final_state == reference.final_state
+
+    def test_operand_load_reused_until_phv_is_rebound(self):
+        spec, mc = self.build(SQUARE_SUM, SQUARE, [(0, 1, naming.STATEFUL, 0)])
+        loop = fused_loop_source(dgen.generate(spec, mc, opt_level=dgen.OPT_FUSED))
+        # Stage 0 loads it once for both slots, and stage 1 once after stage 0
+        # rebinds phv.
+        assert loop.count("pkt_0 = phv[0]") == 2
+        assert loop.count("phv = ") == 1
+        self.check_drivers_agree(spec, mc)
+
+    def test_pass_through_stage_does_not_rebind_phv(self):
+        spec, mc = self.build(SQUARE_SUM, SQUARE, [])
+        loop = fused_loop_source(dgen.generate(spec, mc, opt_level=dgen.OPT_FUSED))
+        assert "phv = " not in loop
+        assert loop.count("pkt_0 = phv[0]") == 1
+        self.check_drivers_agree(spec, mc)
+
+    def test_unread_default_output_not_computed(self):
+        spec, mc = self.build(SQUARE_SUM, SQUARE, [(0, 1, naming.STATEFUL, 0)])
+        loop = fused_loop_source(dgen.generate(spec, mc, opt_level=dgen.OPT_FUSED))
+        # Only stage 0's slot 0 feeds an output multiplexer.
+        assert loop.count("_default_output = ") == 1
+
+    def test_local_assignment_forgets_operand_binding(self):
+        spec, mc = self.build(
+            SHADOWS_OPERAND,
+            SQUARE,
+            [(0, 0, naming.STATELESS, 0), (1, 0, naming.STATELESS, 0)],
+        )
+        loop = fused_loop_source(dgen.generate(spec, mc, opt_level=dgen.OPT_FUSED))
+        # Stage 1's stateless ALU must reload pkt_0 after the stateful
+        # ALU assigned its own local pkt_0, and stage 0's output rebinds phv.
+        assert loop.count("pkt_0 = phv[0]") == 2
+        self.check_drivers_agree(spec, mc)
+
+
+RESERVED_NAMES = [
+    "phv",
+    "values",
+    "inputs",
+    "outputs",
+    "_append",
+    "_default_output",
+    "state_0_1",
+    "stateless_output_0",
+    "stateful_output_1",
+    "stage_0",
+    "stage_2_stateful_alu_0",
+    "int",
+    "bool",
+    "lambda",
+]
+
+
+class TestReservedNames:
+    """An ALU's names must not capture a name the generated code binds."""
+
+    @pytest.mark.parametrize("name", RESERVED_NAMES)
+    @pytest.mark.parametrize("level", dgen.OPT_LEVELS)
+    def test_local_rejected(self, name, level):
+        spec = parse_and_analyze(
+            "type: stateful\nstate variables : {state_0}\nhole variables : {}\n"
+            f"packet fields : {{pkt_0, pkt_1}}\n{name} = pkt_0 + 1; state_0 = {name};\n"
+        )
+        with pytest.raises(CodegenError, match=re.escape(repr(name))):
+            generate_alu(spec, 0, naming.STATEFUL, 0, level, {})
+
+    @pytest.mark.parametrize("name", RESERVED_NAMES)
+    def test_packet_field_rejected(self, name):
+        stateless = parse_and_analyze(
+            "type: stateless\nstate variables : {}\nhole variables : {}\n"
+            f"packet fields : {{{name}, pkt_1}}\nreturn {name} + pkt_1;\n"
+        )
+        spec = PipelineSpec(
+            depth=1,
+            width=2,
+            stateful_alu=atoms.get_atom("raw"),
+            stateless_alu=stateless,
+            name="reserved_packet_field",
+        )
+        with pytest.raises(CodegenError, match=re.escape(repr(name))):
+            dgen.generate(spec, spec.passthrough_machine_code(), opt_level=dgen.OPT_FUSED)
+
+    def test_state_variable_may_take_a_reserved_name(self):
+        """State variables are emitted as ``state[i]``, never as names."""
+        spec = parse_and_analyze(
+            "type: stateful\nstate variables : {phv}\nhole variables : {}\n"
+            "packet fields : {pkt_0}\nphv = phv + pkt_0;\n"
+        )
+        generate_alu(spec, 0, naming.STATEFUL, 0, dgen.OPT_FUSED, {})
+
+    @pytest.mark.parametrize("name", atoms.atom_names())
+    def test_every_catalogue_atom_generates(self, name):
+        atom = atoms.get_atom(name)
+        holes = alu_holes_machine_code(atom, 0, atom.kind, 0, {hole: 0 for hole in atom.holes})
+        for level in dgen.OPT_LEVELS:
+            generate_alu(atom, 0, atom.kind, 0, level, holes)

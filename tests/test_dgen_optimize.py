@@ -1,12 +1,12 @@
 """Unit tests for the dgen optimisation passes (SCC propagation, folding, DCE, inlining)."""
 
-import ast
-
 import pytest
 
 from repro.alu_dsl import ALUInterpreter, parse_and_analyze
+from repro import dgen
 from repro.alu_dsl.ast_nodes import (
     ArithOpExpr,
+    Assign,
     BinaryOp,
     ConstExpr,
     If,
@@ -18,7 +18,6 @@ from repro.alu_dsl.ast_nodes import (
 )
 from repro.dgen.optimize import (
     constant_value,
-    eliminate_dead_branches,
     fold_expr,
     inline_call,
     is_constant,
@@ -30,7 +29,9 @@ from repro.dgen.optimize import (
     specialize_spec,
     specialize_stmts,
 )
+from repro.dgen import generate_alu
 from repro.errors import CodegenError, MissingMachineCodeError
+from repro.ir import Module, to_source
 
 STATEFUL_TEMPLATE = """
 type: stateful
@@ -85,35 +86,25 @@ class TestFolding:
 
 class TestDeadCodeElimination:
     def test_constant_true_first_branch_replaces_chain(self):
-        from repro.alu_dsl.ast_nodes import Assign
-
-        branches = [(Number(1), (Assign("state_0", Number(5)),))]
-        result = eliminate_dead_branches(branches, (Assign("state_0", Number(9)),))
-        assert result == [Assign("state_0", Number(5))]
+        chain = If(((Number(1), (Assign("state_0", Number(5)),)),), (Assign("state_0", Number(9)),))
+        assert specialize_stmts([chain], {}) == [Assign("state_0", Number(5))]
 
     def test_constant_false_branch_removed(self):
-        from repro.alu_dsl.ast_nodes import Assign
-
-        branches = [(Number(0), (Assign("state_0", Number(5)),))]
-        result = eliminate_dead_branches(branches, (Assign("state_0", Number(9)),))
-        assert result == [Assign("state_0", Number(9))]
+        chain = If(((Number(0), (Assign("state_0", Number(5)),)),), (Assign("state_0", Number(9)),))
+        assert specialize_stmts([chain], {}) == [Assign("state_0", Number(9))]
 
     def test_unknown_condition_preserved(self):
-        from repro.alu_dsl.ast_nodes import Assign
-
-        branches = [(Var("pkt_0"), (Assign("state_0", Number(5)),))]
-        result = eliminate_dead_branches(branches, ())
+        chain = If(((Var("pkt_0"), (Assign("state_0", Number(5)),)),), ())
+        result = specialize_stmts([chain], {})
         assert len(result) == 1 and isinstance(result[0], If)
 
     def test_constant_true_after_unknown_becomes_else(self):
-        from repro.alu_dsl.ast_nodes import Assign
-
-        branches = [
+        branches = (
             (Var("pkt_0"), (Assign("state_0", Number(1)),)),
             (Number(1), (Assign("state_0", Number(2)),)),
             (Var("pkt_1"), (Assign("state_0", Number(3)),)),  # unreachable
-        ]
-        result = eliminate_dead_branches(branches, (Assign("state_0", Number(4)),))
+        )
+        result = specialize_stmts([If(branches, (Assign("state_0", Number(4)),))], {})
         assert isinstance(result[0], If)
         assert len(result[0].branches) == 1
         assert result[0].orelse[0].value == Number(2)
@@ -276,225 +267,132 @@ class TestInlining:
         assert eval(code) == 9  # noqa: S307 - controlled generated code
 
 
-class TestPeephole:
-    """The IR-level constant-propagation/peephole pass over fused loop bodies."""
+STATELESS_TEMPLATE = """
+type: stateless
+state variables : {{}}
+hole variables : {{}}
+packet fields : {{pkt_0, pkt_1}}
+{body}
+"""
 
-    def _exec_block(self, statements, env):
-        from repro.ir import Module, to_source
-        from repro.ir import nodes as ir
 
-        module = Module(functions=[ir.FunctionDef(name="f", params=list(env), body=list(statements) + [ir.Return("0")])])
-        namespace = {}
-        exec(to_source(module), namespace)  # noqa: S102 - controlled generated code
-        return namespace["f"]
+def specialized_body(body, template=STATEFUL_TEMPLATE):
+    """The body specialised with every hole 0 (``Opt`` keeps its operand)."""
+    spec = parse_and_analyze(template.format(body=body, holes=""))
+    return specialize_spec(spec, {hole: 0 for hole in spec.holes}).body
 
-    def test_fold_source_literals(self):
-        from repro.dgen.optimize import fold_source
 
-        assert fold_source("1 + 2 * 3") == ("7", 7)
-        assert fold_source("int(bool(1) and bool(0))") == ("0", 0)
-        source, value = fold_source("x + 0 * 5", {})
-        assert value is None and "x" in source
+class TestSimplify:
+    """The local propagation and clean-up :func:`specialize_spec` runs after folding."""
 
-    @pytest.mark.parametrize(
-        "source",
-        ["1 // 0", "5 % 0", "1 << -1", f"{10 ** 400} / 1"],
-        ids=["floordiv-by-zero", "mod-by-zero", "negative-shift", "float-overflow"],
-    )
-    def test_failing_arithmetic_stays_unfolded(self, source):
-        from repro.dgen.optimize import fold_source
-
-        folded, value = fold_source(source)
-        assert value is None
-        assert folded == ast.unparse(ast.parse(source, mode="eval"))
-
-    def test_non_arithmetic_error_while_folding_propagates(self):
-        """Only arithmetic failures are swallowed; anything else is a folder bug."""
-        from repro.dgen.optimize import fold_source
-
-        with pytest.raises(TypeError):
-            fold_source("min()")
-
-    def test_fold_source_substitutes_environment(self):
-        from repro.dgen.optimize import fold_source
-
-        source, value = fold_source("int(bool(c) and bool(1))", {"c": 1})
-        assert value == 1
-        source, value = fold_source("a + b", {"a": 2, "b": 3})
-        assert (source, value) == ("5", 5)
-
-    def test_fold_source_keeps_division_by_zero_unfolded(self):
-        from repro.dgen.optimize import fold_source
-
-        source, value = fold_source("1 // 0")
-        assert value is None
-        assert "//" in source
-
-    def test_condition_wrappers_stripped(self):
-        from repro.dgen.optimize import fold_source
-
-        source, _ = fold_source("int(bool(x) and bool(y))", condition=True)
-        assert source == "x and y"
-
-    def test_constant_propagation_through_straight_line_code(self):
-        from repro.dgen.optimize import peephole_block
-        from repro.ir import nodes as ir
-
-        block = peephole_block(
-            [
-                ir.Assign("condition_1", "1"),
-                ir.Assign("out", "int(bool(cond) and bool(condition_1))"),
-                ir.ExprStmt("sink(out)"),
-            ]
+    def test_literal_locals_propagate_through_straight_line_code(self):
+        body = specialized_body(
+            "condition_1 = 1; if (pkt_0 < pkt_1 && condition_1) { state_0 = pkt_0; }"
         )
-        rendered = [(s.target, s.expression) for s in block if isinstance(s, ir.Assign)]
-        # condition_1 was substituted and its store eliminated.
-        assert rendered == [("out", "int(bool(cond))")]
+        condition = BinaryOp("&&", BinaryOp("<", Var("pkt_0"), Var("pkt_1")), Number(1))
+        assert body == [If(((condition, (Assign("state_0", Var("pkt_0")),)),), ())]
 
-    def test_dead_branches_pruned_and_decided_branches_inlined(self):
-        from repro.dgen.optimize import peephole_block
-        from repro.ir import nodes as ir
+    def test_branch_decided_by_propagated_local_is_inlined(self):
+        body = specialized_body("flag = 0; if (flag) { state_0 = 1; } else { state_0 = 2; }")
+        assert body == [Assign("state_0", Number(2))]
 
-        block = peephole_block(
-            [
-                ir.Assign("flag", "0"),
-                ir.If(
-                    branches=[("flag", [ir.Assign("state[0]", "1")])],
-                    orelse=[ir.Assign("state[0]", "2")],
-                ),
-            ]
+    def test_identical_arms_collapse(self):
+        body = specialized_body(
+            "if (pkt_0 > pkt_1) { state_0 = state_0 + pkt_0; } "
+            "elif (pkt_0 == 3) { state_0 = pkt_1; } "
+            "else { state_0 = state_0 + pkt_0; }"
         )
-        assert not any(isinstance(s, ir.If) for s in block)
-        stores = [s for s in block if isinstance(s, ir.Assign) and s.target == "state[0]"]
-        assert [s.expression for s in stores] == ["2"]
+        update = Assign("state_0", BinaryOp("+", Var("state_0"), Var("pkt_0")))
+        assert [type(stmt) for stmt in body] == [If]
+        # The elif equals neither the else nor is trailing-equal to it, so it stays.
+        assert len(body[0].branches) == 2 and body[0].orelse == (update,)
 
-    def test_identical_branches_collapse(self):
-        from repro.dgen.optimize import peephole_block
-        from repro.ir import nodes as ir
+        body = specialized_body(
+            "if (pkt_0 > pkt_1) { state_0 = state_0 + pkt_0; } "
+            "elif (pkt_0 == 3) { state_0 = state_0 + pkt_0; } "
+            "else { state_0 = state_0 + pkt_0; }"
+        )
+        assert body == [update]
 
-        body = [ir.Assign("state[0]", "state[0] + pkt")]
-        block = peephole_block(
-            [ir.If(branches=[("pkt > threshold", list(body))], orelse=list(body))]
+    def test_trailing_arm_equal_to_else_dropped(self):
+        body = specialized_body(
+            "if (pkt_0 > pkt_1) { state_0 = pkt_1; } "
+            "elif (pkt_0 == 3) { state_0 = 7; } "
+            "else { state_0 = 7; }"
         )
-        assert not any(isinstance(s, ir.If) for s in block)
-        assert any(
-            isinstance(s, ir.Assign) and s.target == "state[0]" for s in block
-        )
+        assert len(body) == 1 and len(body[0].branches) == 1
+        assert body[0].orelse == (Assign("state_0", Number(7)),)
 
     def test_self_assignments_removed(self):
-        from repro.dgen.optimize import peephole_block
-        from repro.ir import nodes as ir
-
-        block = peephole_block(
-            [
-                ir.If(
-                    branches=[("cond", [ir.Assign("state[0]", "pkt")])],
-                    orelse=[ir.Assign("state[0]", "state[0]")],
-                ),
-                ir.ExprStmt("sink(state)"),
-            ]
+        body = specialized_body(
+            "if (pkt_0 > 3) { state_0 = pkt_1; } else { state_0 = Opt(state_0) + 0; }"
         )
-        statement = next(s for s in block if isinstance(s, ir.If))
-        assert statement.orelse == []
+        assert len(body) == 1 and body[0].orelse == ()
+        assert specialized_body("if (pkt_0 > 3) { state_0 = state_0; }") == []
 
-    def test_redundant_loads_deduplicated_but_invalidated_by_writes(self):
-        from repro.dgen.optimize import peephole_block
-        from repro.ir import nodes as ir
+    def test_constant_forgotten_after_branch_assigns_it(self):
+        body = specialized_body("x = 1; if (pkt_0 > 3) { x = pkt_1; } state_0 = x;")
+        assert body[-1] == Assign("state_0", Var("x"))
 
-        block = peephole_block(
-            [
-                ir.Assign("pkt_0", "phv[0]"),
-                ir.Assign("state[0]", "state[0] + pkt_0"),
-                ir.Assign("pkt_0", "phv[0]"),  # redundant: dropped
-                ir.Assign("state[1]", "state[1] + pkt_0"),
-                ir.Assign("phv", "[pkt_0, 2]"),
-                ir.Assign("pkt_0", "phv[0]"),  # phv changed: kept
-                ir.ExprStmt("sink(pkt_0, phv)"),
-            ]
+    def test_reassigned_local_keeps_every_update(self):
+        """``x = x + 1`` twice is two updates, not one repeated copy."""
+        body = specialized_body(
+            "x = pkt_0 + pkt_1; x = x + 1; x = x + 1; return x;", STATELESS_TEMPLATE
         )
-        loads = [
-            s
-            for s in block
-            if isinstance(s, ir.Assign) and s.target == "pkt_0" and s.expression == "phv[0]"
+        increment = Assign("x", BinaryOp("+", Var("x"), Number(1)))
+        assert body.count(increment) == 2
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "condition_1 = 1; choice = Mux2(state_0, pkt_0); "
+            "if (pkt_0 > 3 && condition_1) { state_0 = state_0 + choice; } "
+            "else { state_0 = state_0; }",
+            "x = 2; y = x * pkt_0; if (y > pkt_1 || 0) { state_0 = y; } elif (x) { state_0 = 1; }",
+            "t = pkt_0; t = t + 1; t = t + 1; if (!(t == pkt_1)) { state_0 = t; } else { state_0 = t; }",
+        ],
+        ids=["decided-and", "decided-elif", "reassigned-local"],
+    )
+    def test_simplify_preserves_behaviour(self, body):
+        spec = parse_and_analyze(STATEFUL_TEMPLATE.format(body=body, holes=""))
+        holes = {hole: 0 for hole in spec.holes}
+        specialized = specialize_spec(spec, holes)
+        for pkt_0 in (0, 3, 4, 10):
+            for pkt_1 in (0, 5, 12):
+                expected = ALUInterpreter(spec).execute([pkt_0, pkt_1], [5], holes)
+                actual = ALUInterpreter(specialized).execute([pkt_0, pkt_1], [5], {})
+                assert (expected.output, expected.state) == (actual.output, actual.state)
+
+
+class TestConditionLowering:
+    """``if`` tests are lowered for their truth value only."""
+
+    def condition_line(self, body):
+        spec = parse_and_analyze(STATEFUL_TEMPLATE.format(body=body, holes=""))
+        code = generate_alu(spec, 0, "stateful", 0, dgen.OPT_SCC_INLINE, {})
+        source = to_source(Module(functions=[code.function]))
+        return next(line.strip() for line in source.splitlines() if line.strip().startswith("if "))
+
+    def test_condition_wrappers_stripped(self):
+        line = self.condition_line(
+            "if (pkt_0 < pkt_1 && pkt_1 != 2) { state_0 = 1; }"
+        )
+        assert line == "if ((pkt_0) < (pkt_1)) and ((pkt_1) != (2)):"
+
+    def test_literal_that_cannot_decide_is_dropped(self):
+        assert self.condition_line("c = 1; if (pkt_0 < pkt_1 && c) { state_0 = 1; }") == (
+            "if (pkt_0) < (pkt_1):"
+        )
+        assert self.condition_line("if (0 || !(pkt_0 == 3)) { state_0 = 1; }") == (
+            "if not ((pkt_0) == (3)):"
+        )
+
+    def test_literal_that_decides_folds_the_branch_away(self):
+        assert fold_expr(BinaryOp("&&", Var("x"), Number(0))) == Number(0)
+        assert fold_expr(BinaryOp("||", Number(5), Var("x"))) == Number(1)
+        assert fold_expr(BinaryOp("&&", Var("x"), Number(1))) == BinaryOp(
+            "&&", Var("x"), Number(1)
+        )
+        assert specialized_body("if (pkt_0 && 0) { state_0 = 1; } else { state_0 = 2; }") == [
+            Assign("state_0", Number(2))
         ]
-        assert len(loads) == 2
-
-    def test_mutating_call_invalidates_copies(self):
-        from repro.dgen.optimize import peephole_block
-        from repro.ir import nodes as ir
-
-        block = peephole_block(
-            [
-                ir.Assign("cached", "state_0[0]"),
-                ir.ExprStmt("first_sink(cached)"),
-                ir.ExprStmt("stage_fn(phv, state_0, values)"),
-                ir.Assign("cached", "state_0[0]"),  # must be reloaded: kept
-                ir.ExprStmt("sink(cached)"),
-            ]
-        )
-        loads = [
-            s for s in block if isinstance(s, ir.Assign) and s.target == "cached"
-        ]
-        assert len(loads) == 2
-
-    def test_loop_carried_reads_keep_stores_alive(self):
-        from repro.dgen.optimize import peephole_block
-        from repro.ir import nodes as ir
-
-        # ``total`` is read at the top of the body before being stored: the
-        # store feeds the next iteration and must survive.
-        block = peephole_block(
-            [
-                ir.Assign("state[0]", "state[0] + total"),
-                ir.Assign("total", "phv[0]"),
-            ]
-        )
-        assert any(
-            isinstance(s, ir.Assign) and s.target == "total" for s in block
-        )
-
-    def test_dead_stores_without_readers_removed(self):
-        from repro.dgen.optimize import peephole_block
-        from repro.ir import nodes as ir
-
-        block = peephole_block(
-            [
-                ir.Assign("condition_0", "int(state[0] == pkt)"),
-                ir.Assign("state[0]", "state[0] + pkt"),
-            ]
-        )
-        assert not any(
-            isinstance(s, ir.Assign) and s.target == "condition_0" for s in block
-        )
-
-    def test_peephole_preserves_behaviour(self):
-        from repro.dgen.optimize import peephole_block
-        from repro.ir import nodes as ir
-
-        statements = [
-            ir.Assign("condition_1", "1"),
-            ir.Assign("choice", "state[0] if int(bool(pkt > 3) and bool(condition_1)) else pkt"),
-            ir.If(
-                branches=[("int(bool(condition_1))", [ir.Assign("state[0]", "state[0] + choice")])],
-                orelse=[ir.Assign("state[0]", "state[0]")],
-            ),
-            ir.Assign("out", "choice"),
-            ir.Return("(out, state)"),
-        ]
-        optimized = peephole_block(list(statements))
-
-        def outcome(block):
-            from repro.ir import Module, to_source
-            from repro.ir import nodes as irn
-
-            module = Module(
-                functions=[
-                    irn.FunctionDef(name="f", params=["pkt", "state"], body=list(block))
-                ]
-            )
-            namespace = {}
-            exec(to_source(module), namespace)  # noqa: S102
-            return namespace["f"]
-
-        for pkt in (0, 3, 4, 10):
-            assert outcome(statements)(pkt, [5]) == outcome(optimized)(pkt, [5])

@@ -15,12 +15,13 @@ These are the reproduction's central internal correctness oracles:
 
 import functools
 import os
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import atoms, dgen
-from repro.alu_dsl import ALUInterpreter
+from repro.alu_dsl import ALUInterpreter, parse_and_analyze
 from repro.dsim import RMTSimulator
 from repro.hardware import PipelineSpec
 from repro.ir import Module, to_source
@@ -115,59 +116,193 @@ class TestInterpreterVsGeneratedCode:
             assert output == reference.output
 
 
+#: ALU DSL the drawn ALUs are built from.  ``*`` only scales by a literal,
+#: and ``arith_op``'s right operand is a literal or ``C()``, so state that
+#: feeds back into itself grows linearly in bits, not exponentially.
+_BINARY_OPS = ["+", "-", "/", "%", "<", ">", "==", "!=", "<=", ">=", "&&", "||"]
+
+
+@st.composite
+def alu_source(draw, kind):
+    """ALU DSL source for one drawn ALU of ``kind``.
+
+    It holds locals reassigned from themselves, ``&&``/``||`` with literal or
+    hole-folded operands, ``if``/``elif``/``else`` chains whose arms may
+    equal each other or assign a name to itself, and ``C()``/``Opt()``
+    holes, so every clean-up of the level-2/3 passes has work to do.
+    """
+    fields = ["pkt_0", "pkt_1"]
+    state = ["state_0", "state_1"][: draw(st.integers(1, 2))] if kind == naming.STATEFUL else []
+    local_names = []
+
+    def leaf():
+        names = fields + state + local_names
+        form = draw(st.integers(0, 3))
+        if form == 0:
+            return draw(st.sampled_from(names))
+        if form == 1:
+            return str(draw(st.integers(0, 9)))
+        if form == 2:
+            return "C()"
+        return f"Opt({draw(st.sampled_from(names))})"
+
+    def expr(depth=2):
+        form = draw(st.integers(0, 6)) if depth else 0
+        if form == 0:
+            return leaf()
+        a = expr(depth - 1)
+        if form == 1:
+            return f"({a} {draw(st.sampled_from(_BINARY_OPS))} {expr(depth - 1)})"
+        if form == 2:
+            return f"({a} * {draw(st.integers(0, 3))})"
+        if form == 3:
+            return f"!({a})"
+        if form == 4:
+            return f"{draw(st.sampled_from(['rel_op', 'bool_op', 'Mux2']))}({a}, {expr(depth - 1)})"
+        if form == 5:
+            return f"arith_op({a}, {draw(st.sampled_from(['C()', '1', '2']))})"
+        return f"({a} {draw(st.sampled_from(['&&', '||']))} {draw(st.sampled_from(['0', '1', 'C()']))})"
+
+    def targets():
+        return state + local_names
+
+    def arm():
+        stmts = []
+        for _ in range(draw(st.integers(0, 2))):
+            target = draw(st.sampled_from(targets()))
+            value = draw(st.sampled_from([target, f"Opt({target})", f"{target} + 1", expr(1)]))
+            stmts.append(f"{target} = {value};")
+        return " ".join(stmts)
+
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        form = draw(st.integers(0, 3))
+        if form == 0 or not targets():
+            value = expr()
+            local_names.append(f"x{len(local_names)}")
+            lines.append(f"{local_names[-1]} = {value};")
+        elif form == 1:
+            target = draw(st.sampled_from(targets()))
+            step = "1" if draw(st.booleans()) else expr(1)
+            lines.append(f"{target} = {target} + {step};")
+        else:
+            then = arm()
+            chain = f"if ({expr()}) {{ {then} }}"
+            orelse = then if draw(st.booleans()) else arm()
+            for _ in range(draw(st.integers(0, 2))):
+                chain += f" elif ({expr()}) {{ {draw(st.sampled_from([orelse, arm()]))} }}"
+            if draw(st.booleans()):
+                chain += f" else {{ {orelse} }}"
+            lines.append(chain)
+    if kind == naming.STATELESS or draw(st.booleans()):
+        lines.append(f"return {expr()};")
+    return (
+        f"type: {kind}\nstate variables : {{{', '.join(state)}}}\nhole variables : {{}}\n"
+        f"packet fields : {{{', '.join(fields)}}}\n" + "\n".join(lines) + "\n"
+    )
+
+
+def alu_specs(kind):
+    """A catalogue atom of ``kind`` or an ALU drawn as DSL source."""
+    catalogue = ATOM_NAMES if kind == naming.STATEFUL else STATELESS_ATOM_NAMES
+    return st.one_of(
+        st.sampled_from(catalogue).map(atoms.get_atom),
+        alu_source(kind).map(lambda source: parse_and_analyze(source, name=f"drawn_{kind}")),
+    )
+
+
+class PipelineCase(NamedTuple):
+    """One pipeline run: the hardware, its machine code, state and trace.
+
+    ``plain`` holds the trace as int lists for the reference run; ``inputs``
+    holds the same values with rows as lists or tuples, sometimes a bool.
+    """
+
+    spec: PipelineSpec
+    machine_code: MachineCode
+    initial_state: list
+    plain: list
+    inputs: list
+
+
+@st.composite
+def pipeline_cases(draw):
+    spec = PipelineSpec(
+        depth=draw(st.integers(min_value=1, max_value=4), label="depth"),
+        width=draw(st.integers(min_value=1, max_value=4), label="width"),
+        stateful_alu=draw(alu_specs(naming.STATEFUL), label="stateful"),
+        stateless_alu=draw(alu_specs(naming.STATELESS), label="stateless"),
+        name="property_pipeline",
+    )
+    domains = spec.hole_domains()
+    pairs = {}
+    for name in spec.expected_machine_code_names():
+        domain = domains[name]
+        upper = (domain - 1) if domain else 63
+        pairs[name] = draw(st.integers(min_value=0, max_value=upper), label=name)
+    machine_code = MachineCode(pairs)
+    assert spec.validate_machine_code(machine_code) == []
+    initial_state = [
+        [[draw(values_strategy, label="state") for _ in range(spec.num_state_vars)]
+         for _ in range(spec.width)]
+        for _ in range(spec.depth)
+    ]
+    count = draw(st.integers(min_value=0, max_value=8), label="phvs")
+    rows = [draw(shaped_row(spec.width), label="row") for _ in range(count)]
+    return PipelineCase(
+        spec, machine_code, initial_state, [plain for plain, _ in rows], [row for _, row in rows]
+    )
+
+
+def _increment_twice_case():
+    """Depth 1, width 2: container 0 gets ``x = pkt_0 + pkt_1; x = x + 1; x = x + 1``."""
+    stateless = parse_and_analyze(
+        "type: stateless\nstate variables : {}\nhole variables : {}\n"
+        "packet fields : {pkt_0, pkt_1}\n"
+        "x = pkt_0 + pkt_1; x = x + 1; x = x + 1; return x;\n",
+        name="increment_twice",
+    )
+    spec = PipelineSpec(
+        depth=1, width=2, stateful_alu=atoms.get_atom("raw"), stateless_alu=stateless,
+        name="property_pipeline",
+    )
+    machine_code = spec.passthrough_machine_code().with_pairs(
+        {
+            naming.input_mux_name(0, naming.STATELESS, 0, 1): 1,
+            naming.output_mux_name(0, 0): spec.output_mux_value_for(naming.STATELESS, 0),
+        }
+    )
+    rows = [[3, 4], [0, 0]]
+    return PipelineCase(spec, machine_code, [[[0], [0]]], rows, [tuple(row) for row in rows])
+
+
 class TestOptimisationLevelsAgree:
     @settings(max_examples=PIPELINE_EXAMPLES, deadline=None)
-    @given(data=st.data())
-    def test_pipeline_traces_identical_across_levels(self, data):
-        """Random pipeline, machine code, state and traffic: every level agrees.
+    @given(case=pipeline_cases())
+    @example(case=_increment_twice_case())
+    def test_pipeline_traces_identical_across_levels(self, case):
+        """Random pipeline, ALUs, machine code, state and traffic: every level agrees.
 
-        The reference is the paper's per-tick model on the unoptimised
+        Each ALU is a catalogue atom or one drawn as DSL source.  The
+        reference is the paper's per-tick model on the unoptimised
         description, fed plain int lists; the generic driver at every level
         and the fused loop at level 3 must reproduce its outputs, final state,
         input trace and tick count.  They are fed the same values with each
         row drawn as a list or a tuple, sometimes holding a ``bool``, so both
         of ``prepare_inputs``' coercion paths face the reference.
         """
-        spec = PipelineSpec(
-            depth=data.draw(st.integers(min_value=1, max_value=4), label="depth"),
-            width=data.draw(st.integers(min_value=1, max_value=4), label="width"),
-            stateful_alu=atoms.get_atom(data.draw(st.sampled_from(ATOM_NAMES), label="stateful")),
-            stateless_alu=atoms.get_atom(
-                data.draw(st.sampled_from(STATELESS_ATOM_NAMES), label="stateless")
-            ),
-            name="property_pipeline",
-        )
-        domains = spec.hole_domains()
-        pairs = {}
-        for name in spec.expected_machine_code_names():
-            domain = domains[name]
-            upper = (domain - 1) if domain else 63
-            pairs[name] = data.draw(st.integers(min_value=0, max_value=upper), label=name)
-        machine_code = MachineCode(pairs)
-        assert spec.validate_machine_code(machine_code) == []
-        initial_state = [
-            [
-                [data.draw(values_strategy, label="state") for _ in range(spec.num_state_vars)]
-                for _ in range(spec.width)
-            ]
-            for _ in range(spec.depth)
-        ]
-        count = data.draw(st.integers(min_value=0, max_value=8), label="phvs")
-        rows = [data.draw(shaped_row(spec.width), label="row") for _ in range(count)]
-        plain = [plain_row for plain_row, _ in rows]
-        inputs = [row for _, row in rows]
-
         descriptions = {
-            level: dgen.generate(spec, machine_code, opt_level=level) for level in dgen.OPT_LEVELS
+            level: dgen.generate(case.spec, case.machine_code, opt_level=level)
+            for level in dgen.OPT_LEVELS
         }
         baseline = RMTSimulator(
-            descriptions[dgen.OPT_UNOPTIMIZED], initial_state=initial_state, engine="tick"
-        ).run(plain)
+            descriptions[dgen.OPT_UNOPTIMIZED], initial_state=case.initial_state, engine="tick"
+        ).run(case.plain)
         runs = [(level, "generic") for level in dgen.OPT_LEVELS] + [(dgen.OPT_FUSED, "fused")]
         for level, engine in runs:
             result = RMTSimulator(
-                descriptions[level], initial_state=initial_state, engine=engine
-            ).run(inputs)
+                descriptions[level], initial_state=case.initial_state, engine=engine
+            ).run(case.inputs)
             assert result.engine == engine
             assert result.outputs == baseline.outputs, (level, engine)
             assert result.final_state == baseline.final_state, (level, engine)

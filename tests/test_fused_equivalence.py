@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import atoms, dgen
+from repro.alu_dsl import parse_and_analyze
 from repro.chipmunk import Sketch, SynthesisConfig, SynthesisEngine
 from repro.dsim import RMTSimulator
 from repro.errors import SimulationError
@@ -109,6 +110,57 @@ class TestFusedEquivalence:
                 program.pipeline_spec(), program.machine_code(), opt_level=level
             )
             assert description.fused_function is None
+
+
+#: A stateless ALU that updates one local from itself twice.
+INCREMENT_TWICE = """
+type: stateless
+state variables : {}
+hole variables : {}
+packet fields : {pkt_0, pkt_1}
+
+x = pkt_0 + pkt_1;
+x = x + 1;
+x = x + 1;
+return x;
+"""
+
+
+class TestReassignedLocal:
+    """A local reassigned from itself keeps every update at every level.
+
+    The second ``x = x + 1`` reads the first one's result, so it is a new
+    value, not a repeat of the first store.
+    """
+
+    @pytest.fixture(scope="class")
+    def increment_twice(self):
+        spec = PipelineSpec(
+            depth=1,
+            width=2,
+            stateful_alu=atoms.get_atom("raw"),
+            stateless_alu=parse_and_analyze(INCREMENT_TWICE, name="increment_twice"),
+            name="increment_twice_pipeline",
+        )
+        machine_code = spec.passthrough_machine_code().with_pairs(
+            {
+                naming.input_mux_name(0, naming.STATELESS, 0, 1): 1,
+                naming.output_mux_name(0, 0): spec.output_mux_value_for(naming.STATELESS, 0),
+            }
+        )
+        return spec, machine_code
+
+    def test_every_driver_and_level_adds_two(self, increment_twice):
+        spec, machine_code = increment_twice
+        inputs = [[a, b] for a in (0, 1, 7) for b in (0, 5)]
+        expected = [(a + b + 2, b) for a, b in inputs]
+        runs = [(level, "generic") for level in dgen.OPT_LEVELS]
+        runs += [(dgen.OPT_UNOPTIMIZED, "tick"), (dgen.OPT_FUSED, "fused")]
+        for level, engine in runs:
+            description = dgen.generate(spec, machine_code, opt_level=level)
+            result = RMTSimulator(description, engine=engine).run(inputs)
+            assert result.engine == engine
+            assert [tuple(out) for out in result.outputs] == expected, (level, engine)
 
 
 def accumulator_engine(seed=3):

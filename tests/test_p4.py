@@ -123,6 +123,17 @@ class TestValidation:
         with pytest.raises(P4SemanticError, match="'nosuch'"):
             parse(source)
 
+    def test_register_without_cells_rejected(self):
+        source = MINIMAL.replace(
+            "action nothing() { no_op(); }",
+            "action nothing() { no_op(); }\n"
+            "register r { width : 8; instance_count : 0; }\n"
+            "action stash() { register_write(r, 0, h.a); }",
+        )
+        with pytest.raises(P4SemanticError, match="'r'.*instance_count 0"):
+            parse(source)
+        parse(source.replace("instance_count : 0", "instance_count : 1"))
+
     def test_control_applying_unknown_table_rejected(self):
         source = MINIMAL.replace("apply(t2);", "apply(ghost);")
         with pytest.raises(P4SemanticError):
