@@ -35,7 +35,7 @@ from .ast_nodes import (
 )
 from .grammar import EBNF, describe
 from .interpreter import ALUInterpreter, ALUResult
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import Parser, parse
 from .printer import format_expr, format_spec, format_stmts
 
@@ -43,7 +43,6 @@ __all__ = [
     "ALUSpec",
     "ALUInterpreter",
     "ALUResult",
-    "Lexer",
     "Parser",
     "parse",
     "tokenize",

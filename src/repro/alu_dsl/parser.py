@@ -1,41 +1,23 @@
-"""Recursive-descent parser for the ALU DSL.
+"""Recursive-descent parsers for the ALU DSL and, through :class:`TokenParser`, Domino.
 
-The accepted grammar (paper Figure 3, reproduced in
-:mod:`repro.alu_dsl.grammar`) is::
+:class:`TokenParser` is the front end both languages share: token-stream
+plumbing, statement lists, blocks, ``if`` chains (``elif`` and ``else if``)
+and the expression ladder, loosest first::
 
-    alu            := header body
-    header         := type_decl state_decl hole_decl packet_decl
-    type_decl      := "type" ":" ("stateful" | "stateless")
-    state_decl     := "state" "variables" ":" "{" ident_list? "}"
-    hole_decl      := "hole" "variables" ":" "{" ident_list? "}"
-    packet_decl    := "packet" "fields" ":" "{" ident_list? "}"
-    body           := stmt*
-    stmt           := if_stmt | return_stmt | assign_stmt
-    if_stmt        := "if" "(" expr ")" block ("elif" "(" expr ")" block)*
-                      ("else" block)?
-    block          := "{" stmt* "}"
-    return_stmt    := "return" expr ";"
-    assign_stmt    := ident "=" expr ";"
-    expr           := or_expr
-    or_expr        := and_expr ("||" and_expr)*
-    and_expr       := rel_expr ("&&" rel_expr)*
-    rel_expr       := add_expr (("=="|"!="|"<="|">="|"<"|">") add_expr)?
-    add_expr       := mul_expr (("+"|"-") mul_expr)*
-    mul_expr       := unary_expr (("*"|"/"|"%") unary_expr)*
-    unary_expr     := ("-"|"!") unary_expr | primary
-    primary        := NUMBER | call | ident | "(" expr ")"
-    call           := ("Mux2"|"Mux3"|"Mux4"|"Opt"|"C"|"rel_op"|"arith_op"|"bool_op")
-                      "(" arg_list? ")"
+    "||"  <  "&&"  <  one of == != <= >= < >  <  + -  <  * / %  <  unary - !
 
-The header declarations may appear in any order but each must appear exactly
-once.
+It builds the node family of :mod:`repro.alu_dsl.ast_nodes` (``Number``,
+``UnaryOp``, ``BinaryOp``, ``If``) for either language.  :class:`Parser`
+adds the ALU DSL's header, ``return`` and primitive calls; the grammar it
+accepts is :data:`repro.alu_dsl.grammar.EBNF` (paper Figure 3).  The header
+declarations may appear in any order but each must appear exactly once.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Type
 
-from ..errors import ALUDSLSyntaxError
+from ..errors import ALUDSLSyntaxError, DruzhbaError
 from .ast_nodes import (
     ALUSpec,
     ArithOpExpr,
@@ -55,25 +37,40 @@ from .ast_nodes import (
     UnaryOp,
     Var,
 )
-from .lexer import tokenize
-from .tokens import Token, TokenType
+from .lexer import Token, TokenType, tokenize
+
+#: Binary operator levels of the expression ladder, loosest first.
+_BINARY_LEVELS = (
+    (TokenType.OR,),
+    (TokenType.AND,),
+    (TokenType.EQ, TokenType.NEQ, TokenType.LE, TokenType.GE, TokenType.LT, TokenType.GT),
+    (TokenType.PLUS, TokenType.MINUS),
+    (TokenType.STAR, TokenType.SLASH, TokenType.PERCENT),
+)
+#: The relational level takes at most one operator (``a < b < c`` is an error).
+_RELATIONAL_LEVEL = 2
 
 
-class Parser:
-    """Recursive-descent parser over the token stream produced by the lexer."""
+class TokenParser:
+    """The parser core both languages share; subclasses add their own forms.
 
-    def __init__(self, tokens: List[Token], name: str = "alu", source: str = ""):
+    A subclass sets :attr:`error` to its syntax-error class and supplies
+    ``_parse_simple_statement`` (every statement but ``if``) and
+    ``_parse_operand`` (the primaries other than numbers and parentheses).
+    """
+
+    error: Type[DruzhbaError]
+
+    def __init__(self, tokens: List[Token], source: str = ""):
         self._tokens = tokens
         self._pos = 0
-        self._name = name
         self._source = source
 
     # ------------------------------------------------------------------
     # Token-stream plumbing
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -89,78 +86,158 @@ class Parser:
             return self._advance()
         return None
 
+    def _fail(self, message: str, token: Token) -> DruzhbaError:
+        return self.error(message, line=token.line, column=token.column)
+
     def _expect(self, token_type: TokenType, what: str) -> Token:
         token = self._peek()
         if token.type is not token_type:
-            raise ALUDSLSyntaxError(
-                f"expected {what}, found {token.value!r}",
-                line=token.line,
-                column=token.column,
-            )
+            raise self._fail(f"expected {what}, found {token.value!r}", token)
         return self._advance()
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Statements
     # ------------------------------------------------------------------
+    def _parse_statements(self, stop_types: Tuple[TokenType, ...]) -> List[Stmt]:
+        statements: List[Stmt] = []
+        while self._peek().type not in stop_types:
+            if self._match(TokenType.IF):
+                statements.append(self._parse_if())
+            else:
+                statements.append(self._parse_simple_statement())
+        return statements
+
+    def _parse_simple_statement(self) -> Stmt:
+        raise NotImplementedError
+
+    def _parse_if(self) -> If:
+        """The rest of an ``if`` chain whose ``if`` keyword is consumed."""
+        branches = [self._parse_branch()]
+        orelse: Tuple[Stmt, ...] = ()
+        while True:
+            if self._match(TokenType.ELIF):
+                branches.append(self._parse_branch())
+            elif self._match(TokenType.ELSE):
+                if not self._match(TokenType.IF):
+                    orelse = tuple(self._parse_block())
+                    break
+                branches.append(self._parse_branch())
+            else:
+                break
+        return If(tuple(branches), orelse)
+
+    def _parse_branch(self) -> Tuple[Expr, Tuple[Stmt, ...]]:
+        self._expect(TokenType.LPAREN, "'(' before condition")
+        condition = self._parse_expr()
+        self._expect(TokenType.RPAREN, "')' after condition")
+        return condition, tuple(self._parse_block())
+
+    def _parse_block(self) -> List[Stmt]:
+        self._expect(TokenType.LBRACE, "'{' opening a block")
+        statements = self._parse_statements((TokenType.RBRACE, TokenType.EOF))
+        self._expect(TokenType.RBRACE, "'}' closing a block")
+        return statements
+
+    def _parse_assigned_value(self, what: str) -> Expr:
+        """``= expr ;`` after an assignment target."""
+        self._expect(TokenType.ASSIGN, f"'=' in {what}")
+        value = self._parse_expr()
+        self._expect(TokenType.SEMICOLON, "';' after assignment")
+        return value
+
+    # ------------------------------------------------------------------
+    # Expressions
+    # ------------------------------------------------------------------
+    def _parse_expr(self) -> Expr:
+        return self._parse_binary()
+
+    def _parse_binary(self, level: int = 0) -> Expr:
+        if level == len(_BINARY_LEVELS):
+            return self._parse_unary()
+        operators = _BINARY_LEVELS[level]
+        expr = self._parse_binary(level + 1)
+        while self._peek().type in operators:
+            op = self._advance().value
+            expr = BinaryOp(op, expr, self._parse_binary(level + 1))
+            if level == _RELATIONAL_LEVEL:
+                break
+        return expr
+
+    def _parse_unary(self) -> Expr:
+        token = self._peek()
+        if token.type is TokenType.MINUS or token.type is TokenType.NOT:
+            self._advance()
+            return UnaryOp(token.value, self._parse_unary())
+        if token.type is TokenType.NUMBER:
+            self._advance()
+            return Number(int(token.value))
+        if token.type is TokenType.LPAREN:
+            self._advance()
+            expr = self._parse_expr()
+            self._expect(TokenType.RPAREN, "')'")
+            return expr
+        operand = self._parse_operand(token)
+        if operand is None:
+            raise self._fail(f"unexpected token {token.value!r} in expression", token)
+        return operand
+
+    def _parse_operand(self, token: Token) -> Optional[Expr]:
+        raise NotImplementedError
+
+
+#: The second header keyword of each name-set declaration.
+_NAME_SET_KEYWORDS = {
+    TokenType.STATE: TokenType.VARIABLES,
+    TokenType.HOLE: TokenType.VARIABLES,
+    TokenType.PACKET: TokenType.FIELDS,
+}
+
+
+class Parser(TokenParser):
+    """The ALU DSL parser: the header, then a body with ``return`` and primitive calls."""
+
+    error = ALUDSLSyntaxError
+
+    def __init__(self, tokens: List[Token], name: str = "alu", source: str = ""):
+        super().__init__(tokens, source)
+        self._name = name
+
     def parse(self) -> ALUSpec:
         """Parse the full specification and return an un-analysed ALUSpec."""
-        kind: Optional[str] = None
-        state_vars: Optional[List[str]] = None
-        hole_vars: Optional[List[str]] = None
-        packet_fields: Optional[List[str]] = None
-
-        # Header declarations, any order, each at most once.
-        while self._peek().type in (TokenType.TYPE, TokenType.STATE, TokenType.HOLE, TokenType.PACKET):
+        header: Dict[TokenType, object] = {}
+        while self._peek().type in (TokenType.TYPE, *_NAME_SET_KEYWORDS):
             token = self._advance()
-            if token.type is TokenType.TYPE:
-                if kind is not None:
-                    raise ALUDSLSyntaxError("duplicate 'type' declaration", token.line, token.column)
+            second = _NAME_SET_KEYWORDS.get(token.type)
+            if token.type in header:
+                what = token.value if second is None else f"{token.value} {second.value}"
+                raise self._fail(f"duplicate '{what}' declaration", token)
+            if second is None:
                 self._expect(TokenType.COLON, "':' after 'type'")
-                kind_token = self._advance()
-                if kind_token.type not in (TokenType.STATEFUL, TokenType.STATELESS):
-                    raise ALUDSLSyntaxError(
-                        "ALU type must be 'stateful' or 'stateless'",
-                        kind_token.line,
-                        kind_token.column,
-                    )
-                kind = kind_token.value
-            elif token.type is TokenType.STATE:
-                if state_vars is not None:
-                    raise ALUDSLSyntaxError("duplicate 'state variables' declaration", token.line, token.column)
-                self._expect(TokenType.VARIABLES, "'variables' after 'state'")
-                state_vars = self._parse_name_set()
-            elif token.type is TokenType.HOLE:
-                if hole_vars is not None:
-                    raise ALUDSLSyntaxError("duplicate 'hole variables' declaration", token.line, token.column)
-                self._expect(TokenType.VARIABLES, "'variables' after 'hole'")
-                hole_vars = self._parse_name_set()
-            else:  # TokenType.PACKET
-                if packet_fields is not None:
-                    raise ALUDSLSyntaxError("duplicate 'packet fields' declaration", token.line, token.column)
-                self._expect(TokenType.FIELDS, "'fields' after 'packet'")
-                packet_fields = self._parse_name_set()
+                kind = self._advance()
+                if kind.type not in (TokenType.STATEFUL, TokenType.STATELESS):
+                    raise self._fail("ALU type must be 'stateful' or 'stateless'", kind)
+                header[token.type] = kind.value
+            else:
+                self._expect(second, f"'{second.value}' after '{token.value}'")
+                header[token.type] = self._parse_name_set()
 
-        if kind is None:
+        if TokenType.TYPE not in header:
             raise ALUDSLSyntaxError("missing 'type:' declaration")
-        if packet_fields is None:
+        if TokenType.PACKET not in header:
             raise ALUDSLSyntaxError("missing 'packet fields:' declaration")
 
-        body = self._parse_statements(stop_types=(TokenType.EOF,))
+        body = self._parse_statements((TokenType.EOF,))
         self._expect(TokenType.EOF, "end of input")
-
         return ALUSpec(
             name=self._name,
-            kind=kind,
-            state_vars=state_vars or [],
-            hole_vars=hole_vars or [],
-            packet_fields=packet_fields,
+            kind=header[TokenType.TYPE],
+            state_vars=header.get(TokenType.STATE, []),
+            hole_vars=header.get(TokenType.HOLE, []),
+            packet_fields=header[TokenType.PACKET],
             body=body,
             source=self._source,
         )
 
-    # ------------------------------------------------------------------
-    # Header helpers
-    # ------------------------------------------------------------------
     def _parse_name_set(self) -> List[str]:
         self._expect(TokenType.COLON, "':' in declaration")
         self._expect(TokenType.LBRACE, "'{' opening a name set")
@@ -172,141 +249,21 @@ class Parser:
         self._expect(TokenType.RBRACE, "'}' closing a name set")
         return names
 
-    # ------------------------------------------------------------------
-    # Statements
-    # ------------------------------------------------------------------
-    def _parse_statements(self, stop_types: Tuple[TokenType, ...]) -> List[Stmt]:
-        statements: List[Stmt] = []
-        while self._peek().type not in stop_types:
-            statements.append(self._parse_statement())
-        return statements
-
-    def _parse_statement(self) -> Stmt:
-        if self._check(TokenType.IF):
-            return self._parse_if()
-        if self._check(TokenType.RETURN):
-            self._advance()
+    def _parse_simple_statement(self) -> Stmt:
+        if self._match(TokenType.RETURN):
             value = self._parse_expr()
             self._expect(TokenType.SEMICOLON, "';' after return value")
             return Return(value)
         target = self._expect(TokenType.IDENT, "assignment target")
-        self._expect(TokenType.ASSIGN, "'=' in assignment")
-        value = self._parse_expr()
-        self._expect(TokenType.SEMICOLON, "';' after assignment")
-        return Assign(target.value, value)
+        return Assign(target.value, self._parse_assigned_value("assignment"))
 
-    def _parse_if(self) -> If:
-        self._expect(TokenType.IF, "'if'")
-        branches: List[Tuple[Expr, Tuple[Stmt, ...]]] = []
-        condition = self._parse_parenthesised_expr()
-        branches.append((condition, tuple(self._parse_block())))
-        orelse: Tuple[Stmt, ...] = ()
-        while True:
-            if self._check(TokenType.ELIF):
-                self._advance()
-                condition = self._parse_parenthesised_expr()
-                branches.append((condition, tuple(self._parse_block())))
-                continue
-            if self._check(TokenType.ELSE):
-                self._advance()
-                # Allow `else if (...)` as an alias of `elif (...)`.
-                if self._check(TokenType.IF):
-                    self._advance()
-                    condition = self._parse_parenthesised_expr()
-                    branches.append((condition, tuple(self._parse_block())))
-                    continue
-                orelse = tuple(self._parse_block())
-            break
-        return If(tuple(branches), orelse)
-
-    def _parse_parenthesised_expr(self) -> Expr:
-        self._expect(TokenType.LPAREN, "'(' before condition")
-        expr = self._parse_expr()
-        self._expect(TokenType.RPAREN, "')' after condition")
-        return expr
-
-    def _parse_block(self) -> List[Stmt]:
-        self._expect(TokenType.LBRACE, "'{' opening a block")
-        statements = self._parse_statements(stop_types=(TokenType.RBRACE, TokenType.EOF))
-        self._expect(TokenType.RBRACE, "'}' closing a block")
-        return statements
-
-    # ------------------------------------------------------------------
-    # Expressions (precedence climbing)
-    # ------------------------------------------------------------------
-    def _parse_expr(self) -> Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expr:
-        expr = self._parse_and()
-        while self._check(TokenType.OR):
-            self._advance()
-            expr = BinaryOp("||", expr, self._parse_and())
-        return expr
-
-    def _parse_and(self) -> Expr:
-        expr = self._parse_relational()
-        while self._check(TokenType.AND):
-            self._advance()
-            expr = BinaryOp("&&", expr, self._parse_relational())
-        return expr
-
-    _REL_TOKENS = {
-        TokenType.EQ: "==",
-        TokenType.NEQ: "!=",
-        TokenType.LE: "<=",
-        TokenType.GE: ">=",
-        TokenType.LT: "<",
-        TokenType.GT: ">",
-    }
-
-    def _parse_relational(self) -> Expr:
-        expr = self._parse_additive()
-        if self._peek().type in self._REL_TOKENS:
-            op_token = self._advance()
-            expr = BinaryOp(self._REL_TOKENS[op_token.type], expr, self._parse_additive())
-        return expr
-
-    def _parse_additive(self) -> Expr:
-        expr = self._parse_multiplicative()
-        while self._peek().type in (TokenType.PLUS, TokenType.MINUS):
-            op_token = self._advance()
-            expr = BinaryOp(op_token.value, expr, self._parse_multiplicative())
-        return expr
-
-    def _parse_multiplicative(self) -> Expr:
-        expr = self._parse_unary()
-        while self._peek().type in (TokenType.STAR, TokenType.SLASH, TokenType.PERCENT):
-            op_token = self._advance()
-            expr = BinaryOp(op_token.value, expr, self._parse_unary())
-        return expr
-
-    def _parse_unary(self) -> Expr:
-        if self._peek().type in (TokenType.MINUS, TokenType.NOT):
-            op_token = self._advance()
-            return UnaryOp(op_token.value, self._parse_unary())
-        return self._parse_primary()
-
-    def _parse_primary(self) -> Expr:
-        token = self._peek()
-        if token.type is TokenType.NUMBER:
-            self._advance()
-            return Number(int(token.value))
-        if token.type is TokenType.LPAREN:
-            self._advance()
-            expr = self._parse_expr()
-            self._expect(TokenType.RPAREN, "')'")
-            return expr
-        if token.type is TokenType.IDENT:
-            if token.value in PRIMITIVE_CALLS and self._peek(1).type is TokenType.LPAREN:
-                return self._parse_primitive_call()
-            self._advance()
-            return Var(token.value)
-        raise ALUDSLSyntaxError(
-            f"unexpected token {token.value!r} in expression",
-            line=token.line,
-            column=token.column,
-        )
+    def _parse_operand(self, token: Token) -> Optional[Expr]:
+        if token.type is not TokenType.IDENT:
+            return None
+        if token.value in PRIMITIVE_CALLS and self._peek(1).type is TokenType.LPAREN:
+            return self._parse_primitive_call()
+        self._advance()
+        return Var(token.value)
 
     def _parse_primitive_call(self) -> Expr:
         name_token = self._advance()
@@ -320,11 +277,7 @@ class Parser:
                 args.append(self._parse_expr())
         self._expect(TokenType.RPAREN, f"')' closing {name} call")
         if len(args) != arity:
-            raise ALUDSLSyntaxError(
-                f"{name} expects {arity} argument(s), got {len(args)}",
-                line=name_token.line,
-                column=name_token.column,
-            )
+            raise self._fail(f"{name} expects {arity} argument(s), got {len(args)}", name_token)
         if name in ("Mux2", "Mux3", "Mux4"):
             return MuxExpr(tuple(args))
         if name == "Opt":
@@ -335,9 +288,7 @@ class Parser:
             return RelOpExpr(args[0], args[1])
         if name == "arith_op":
             return ArithOpExpr(args[0], args[1])
-        if name == "bool_op":
-            return BoolOpExpr(args[0], args[1])
-        raise ALUDSLSyntaxError(f"unknown primitive {name}", name_token.line, name_token.column)
+        return BoolOpExpr(args[0], args[1])
 
 
 def parse(source: str, name: str = "alu") -> ALUSpec:

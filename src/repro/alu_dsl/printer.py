@@ -52,7 +52,9 @@ def format_expr(expr: Expr, parent_precedence: int = 0) -> str:
         return f"{expr.op}{format_expr(expr.operand, parent_precedence=6)}"
     if isinstance(expr, BinaryOp):
         precedence = _PRECEDENCE.get(expr.op, 3)
-        left = format_expr(expr.left, precedence)
+        # Relational operators do not chain, so a relational left operand is
+        # parenthesised like a right one.
+        left = format_expr(expr.left, precedence + 1 if precedence == 3 else precedence)
         right = format_expr(expr.right, precedence + 1)
         text = f"{left} {expr.op} {right}"
         if precedence < parent_precedence:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional, Sequence, Set, Union
 
+from ..alu_dsl.ast_nodes import If, Number, walk_stmts
 from ..domino import DominoProgram, DominoSpecification, PacketLayout, parse_and_analyze
-from ..domino.ast_nodes import DNumber, walk_dexpr, walk_dstmts, DAssign, DIf
+from ..domino.ast_nodes import DAssign, walk_dexpr
 from ..errors import SynthesisError
 from ..hardware import PipelineSpec
 from ..machine_code.pairs import MachineCode
@@ -31,15 +32,15 @@ def program_constant_pool(program: DominoProgram, extra: Sequence[int] = (0, 1))
     (possibly shifted by one for comparisons).
     """
     constants: Set[int] = {int(v) for v in extra}
-    for stmt in walk_dstmts(program.body):
+    for stmt in walk_stmts(program.body):
         exprs = []
         if isinstance(stmt, DAssign):
             exprs.append(stmt.value)
-        elif isinstance(stmt, DIf):
+        elif isinstance(stmt, If):
             exprs.extend(cond for cond, _ in stmt.branches)
         for expr in exprs:
             for node in walk_dexpr(expr):
-                if isinstance(node, DNumber):
+                if isinstance(node, Number):
                     constants.add(node.value)
                     constants.add(node.value + 1)
                     if node.value > 0:

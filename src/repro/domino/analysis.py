@@ -10,48 +10,9 @@ from __future__ import annotations
 
 from typing import List, Sequence, Set
 
+from ..alu_dsl.ast_nodes import Expr, If, Stmt
 from ..errors import DominoSemanticError
-from .ast_nodes import (
-    DAssign,
-    DBinaryOp,
-    DExpr,
-    DFieldRef,
-    DIf,
-    DominoProgram,
-    DStateRef,
-    DStmt,
-    DTernary,
-    DUnaryOp,
-)
-
-
-def _expr_field_reads(expr: DExpr, fields: List[str]) -> None:
-    if isinstance(expr, DFieldRef):
-        if expr.name not in fields:
-            fields.append(expr.name)
-    elif isinstance(expr, DUnaryOp):
-        _expr_field_reads(expr.operand, fields)
-    elif isinstance(expr, DBinaryOp):
-        _expr_field_reads(expr.left, fields)
-        _expr_field_reads(expr.right, fields)
-    elif isinstance(expr, DTernary):
-        _expr_field_reads(expr.condition, fields)
-        _expr_field_reads(expr.if_true, fields)
-        _expr_field_reads(expr.if_false, fields)
-
-
-def _expr_name_reads(expr: DExpr, names: Set[str]) -> None:
-    if isinstance(expr, DStateRef):
-        names.add(expr.name)
-    elif isinstance(expr, DUnaryOp):
-        _expr_name_reads(expr.operand, names)
-    elif isinstance(expr, DBinaryOp):
-        _expr_name_reads(expr.left, names)
-        _expr_name_reads(expr.right, names)
-    elif isinstance(expr, DTernary):
-        _expr_name_reads(expr.condition, names)
-        _expr_name_reads(expr.if_true, names)
-        _expr_name_reads(expr.if_false, names)
+from .ast_nodes import DAssign, DFieldRef, DominoProgram, DStateRef, walk_dexpr
 
 
 def analyze(program: DominoProgram) -> DominoProgram:
@@ -64,7 +25,7 @@ def analyze(program: DominoProgram) -> DominoProgram:
     fields_written: List[str] = []
     locals_defined: Set[str] = set()
 
-    def check(stmts: Sequence[DStmt], local: Set[str]) -> None:
+    def check(stmts: Sequence[Stmt], local: Set[str]) -> None:
         for stmt in stmts:
             if isinstance(stmt, DAssign):
                 _collect_stmt_reads(stmt.value, local)
@@ -75,7 +36,7 @@ def analyze(program: DominoProgram) -> DominoProgram:
                     if stmt.target not in state_names:
                         local.add(stmt.target)
                         locals_defined.add(stmt.target)
-            elif isinstance(stmt, DIf):
+            elif isinstance(stmt, If):
                 for condition, body in stmt.branches:
                     _collect_stmt_reads(condition, local)
                     check(body, set(local))
@@ -83,11 +44,12 @@ def analyze(program: DominoProgram) -> DominoProgram:
             else:  # pragma: no cover - defensive
                 raise DominoSemanticError(f"unknown statement {type(stmt).__name__}")
 
-    def _collect_stmt_reads(expr: DExpr, local: Set[str]) -> None:
-        _expr_field_reads(expr, fields_read)
-        names: Set[str] = set()
-        _expr_name_reads(expr, names)
-        unknown = names - state_names - local
+    def _collect_stmt_reads(expr: Expr, local: Set[str]) -> None:
+        nodes = walk_dexpr(expr)
+        for node in nodes:
+            if isinstance(node, DFieldRef) and node.name not in fields_read:
+                fields_read.append(node.name)
+        unknown = {node.name for node in nodes if isinstance(node, DStateRef)} - state_names - local
         if unknown:
             raise DominoSemanticError(
                 f"program {program.name!r}: undeclared identifier(s) {sorted(unknown)} "

@@ -16,88 +16,53 @@ The reproduction's dialect supports:
 * integer expressions with arithmetic (``+ - * / %``), relational
   (``== != < > <= >=``) and logical (``&& || !``) operators, and a ternary
   conditional ``cond ? a : b``.
+
+Literals, unary and binary operators and ``if`` chains are the ALU DSL's own
+``Number``, ``UnaryOp``, ``BinaryOp`` and ``If`` nodes
+(:mod:`repro.alu_dsl.ast_nodes`), so both languages share one parser core and
+one operator semantics; walk statements with
+:func:`repro.alu_dsl.ast_nodes.walk_stmts`.  Only the Domino-specific forms
+below are defined here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
-
-class DExpr:
-    """Base class of Domino expressions."""
-
-    __slots__ = ()
+from ..alu_dsl.ast_nodes import BinaryOp, Expr, Stmt, UnaryOp
 
 
 @dataclass(frozen=True)
-class DNumber(DExpr):
-    """Integer literal."""
-
-    value: int
-
-
-@dataclass(frozen=True)
-class DFieldRef(DExpr):
+class DFieldRef(Expr):
     """A packet-field read: ``pkt.<name>``."""
 
     name: str
 
 
 @dataclass(frozen=True)
-class DStateRef(DExpr):
+class DStateRef(Expr):
     """A read of a declared state variable or transaction-local temporary."""
 
     name: str
 
 
 @dataclass(frozen=True)
-class DUnaryOp(DExpr):
-    """Unary negation or logical not."""
-
-    op: str
-    operand: DExpr
-
-
-@dataclass(frozen=True)
-class DBinaryOp(DExpr):
-    """Binary arithmetic, relational or logical operation."""
-
-    op: str
-    left: DExpr
-    right: DExpr
-
-
-@dataclass(frozen=True)
-class DTernary(DExpr):
+class DTernary(Expr):
     """``condition ? if_true : if_false``."""
 
-    condition: DExpr
-    if_true: DExpr
-    if_false: DExpr
-
-
-class DStmt:
-    """Base class of Domino statements."""
-
-    __slots__ = ()
+    condition: Expr
+    if_true: Expr
+    if_false: Expr
 
 
 @dataclass(frozen=True)
-class DAssign(DStmt):
+class DAssign(Stmt):
     """Assignment to a packet field (``is_field=True``) or state/local variable."""
 
     target: str
-    value: DExpr
+    value: Expr
     is_field: bool
-
-
-@dataclass(frozen=True)
-class DIf(DStmt):
-    """``if`` / ``else if`` / ``else`` chain."""
-
-    branches: Tuple[Tuple[DExpr, Tuple[DStmt, ...]], ...]
-    orelse: Tuple[DStmt, ...] = ()
 
 
 @dataclass
@@ -128,7 +93,7 @@ class DominoProgram:
 
     name: str
     state_decls: List[StateDecl]
-    body: List[DStmt]
+    body: List[Stmt]
     packet_fields_read: List[str] = field(default_factory=list)
     packet_fields_written: List[str] = field(default_factory=list)
     source: str = ""
@@ -152,28 +117,16 @@ class DominoProgram:
         return fields
 
 
-def walk_dexpr(expr: DExpr) -> List[DExpr]:
+def walk_dexpr(expr: Expr) -> List[Expr]:
     """Pre-order traversal of a Domino expression."""
-    out: List[DExpr] = [expr]
-    if isinstance(expr, DUnaryOp):
+    out: List[Expr] = [expr]
+    if isinstance(expr, UnaryOp):
         out.extend(walk_dexpr(expr.operand))
-    elif isinstance(expr, DBinaryOp):
+    elif isinstance(expr, BinaryOp):
         out.extend(walk_dexpr(expr.left))
         out.extend(walk_dexpr(expr.right))
     elif isinstance(expr, DTernary):
         out.extend(walk_dexpr(expr.condition))
         out.extend(walk_dexpr(expr.if_true))
         out.extend(walk_dexpr(expr.if_false))
-    return out
-
-
-def walk_dstmts(stmts) -> List[DStmt]:
-    """Pre-order traversal of a Domino statement list."""
-    out: List[DStmt] = []
-    for stmt in stmts:
-        out.append(stmt)
-        if isinstance(stmt, DIf):
-            for _cond, body in stmt.branches:
-                out.extend(walk_dstmts(body))
-            out.extend(walk_dstmts(stmt.orelse))
     return out

@@ -11,50 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, MutableMapping, Sequence
 
+from ..alu_dsl.ast_nodes import BinaryOp, Expr, If, Number, Stmt, UnaryOp
+from ..alu_dsl.semantics import apply_binary, apply_unary
 from ..errors import DominoSemanticError
-from .ast_nodes import (
-    DAssign,
-    DBinaryOp,
-    DExpr,
-    DFieldRef,
-    DIf,
-    DNumber,
-    DominoProgram,
-    DStateRef,
-    DStmt,
-    DTernary,
-    DUnaryOp,
-)
-
-
-def _apply_binary(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a // b if b != 0 else 0
-    if op == "%":
-        return a % b if b != 0 else 0
-    if op == "==":
-        return int(a == b)
-    if op == "!=":
-        return int(a != b)
-    if op == "<=":
-        return int(a <= b)
-    if op == ">=":
-        return int(a >= b)
-    if op == "<":
-        return int(a < b)
-    if op == ">":
-        return int(a > b)
-    if op == "&&":
-        return int(bool(a) and bool(b))
-    if op == "||":
-        return int(bool(a) or bool(b))
-    raise DominoSemanticError(f"unknown binary operator {op!r}")
+from .ast_nodes import DAssign, DFieldRef, DominoProgram, DStateRef, DTernary
 
 
 class DominoInterpreter:
@@ -95,7 +55,7 @@ class DominoInterpreter:
     # ------------------------------------------------------------------
     def _exec_stmts(
         self,
-        stmts: Sequence[DStmt],
+        stmts: Sequence[Stmt],
         fields: Dict[str, int],
         state: MutableMapping[str, int],
         locals_env: Dict[str, int],
@@ -109,7 +69,7 @@ class DominoInterpreter:
                     state[stmt.target] = value
                 else:
                     locals_env[stmt.target] = value
-            elif isinstance(stmt, DIf):
+            elif isinstance(stmt, If):
                 taken = False
                 for condition, body in stmt.branches:
                     if self._eval(condition, fields, state, locals_env):
@@ -123,12 +83,12 @@ class DominoInterpreter:
 
     def _eval(
         self,
-        expr: DExpr,
+        expr: Expr,
         fields: Mapping[str, int],
         state: Mapping[str, int],
         locals_env: Mapping[str, int],
     ) -> int:
-        if isinstance(expr, DNumber):
+        if isinstance(expr, Number):
             return expr.value
         if isinstance(expr, DFieldRef):
             return int(fields.get(expr.name, 0))
@@ -140,13 +100,12 @@ class DominoInterpreter:
             raise DominoSemanticError(
                 f"identifier {expr.name!r} read before assignment in program {self.program.name!r}"
             )
-        if isinstance(expr, DUnaryOp):
-            value = self._eval(expr.operand, fields, state, locals_env)
-            return -value if expr.op == "-" else int(not value)
-        if isinstance(expr, DBinaryOp):
+        if isinstance(expr, UnaryOp):
+            return apply_unary(expr.op, self._eval(expr.operand, fields, state, locals_env))
+        if isinstance(expr, BinaryOp):
             left = self._eval(expr.left, fields, state, locals_env)
             right = self._eval(expr.right, fields, state, locals_env)
-            return _apply_binary(expr.op, left, right)
+            return apply_binary(expr.op, left, right)
         if isinstance(expr, DTernary):
             if self._eval(expr.condition, fields, state, locals_env):
                 return self._eval(expr.if_true, fields, state, locals_env)

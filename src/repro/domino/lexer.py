@@ -1,170 +1,24 @@
-"""Lexer for the Domino-like packet-transaction language."""
+"""Domino's keyword and operator tables for the shared scanner.
+
+Domino tokenises through :func:`repro.alu_dsl.lexer.scan`, the ALU DSL's
+scanner, with its own keywords and two more operators: ``.`` for packet
+fields (``pkt.x``) and ``?`` for the ternary.
+"""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
+from ..alu_dsl import lexer as alu_lexer
+from ..alu_dsl.lexer import Token, TokenType, scan
 from ..errors import DominoSyntaxError
 
-
-class DTokenType(enum.Enum):
-    """Terminals of the Domino dialect."""
-
-    NUMBER = "NUMBER"
-    IDENT = "IDENT"
-    PKT = "pkt"
-    STATE = "state"
-    TRANSACTION = "transaction"
-    IF = "if"
-    ELSE = "else"
-    DOT = "."
-    COMMA = ","
-    SEMICOLON = ";"
-    LBRACE = "{"
-    RBRACE = "}"
-    LPAREN = "("
-    RPAREN = ")"
-    QUESTION = "?"
-    COLON = ":"
-    ASSIGN = "="
-    PLUS = "+"
-    MINUS = "-"
-    STAR = "*"
-    SLASH = "/"
-    PERCENT = "%"
-    EQ = "=="
-    NEQ = "!="
-    LE = "<="
-    GE = ">="
-    LT = "<"
-    GT = ">"
-    AND = "&&"
-    OR = "||"
-    NOT = "!"
-    EOF = "EOF"
+KEYWORDS = frozenset(
+    {TokenType.PKT, TokenType.STATE, TokenType.TRANSACTION, TokenType.IF, TokenType.ELSE}
+)
+OPERATORS = alu_lexer.OPERATORS | {TokenType.DOT, TokenType.QUESTION}
 
 
-_KEYWORDS = {
-    "pkt": DTokenType.PKT,
-    "state": DTokenType.STATE,
-    "transaction": DTokenType.TRANSACTION,
-    "if": DTokenType.IF,
-    "else": DTokenType.ELSE,
-}
-
-_TWO_CHAR = {
-    "==": DTokenType.EQ,
-    "!=": DTokenType.NEQ,
-    "<=": DTokenType.LE,
-    ">=": DTokenType.GE,
-    "&&": DTokenType.AND,
-    "||": DTokenType.OR,
-}
-
-_ONE_CHAR = {
-    ".": DTokenType.DOT,
-    ",": DTokenType.COMMA,
-    ";": DTokenType.SEMICOLON,
-    "{": DTokenType.LBRACE,
-    "}": DTokenType.RBRACE,
-    "(": DTokenType.LPAREN,
-    ")": DTokenType.RPAREN,
-    "?": DTokenType.QUESTION,
-    ":": DTokenType.COLON,
-    "=": DTokenType.ASSIGN,
-    "+": DTokenType.PLUS,
-    "-": DTokenType.MINUS,
-    "*": DTokenType.STAR,
-    "/": DTokenType.SLASH,
-    "%": DTokenType.PERCENT,
-    "<": DTokenType.LT,
-    ">": DTokenType.GT,
-    "!": DTokenType.NOT,
-}
-
-
-@dataclass(frozen=True)
-class DToken:
-    """A Domino lexeme with its 1-based source location."""
-
-    type: DTokenType
-    value: str
-    line: int
-    column: int
-
-
-class DominoLexer:
-    """Tokenises Domino source; ``//`` and ``#`` comments run to end of line."""
-
-    def __init__(self, source: str):
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokenize(self) -> List[DToken]:
-        """Return all tokens followed by an EOF token."""
-        tokens = list(self._iter())
-        tokens.append(DToken(DTokenType.EOF, "", self._line, self._column))
-        return tokens
-
-    def _iter(self) -> Iterator[DToken]:
-        source = self._source
-        while self._pos < len(source):
-            char = source[self._pos]
-            if char in " \t\r":
-                self._advance(1)
-                continue
-            if char == "\n":
-                self._pos += 1
-                self._line += 1
-                self._column = 1
-                continue
-            if char == "#" or source.startswith("//", self._pos):
-                while self._pos < len(source) and source[self._pos] != "\n":
-                    self._advance(1)
-                continue
-            if char.isdigit():
-                yield self._number()
-                continue
-            if char.isalpha() or char == "_":
-                yield self._identifier()
-                continue
-            two = source[self._pos : self._pos + 2]
-            if two in _TWO_CHAR:
-                yield DToken(_TWO_CHAR[two], two, self._line, self._column)
-                self._advance(2)
-                continue
-            if char in _ONE_CHAR:
-                yield DToken(_ONE_CHAR[char], char, self._line, self._column)
-                self._advance(1)
-                continue
-            raise DominoSyntaxError(
-                f"unexpected character {char!r}", line=self._line, column=self._column
-            )
-
-    def _advance(self, count: int) -> None:
-        self._pos += count
-        self._column += count
-
-    def _number(self) -> DToken:
-        start, line, column = self._pos, self._line, self._column
-        while self._pos < len(self._source) and self._source[self._pos].isdigit():
-            self._advance(1)
-        return DToken(DTokenType.NUMBER, self._source[start : self._pos], line, column)
-
-    def _identifier(self) -> DToken:
-        start, line, column = self._pos, self._line, self._column
-        while self._pos < len(self._source) and (
-            self._source[self._pos].isalnum() or self._source[self._pos] == "_"
-        ):
-            self._advance(1)
-        text = self._source[start : self._pos]
-        return DToken(_KEYWORDS.get(text, DTokenType.IDENT), text, line, column)
-
-
-def tokenize(source: str) -> List[DToken]:
+def tokenize(source: str) -> List[Token]:
     """Tokenise Domino ``source``."""
-    return DominoLexer(source).tokenize()
+    return scan(source, KEYWORDS, OPERATORS, DominoSyntaxError)

@@ -1,235 +1,86 @@
-"""Recursive-descent parser for the Domino-like packet-transaction language."""
+"""Recursive-descent parser for the Domino-like packet-transaction language.
+
+:class:`DominoParser` extends the ALU DSL's parser core
+(:class:`repro.alu_dsl.parser.TokenParser`), which supplies the statement,
+``if``/``else if`` and expression rules and builds the ALU DSL's ``Number``,
+``UnaryOp``, ``BinaryOp`` and ``If`` nodes.  Domino adds ``state``
+declarations, the ``transaction`` block, ``pkt.`` fields, reads of state and
+temporaries, and the ternary ``cond ? a : b`` (the loosest expression form).
+"""
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional
 
+from ..alu_dsl.ast_nodes import Expr, Stmt
+from ..alu_dsl.lexer import Token, TokenType
+from ..alu_dsl.parser import TokenParser
 from ..errors import DominoSyntaxError
-from .ast_nodes import (
-    DAssign,
-    DBinaryOp,
-    DExpr,
-    DFieldRef,
-    DIf,
-    DNumber,
-    DominoProgram,
-    DStateRef,
-    DStmt,
-    DTernary,
-    DUnaryOp,
-    StateDecl,
-)
-from .lexer import DToken, DTokenType, tokenize
+from .ast_nodes import DAssign, DFieldRef, DominoProgram, DStateRef, DTernary, StateDecl
+from .lexer import tokenize
 
 
-class DominoParser:
+class DominoParser(TokenParser):
     """Parses a token stream into a :class:`DominoProgram`."""
 
-    def __init__(self, tokens: List[DToken], source: str = ""):
-        self._tokens = tokens
-        self._pos = 0
-        self._source = source
+    error = DominoSyntaxError
 
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> DToken:
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
-
-    def _advance(self) -> DToken:
-        token = self._tokens[self._pos]
-        if token.type is not DTokenType.EOF:
-            self._pos += 1
-        return token
-
-    def _check(self, token_type: DTokenType) -> bool:
-        return self._peek().type is token_type
-
-    def _expect(self, token_type: DTokenType, what: str) -> DToken:
-        token = self._peek()
-        if token.type is not token_type:
-            raise DominoSyntaxError(
-                f"expected {what}, found {token.value!r}", line=token.line, column=token.column
-            )
-        return self._advance()
-
-    # ------------------------------------------------------------------
-    # Top level
-    # ------------------------------------------------------------------
     def parse(self) -> DominoProgram:
         """Parse state declarations followed by a transaction block or bare statements."""
         state_decls: List[StateDecl] = []
-        while self._check(DTokenType.STATE):
+        while self._match(TokenType.STATE):
             state_decls.append(self._parse_state_decl())
 
         name = "transaction"
-        if self._check(DTokenType.TRANSACTION):
-            self._advance()
-            name = self._expect(DTokenType.IDENT, "transaction name").value
-            self._expect(DTokenType.LBRACE, "'{' opening the transaction")
-            body = self._parse_statements((DTokenType.RBRACE, DTokenType.EOF))
-            self._expect(DTokenType.RBRACE, "'}' closing the transaction")
+        if self._match(TokenType.TRANSACTION):
+            name = self._expect(TokenType.IDENT, "transaction name").value
+            self._expect(TokenType.LBRACE, "'{' opening the transaction")
+            body = self._parse_statements((TokenType.RBRACE, TokenType.EOF))
+            self._expect(TokenType.RBRACE, "'}' closing the transaction")
         else:
-            body = self._parse_statements((DTokenType.EOF,))
-        self._expect(DTokenType.EOF, "end of program")
+            body = self._parse_statements((TokenType.EOF,))
+        self._expect(TokenType.EOF, "end of program")
 
         return DominoProgram(name=name, state_decls=state_decls, body=body, source=self._source)
 
     def _parse_state_decl(self) -> StateDecl:
-        self._expect(DTokenType.STATE, "'state'")
-        name = self._expect(DTokenType.IDENT, "state variable name").value
+        name = self._expect(TokenType.IDENT, "state variable name").value
         initial = 0
-        if self._check(DTokenType.ASSIGN):
-            self._advance()
-            negative = False
-            if self._check(DTokenType.MINUS):
-                self._advance()
-                negative = True
-            value_token = self._expect(DTokenType.NUMBER, "initial state value")
-            initial = -int(value_token.value) if negative else int(value_token.value)
-        self._expect(DTokenType.SEMICOLON, "';' after state declaration")
+        if self._match(TokenType.ASSIGN):
+            negative = self._match(TokenType.MINUS) is not None
+            initial = int(self._expect(TokenType.NUMBER, "initial state value").value)
+            if negative:
+                initial = -initial
+        self._expect(TokenType.SEMICOLON, "';' after state declaration")
         return StateDecl(name=name, initial=initial)
 
-    # ------------------------------------------------------------------
-    # Statements
-    # ------------------------------------------------------------------
-    def _parse_statements(self, stop: Tuple[DTokenType, ...]) -> List[DStmt]:
-        statements: List[DStmt] = []
-        while self._peek().type not in stop:
-            statements.append(self._parse_statement())
-        return statements
+    def _parse_field_name(self) -> str:
+        """``.name`` after a consumed ``pkt``."""
+        self._expect(TokenType.DOT, "'.' after 'pkt'")
+        return self._expect(TokenType.IDENT, "packet field name").value
 
-    def _parse_statement(self) -> DStmt:
-        if self._check(DTokenType.IF):
-            return self._parse_if()
-        if self._check(DTokenType.PKT):
-            self._advance()
-            self._expect(DTokenType.DOT, "'.' after 'pkt'")
-            field_name = self._expect(DTokenType.IDENT, "packet field name").value
-            self._expect(DTokenType.ASSIGN, "'=' in packet-field assignment")
-            value = self._parse_expr()
-            self._expect(DTokenType.SEMICOLON, "';' after assignment")
+    def _parse_simple_statement(self) -> Stmt:
+        if self._match(TokenType.PKT):
+            field_name = self._parse_field_name()
+            value = self._parse_assigned_value("packet-field assignment")
             return DAssign(field_name, value, is_field=True)
-        target = self._expect(DTokenType.IDENT, "assignment target").value
-        self._expect(DTokenType.ASSIGN, "'=' in assignment")
-        value = self._parse_expr()
-        self._expect(DTokenType.SEMICOLON, "';' after assignment")
-        return DAssign(target, value, is_field=False)
+        target = self._expect(TokenType.IDENT, "assignment target").value
+        return DAssign(target, self._parse_assigned_value("assignment"), is_field=False)
 
-    def _parse_if(self) -> DIf:
-        self._expect(DTokenType.IF, "'if'")
-        branches: List[Tuple[DExpr, Tuple[DStmt, ...]]] = []
-        branches.append((self._parse_parenthesised(), tuple(self._parse_block())))
-        orelse: Tuple[DStmt, ...] = ()
-        while self._check(DTokenType.ELSE):
-            self._advance()
-            if self._check(DTokenType.IF):
-                self._advance()
-                branches.append((self._parse_parenthesised(), tuple(self._parse_block())))
-                continue
-            orelse = tuple(self._parse_block())
-            break
-        return DIf(tuple(branches), orelse)
-
-    def _parse_parenthesised(self) -> DExpr:
-        self._expect(DTokenType.LPAREN, "'(' before condition")
-        expr = self._parse_expr()
-        self._expect(DTokenType.RPAREN, "')' after condition")
-        return expr
-
-    def _parse_block(self) -> List[DStmt]:
-        self._expect(DTokenType.LBRACE, "'{' opening a block")
-        statements = self._parse_statements((DTokenType.RBRACE, DTokenType.EOF))
-        self._expect(DTokenType.RBRACE, "'}' closing a block")
-        return statements
-
-    # ------------------------------------------------------------------
-    # Expressions
-    # ------------------------------------------------------------------
-    def _parse_expr(self) -> DExpr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> DExpr:
-        condition = self._parse_or()
-        if self._check(DTokenType.QUESTION):
-            self._advance()
+    def _parse_expr(self) -> Expr:
+        condition = self._parse_binary()
+        if self._match(TokenType.QUESTION):
             if_true = self._parse_expr()
-            self._expect(DTokenType.COLON, "':' in ternary expression")
-            if_false = self._parse_expr()
-            return DTernary(condition, if_true, if_false)
+            self._expect(TokenType.COLON, "':' in ternary expression")
+            return DTernary(condition, if_true, self._parse_expr())
         return condition
 
-    def _parse_or(self) -> DExpr:
-        expr = self._parse_and()
-        while self._check(DTokenType.OR):
-            self._advance()
-            expr = DBinaryOp("||", expr, self._parse_and())
-        return expr
-
-    def _parse_and(self) -> DExpr:
-        expr = self._parse_relational()
-        while self._check(DTokenType.AND):
-            self._advance()
-            expr = DBinaryOp("&&", expr, self._parse_relational())
-        return expr
-
-    _REL = {
-        DTokenType.EQ: "==",
-        DTokenType.NEQ: "!=",
-        DTokenType.LE: "<=",
-        DTokenType.GE: ">=",
-        DTokenType.LT: "<",
-        DTokenType.GT: ">",
-    }
-
-    def _parse_relational(self) -> DExpr:
-        expr = self._parse_additive()
-        if self._peek().type in self._REL:
-            op = self._advance()
-            expr = DBinaryOp(self._REL[op.type], expr, self._parse_additive())
-        return expr
-
-    def _parse_additive(self) -> DExpr:
-        expr = self._parse_multiplicative()
-        while self._peek().type in (DTokenType.PLUS, DTokenType.MINUS):
-            op = self._advance()
-            expr = DBinaryOp(op.value, expr, self._parse_multiplicative())
-        return expr
-
-    def _parse_multiplicative(self) -> DExpr:
-        expr = self._parse_unary()
-        while self._peek().type in (DTokenType.STAR, DTokenType.SLASH, DTokenType.PERCENT):
-            op = self._advance()
-            expr = DBinaryOp(op.value, expr, self._parse_unary())
-        return expr
-
-    def _parse_unary(self) -> DExpr:
-        if self._peek().type in (DTokenType.MINUS, DTokenType.NOT):
-            op = self._advance()
-            return DUnaryOp(op.value, self._parse_unary())
-        return self._parse_primary()
-
-    def _parse_primary(self) -> DExpr:
-        token = self._peek()
-        if token.type is DTokenType.NUMBER:
-            self._advance()
-            return DNumber(int(token.value))
-        if token.type is DTokenType.LPAREN:
-            self._advance()
-            expr = self._parse_expr()
-            self._expect(DTokenType.RPAREN, "')'")
-            return expr
-        if token.type is DTokenType.PKT:
-            self._advance()
-            self._expect(DTokenType.DOT, "'.' after 'pkt'")
-            field_name = self._expect(DTokenType.IDENT, "packet field name").value
-            return DFieldRef(field_name)
-        if token.type is DTokenType.IDENT:
-            self._advance()
+    def _parse_operand(self, token: Token) -> Optional[Expr]:
+        if self._match(TokenType.PKT):
+            return DFieldRef(self._parse_field_name())
+        if self._match(TokenType.IDENT):
             return DStateRef(token.value)
-        raise DominoSyntaxError(
-            f"unexpected token {token.value!r} in expression", line=token.line, column=token.column
-        )
+        return None
 
 
 def parse(source: str) -> DominoProgram:

@@ -119,9 +119,11 @@ def generate_bundle(
     use_milp: bool = False,
     name: str = "p4_program",
 ) -> DrmtProgramBundle:
-    """dRMT dgen: parse (if needed), build the DAG, schedule, and package."""
+    """dRMT dgen: parse (if needed), validate, build the DAG, schedule, and package."""
     if isinstance(program, str):
         program = parse_p4(program, name=name)
+    else:
+        program.validate()
     graph = build_dependency_graph(program)
     schedule = schedule_program(program, graph, hardware, use_milp=use_milp)
     analysis = analyze_program(program, graph)

@@ -91,7 +91,6 @@ class MatchActionProcessor:
         self.tables = tables
         self.registers = registers
         self.in_flight: List[PacketContext] = []
-        self.completed: List[PacketContext] = []
         self.operations_executed = 0
         self._conditions: Dict[str, ControlApply] = {
             apply.table: apply for apply in program.control_flow
@@ -125,7 +124,6 @@ class MatchActionProcessor:
         for packet in finished:
             packet.completed_tick = current_tick
             self.in_flight.remove(packet)
-            self.completed.append(packet)
         return finished
 
     # ------------------------------------------------------------------

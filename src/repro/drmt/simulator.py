@@ -17,20 +17,22 @@ Execution goes through the unified engine layer's drivers:
 
 dRMT has no generic driver.  The choice between the two is
 :func:`repro.engine.base.resolve_engine`, the rule the RMT facade uses too;
-``auto`` runs tick only when fused generation refuses the bundle.
+``auto`` runs fused.  :func:`repro.drmt.codegen.generate_bundle` validates
+the program, so fused generation accepts every bundle, and a generator error
+propagates instead of falling back to tick.
 
-The fused driver reports per-run per-processor statistics, where the tick
-interpreter's processors count cumulatively across runs.  Register and
+Both drivers report per-run per-processor statistics.  Register and
 table-hit state accumulate across runs of one simulator under both drivers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..engine.base import ENGINE_AUTO, ENGINE_FUSED, ENGINE_TICK, resolve_engine
-from ..errors import DruzhbaError, SimulationError
+from ..engine.base import ENGINE_FUSED, ENGINE_TICK, resolve_engine
+from ..errors import SimulationError
 from ..traffic import PacketGenerator
 from .codegen import DrmtProgramBundle
 from .processor import MatchActionProcessor, PacketContext, RegisterFile
@@ -253,21 +255,12 @@ class DRMTSimulator:
         """Simulate an explicit packet trace (one packet injected per tick).
 
         The driver follows the engine layer's selection rules: ``auto``
-        prefers the bundle's fused ``run_trace`` and falls back to the tick
-        interpreter only when fused generation refuses the bundle;
-        ``tick_accurate=True`` always forces the per-tick model.
+        runs the bundle's fused ``run_trace``; ``tick_accurate=True`` always
+        forces the per-tick model.
         """
-        # Only auto consults availability (fused generation is cached on the
-        # bundle); an explicit fused request goes straight to the generator,
-        # which raises its own error.
-        fused_available = (
-            self._fused_available()
-            if self.engine == ENGINE_AUTO and not tick_accurate
-            else True
-        )
         mode = resolve_engine(
             self.engine,
-            fused_available=fused_available,
+            fused_available=True,
             tick_accurate=tick_accurate,
             context="dRMT bundle",
             generic_available=False,
@@ -296,22 +289,11 @@ class DRMTSimulator:
             engine=ENGINE_FUSED,
         )
 
-    def _fused_available(self) -> bool:
-        """Whether the bundle's fused loop generates (cached on the bundle).
-
-        Only a generator refusal (a :class:`DruzhbaError` such as
-        ``CodegenError``) makes fused unavailable; any other exception is a
-        generator bug and propagates.
-        """
-        try:
-            self.bundle.fused_program()
-        except DruzhbaError:
-            return False
-        return True
-
     def _run_tick(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
         """The paper's per-tick round-robin processor loop."""
         num_processors = len(self.processors)
+        for processor in self.processors:
+            processor.operations_executed = 0
         records: List[DrmtPacketRecord] = []
         inputs: Dict[int, Dict[str, int]] = {}
 
@@ -350,11 +332,13 @@ class DRMTSimulator:
                 raise SimulationError("dRMT simulation failed to drain; schedule appears inconsistent")
 
         records.sort(key=lambda record: record.packet_id)
+        packets_done = Counter(record.processor for record in records)
         return DrmtSimulationResult(
             records=records,
             ticks=tick,
             per_processor_packets={
-                processor.processor_id: len(processor.completed) for processor in self.processors
+                processor.processor_id: packets_done[processor.processor_id]
+                for processor in self.processors
             },
             per_processor_operations={
                 processor.processor_id: processor.operations_executed for processor in self.processors

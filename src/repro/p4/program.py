@@ -30,6 +30,24 @@ PRIMITIVE_OPS = (
     "no_op",
 )
 
+#: Positions of each primitive's value arguments, which must each be an
+#: action parameter, a field or an integer literal.
+_VALUE_ARGS = {
+    "modify_field": (1,),
+    "add_to_field": (1,),
+    "subtract_from_field": (1,),
+    "register_read": (2,),
+    "register_write": (1, 2),
+}
+
+
+def _is_integer(text: str) -> bool:
+    try:
+        int(text, 0)
+    except ValueError:
+        return False
+    return True
+
 
 @dataclass
 class HeaderType:
@@ -269,6 +287,13 @@ class P4Program:
                             raise P4SemanticError(
                                 f"action {action.name!r} references unknown field {arg!r}"
                             )
+                positions = _VALUE_ARGS.get(call.op, ())
+                for arg in (call.args[index] for index in positions if index < len(call.args)):
+                    if arg not in action.params and "." not in arg and not _is_integer(arg):
+                        raise P4SemanticError(
+                            f"action {action.name!r} passes {arg!r} to {call.op}; an argument "
+                            "must be a parameter, a declared field or an integer"
+                        )
             for register_name in action.registers_used():
                 if register_name not in self.registers:
                     raise P4SemanticError(

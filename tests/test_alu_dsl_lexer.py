@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.alu_dsl.lexer import Lexer, tokenize
-from repro.alu_dsl.tokens import Token, TokenType
+from repro.alu_dsl.lexer import Token, TokenType, tokenize
 from repro.errors import ALUDSLSyntaxError
 
 
@@ -132,10 +131,6 @@ class TestErrors:
     def test_unexpected_character_rejected(self, bad):
         with pytest.raises(ALUDSLSyntaxError):
             tokenize(bad)
-
-    def test_lexer_class_matches_function(self):
-        source = "state_0 = pkt_0 + 1;"
-        assert Lexer(source).tokenize() == tokenize(source)
 
 
 class TestFullAtomSources:

@@ -272,3 +272,18 @@ class TestFigure4Example:
         assert isinstance(spec.body[0], If)
         condition = spec.body[0].branches[0][0]
         assert isinstance(condition, RelOpExpr)
+
+
+class TestUnicodeNames:
+    """Numbers are ``\\d+`` and names are Python identifiers; anything else is a syntax error."""
+
+    def test_superscript_digit_is_a_syntax_error(self):
+        # str.isdigit() accepts '²' but int() does not.
+        with pytest.raises(ALUDSLSyntaxError) as excinfo:
+            parse(STATELESS_HEADER.replace("pkt_0", "a") + "return a + ²;\n")
+        assert (excinfo.value.line, excinfo.value.column) == (6, 12)
+
+    def test_accented_identifier_parses(self):
+        spec = parse(STATELESS_HEADER.replace("pkt_0", "é") + "return é + 1;\n")
+        assert spec.packet_fields == ["é", "pkt_1"]
+        assert spec.body[0].value == BinaryOp("+", Var("é"), Number(1))

@@ -13,7 +13,7 @@ from repro.dgen.codegen import (
     helper_function_name,
 )
 from repro.dsim import RMTSimulator
-from repro.errors import CodegenError, MissingMachineCodeError
+from repro.errors import ALUDSLSyntaxError, CodegenError, MissingMachineCodeError
 from repro.hardware import PipelineSpec
 from repro.ir import Module, to_source
 from repro.machine_code import naming
@@ -499,6 +499,23 @@ class TestReservedNames:
         )
         with pytest.raises(CodegenError, match=re.escape(repr(name))):
             dgen.generate(spec, spec.passthrough_machine_code(), opt_level=dgen.OPT_FUSED)
+
+    def test_non_identifier_packet_field_is_a_syntax_error(self):
+        """``a²`` is alphanumeric but no Python name: the parser refuses it, not ``compile``."""
+        with pytest.raises(ALUDSLSyntaxError) as excinfo:
+            stateless = parse_and_analyze(
+                "type: stateless\nstate variables : {}\nhole variables : {}\n"
+                "packet fields : {a², pkt_1}\nreturn a² + pkt_1;\n"
+            )
+            spec = PipelineSpec(
+                depth=1,
+                width=2,
+                stateful_alu=atoms.get_atom("raw"),
+                stateless_alu=stateless,
+                name="non_identifier_packet_field",
+            )
+            dgen.generate(spec, spec.passthrough_machine_code(), opt_level=dgen.OPT_FUSED)
+        assert (excinfo.value.line, excinfo.value.column) == (4, 19)
 
     def test_state_variable_may_take_a_reserved_name(self):
         """State variables are emitted as ``state[i]``, never as names."""

@@ -9,8 +9,10 @@ from repro.domino import (
     parse,
     parse_and_analyze,
 )
-from repro.domino.ast_nodes import DAssign, DBinaryOp, DIf, DTernary
-from repro.domino.lexer import DTokenType, tokenize
+from repro.alu_dsl.ast_nodes import BinaryOp, If
+from repro.alu_dsl.lexer import TokenType
+from repro.domino.ast_nodes import DAssign, DTernary
+from repro.domino.lexer import tokenize
 from repro.errors import DominoSemanticError, DominoSyntaxError, SpecificationError
 
 SAMPLING = """
@@ -32,21 +34,21 @@ class TestLexer:
     def test_keywords_and_identifiers(self):
         types = [token.type for token in tokenize("state pkt transaction if else foo")][:-1]
         assert types == [
-            DTokenType.STATE,
-            DTokenType.PKT,
-            DTokenType.TRANSACTION,
-            DTokenType.IF,
-            DTokenType.ELSE,
-            DTokenType.IDENT,
+            TokenType.STATE,
+            TokenType.PKT,
+            TokenType.TRANSACTION,
+            TokenType.IF,
+            TokenType.ELSE,
+            TokenType.IDENT,
         ]
 
     def test_operators(self):
         types = [token.type for token in tokenize("== != <= >= && || ? :")][:-1]
-        assert DTokenType.EQ in types and DTokenType.QUESTION in types
+        assert TokenType.EQ in types and TokenType.QUESTION in types
 
     def test_comments_ignored(self):
         types = [token.type for token in tokenize("// hi\n# there\n42")][:-1]
-        assert types == [DTokenType.NUMBER]
+        assert types == [TokenType.NUMBER]
 
     def test_bad_character_rejected(self):
         with pytest.raises(DominoSyntaxError):
@@ -79,7 +81,7 @@ class TestParser:
     def test_if_else_structure(self):
         program = parse(SAMPLING)
         stmt = program.body[0]
-        assert isinstance(stmt, DIf)
+        assert isinstance(stmt, If)
         assert len(stmt.branches) == 1 and len(stmt.orelse) == 2
 
     def test_else_if_chain(self):
@@ -96,7 +98,7 @@ class TestParser:
     def test_operator_precedence(self):
         program = parse("transaction t { pkt.o = pkt.a + pkt.b * 2; }")
         expr = program.body[0].value
-        assert isinstance(expr, DBinaryOp) and expr.op == "+"
+        assert isinstance(expr, BinaryOp) and expr.op == "+"
         assert expr.right.op == "*"
 
     def test_missing_semicolon_rejected(self):
@@ -106,6 +108,12 @@ class TestParser:
     def test_unclosed_block_rejected(self):
         with pytest.raises(DominoSyntaxError):
             parse("transaction t { pkt.o = 1;")
+
+    def test_superscript_digit_is_a_syntax_error(self):
+        # str.isdigit() accepts '²' but int() does not.
+        with pytest.raises(DominoSyntaxError) as excinfo:
+            parse("transaction t {\n    pkt.o = pkt.a + ²;\n}")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 21)
 
 
 class TestAnalysis:

@@ -279,7 +279,7 @@ class TestFusedDriverExactMatchProbes:
 
 
 class TestDrmtEngineSelection:
-    """The facade's two drivers: fused by default, tick when generation refuses."""
+    """The facade's two drivers: fused by default, tick when asked for."""
 
     @staticmethod
     def _telemetry(num_processors=4):
@@ -328,26 +328,31 @@ class TestDrmtEngineSelection:
         with pytest.raises(RuntimeError, match="generator bug"):
             simulator.run_packets(packets)
 
-    def test_codegen_refusal_runs_tick_and_refuses_fused(self, monkeypatch):
-        """A CodegenError makes auto run tick; an explicit fused request raises it."""
-        from repro.errors import CodegenError
+    def test_unresolvable_action_argument_fails_validation(self):
+        """An argument that is no parameter, field or integer is refused before any run.
 
-        bundle, entries = self._telemetry()
-        packets = PacketGenerator(bundle.program, seed=2).generate(10)
-        reference = DRMTSimulator(bundle, table_entries=entries, engine="tick").run_packets(
-            packets
-        )
+        Fused generation could not lower it and tick would fail only when the
+        action ran, so ``validate`` rejects it for parsed and handed programs.
+        """
+        from repro.errors import P4SemanticError
+        from repro.p4.parser import parse
 
-        def refused():
-            raise CodegenError("no fused loop for this bundle")
-
-        monkeypatch.setattr(bundle, "fused_program", refused)
-        auto = DRMTSimulator(bundle, table_entries=entries).run_packets(packets)
-        assert auto.engine == "tick"
-        self._assert_records_equal(auto, reference)
-        assert auto.per_processor_packets == reference.per_processor_packets
-        with pytest.raises(CodegenError, match="no fused loop for this bundle"):
-            DRMTSimulator(bundle, table_entries=entries, engine="fused").run_packets(packets)
+        source = """
+header_type h_t { fields { a : 8; b : 8; } }
+header h_t h;
+register r { width : 8; instance_count : 4; }
+action act(v) { modify_field(h.a, ARG); register_write(r, 1, v); }
+table t { reads { h.b : exact; } actions { act; } }
+control ingress { apply(t); }
+"""
+        for good in ("v", "h.b", "7"):
+            generate_bundle(parse(source.replace("ARG", good)))
+        with pytest.raises(P4SemanticError, match="'bogus'"):
+            parse(source.replace("ARG", "bogus"))
+        program = parse(source.replace("ARG", "v"))
+        program.actions["act"].body[1].args[2] = "bogus"
+        with pytest.raises(P4SemanticError, match="'bogus' to register_write"):
+            generate_bundle(program)
 
     def test_observer_keyword_is_gone_everywhere(self):
         """dRMT has no observed driver: observer= is a TypeError on every path."""
@@ -371,8 +376,7 @@ class TestDrmtEngineSelection:
         """Reusing one simulator across runs accumulates state like the tick model.
 
         Registers and table counters accumulate under both drivers; the
-        per-processor packet counts are per run under fused and cumulative
-        under tick (see the ``repro.drmt.simulator`` module docstring).
+        per-processor statistics are the run's own under both.
         """
         from repro.traffic import choice_field
 
@@ -388,4 +392,5 @@ class TestDrmtEngineSelection:
             tick_result = tick.run_packets(packets)
         self._assert_records_equal(fused_result, tick_result)
         assert fused_result.per_processor_packets == {0: 25, 1: 25, 2: 25, 3: 25}
-        assert tick_result.per_processor_packets == {0: 50, 1: 50, 2: 50, 3: 50}
+        assert tick_result.per_processor_packets == fused_result.per_processor_packets
+        assert tick_result.per_processor_operations == fused_result.per_processor_operations
