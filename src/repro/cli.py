@@ -258,9 +258,9 @@ def drmt_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--engine", default="auto",
         choices=[ENGINE_AUTO, ENGINE_TICK, ENGINE_FUSED],
-        help="execution driver (auto = the generated fused run_trace when it builds, "
-             "else tick; tick = the paper's per-tick processor loop; fused = the "
-             "generated run_trace)",
+        help="execution driver (auto = fused when the schedule proves running each "
+             "packet to completion safe, else tick; tick = the paper's per-tick "
+             "processor loop; fused = the generated per-packet run_trace)",
     )
     parser.add_argument(
         "--dump-fused", action="store_true",

@@ -17,16 +17,14 @@ analysis summary the simulator needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import networkx as nx
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .fused import DrmtFusedProgram
 
 from ..p4.dependency import build_dependency_graph, critical_path, dependency_summary
 from ..p4.parser import parse as parse_p4
 from ..p4.program import P4Program
+from .fused import DrmtFusedProgram, Hazard, generate_fused, register_hazard
 from .resources import DEFAULT_HARDWARE, DrmtHardwareParams
 from .scheduler import Schedule, schedule_program
 
@@ -48,29 +46,31 @@ class StaticAnalysis:
 
 @dataclass
 class DrmtProgramBundle:
-    """Everything dRMT dsim needs to simulate one program."""
+    """Everything dRMT dsim needs to simulate one program.
+
+    ``hazard`` is :func:`~repro.drmt.fused.register_hazard` of the schedule,
+    computed once: ``None`` when the bundle has a fused program.
+    """
 
     program: P4Program
     dependency_graph: nx.DiGraph
     schedule: Schedule
     hardware: DrmtHardwareParams
     analysis: StaticAnalysis
-    _fused: Optional["DrmtFusedProgram"] = field(default=None, repr=False, compare=False)
+    hazard: Optional[Hazard]
+    _fused: Optional[DrmtFusedProgram] = field(default=None, repr=False, compare=False)
 
-    def fused_program(self) -> "DrmtFusedProgram":
+    def fused_program(self) -> DrmtFusedProgram:
         """The generated fused program for this bundle (built once, cached).
 
         dRMT's analogue of the RMT opt-level-3 description: a generated
         ``run_trace`` loop with every scheduled match/action operation
         inlined, bit-for-bit faithful to the tick interpreter (see
-        :mod:`repro.drmt.fused`).
+        :mod:`repro.drmt.fused`).  Raises :class:`~repro.errors.CodegenError`
+        naming the register and its cycles when ``hazard`` is set.
         """
         if self._fused is None:
-            from .fused import generate_fused
-
-            self._fused = generate_fused(
-                self.program, self.schedule, self.hardware.num_processors
-            )
+            self._fused = generate_fused(self.program, self.schedule)
         return self._fused
 
     def describe(self) -> str:
@@ -133,4 +133,5 @@ def generate_bundle(
         schedule=schedule,
         hardware=hardware,
         analysis=analysis,
+        hazard=register_hazard(program, schedule),
     )

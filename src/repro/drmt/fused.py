@@ -9,33 +9,21 @@ arithmetic, register indexing with the instance count baked in) in schedule
 order — so the per-tick interpreter machinery (operation scans, packet
 contexts, argument re-parsing) disappears from the hot path.
 
-Bit-for-bit fidelity to the tick interpreter is preserved *exactly*, not
-just for well-behaved programs.  In the tick model, packet ``p`` (injected
-at tick ``p``, processor ``p % N``) executes the operations scheduled at
-relative cycle ``c`` at global tick ``p + c``, and within one tick the
-processors run in id order with each processor's packets in arrival order.
-Packets interact only through registers: tables are read-only, hit counts
-are sums and a drop flag affects its own packet.  The generator emits one
-of two loop shapes, recorded in the module's ``LOOP_SHAPE`` global and
-docstring:
+The loop runs each packet to completion, packet after packet, and is
+bit-identical to the tick interpreter whenever :func:`register_hazard`
+holds no hazard.  In the tick model, packet ``p`` (injected at tick ``p``,
+processor ``p % N``) executes the operations scheduled at relative cycle
+``c`` at global tick ``p + c``.  Packets interact only through registers:
+tables are read-only, hit counts are sums and a drop flag affects its own
+packet.  When every register some action writes is read and written at one
+cycle only, packet ``p`` reaches each such register at tick ``p + c``, so the
+tick interleaving orders every register's accesses by packet index -- the
+order of the per-packet loop.  Match results live in locals, and a packet
+that may have been dropped skips its remaining operations with ``continue``.
 
-* **per packet** (``per_packet``), when :func:`register_hazard` proves that
-  every register some action writes is read and written at one cycle only.
-  Packet ``p`` then reaches each such register at tick ``p + c``, so the
-  tick interleaving orders every register's accesses by packet index, and
-  running each packet's operations to completion, packet after packet, is
-  bit-identical.  Match results live in locals, and a packet that may have
-  been dropped skips its remaining operations with ``continue``.
-* **tick walk** (``tick_walk``) otherwise.  For a fixed schedule the
-  interpreter's order within a tick depends only on ``t % N``, so dgen
-  precomputes one cycle visit order per residue (``VISIT_ORDERS``) and the
-  loop walks ticks executing the inlined per-cycle segments in precisely
-  the interpreter's interleaving, parking match results in per-table lists
-  between segments — shared registers observe the identical sequence of
-  reads and writes.
-
-Both shapes share the per-operation emitters; only the loop header and
-where a match result lives differ.
+A bundle with a hazard has no fused program: :func:`generate_fused` raises
+:class:`~repro.errors.CodegenError` naming the register and its cycles, and
+``DRMTSimulator`` runs such a bundle under the tick interpreter.
 
 No match calls the shared :meth:`MatchActionTable.lookup` (a linear scan
 that tests every entry and takes the best candidate).  The generated
@@ -50,31 +38,26 @@ accumulate in locals and are folded back into the table's counters on exit,
 so the observable statistics stay identical to the interpreter's.  The tick
 interpreter keeps calling ``lookup``, which makes tick-vs-fused equivalence
 an independent check of the row semantics.
-
-This loop is dRMT's only driver besides the tick interpreter;
-``DRMTSimulator`` runs it directly.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import CodegenError
 from ..ir import nodes as ir
 from ..ir.printer import execute
 from ..p4.dependency import table_usage
 from ..p4.program import Action, P4Program, Table
-from .scheduler import ACTION_OP, MATCH_OP, Operation, Schedule
+from .scheduler import ACTION_OP, MATCH_OP, Schedule
 
 #: Name of the generated entry point.
 RUN_TRACE_FUNCTION_NAME = "run_trace"
 
-#: ``LOOP_SHAPE`` of a module that runs each packet to completion.
-LOOP_PER_PACKET = "per_packet"
-#: ``LOOP_SHAPE`` of a module that replays the tick interleaving.
-LOOP_TICK_WALK = "tick_walk"
+#: ``(register, cycles)``: a written register that actions access at several cycles.
+Hazard = Tuple[str, Tuple[int, ...]]
 
 
 def _ident(name: str) -> str:
@@ -82,44 +65,7 @@ def _ident(name: str) -> str:
     return re.sub(r"\W", "_", name)
 
 
-def _ordered_operations(schedule: Schedule) -> List[Tuple[Operation, int]]:
-    """Operations with start cycles, in the interpreter's per-cycle order.
-
-    ``MatchActionProcessor`` executes the operations due at one cycle in
-    ``Schedule.operations_at`` order, which is the insertion order of
-    ``start_times``; a stable sort by start cycle preserves it.
-    """
-    return sorted(schedule.start_times.items(), key=lambda item: item[1])
-
-
-def _segments(schedule: Schedule) -> Dict[int, List[Operation]]:
-    """Group operations by start cycle, preserving per-cycle order."""
-    segments: Dict[int, List[Operation]] = {}
-    for op, start in _ordered_operations(schedule):
-        segments.setdefault(start, []).append(op)
-    return segments
-
-
-def visit_orders(schedule: Schedule, num_processors: int) -> List[Tuple[int, ...]]:
-    """Per-``tick % N`` order in which active cycles must be visited.
-
-    At tick ``t`` the in-flight packet executing cycle ``c`` is ``p = t - c``
-    on processor ``p % N``; the interpreter visits processors in id order and
-    each processor's packets in arrival order, so the cycles sort by
-    ``(p % N, p)`` — which, for fixed ``t``, depends only on ``t % N``.
-    """
-    active = sorted(_segments(schedule))
-    orders: List[Tuple[int, ...]] = []
-    for residue in range(num_processors):
-        orders.append(
-            tuple(sorted(active, key=lambda c: ((residue - c) % num_processors, -c)))
-        )
-    return orders
-
-
-def register_hazard(
-    program: P4Program, schedule: Schedule
-) -> Optional[Tuple[str, Tuple[int, ...]]]:
+def register_hazard(program: P4Program, schedule: Schedule) -> Optional[Hazard]:
     """The first written register that actions access at more than one cycle.
 
     Returns ``(register, cycles)``, or ``None`` when every register that
@@ -145,20 +91,28 @@ def register_hazard(
     return None
 
 
+def hazard_reason(hazard: Hazard) -> str:
+    """Why a bundle with ``hazard`` has no fused program."""
+    register, cycles = hazard
+    return (
+        f"register {register!r} is accessed at cycles {', '.join(map(str, cycles))}, "
+        "so packets interleave on it and cannot run to completion one by one"
+    )
+
+
 # ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
 class DrmtFusedGenerator:
     """Generates the fused module for one program bundle."""
 
-    def __init__(self, program: P4Program, schedule: Schedule, num_processors: int):
-        if num_processors < 1:
-            raise CodegenError("dRMT fused generation needs at least one processor")
+    def __init__(self, program: P4Program, schedule: Schedule):
+        hazard = register_hazard(program, schedule)
+        if hazard is not None:
+            raise CodegenError(hazard_reason(hazard))
         self.program = program
         self.schedule = schedule
-        self.num_processors = num_processors
         self._conditions = {apply.table: apply for apply in program.control_flow}
-        self.hazard = register_hazard(program, schedule)
 
     # ------------------------------------------------------------------
     # Module assembly
@@ -166,72 +120,33 @@ class DrmtFusedGenerator:
     def generate(self) -> ir.Module:
         """Build the fused dRMT module."""
         schedule = self.schedule
-        if self.hazard is None:
-            shape = LOOP_PER_PACKET
-            loop = "runs each packet to completion, packet after packet"
-            reason = (
-                "every register an action writes is read and written at one "
-                "cycle, so packets reach it in packet order."
-            )
-        else:
-            register, cycles = self.hazard
-            shape = LOOP_TICK_WALK
-            loop = "replays the tick interpreter's exact cross-packet interleaving"
-            reason = (
-                f"register {register!r} is accessed at cycles "
-                f"{', '.join(map(str, cycles))}, so packets interleave on it."
-            )
         module = ir.Module(
             docstring=(
                 f"Fused dRMT program for {self.program.name!r} generated by dgen.\n\n"
                 f"makespan={schedule.makespan} cycles, "
-                f"{self.num_processors} processors, "
                 f"{len(schedule.start_times)} scheduled operations; the trace loop "
-                f"{loop}.\n\nloop shape: {shape}: {reason}"
+                "runs each packet to completion, packet after packet: every register "
+                "an action writes is read and written at one cycle, so packets reach "
+                "it in packet order."
             ),
             globals=[
                 ir.Assign("PROGRAM_NAME", repr(self.program.name)),
-                ir.Assign("MAKESPAN", str(schedule.makespan)),
-                ir.Assign("NUM_PROCESSORS", str(self.num_processors)),
                 ir.Assign("NUM_OPERATIONS", str(len(schedule.start_times))),
-                ir.Assign("LOOP_SHAPE", repr(shape)),
             ],
         )
-        if self.hazard is not None:
-            module.globals.append(
-                ir.Assign(
-                    "VISIT_ORDERS",
-                    repr(tuple(visit_orders(schedule, self.num_processors))),
-                )
-            )
         module.functions.append(self._run_trace_function())
         module.trailer.append(ir.Assign("RUN_TRACE", RUN_TRACE_FUNCTION_NAME))
         return module
 
     def _run_trace_function(self) -> ir.FunctionDef:
-        segments = _segments(self.schedule)
-        per_packet = self.hazard is None
-        if per_packet:
-            summary = (
-                "run each packet's inlined operations to completion in schedule "
-                "order, packet after packet, which the module's loop shape proves "
-                "bit-identical to the tick interleaving."
-            )
-            hoisted = "table probes and register arrays"
-        else:
-            summary = (
-                "walk global ticks and execute the inlined per-cycle operation "
-                "segments in the tick interpreter's exact packet/processor interleaving."
-            )
-            hoisted = "table probes, match results and register arrays"
         body: List[ir.IRStmt] = []
         body.append(ir.Assign("n", "len(packets)"))
         body.append(ir.Assign("dropped", "[False] * n"))
-        if segments:
+        if self.schedule.start_times:
             body.append(
                 ir.If(branches=[("n == 0", [ir.Return("dropped")])], orelse=[])
             )
-            body.append(ir.Comment(f"hoist {hoisted}"))
+            body.append(ir.Comment("hoist table probes and register arrays"))
             table_names = self.program.table_order()
             for table_name in table_names:
                 # Build each table's probe structure once per trace (a dict
@@ -247,17 +162,11 @@ class DrmtFusedGenerator:
                     body.append(ir.Assign(f"rows_{safe}", f"table_{safe}.masked_rows()"))
                 body.append(ir.Assign(f"hits_{safe}", "0"))
                 body.append(ir.Assign(f"misses_{safe}", "0"))
-                if not per_packet:
-                    body.append(ir.Assign(f"matched_{safe}", "[None] * n"))
             for register_name in self.program.registers:
                 body.append(
                     ir.Assign(f"reg_{_ident(register_name)}", f"registers[{register_name!r}]")
                 )
-            if per_packet:
-                body.append(ir.For("p", "range(n)", self._packet_body()))
-            else:
-                loop_body = self._tick_loop_body(segments)
-                body.append(ir.For("t", "range(n + MAKESPAN - 1)", loop_body))
+            body.append(ir.For("p", "range(n)", self._packet_body()))
             for table_name in table_names:
                 safe = _ident(table_name)
                 body.append(
@@ -274,14 +183,22 @@ class DrmtFusedGenerator:
             params=["packets", "tables", "registers"],
             body=body,
             docstring=(
-                f"Fused dRMT trace loop: {summary}  Mutates the packet field dicts and "
-                "register arrays in place and returns the per-packet dropped flags."
+                "Fused dRMT trace loop: run each packet's inlined operations to "
+                "completion in schedule order, packet after packet, which the module's "
+                "loop shape proves bit-identical to the tick interleaving.  Mutates the "
+                "packet field dicts and register arrays in place and returns the "
+                "per-packet dropped flags."
             ),
         )
 
     def _packet_body(self) -> List[ir.IRStmt]:
-        """One packet's operations in schedule order; a drop skips the rest."""
-        operations = [op for op, _start in _ordered_operations(self.schedule)]
+        """One packet's operations in schedule order; a drop skips the rest.
+
+        ``MatchActionProcessor`` executes the operations due at one cycle in
+        ``Schedule.operations_at`` order, which is the insertion order of
+        ``start_times``; a stable sort by start cycle preserves it.
+        """
+        operations = sorted(self.schedule.start_times, key=self.schedule.start_times.get)
         body: List[ir.IRStmt] = [ir.Assign("fields", "packets[p]")]
         for index, (table_name, kind) in enumerate(operations):
             if kind == MATCH_OP:
@@ -291,28 +208,6 @@ class DrmtFusedGenerator:
             if self._may_drop(table_name) and index + 1 < len(operations):
                 body.append(ir.If(branches=[("dropped[p]", [ir.Continue()])], orelse=[]))
         return body
-
-    def _tick_loop_body(self, segments: Dict[int, List[Operation]]) -> List[ir.IRStmt]:
-        dispatch: List[Tuple[str, List[ir.IRStmt]]] = [
-            (f"c == {cycle}", self._segment_stmts(segments[cycle]))
-            for cycle in sorted(segments)
-        ]
-        inner: List[ir.IRStmt] = [
-            ir.Assign("p", "t - c"),
-            ir.If(
-                branches=[
-                    (
-                        "0 <= p < n and not dropped[p]",
-                        [
-                            ir.Assign("fields", "packets[p]"),
-                            ir.If(branches=dispatch, orelse=[]),
-                        ],
-                    )
-                ],
-                orelse=[],
-            ),
-        ]
-        return [ir.For("c", "VISIT_ORDERS[t % NUM_PROCESSORS]", inner)]
 
     # ------------------------------------------------------------------
     # Per-operation emission
@@ -331,29 +226,6 @@ class DrmtFusedGenerator:
             for action_name in self.program.tables[table_name].action_names()
             for call in self.program.actions[action_name].body
         )
-
-    def _matched(self, table_name: str) -> str:
-        """Where one packet's match result for ``table_name`` lives."""
-        safe = _ident(table_name)
-        return f"m_{safe}" if self.hazard is None else f"matched_{safe}[p]"
-
-    def _segment_stmts(self, operations: Sequence[Operation]) -> List[ir.IRStmt]:
-        """One cycle's operations; later ops re-check the drop flag when needed."""
-        stmts: List[ir.IRStmt] = []
-        drop_possible = False
-        for table_name, kind in operations:
-            if kind == MATCH_OP:
-                op_stmts = self._match_stmts(table_name)
-            else:
-                op_stmts = self._action_stmts(table_name)
-            if drop_possible:
-                op_stmts = [
-                    ir.If(branches=[("not dropped[p]", op_stmts)], orelse=[])
-                ]
-            stmts.extend(op_stmts)
-            if kind == ACTION_OP and self._may_drop(table_name):
-                drop_possible = True
-        return stmts
 
     def _is_exact(self, table_name: str) -> bool:
         """True when the table definition admits the dict specialisation."""
@@ -397,7 +269,7 @@ class DrmtFusedGenerator:
                 ),
             ]
         lookup_stmts += [
-            ir.Assign(self._matched(table_name), "_entry"),
+            ir.Assign(f"m_{safe}", "_entry"),
             ir.If(
                 branches=[("_entry is None", [ir.Assign(f"misses_{safe}", f"misses_{safe} + 1")])],
                 orelse=[ir.Assign(f"hits_{safe}", f"hits_{safe} + 1")],
@@ -409,13 +281,13 @@ class DrmtFusedGenerator:
         return [
             ir.If(
                 branches=[(condition, lookup_stmts)],
-                orelse=[ir.Assign(self._matched(table_name), "None")],
+                orelse=[ir.Assign(f"m_{safe}", "None")],
             )
         ]
 
     def _action_stmts(self, table_name: str) -> List[ir.IRStmt]:
         table = self.program.tables[table_name]
-        hit_body: List[ir.IRStmt] = [ir.Assign("entry", self._matched(table_name))]
+        hit_body: List[ir.IRStmt] = [ir.Assign("entry", f"m_{_ident(table_name)}")]
         dispatch = self._action_dispatch(table)
         miss_body: List[ir.IRStmt] = []
         if table.default_action is not None:
@@ -551,11 +423,14 @@ class DrmtFusedProgram:
 def generate_fused(
     program: P4Program,
     schedule: Schedule,
-    num_processors: int,
     module_name: str = "druzhba_drmt_fused_program",
 ) -> DrmtFusedProgram:
-    """Generate, render, compile and wrap the fused program for one bundle."""
-    generator = DrmtFusedGenerator(program, schedule, num_processors)
+    """Generate, render, compile and wrap the fused program for one bundle.
+
+    Raises :class:`~repro.errors.CodegenError` when :func:`register_hazard`
+    finds a hazard: such a bundle has no fused program.
+    """
+    generator = DrmtFusedGenerator(program, schedule)
     module = generator.generate()
     source, namespace = execute(module, module_name)
     fused = DrmtFusedProgram(module=module, source=source, namespace=namespace)

@@ -9,17 +9,18 @@ Execution goes through the unified engine layer's drivers:
 
 * **tick** — the per-tick round-robin processor loop below (the paper's
   model; ``tick_accurate=True`` forces it);
-* **fused** — the bundle's generated ``run_trace`` loop, faithful for any
-  program: it runs each packet to completion when the schedule proves that
-  bit-identical to the tick model (every written register is accessed at
-  one cycle), and replays the tick interpreter's exact cross-packet
-  interleaving otherwise; the default whenever generation succeeds.
+* **fused** — the bundle's generated ``run_trace`` loop, which runs each
+  packet to completion.  It exists only when the schedule proves that
+  bit-identical to the tick model: every written register is accessed at
+  one cycle (the bundle's ``hazard`` is ``None``).
 
 dRMT has no generic driver.  The choice between the two is
-:func:`repro.engine.base.resolve_engine`, the rule the RMT facade uses too;
-``auto`` runs fused.  :func:`repro.drmt.codegen.generate_bundle` validates
-the program, so fused generation accepts every bundle, and a generator error
-propagates instead of falling back to tick.
+:func:`repro.engine.base.resolve_engine`, the rule the RMT facade uses too,
+made statically from the bundle's ``hazard``: ``auto`` runs fused when the
+bundle has no hazard and tick when it has one, and an explicit
+``engine="fused"`` on a hazard bundle raises :class:`SimulationError`
+naming the register and its cycles.  A generator error propagates instead
+of falling back to tick.
 
 Both drivers report per-run per-processor statistics.  Register and
 table-hit state accumulate across runs of one simulator under both drivers.
@@ -35,6 +36,7 @@ from ..engine.base import ENGINE_FUSED, ENGINE_TICK, resolve_engine
 from ..errors import SimulationError
 from ..traffic import PacketGenerator
 from .codegen import DrmtProgramBundle
+from .fused import hazard_reason
 from .processor import MatchActionProcessor, PacketContext, RegisterFile
 from .table_config import parse_entries, populate_store
 from .tables import TableEntry, TableStore
@@ -255,15 +257,18 @@ class DRMTSimulator:
         """Simulate an explicit packet trace (one packet injected per tick).
 
         The driver follows the engine layer's selection rules: ``auto``
-        runs the bundle's fused ``run_trace``; ``tick_accurate=True`` always
-        forces the per-tick model.
+        runs the bundle's fused ``run_trace`` when the bundle has no register
+        hazard, else the per-tick model; ``tick_accurate=True`` always forces
+        the per-tick model.
         """
+        hazard = self.bundle.hazard
         mode = resolve_engine(
             self.engine,
-            fused_available=True,
+            fused_available=hazard is None,
             tick_accurate=tick_accurate,
             context="dRMT bundle",
             generic_available=False,
+            fused_unavailable_reason=None if hazard is None else hazard_reason(hazard),
         )
         if mode == ENGINE_TICK:
             return self._run_tick(packets)

@@ -13,7 +13,9 @@ recognises four drivers, forming a ladder from most faithful to fastest:
     at every optimisation level; dRMT has no generic driver.
 ``fused``
     The generated ``run_trace`` loop (the driver itself is generated code).
-    Available when the program was generated with a fused entry point.
+    Available when the program was generated with a fused entry point: an
+    RMT description at opt level 3, a dRMT bundle whose schedule proves
+    running each packet to completion safe (no register hazard).
 ``sharded``
     A meta-driver (:mod:`repro.engine.sharded`) that partitions an RMT input
     trace into per-flow shards, runs every shard under the fastest
@@ -188,6 +190,7 @@ def resolve_engine(
     input_size: Optional[int] = None,
     shard_threshold: int = DEFAULT_SHARD_AUTO_THRESHOLD,
     generic_available: bool = True,
+    fused_unavailable_reason: Optional[str] = None,
 ) -> str:
     """Resolve a requested engine name to a concrete driver.
 
@@ -205,6 +208,9 @@ def resolve_engine(
 
     ``generic_available`` says whether the architecture has a generic driver
     at all: RMT facades leave it ``True``, dRMT passes ``False``.
+    ``fused_unavailable_reason`` is why ``fused_available`` is false when the
+    facade knows (a dRMT register hazard); it replaces the RMT opt-level
+    hint in the error.
     """
     if requested not in ENGINE_CHOICES:
         raise SimulationError(
@@ -226,6 +232,8 @@ def resolve_engine(
     available = available_engines(fused_available, sharded_available, generic_available)
     if requested not in available:
         reason, hint = _UNAVAILABLE[requested]
+        if requested == ENGINE_FUSED and fused_unavailable_reason is not None:
+            reason, hint = f"has no fused driver: {fused_unavailable_reason}", "use engine='auto'"
         raise SimulationError(
             f"the {requested} engine was requested but this {context} {reason} "
             f"({hint}); available drivers for this {context}: {', '.join(available)}"

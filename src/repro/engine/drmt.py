@@ -4,10 +4,10 @@ The dRMT tick interpreter (:class:`repro.drmt.simulator.DRMTSimulator`'s
 per-tick loop) scans every in-flight packet for due operations each cycle.
 :func:`run_fused` removes that machinery: it hands the packet trace to the
 bundle's generated ``run_trace`` loop (see :mod:`repro.drmt.fused`), which
-runs over the same shared table store and register file.  It runs each
-packet to completion when the schedule proves that bit-identical, and
-replays the tick interpreter's exact interleaving otherwise, so it is
-faithful for *any* program.
+runs over the same shared table store and register file.  The loop runs
+each packet to completion; a bundle has it only when the schedule proves
+that bit-identical to the tick interpreter (no register hazard), and the
+facade runs every other bundle under tick.
 
 :func:`prepare_packets` copies the trace twice at C speed: once for the
 records' input column and once for the working dicts the loop mutates

@@ -1,7 +1,7 @@
 """Lightweight IR used by dgen to build and render pipeline descriptions."""
 
 from .nodes import Assign, Comment, ExprStmt, FunctionDef, If, IRStmt, Module, Pass, Return
-from .printer import count_source_lines, execute, to_source
+from .printer import execute, to_source
 
 __all__ = [
     "Assign",
@@ -14,6 +14,5 @@ __all__ = [
     "Pass",
     "Return",
     "to_source",
-    "count_source_lines",
     "execute",
 ]

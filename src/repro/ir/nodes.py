@@ -13,7 +13,7 @@ itself never needs to be rewritten.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 
 class IRStmt:
@@ -115,10 +115,6 @@ class Module:
     functions: List[FunctionDef] = field(default_factory=list)
     trailer: List[IRStmt] = field(default_factory=list)
 
-    def function_names(self) -> List[str]:
-        """Names of every function defined in the module (in definition order)."""
-        return [function.name for function in self.functions]
-
     def get_function(self, name: str) -> FunctionDef:
         """Return the function definition called ``name``.
 
@@ -128,23 +124,3 @@ class Module:
             if function.name == name:
                 return function
         raise KeyError(name)
-
-    def count_statements(self) -> int:
-        """Total number of IR statements in the module (used by code-size metrics)."""
-
-        def count(statements: Sequence[IRStmt]) -> int:
-            total = 0
-            for statement in statements:
-                total += 1
-                if isinstance(statement, If):
-                    for _cond, body in statement.branches:
-                        total += count(body)
-                    total += count(statement.orelse)
-                elif isinstance(statement, For):
-                    total += count(statement.body)
-            return total
-
-        total = len(self.globals) + count(self.trailer)
-        for function in self.functions:
-            total += 1 + count(function.body)
-        return total

@@ -101,11 +101,6 @@ def to_source(module: Module) -> str:
     return text
 
 
-def count_source_lines(module: Module) -> int:
-    """Number of non-blank lines in the rendered source (a code-size metric)."""
-    return sum(1 for line in to_source(module).splitlines() if line.strip())
-
-
 def execute(module: Module, module_name: str) -> Tuple[str, Dict[str, object]]:
     """Render ``module``, then compile and run it in a fresh namespace.
 

@@ -20,7 +20,8 @@ The accepted syntax is a compact subset of P4-14 sufficient for dRMT dgen:
         if (ipv4.ttl == 0) { apply(acl); }
     }
 
-``//`` and ``#`` comments run to end of line.
+``//`` and ``#`` comments run to end of line.  Numbers are decimal or
+``0x``-prefixed hexadecimal.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ from .program import (
     TableRead,
 )
 
+_NUMBER = r"0[xX][0-9a-fA-F]+|[0-9]+"
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*|\#[^\n]*)
-  | (?P<number>\d+)
+  | (?P<number>""" + _NUMBER + r""")
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
   | (?P<eq>==)
   | (?P<punct>[{}();:,])
@@ -107,9 +110,9 @@ class P4Parser:
 
     def _expect_number(self) -> int:
         token = self._advance()
-        if not token.isdigit():
+        if not re.fullmatch(_NUMBER, token):
             raise P4SyntaxError(f"expected a number, found {token!r}")
-        return int(token)
+        return int(token, 16) if token[1:2] in ("x", "X") else int(token)
 
     # ------------------------------------------------------------------
     # Top level

@@ -19,16 +19,18 @@ from ..errors import P4SemanticError
 #: Match kinds supported by table reads.
 MATCH_KINDS = ("exact", "ternary", "lpm")
 
-#: Primitive action operations supported by the interpreter.
-PRIMITIVE_OPS = (
-    "modify_field",
-    "add_to_field",
-    "subtract_from_field",
-    "register_read",
-    "register_write",
-    "drop",
-    "no_op",
-)
+#: Primitive action operations supported by the interpreter, with the
+#: number of arguments each takes.
+PRIMITIVE_ARITY = {
+    "modify_field": 2,
+    "add_to_field": 2,
+    "subtract_from_field": 2,
+    "register_read": 3,
+    "register_write": 3,
+    "drop": 0,
+    "no_op": 0,
+}
+PRIMITIVE_OPS = tuple(PRIMITIVE_ARITY)
 
 #: Positions of each primitive's value arguments, which must each be an
 #: action parameter, a field or an integer literal.
@@ -258,6 +260,9 @@ class P4Program:
     def validate(self) -> None:
         """Check cross-references: tables, actions, fields and registers must exist.
 
+        Every primitive call must pass its primitive's argument count
+        (:data:`PRIMITIVE_ARITY`).
+
         Every register must also hold at least one cell, since an access
         reduces its index modulo the register's ``instance_count``.
         """
@@ -281,14 +286,19 @@ class P4Program:
                     )
         for action in self.actions.values():
             for call in action.body:
+                arity = PRIMITIVE_ARITY[call.op]
+                if len(call.args) != arity:
+                    raise P4SemanticError(
+                        f"action {action.name!r} calls {call.op} with {len(call.args)} "
+                        f"argument(s); {call.op} takes {arity}"
+                    )
                 for arg in call.args:
                     if "." in arg and not arg.replace(".", "").isdigit():
                         if arg not in known_fields:
                             raise P4SemanticError(
                                 f"action {action.name!r} references unknown field {arg!r}"
                             )
-                positions = _VALUE_ARGS.get(call.op, ())
-                for arg in (call.args[index] for index in positions if index < len(call.args)):
+                for arg in (call.args[index] for index in _VALUE_ARGS.get(call.op, ())):
                     if arg not in action.params and "." not in arg and not _is_integer(arg):
                         raise P4SemanticError(
                             f"action {action.name!r} passes {arg!r} to {call.op}; an argument "

@@ -160,10 +160,35 @@ class TestEngineFlags:
         assert drmt_main(["--dump-fused"]) == 0
         out = capsys.readouterr().out
         assert "def run_trace(" in out
-        # The sample router passes the per-packet proof at any processor count.
-        assert "LOOP_SHAPE = 'per_packet'" in out
-        assert "loop shape: per_packet" in out
-        assert "VISIT_ORDERS" not in out
+        # The sample router has no register hazard: its loop runs per packet.
+        assert "for p in range(n):" in out
+        assert "runs each packet to completion, packet after packet" in out
+
+    def test_drmt_hazard_program(self, tmp_path, capsys):
+        """A written register accessed at two cycles: no fused dump, auto runs tick."""
+        source = tmp_path / "hazard.p4"
+        source.write_text(
+            "header_type pkt_t { fields { f : 8; } }\n"
+            "header_type meta_t { fields { tmp : 32; } }\n"
+            "header pkt_t pkt;\n"
+            "metadata meta_t meta;\n"
+            "register shared { width : 32; instance_count : 1; }\n"
+            "action load() { register_read(meta.tmp, shared, 0); }\n"
+            "action store() { register_write(shared, 0, pkt.f); }\n"
+            "table first { reads { pkt.f : exact; } actions { load; } }\n"
+            "table second { reads { meta.tmp : exact; } actions { store; } }\n"
+            "control ingress { apply(first); apply(second); }\n"
+        )
+        # ``second`` matches the field ``first`` loads, so it writes ``shared``
+        # at a later cycle than ``first`` reads it.
+        assert drmt_main(["--p4", str(source), "--dump-fused"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: register 'shared' is accessed at cycles ")
+        assert drmt_main(["--p4", str(source), "--packets", "6"]) == 0
+        assert "(tick engine)" in capsys.readouterr().out
+        assert drmt_main(["--p4", str(source), "--packets", "6", "--engine", "fused"]) == 1
+        assert "register 'shared' is accessed at cycles " in capsys.readouterr().err
 
 
 class TestShardingKnobs:

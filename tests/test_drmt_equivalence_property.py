@@ -9,12 +9,14 @@ traces, some missing a field.  Each program is validated, scheduled onto
 drawn dRMT hardware and run under both drivers; records, register dump,
 table hits and tick count must agree.
 
-Drawn programs land on both sides of the fused generator's loop-shape proof
+Drawn programs land on both sides of the fused generator's proof
 (:func:`repro.drmt.fused.register_hazard`): registers confined to one cycle
-(per-packet loop), written registers touched at several cycles (tick walk)
-and registers that are only read.  Three pinned examples hold one program
-of each kind, so every run covers both sides; :class:`TestPinnedCases`
-checks each sits where its name says.
+and registers that are only read (the bundle has the per-packet fused loop),
+and written registers touched at several cycles (a hazard: the bundle has
+no fused loop, ``engine="fused"`` raises naming the register and ``auto``
+runs tick).  Three pinned examples hold one program of each kind, so every
+run covers both sides; :class:`TestPinnedCases` checks each sits where its
+name says.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from repro.drmt import (
@@ -33,8 +36,8 @@ from repro.drmt import (
     generate_bundle,
     parse_entries,
 )
-from repro.drmt.fused import LOOP_PER_PACKET, LOOP_TICK_WALK, register_hazard
 from repro.drmt.scheduler import ACTION_OP
+from repro.errors import SimulationError
 from repro.p4 import parse, table_usage
 from repro.p4.program import MATCH_KINDS
 
@@ -61,10 +64,9 @@ class DrmtCase:
     packets: List[Dict[str, int]]
     hardware: DrmtHardwareParams
 
-    def loop_shape(self) -> str:
-        bundle = generate_bundle(self.source, self.hardware)
-        hazard = register_hazard(bundle.program, bundle.schedule)
-        return LOOP_TICK_WALK if hazard else LOOP_PER_PACKET
+    def hazard(self):
+        """The bundle's register hazard: ``None`` when it has a fused loop."""
+        return generate_bundle(self.source, self.hardware).hazard
 
 
 def _operand(draw, params: List[str]) -> str:
@@ -226,7 +228,7 @@ add t1 pkt.f2=4/6 => count_drop(5)
     DrmtHardwareParams(num_processors=3),
 )
 
-#: Tick walk: ``t0`` reads ``r0`` and ``t1``, one action later, writes it.
+#: Hazard: ``t0`` reads ``r0`` and ``t1``, one action later, writes it.
 PINNED_SPLIT = _case(
     _PINNED_HEADER
     + """
@@ -283,36 +285,41 @@ class TestFusedMatchesTickOnDrawnPrograms:
         program.validate()
         bundle = generate_bundle(program, case.hardware)
         tick = DRMTSimulator(bundle, case.entries, engine="tick").run_packets(case.packets)
+        event(f"register hazard: {bundle.hazard is not None}")
+        if bundle.hazard is not None:
+            register, _cycles = bundle.hazard
+            with pytest.raises(SimulationError, match=f"register {register!r} is accessed"):
+                DRMTSimulator(bundle, case.entries, engine="fused").run_packets(case.packets)
+            auto = DRMTSimulator(bundle, case.entries).run_packets(case.packets)
+            assert auto.engine == "tick"
+            assert auto == tick
+            return
         fused = DRMTSimulator(bundle, case.entries, engine="fused").run_packets(case.packets)
         assert fused.engine == "fused"
         assert fused.records == tick.records
         assert fused.register_dump == tick.register_dump
         assert fused.table_hits == tick.table_hits
         assert fused.ticks == tick.ticks
-        hazard = register_hazard(program, bundle.schedule)
-        shape = LOOP_TICK_WALK if hazard else LOOP_PER_PACKET
-        assert bundle.fused_program().namespace["LOOP_SHAPE"] == shape
-        event(f"loop shape: {shape}")
 
 
 class TestPinnedCases:
     """Each pinned example sits on the side of the proof it is named for."""
 
-    def test_confined_register_runs_per_packet(self):
-        assert PINNED_CONFINED.loop_shape() == LOOP_PER_PACKET
+    def test_confined_register_has_no_hazard(self):
+        assert PINNED_CONFINED.hazard() is None
         (reads, writes), = _register_cycles(PINNED_CONFINED).values()
         assert not reads and len(writes) == 1
         bundle = generate_bundle(PINNED_CONFINED.source, PINNED_CONFINED.hardware)
         # t0 may drop before t1's register write: the loop skips the rest.
         assert "if dropped[p]:\n            continue" in bundle.fused_program().source
 
-    def test_split_register_keeps_the_tick_walk(self):
-        assert PINNED_SPLIT.loop_shape() == LOOP_TICK_WALK
+    def test_split_register_is_a_hazard(self):
+        assert PINNED_SPLIT.hazard()[0] == "r0"
         (reads, writes), = _register_cycles(PINNED_SPLIT).values()
         assert len(reads) == len(writes) == 1 and reads != writes
 
-    def test_read_only_register_runs_per_packet(self):
-        assert PINNED_READ_ONLY.loop_shape() == LOOP_PER_PACKET
+    def test_read_only_register_has_no_hazard(self):
+        assert PINNED_READ_ONLY.hazard() is None
         (reads, writes), = _register_cycles(PINNED_READ_ONLY).values()
         assert len(reads) == 2 and not writes
 

@@ -1,4 +1,5 @@
-"""dRMT fused codegen: bit-for-bit fidelity to the tick interpreter, hazards included."""
+"""dRMT fused codegen: bit-for-bit fidelity to the tick interpreter, and the
+register-hazard proof that decides whether a bundle has a fused loop at all."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from repro.drmt import (
     generate_bundle,
 )
 from repro.drmt import MatchPattern, TableEntry
-from repro.drmt.fused import LOOP_PER_PACKET, LOOP_TICK_WALK, register_hazard, visit_orders
+from repro.drmt.fused import generate_fused, register_hazard
+from repro.errors import CodegenError, SimulationError
 from repro.p4 import samples
 from repro.traffic import choice_field
 
@@ -26,8 +28,8 @@ PROGRAMS = {
 
 #: Two tables whose actions touch the same register: the later table's action
 #: launches at a later cycle, so the tick model interleaves the register
-#: accesses across packets — the case run-to-completion cannot reproduce but
-#: the fused loop (which replays the tick interleaving) must.
+#: accesses across packets — the case run-to-completion cannot reproduce, so
+#: the bundle has no fused loop and runs under tick.
 HAZARD_PROGRAM = """
 header_type pkt_t {
     fields {
@@ -173,25 +175,88 @@ class TestFusedMatchesTick:
         assert bundle.fused_program().source.count("\ndef ") == 1
 
 
-class TestHazardAnalysis:
-    """A register touched at two schedule cycles: the fused loop still matches tick."""
+def _hazard_cycles(bundle):
+    """The action cycles of HAZARD_PROGRAM's ``first`` and ``second`` tables."""
+    first = bundle.schedule.start("first", "action")
+    second = bundle.schedule.start("second", "action")
+    assert first != second
+    return first, second
 
-    def test_auto_falls_back_to_fused_not_generic(self):
-        bundle = generate_bundle(HAZARD_PROGRAM, DrmtHardwareParams(num_processors=2))
+
+def _interleaved_oracle(packets, num_processors, first, second):
+    """``shared[0]`` and each packet's ``meta.tmp`` under the tick interleaving.
+
+    Packet ``p`` runs ``bump`` at tick ``p + first`` and ``scale`` at tick
+    ``p + second``; within a tick, processors run in id order and each
+    processor's packets in arrival order, so events sort by
+    ``(tick, p % N, p)``.  Both tables miss (no entries), so each runs its
+    default action.
+    """
+    events = sorted(
+        (p + cycle, p % num_processors, p, action)
+        for p in range(len(packets))
+        for cycle, action in ((first, "bump"), (second, "scale"))
+    )
+    shared, tmp = 0, {}
+    for _tick, _processor, p, action in events:
+        tmp[p] = shared + (1 if action == "bump" else packets[p]["pkt.f"])
+        shared = tmp[p]
+    return shared, [tmp[p] for p in range(len(packets))]
+
+
+class TestHazardProgram:
+    """A written register at two schedule cycles: no fused loop, auto runs tick."""
+
+    def _bundle(self, num_processors=2):
+        return generate_bundle(HAZARD_PROGRAM, DrmtHardwareParams(num_processors=num_processors))
+
+    def test_register_hazard_names_the_register_and_cycles(self):
+        bundle = self._bundle()
+        first, second = _hazard_cycles(bundle)
+        expected = ("shared", tuple(sorted((first, second))))
+        assert register_hazard(bundle.program, bundle.schedule) == expected
+        assert bundle.hazard == expected
+
+    def test_auto_runs_tick(self):
+        bundle = self._bundle()
         packets = PacketGenerator(bundle.program, seed=0).generate(10)
         result = DRMTSimulator(bundle).run_packets(packets)
-        assert result.engine == "fused"
+        assert result.engine == "tick"
+        assert result == DRMTSimulator(bundle, engine="tick").run_packets(packets)
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_fused_replays_interleaving_on_hazardous_program(self, seed):
-        """The fused loop stays bit-for-bit even where run-to-completion cannot."""
-        bundle = generate_bundle(HAZARD_PROGRAM, DrmtHardwareParams(num_processors=3))
-        packets = PacketGenerator(bundle.program, seed=seed).generate(120)
-        tick = DRMTSimulator(bundle, engine="tick").run_packets(packets)
-        fused = DRMTSimulator(bundle, engine="fused").run_packets(packets)
-        equal, detail = _records_equal(tick, fused)
-        assert equal, detail
-        assert fused.register_dump == tick.register_dump
+    def test_explicit_fused_raises_naming_the_register(self):
+        bundle = self._bundle()
+        first, second = sorted(_hazard_cycles(bundle))
+        simulator = DRMTSimulator(bundle, engine="fused")
+        reason = f"register 'shared' is accessed at cycles {first}, {second}"
+        with pytest.raises(SimulationError, match=reason) as raised:
+            simulator.run_packets([{"pkt.f": 1, "meta.tmp": 0}])
+        assert "opt level 3" not in str(raised.value)
+        # tick_accurate still forces the tick driver.
+        assert simulator.run_packets([], tick_accurate=True).engine == "tick"
+
+    def test_fused_generation_raises_codegen_error(self):
+        bundle = self._bundle()
+        first, second = sorted(_hazard_cycles(bundle))
+        reason = f"^register 'shared' is accessed at cycles {first}, {second}"
+        with pytest.raises(CodegenError, match=reason):
+            bundle.fused_program()
+        with pytest.raises(CodegenError, match=reason):
+            generate_fused(bundle.program, bundle.schedule)
+
+    @pytest.mark.parametrize("num_processors", [1, 2, 3])
+    def test_tick_matches_the_interleaving_oracle(self, num_processors):
+        bundle = self._bundle(num_processors)
+        first, second = _hazard_cycles(bundle)
+        packets = [{"pkt.f": (p * 7) % 11 + 2, "meta.tmp": 0} for p in range(40)]
+        shared, tmp = _interleaved_oracle(packets, num_processors, first, second)
+        result = DRMTSimulator(bundle, engine="tick").run_packets(packets)
+        assert result.register_dump["shared"][0] == shared
+        assert [record.outputs["meta.tmp"] for record in result.records] == tmp
+        assert result.table_hits == {"first": (0, 40), "second": (0, 40)}
+        # The oracle has teeth: running packets one by one gives other values.
+        sequential = _interleaved_oracle(packets, 1, 0, 1)
+        assert (shared, tmp) != sequential
 
 
 #: Two tables read the never-written ``config`` register at two cycles:
@@ -243,35 +308,17 @@ control ingress {
 """
 
 
-class TestLoopShape:
-    """The schedule proof picks the loop; the module records which and why."""
+class TestPerPacketLoop:
+    """Bundles without a hazard get the per-packet loop."""
 
-    def test_hazard_program_keeps_the_tick_walk(self):
-        bundle = generate_bundle(HAZARD_PROGRAM, DrmtHardwareParams(num_processors=2))
-        first = bundle.schedule.start("first", "action")
-        second = bundle.schedule.start("second", "action")
-        assert first != second
-        assert register_hazard(bundle.program, bundle.schedule) == (
-            "shared",
-            tuple(sorted((first, second))),
-        )
-        fused = bundle.fused_program()
-        assert fused.namespace["LOOP_SHAPE"] == LOOP_TICK_WALK
-        assert (
-            f"loop shape: tick_walk: register 'shared' is accessed at cycles "
-            f"{min(first, second)}, {max(first, second)}" in fused.source
-        )
-        assert "for c in VISIT_ORDERS[t % NUM_PROCESSORS]:" in fused.source
-        assert "matched_first[p]" in fused.source
-
-    def test_read_only_register_at_two_cycles_stays_per_packet(self):
+    def test_read_only_register_at_two_cycles_has_no_hazard(self):
         bundle = generate_bundle(
             READ_ONLY_TWO_CYCLES_PROGRAM, DrmtHardwareParams(num_processors=2)
         )
         cycles = {bundle.schedule.start(table, "action") for table in ("first", "second")}
         assert len(cycles) == 2
         assert register_hazard(bundle.program, bundle.schedule) is None
-        assert bundle.fused_program().namespace["LOOP_SHAPE"] == LOOP_PER_PACKET
+        assert bundle.hazard is None
         packets = [{"pkt.f": index % 5, "pkt.g": 0, "pkt.h": 0} for index in range(20)]
         _assert_fused_matches_tick(bundle, packets)
 
@@ -280,11 +327,11 @@ class TestLoopShape:
     def test_sample_programs_run_per_packet(self, program_name, num_processors):
         factory, _entries = PROGRAMS[program_name]
         bundle = generate_bundle(factory(), DrmtHardwareParams(num_processors=num_processors))
+        assert bundle.hazard is None
         fused = bundle.fused_program()
-        assert fused.namespace["LOOP_SHAPE"] == LOOP_PER_PACKET
-        assert "loop shape: per_packet" in fused.source
         assert "for p in range(n):" in fused.source
-        for tick_walk_only in ("VISIT_ORDERS", "matched_", "if c =="):
+        assert "runs each packet to completion, packet after packet" in fused.source
+        for tick_walk_only in ("matched_", "if c ==", "for t in"):
             assert tick_walk_only not in fused.source
 
 
@@ -461,6 +508,21 @@ class TestRegisterProgramsFusedMatchesTick:
         source, packets = REGISTER_PROGRAMS[program_name]
         bundle = generate_bundle(source, DrmtHardwareParams(num_processors=num_processors))
         _assert_fused_matches_tick(bundle, [dict(packet) for packet in packets])
+
+    def test_hex_register_index(self):
+        """``0x1`` is one number token: the write lands in cell 1 under both drivers."""
+        source = PURE_READER_PROGRAM.replace(
+            "register_read(pkt.limit, config, 1);",
+            "register_write(config, 0x1, pkt.flow); register_read(pkt.limit, config, 0x1);",
+        )
+        bundle = generate_bundle(source, DrmtHardwareParams(num_processors=2))
+        assert bundle.program.actions["tag"].body[0].args == ["config", "0x1", "pkt.flow"]
+        packets = [{"pkt.flow": index + 3, "pkt.limit": 0} for index in range(12)]
+        tick = _assert_fused_matches_tick(bundle, packets)
+        assert tick.register_dump["config"] == [0, 14, 0, 0]
+        assert [record.outputs["pkt.limit"] for record in tick.records] == [
+            packet["pkt.flow"] for packet in packets
+        ]
 
     def test_per_flow_counter_wraps_the_register_index(self):
         """Flows 3 and 11 share cell 3 of the 8-cell register."""
@@ -715,17 +777,3 @@ class TestColumnBackedResult:
         fused.engine = "tick"
         fused.per_processor_packets = tick.per_processor_packets
         assert fused == tick
-
-
-class TestVisitOrders:
-    def test_orders_follow_processor_then_arrival(self):
-        bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams(num_processors=2))
-        orders = visit_orders(bundle.schedule, 2)
-        assert len(orders) == 2
-        active = sorted({start for start in bundle.schedule.start_times.values()})
-        for residue, order in enumerate(orders):
-            assert sorted(order) == active
-            # Within one residue the cycles are grouped by the processor of
-            # packet p = t - c, and ordered by arrival (descending cycle).
-            keys = [((residue - c) % 2, -c) for c in order]
-            assert keys == sorted(keys)

@@ -11,7 +11,6 @@ from repro.ir import (
     Module,
     Pass,
     Return,
-    count_source_lines,
     to_source,
 )
 
@@ -113,19 +112,8 @@ class TestPrinter:
 
 
 class TestModuleQueries:
-    def test_function_names_and_lookup(self):
+    def test_get_function(self):
         module = Module(functions=[FunctionDef("a", [], []), FunctionDef("b", [], [])])
-        assert module.function_names() == ["a", "b"]
         assert module.get_function("b").name == "b"
         with pytest.raises(KeyError):
             module.get_function("missing")
-
-    def test_count_statements_recurses(self):
-        body = [If(branches=[("x", [Return("1"), Return("2")])], orelse=[Return("3")])]
-        module = Module(functions=[FunctionDef("f", ["x"], body)])
-        # 1 function + 1 if + 3 returns
-        assert module.count_statements() == 5
-
-    def test_count_source_lines_ignores_blank_lines(self):
-        module = Module(functions=[FunctionDef("f", [], [Return("1")]), FunctionDef("g", [], [Return("2")])])
-        assert count_source_lines(module) == 4

@@ -15,6 +15,7 @@ from repro.p4 import (
     samples,
     table_usage,
 )
+from repro.p4.parser import _tokenize
 from repro.p4.program import PrimitiveCall, TableRead
 
 MINIMAL = """
@@ -100,6 +101,24 @@ class TestParser:
         with pytest.raises(P4SyntaxError):
             parse(source)
 
+    def test_hex_numbers_are_one_token(self):
+        assert _tokenize("register_write(r, 0x1F, h.a); 0X2 10") == [
+            "register_write", "(", "r", ",", "0x1F", ",", "h.a", ")", ";", "0X2", "10",
+        ]
+
+    def test_hex_numbers_parse_everywhere(self):
+        source = (
+            MINIMAL.replace("a : 8;", "a : 0x8;")
+            .replace("size : 4;", "size : 0X10;")
+            .replace("apply(t2);", "if (h.a == 0x2) { apply(t2); }")
+            .replace("modify_field(h.a, v);", "modify_field(h.a, 0x1f);")
+        )
+        program = parse(source)
+        assert program.header_types["h_t"].fields[0] == ("a", 8)
+        assert program.tables["t1"].size == 16
+        assert program.control_flow[1].condition_value == 2
+        assert program.actions["set_a"].body[0].args == ["h.a", "0x1f"]
+
     def test_sample_programs_parse_and_validate(self):
         assert samples.simple_router().table_order() == ["forward", "acl", "flow_stats"]
         assert samples.telemetry_pipeline().table_order() == ["bucketize", "accounting", "alarms"]
@@ -142,6 +161,30 @@ class TestValidation:
     def test_action_referencing_unknown_field_rejected(self):
         source = MINIMAL.replace("modify_field(h.a, v);", "modify_field(h.zzz, v);")
         with pytest.raises(P4SemanticError):
+            parse(source)
+
+    @pytest.mark.parametrize(
+        "call, given, expected",
+        [
+            ("modify_field(h.a)", 1, 2),
+            ("modify_field(h.a, 1, 2)", 3, 2),
+            ("add_to_field(h.a)", 1, 2),
+            ("subtract_from_field(h.a, v, v)", 3, 2),
+            ("drop(h.a)", 1, 0),
+            ("no_op(1)", 1, 0),
+            ("register_read(h.a, r)", 2, 3),
+            ("register_write(r, 0x1, h.a, h.b)", 4, 3),
+        ],
+    )
+    def test_primitive_argument_count_checked(self, call, given, expected):
+        source = MINIMAL.replace("modify_field(h.a, v);", call + ";").replace(
+            "action nothing()", "register r { width : 8; instance_count : 2; }\naction nothing()"
+        )
+        op = call.split("(")[0]
+        with pytest.raises(
+            P4SemanticError,
+            match=rf"action 'set_a' calls {op} with {given} argument\(s\); {op} takes {expected}",
+        ):
             parse(source)
 
     def test_unknown_primitive_rejected(self):
