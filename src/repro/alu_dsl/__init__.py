@@ -3,7 +3,8 @@
 The ALU DSL expresses the capabilities of a single switch ALU: its PHV
 operands, its state variables, any extra hole variables, and a body of
 statements over machine-code-controlled primitives (``Mux2``, ``Mux3``,
-``Opt``, ``C``, ``rel_op``, ``arith_op``, ``bool_op``).
+``Mux4``, ``Opt``, ``C``, ``rel_op``, ``arith_op``, ``bool_op``; see
+:data:`repro.alu_dsl.semantics.PRIMITIVES`).
 
 Typical use::
 
@@ -17,17 +18,12 @@ Typical use::
 from .analysis import analyze, parse_and_analyze
 from .ast_nodes import (
     ALUSpec,
-    ArithOpExpr,
     Assign,
     BinaryOp,
-    BoolOpExpr,
-    ConstExpr,
     Expr,
     If,
-    MuxExpr,
     Number,
-    OptExpr,
-    RelOpExpr,
+    Primitive,
     Return,
     Stmt,
     UnaryOp,
@@ -59,12 +55,7 @@ __all__ = [
     "Var",
     "UnaryOp",
     "BinaryOp",
-    "MuxExpr",
-    "OptExpr",
-    "ConstExpr",
-    "RelOpExpr",
-    "ArithOpExpr",
-    "BoolOpExpr",
+    "Primitive",
     "Assign",
     "Return",
     "If",

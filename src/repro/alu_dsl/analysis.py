@@ -11,7 +11,9 @@ Analysis performs three jobs:
    (paper §3.1: "strings ... indicate the pipeline stage and the position
    within that stage").
 2. **Domain computation.**  Each hole is assigned the number of values it can
-   legally take (``0`` means unbounded, e.g. an immediate).
+   legally take (``0`` means unbounded, e.g. an immediate).  A call site's
+   hole prefix and domain come from its row of
+   :data:`repro.alu_dsl.semantics.PRIMITIVES`.
 3. **Validation.**  Stateless ALUs must not declare or assign state
    variables, every referenced identifier must be declared or locally
    assigned, stateful ALUs must declare at least one state variable, and
@@ -25,33 +27,19 @@ from typing import Dict, List, Sequence, Set, Tuple
 from ..errors import ALUDSLSemanticError
 from .ast_nodes import (
     ALUSpec,
-    ArithOpExpr,
     Assign,
     BinaryOp,
-    BoolOpExpr,
-    ConstExpr,
     Expr,
     If,
-    MuxExpr,
     Number,
-    OptExpr,
-    RelOpExpr,
+    Primitive,
     Return,
     Stmt,
     UnaryOp,
     Var,
+    walk_expr,
 )
-
-#: Number of relational operators selectable by a ``rel_op`` hole.
-REL_OP_DOMAIN = 6
-#: Number of arithmetic operators selectable by an ``arith_op`` hole.
-ARITH_OP_DOMAIN = 4
-#: Number of logical operators selectable by a ``bool_op`` hole.
-BOOL_OP_DOMAIN = 2
-#: Number of choices for an ``Opt`` hole (argument or zero).
-OPT_DOMAIN = 2
-#: Domain marker for unbounded holes (immediates and declared hole variables).
-UNBOUNDED = 0
+from .semantics import PRIMITIVES, UNBOUNDED
 
 
 class _HoleNamer:
@@ -79,32 +67,10 @@ def _rewrite_expr(expr: Expr, namer: _HoleNamer) -> Expr:
         return UnaryOp(expr.op, _rewrite_expr(expr.operand, namer))
     if isinstance(expr, BinaryOp):
         return BinaryOp(expr.op, _rewrite_expr(expr.left, namer), _rewrite_expr(expr.right, namer))
-    if isinstance(expr, MuxExpr):
-        inputs = tuple(_rewrite_expr(sub, namer) for sub in expr.inputs)
-        name = namer.fresh(f"mux{len(inputs)}", len(inputs))
-        return MuxExpr(inputs, hole_name=name)
-    if isinstance(expr, OptExpr):
-        operand = _rewrite_expr(expr.operand, namer)
-        name = namer.fresh("opt", OPT_DOMAIN)
-        return OptExpr(operand, hole_name=name)
-    if isinstance(expr, ConstExpr):
-        name = namer.fresh("const", UNBOUNDED)
-        return ConstExpr(hole_name=name)
-    if isinstance(expr, RelOpExpr):
-        left = _rewrite_expr(expr.left, namer)
-        right = _rewrite_expr(expr.right, namer)
-        name = namer.fresh("rel_op", REL_OP_DOMAIN)
-        return RelOpExpr(left, right, hole_name=name)
-    if isinstance(expr, ArithOpExpr):
-        left = _rewrite_expr(expr.left, namer)
-        right = _rewrite_expr(expr.right, namer)
-        name = namer.fresh("arith_op", ARITH_OP_DOMAIN)
-        return ArithOpExpr(left, right, hole_name=name)
-    if isinstance(expr, BoolOpExpr):
-        left = _rewrite_expr(expr.left, namer)
-        right = _rewrite_expr(expr.right, namer)
-        name = namer.fresh("bool_op", BOOL_OP_DOMAIN)
-        return BoolOpExpr(left, right, hole_name=name)
+    if isinstance(expr, Primitive):
+        args = tuple(_rewrite_expr(sub, namer) for sub in expr.args)
+        row = PRIMITIVES[expr.name]
+        return Primitive(expr.name, args, namer.fresh(row.hole_prefix, row.domain))
     raise ALUDSLSemanticError(f"unknown expression node {type(expr).__name__}")
 
 
@@ -126,24 +92,6 @@ def _rewrite_stmts(stmts: Sequence[Stmt], namer: _HoleNamer) -> List[Stmt]:
         else:
             raise ALUDSLSemanticError(f"unknown statement node {type(stmt).__name__}")
     return rewritten
-
-
-def _collect_expr_vars(expr: Expr, used: Set[str]) -> None:
-    if isinstance(expr, Var):
-        used.add(expr.name)
-    elif isinstance(expr, UnaryOp):
-        _collect_expr_vars(expr.operand, used)
-    elif isinstance(expr, BinaryOp):
-        _collect_expr_vars(expr.left, used)
-        _collect_expr_vars(expr.right, used)
-    elif isinstance(expr, MuxExpr):
-        for sub in expr.inputs:
-            _collect_expr_vars(sub, used)
-    elif isinstance(expr, OptExpr):
-        _collect_expr_vars(expr.operand, used)
-    elif isinstance(expr, (RelOpExpr, ArithOpExpr, BoolOpExpr)):
-        _collect_expr_vars(expr.left, used)
-        _collect_expr_vars(expr.right, used)
 
 
 def _validate(spec: ALUSpec) -> None:
@@ -169,17 +117,18 @@ def _validate(spec: ALUSpec) -> None:
     has_return = False
     locals_defined: Set[str] = set()
 
+    def check_reads(expr: Expr, locally: Set[str]) -> None:
+        unknown = {sub.name for sub in walk_expr(expr) if isinstance(sub, Var)} - declared - locally
+        if unknown:
+            raise ALUDSLSemanticError(
+                f"ALU {spec.name!r}: undeclared identifier(s) {sorted(unknown)}"
+            )
+
     def check_stmts(stmts: Sequence[Stmt], locally: Set[str]) -> None:
         nonlocal has_return
         for stmt in stmts:
             if isinstance(stmt, Assign):
-                used: Set[str] = set()
-                _collect_expr_vars(stmt.value, used)
-                unknown = used - declared - locally
-                if unknown:
-                    raise ALUDSLSemanticError(
-                        f"ALU {spec.name!r}: undeclared identifier(s) {sorted(unknown)}"
-                    )
+                check_reads(stmt.value, locally)
                 if spec.kind == "stateless" and stmt.target in spec.state_vars:
                     raise ALUDSLSemanticError(
                         f"stateless ALU {spec.name!r} assigns to state variable {stmt.target!r}"
@@ -197,23 +146,11 @@ def _validate(spec: ALUSpec) -> None:
                 if stmt.target not in spec.state_vars:
                     locally.add(stmt.target)
             elif isinstance(stmt, Return):
-                used = set()
-                _collect_expr_vars(stmt.value, used)
-                unknown = used - declared - locally
-                if unknown:
-                    raise ALUDSLSemanticError(
-                        f"ALU {spec.name!r}: undeclared identifier(s) {sorted(unknown)}"
-                    )
+                check_reads(stmt.value, locally)
                 has_return = True
             elif isinstance(stmt, If):
                 for condition, body in stmt.branches:
-                    used = set()
-                    _collect_expr_vars(condition, used)
-                    unknown = used - declared - locally
-                    if unknown:
-                        raise ALUDSLSemanticError(
-                            f"ALU {spec.name!r}: undeclared identifier(s) {sorted(unknown)}"
-                        )
+                    check_reads(condition, locally)
                     check_stmts(body, set(locally))
                 check_stmts(stmt.orelse, set(locally))
 

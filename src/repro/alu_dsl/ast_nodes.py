@@ -3,9 +3,10 @@
 The tree mirrors the grammar of Figure 3: an ALU specification is a header
 (type, state variables, hole variables, packet fields) followed by a body of
 statements.  Expressions include the machine-code-controlled primitives
-(``Mux2``, ``Mux3``, ``Opt``, ``C``, ``rel_op``, ``arith_op``, ``bool_op``)
-each of which corresponds to a *hole*: an integer supplied by machine code
-that selects the primitive's behaviour at configuration time.
+(:class:`Primitive` call sites of ``Mux2``, ``Mux3``, ``Mux4``, ``Opt``,
+``C``, ``rel_op``, ``arith_op`` and ``bool_op``), each of which corresponds
+to a *hole*: an integer supplied by machine code that selects the
+primitive's behaviour at configuration time.
 """
 
 from __future__ import annotations
@@ -55,92 +56,20 @@ class BinaryOp(Expr):
 
 
 @dataclass(frozen=True)
-class MuxExpr(Expr):
-    """An N-to-1 multiplexer controlled by a machine-code hole.
+class Primitive(Expr):
+    """A call site ``name(args...)`` of a machine-code-controlled primitive.
 
-    ``Mux2(a, b)`` selects ``a`` when its hole value is 0 and ``b`` when 1;
-    ``Mux3(a, b, c)`` extends this to three inputs.  ``hole_name`` is the
-    unique per-ALU name of the controlling hole (assigned by semantic
-    analysis; ``None`` until then).
+    ``name`` is one of :data:`repro.alu_dsl.semantics.PRIMITIVES` (``Mux2``,
+    ``Mux3``, ``Mux4``, ``Opt``, ``C``, ``rel_op``, ``arith_op``,
+    ``bool_op``); its row there gives the arity, the hole's domain and what
+    each hole value selects.  ``hole_name`` is the unique per-ALU name of
+    the controlling hole (assigned by semantic analysis; ``None`` until
+    then).
     """
 
-    inputs: Tuple[Expr, ...]
+    name: str
+    args: Tuple[Expr, ...]
     hole_name: Optional[str] = None
-
-    @property
-    def width(self) -> int:
-        """Number of selectable inputs."""
-        return len(self.inputs)
-
-
-@dataclass(frozen=True)
-class OptExpr(Expr):
-    """``Opt(x)``: a 2-to-1 multiplexer that returns ``x`` or 0 (Figure 4).
-
-    Hole value 0 selects the argument, hole value 1 selects the constant 0.
-    """
-
-    operand: Expr
-    hole_name: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ConstExpr(Expr):
-    """``C()``: an immediate operand whose value comes from machine code."""
-
-    hole_name: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class RelOpExpr(Expr):
-    """``rel_op(a, b)``: a machine-code-selected relational operator.
-
-    The hole value selects among ``==``, ``<``, ``>``, ``!=``, ``<=``, ``>=``
-    (in that order); the result is 1 when the relation holds and 0 otherwise.
-    """
-
-    left: Expr
-    right: Expr
-    hole_name: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ArithOpExpr(Expr):
-    """``arith_op(a, b)``: a machine-code-selected arithmetic operator.
-
-    Hole value 0 adds the operands, 1 subtracts them (paper §3.1 example);
-    values 2 and 3 select multiplication and saturating (floor-at-zero)
-    subtraction so the catalogue atoms can express richer behaviour.
-    """
-
-    left: Expr
-    right: Expr
-    hole_name: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class BoolOpExpr(Expr):
-    """``bool_op(a, b)``: a machine-code-selected logical operator.
-
-    Hole value 0 is logical AND, 1 is logical OR.
-    """
-
-    left: Expr
-    right: Expr
-    hole_name: Optional[str] = None
-
-
-#: Names of the hole-controlled primitive call forms, mapped to arity.
-PRIMITIVE_CALLS = {
-    "Mux2": 2,
-    "Mux3": 3,
-    "Mux4": 4,
-    "Opt": 1,
-    "C": 0,
-    "rel_op": 2,
-    "arith_op": 2,
-    "bool_op": 2,
-}
 
 
 # ----------------------------------------------------------------------
@@ -247,14 +176,9 @@ def walk_expr(expr: Expr) -> Sequence[Expr]:
     elif isinstance(expr, BinaryOp):
         out.extend(walk_expr(expr.left))
         out.extend(walk_expr(expr.right))
-    elif isinstance(expr, MuxExpr):
-        for sub in expr.inputs:
+    elif isinstance(expr, Primitive):
+        for sub in expr.args:
             out.extend(walk_expr(sub))
-    elif isinstance(expr, OptExpr):
-        out.extend(walk_expr(expr.operand))
-    elif isinstance(expr, (RelOpExpr, ArithOpExpr, BoolOpExpr)):
-        out.extend(walk_expr(expr.left))
-        out.extend(walk_expr(expr.right))
     return out
 
 
@@ -267,4 +191,14 @@ def walk_stmts(stmts: Sequence[Stmt]) -> Sequence[Stmt]:
             for _cond, body in stmt.branches:
                 out.extend(walk_stmts(body))
             out.extend(walk_stmts(stmt.orelse))
+    return out
+
+
+def walk_stmt_exprs(stmts: Sequence[Stmt]) -> Sequence[Expr]:
+    """Every expression ``stmts`` evaluate, nested statements and sub-expressions included."""
+    out: List[Expr] = []
+    for stmt in walk_stmts(stmts):
+        roots = [cond for cond, _body in stmt.branches] if isinstance(stmt, If) else [stmt.value]
+        for root in roots:
+            out.extend(walk_expr(root))
     return out

@@ -7,8 +7,13 @@ check the parser actually accepts everything the grammar promises.
 
 from __future__ import annotations
 
-from .ast_nodes import PRIMITIVE_CALLS
-from .semantics import ARITH_OPS, BOOL_OPS, REL_OPS
+from .semantics import PRIMITIVES, PrimitiveDef
+
+
+def _call_form(row: PrimitiveDef) -> str:
+    """The EBNF alternative of one primitive call, e.g. ``"Opt" "(" expr ")"``."""
+    args = ' "," '.join(["expr"] * row.arity)
+    return " ".join(filter(None, [f'"{row.name}" "("', args, '")"']))
 
 #: EBNF of the ALU DSL accepted by :mod:`repro.alu_dsl.parser`.
 EBNF = """
@@ -33,39 +38,17 @@ add_expr       := mul_expr (("+" | "-") mul_expr)*
 mul_expr       := unary_expr (("*" | "/" | "%") unary_expr)*
 unary_expr     := ("-" | "!") unary_expr | primary
 primary        := NUMBER | primitive_call | IDENT | "(" expr ")"
-primitive_call := "Mux2" "(" expr "," expr ")"
-                | "Mux3" "(" expr "," expr "," expr ")"
-                | "Mux4" "(" expr "," expr "," expr "," expr ")"
-                | "Opt" "(" expr ")"
-                | "C" "(" ")"
-                | "rel_op" "(" expr "," expr ")"
-                | "arith_op" "(" expr "," expr ")"
-                | "bool_op" "(" expr "," expr ")"
-"""
-
-#: Human-readable summary of each hole-controlled primitive and its domain.
-PRIMITIVE_SUMMARY = {
-    "Mux2": "2-to-1 multiplexer; machine code selects which input is forwarded",
-    "Mux3": "3-to-1 multiplexer; machine code selects which input is forwarded",
-    "Mux4": "4-to-1 multiplexer; machine code selects which input is forwarded",
-    "Opt": "2-to-1 multiplexer returning its argument or the constant 0",
-    "C": "immediate operand supplied by machine code",
-    "rel_op": "machine-code-selected relational operator "
-    f"({len(REL_OPS)} choices: ==, <, >, !=, <=, >=)",
-    "arith_op": "machine-code-selected arithmetic operator "
-    f"({len(ARITH_OPS)} choices: +, -, *, saturating -)",
-    "bool_op": f"machine-code-selected logical operator ({len(BOOL_OPS)} choices: &&, ||)",
-}
+primitive_call := """ + "\n                | ".join(map(_call_form, PRIMITIVES.values())) + "\n"
 
 
 def primitive_names() -> list[str]:
     """Names of every hole-controlled primitive call form."""
-    return sorted(PRIMITIVE_CALLS)
+    return sorted(PRIMITIVES)
 
 
 def describe() -> str:
     """Return a formatted grammar + primitive reference used by the CLI."""
     lines = ["ALU DSL grammar (EBNF)", "=" * 22, EBNF.strip(), "", "Primitives", "-" * 10]
     for name in primitive_names():
-        lines.append(f"{name:10s} {PRIMITIVE_SUMMARY.get(name, '')}")
+        lines.append(f"{name:10s} {PRIMITIVES[name].summary}")
     return "\n".join(lines)

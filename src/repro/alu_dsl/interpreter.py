@@ -21,28 +21,37 @@ The interpreter intentionally mirrors how the generated code behaves:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence
 
 from ..errors import ALUDSLSemanticError, MissingMachineCodeError
 from .ast_nodes import (
     ALUSpec,
-    ArithOpExpr,
     Assign,
     BinaryOp,
-    BoolOpExpr,
-    ConstExpr,
     Expr,
     If,
-    MuxExpr,
     Number,
-    OptExpr,
-    RelOpExpr,
+    Primitive,
     Return,
     Stmt,
     UnaryOp,
     Var,
+    walk_stmt_exprs,
 )
 from . import semantics
+
+
+#: Placeholders standing for a primitive's evaluated arguments in its selection.
+_ARGS = tuple(
+    Var(f"${index}") for index in range(max(p.arity for p in semantics.PRIMITIVES.values()))
+)
+
+
+@lru_cache(maxsize=4096)
+def _selection(name: str, opcode: int) -> Expr:
+    """What primitive ``name`` computes over :data:`_ARGS` when its hole holds ``opcode``."""
+    return semantics.select(name, opcode, _ARGS[: semantics.PRIMITIVES[name].arity])
 
 
 class _ReturnSignal(Exception):
@@ -192,30 +201,12 @@ class ALUInterpreter:
             left = self._eval(expr.left, env, holes)
             right = self._eval(expr.right, env, holes)
             return semantics.apply_binary(expr.op, left, right)
-        if isinstance(expr, MuxExpr):
+        if isinstance(expr, Primitive):
+            # Every argument is evaluated, selected or not, so an argument
+            # that cannot be evaluated fails whatever the hole value.
             opcode = self._hole(holes, expr.hole_name)
-            inputs = tuple(self._eval(sub, env, holes) for sub in expr.inputs)
-            return semantics.mux_select(opcode, inputs)
-        if isinstance(expr, OptExpr):
-            opcode = self._hole(holes, expr.hole_name)
-            return semantics.opt_select(opcode, self._eval(expr.operand, env, holes))
-        if isinstance(expr, ConstExpr):
-            return self._hole(holes, expr.hole_name)
-        if isinstance(expr, RelOpExpr):
-            opcode = self._hole(holes, expr.hole_name)
-            left = self._eval(expr.left, env, holes)
-            right = self._eval(expr.right, env, holes)
-            return semantics.apply_rel_op(opcode, left, right)
-        if isinstance(expr, ArithOpExpr):
-            opcode = self._hole(holes, expr.hole_name)
-            left = self._eval(expr.left, env, holes)
-            right = self._eval(expr.right, env, holes)
-            return semantics.apply_arith_op(opcode, left, right)
-        if isinstance(expr, BoolOpExpr):
-            opcode = self._hole(holes, expr.hole_name)
-            left = self._eval(expr.left, env, holes)
-            right = self._eval(expr.right, env, holes)
-            return semantics.apply_bool_op(opcode, left, right)
+            args = {arg.name: self._eval(sub, env, holes) for arg, sub in zip(_ARGS, expr.args)}
+            return self._eval(_selection(expr.name, opcode), args, holes)
         raise ALUDSLSemanticError(f"unknown expression {type(expr).__name__}")
 
     def _hole(self, holes: Mapping[str, int], name: str | None) -> int:
@@ -231,18 +222,4 @@ class ALUInterpreter:
 
 def _spec_has_primitives(spec: ALUSpec) -> bool:
     """True when the body contains any hole-controlled primitive call."""
-    from .ast_nodes import walk_expr, walk_stmts
-
-    for stmt in walk_stmts(spec.body):
-        exprs: List[Expr] = []
-        if isinstance(stmt, Assign):
-            exprs.append(stmt.value)
-        elif isinstance(stmt, Return):
-            exprs.append(stmt.value)
-        elif isinstance(stmt, If):
-            exprs.extend(cond for cond, _body in stmt.branches)
-        for expr in exprs:
-            for sub in walk_expr(expr):
-                if isinstance(sub, (MuxExpr, OptExpr, ConstExpr, RelOpExpr, ArithOpExpr, BoolOpExpr)):
-                    return True
-    return False
+    return any(isinstance(sub, Primitive) for sub in walk_stmt_exprs(spec.body))

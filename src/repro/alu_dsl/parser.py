@@ -20,24 +20,19 @@ from typing import Dict, List, Optional, Tuple, Type
 from ..errors import ALUDSLSyntaxError, DruzhbaError
 from .ast_nodes import (
     ALUSpec,
-    ArithOpExpr,
     Assign,
     BinaryOp,
-    BoolOpExpr,
-    ConstExpr,
     Expr,
     If,
-    MuxExpr,
     Number,
-    OptExpr,
-    PRIMITIVE_CALLS,
-    RelOpExpr,
+    Primitive,
     Return,
     Stmt,
     UnaryOp,
     Var,
 )
 from .lexer import Token, TokenType, tokenize
+from .semantics import PRIMITIVES
 
 #: Binary operator levels of the expression ladder, loosest first.
 _BINARY_LEVELS = (
@@ -260,15 +255,15 @@ class Parser(TokenParser):
     def _parse_operand(self, token: Token) -> Optional[Expr]:
         if token.type is not TokenType.IDENT:
             return None
-        if token.value in PRIMITIVE_CALLS and self._peek(1).type is TokenType.LPAREN:
+        if token.value in PRIMITIVES and self._peek(1).type is TokenType.LPAREN:
             return self._parse_primitive_call()
         self._advance()
         return Var(token.value)
 
-    def _parse_primitive_call(self) -> Expr:
+    def _parse_primitive_call(self) -> Primitive:
         name_token = self._advance()
         name = name_token.value
-        arity = PRIMITIVE_CALLS[name]
+        arity = PRIMITIVES[name].arity
         self._expect(TokenType.LPAREN, f"'(' after {name}")
         args: List[Expr] = []
         if not self._check(TokenType.RPAREN):
@@ -278,17 +273,7 @@ class Parser(TokenParser):
         self._expect(TokenType.RPAREN, f"')' closing {name} call")
         if len(args) != arity:
             raise self._fail(f"{name} expects {arity} argument(s), got {len(args)}", name_token)
-        if name in ("Mux2", "Mux3", "Mux4"):
-            return MuxExpr(tuple(args))
-        if name == "Opt":
-            return OptExpr(args[0])
-        if name == "C":
-            return ConstExpr()
-        if name == "rel_op":
-            return RelOpExpr(args[0], args[1])
-        if name == "arith_op":
-            return ArithOpExpr(args[0], args[1])
-        return BoolOpExpr(args[0], args[1])
+        return Primitive(name, tuple(args))
 
 
 def parse(source: str, name: str = "alu") -> ALUSpec:

@@ -13,17 +13,12 @@ from typing import List, Sequence
 from ..errors import ALUDSLSemanticError
 from .ast_nodes import (
     ALUSpec,
-    ArithOpExpr,
     Assign,
     BinaryOp,
-    BoolOpExpr,
-    ConstExpr,
     Expr,
     If,
-    MuxExpr,
     Number,
-    OptExpr,
-    RelOpExpr,
+    Primitive,
     Return,
     Stmt,
     UnaryOp,
@@ -60,19 +55,8 @@ def format_expr(expr: Expr, parent_precedence: int = 0) -> str:
         if precedence < parent_precedence:
             return f"({text})"
         return text
-    if isinstance(expr, MuxExpr):
-        name = f"Mux{expr.width}"
-        return f"{name}({', '.join(format_expr(sub) for sub in expr.inputs)})"
-    if isinstance(expr, OptExpr):
-        return f"Opt({format_expr(expr.operand)})"
-    if isinstance(expr, ConstExpr):
-        return "C()"
-    if isinstance(expr, RelOpExpr):
-        return f"rel_op({format_expr(expr.left)}, {format_expr(expr.right)})"
-    if isinstance(expr, ArithOpExpr):
-        return f"arith_op({format_expr(expr.left)}, {format_expr(expr.right)})"
-    if isinstance(expr, BoolOpExpr):
-        return f"bool_op({format_expr(expr.left)}, {format_expr(expr.right)})"
+    if isinstance(expr, Primitive):
+        return f"{expr.name}({', '.join(format_expr(sub) for sub in expr.args)})"
     raise ALUDSLSemanticError(f"cannot print expression node {type(expr).__name__}")
 
 

@@ -31,31 +31,14 @@ from ..machine_code.pairs import MachineCode
 Source = Tuple[str, int]
 
 
-def _rel_opcode(symbol: str) -> int:
-    try:
-        return semantics.REL_OP_SYMBOLS.index(symbol)
-    except ValueError:
+def _opcode(primitive: str, symbol: str) -> int:
+    """The value of an operator ``primitive``'s hole that selects ``symbol``."""
+    symbols = semantics.PRIMITIVES[primitive].symbols
+    if symbol not in symbols:
         raise AllocationError(
-            f"unknown relational operator {symbol!r}; choose from {semantics.REL_OP_SYMBOLS}"
-        ) from None
-
-
-def _arith_opcode(symbol: str) -> int:
-    try:
-        return semantics.ARITH_OP_SYMBOLS.index(symbol)
-    except ValueError:
-        raise AllocationError(
-            f"unknown arithmetic operator {symbol!r}; choose from {semantics.ARITH_OP_SYMBOLS}"
-        ) from None
-
-
-def _bool_opcode(symbol: str) -> int:
-    try:
-        return semantics.BOOL_OP_SYMBOLS.index(symbol)
-    except ValueError:
-        raise AllocationError(
-            f"unknown logical operator {symbol!r}; choose from {semantics.BOOL_OP_SYMBOLS}"
-        ) from None
+            f"unknown {primitive} operator {symbol!r}; choose from {list(symbols)}"
+        )
+    return symbols.index(symbol)
 
 
 def _check_source(source: Source, allowed: Sequence[str]) -> Source:
@@ -190,12 +173,12 @@ class MachineCodeBuilder:
         if mode == "arith":
             self._mux3_source(stage, kind, slot, "mux3_0", "const_0", a)
             self._mux3_source(stage, kind, slot, "mux3_1", "const_1", b)
-            self.set_hole(stage, kind, slot, "arith_op_0", _arith_opcode(op))
+            self.set_hole(stage, kind, slot, "arith_op_0", _opcode("arith_op", op))
             self.set_hole(stage, kind, slot, "mux2_0", 0)
         elif mode == "rel":
             self._mux3_source(stage, kind, slot, "mux3_2", "const_2", a)
             self._mux3_source(stage, kind, slot, "mux3_3", "const_3", b)
-            self.set_hole(stage, kind, slot, "rel_op_0", _rel_opcode(op))
+            self.set_hole(stage, kind, slot, "rel_op_0", _opcode("rel_op", op))
             self.set_hole(stage, kind, slot, "mux2_0", 1)
         else:
             raise AllocationError(f"stateless_full mode must be 'arith' or 'rel', got {mode!r}")
@@ -239,7 +222,7 @@ class MachineCodeBuilder:
         rel_symbol, cond_use_state, cond_rhs = cond
         self._opt_state(stage, kind, slot, "opt_0", cond_use_state)
         self._mux3_source(stage, kind, slot, "mux3_0", "const_0", cond_rhs)
-        self.set_hole(stage, kind, slot, "rel_op_0", _rel_opcode(rel_symbol))
+        self.set_hole(stage, kind, slot, "rel_op_0", _opcode("rel_op", rel_symbol))
         then_use_state, then_rhs = then
         self._opt_state(stage, kind, slot, "opt_1", then_use_state)
         self._mux3_source(stage, kind, slot, "mux3_1", "const_1", then_rhs)
@@ -266,11 +249,11 @@ class MachineCodeBuilder:
         rel_symbol, cond_use_state, cond_rhs = cond
         self._opt_state(stage, kind, slot, "opt_0", cond_use_state)
         self._mux3_source(stage, kind, slot, "mux3_0", "const_0", cond_rhs)
-        self.set_hole(stage, kind, slot, "rel_op_0", _rel_opcode(rel_symbol))
+        self.set_hole(stage, kind, slot, "rel_op_0", _opcode("rel_op", rel_symbol))
         op_symbol, update_use_state, update_rhs = update
         self._opt_state(stage, kind, slot, "opt_1", update_use_state)
         self._mux3_source(stage, kind, slot, "mux3_1", "const_1", update_rhs)
-        self.set_hole(stage, kind, slot, "arith_op_0", _arith_opcode(op_symbol))
+        self.set_hole(stage, kind, slot, "arith_op_0", _opcode("arith_op", op_symbol))
         return self
 
     def configure_sub(
@@ -291,15 +274,15 @@ class MachineCodeBuilder:
         rel_symbol, cond_use_state, cond_rhs = cond
         self._opt_state(stage, kind, slot, "opt_0", cond_use_state)
         self._mux3_source(stage, kind, slot, "mux3_0", "const_0", cond_rhs)
-        self.set_hole(stage, kind, slot, "rel_op_0", _rel_opcode(rel_symbol))
+        self.set_hole(stage, kind, slot, "rel_op_0", _opcode("rel_op", rel_symbol))
         then_op, then_use_state, then_rhs = then
         self._opt_state(stage, kind, slot, "opt_1", then_use_state)
         self._mux3_source(stage, kind, slot, "mux3_1", "const_1", then_rhs)
-        self.set_hole(stage, kind, slot, "arith_op_0", _arith_opcode(then_op))
+        self.set_hole(stage, kind, slot, "arith_op_0", _opcode("arith_op", then_op))
         else_op, else_use_state, else_rhs = els
         self._opt_state(stage, kind, slot, "opt_2", else_use_state)
         self._mux3_source(stage, kind, slot, "mux3_2", "const_2", else_rhs)
-        self.set_hole(stage, kind, slot, "arith_op_1", _arith_opcode(else_op))
+        self.set_hole(stage, kind, slot, "arith_op_1", _opcode("arith_op", else_op))
         return self
 
     def configure_pair(
@@ -342,9 +325,9 @@ class MachineCodeBuilder:
             self.set_hole(stage, kind, slot, outer_mux, 0)
             self.set_hole(stage, kind, slot, state_mux, state_index)
             self._mux3_source(stage, kind, slot, rhs_mux, rhs_const, rhs)
-            self.set_hole(stage, kind, slot, rel_hole, _rel_opcode(rel_symbol))
+            self.set_hole(stage, kind, slot, rel_hole, _opcode("rel_op", rel_symbol))
 
-        self.set_hole(stage, kind, slot, "bool_op_0", _bool_opcode(combine))
+        self.set_hole(stage, kind, slot, "bool_op_0", _opcode("bool_op", combine))
 
         update_holes = (
             # (lhs const, lhs mux, rhs const, rhs mux, arith op)
@@ -367,7 +350,7 @@ class MachineCodeBuilder:
                 self.set_hole(stage, kind, slot, lhs_mux, 2)
                 self.set_hole(stage, kind, slot, lhs_const, lhs_value)
             self._mux3_source(stage, kind, slot, rhs_mux, rhs_const, rhs)
-            self.set_hole(stage, kind, slot, arith_hole, _arith_opcode(op_symbol))
+            self.set_hole(stage, kind, slot, arith_hole, _opcode("arith_op", op_symbol))
         return self
 
     # ------------------------------------------------------------------

@@ -88,7 +88,7 @@ class _CandidateEvaluator:
     def prepare(inputs: Sequence[Sequence[int]]) -> List[List[int]]:
         """Coerce an input trace to container-int lists, once per example set.
 
-        Stage functions read their PHV argument and return a fresh list, so
+        Stage functions read their PHV argument and return a new tuple, so
         prepared inputs can be handed to every candidate without copying.
         """
         return [[int(v) for v in phv] for phv in inputs]

@@ -11,16 +11,19 @@ levels of the paper (Figure 6):
   machine-code pairs at simulation time.
 * **level 1** (version 2, SCC propagation): machine-code values are known at
   generation time, so each helper collapses to a single ``return`` of the
-  behaviour its opcode selects, the opcode parameters disappear, and ``if``
+  expression its opcode selects, the opcode parameters disappear, and ``if``
   statements in the ALU body whose conditions fold to constants are pruned.
   The generated code depends only on the ALU's kind and its own hole
   values (:meth:`ALUFunctionGenerator.dedup_key`), so the pipeline builder
   emits one function and one set of helpers per distinct specialisation and
   lets every slot that shares it call it.
 * **level 2** (version 3, SCC propagation + function inlining): the helper
-  functions disappear entirely; their specialised bodies are inlined into the
-  ALU function, which typically collapses to a handful of assignments.  Slots
-  share ALU functions as at level 1.
+  functions disappear entirely.  The inlining is done on the AST: the whole
+  body is specialised first, which replaces each primitive by the expression
+  its hole value selects over the primitive's own operands
+  (:func:`repro.alu_dsl.semantics.select`), and the ALU function typically
+  collapses to a handful of assignments.  Slots share ALU functions as at
+  level 1.
 * **level 3** (fused pipeline): ALU functions are identical to level 2, but
   the pipeline builder additionally emits a generated ``run_trace`` function
   that loops over the whole input trace inline — one more rung on the paper's
@@ -37,8 +40,11 @@ Every level lowers DSL statements through one routine, :func:`_lower_stmts`;
 levels 2 and 3 specialise the whole body first
 (:func:`~repro.dgen.optimize.constant_propagation.specialize_spec`).  An
 ``if`` test is lowered by :func:`_lower_condition` for its truth value only.
-A packet field or local must not take a name the generated code binds
-(:meth:`ALUFunctionGenerator._check_names`).
+Every primitive resolves through :func:`repro.alu_dsl.semantics.select`:
+a level-0 helper tests the opcode against each value of the domain, a
+level-1 helper returns what the known value selects, and levels 2 and 3
+get it from the specialiser.  A packet field or local must not take a name
+the generated code binds (:meth:`ALUFunctionGenerator._check_names`).
 """
 
 from __future__ import annotations
@@ -52,17 +58,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..alu_dsl import semantics
 from ..alu_dsl.ast_nodes import (
     ALUSpec,
-    ArithOpExpr,
     Assign,
     BinaryOp,
-    BoolOpExpr,
-    ConstExpr,
     Expr,
     If,
-    MuxExpr,
     Number,
-    OptExpr,
-    RelOpExpr,
+    Primitive,
     Return,
     Stmt,
     UnaryOp,
@@ -72,13 +73,8 @@ from ..alu_dsl.ast_nodes import (
 from ..errors import CodegenError, MissingMachineCodeError
 from ..ir import nodes as ir
 from ..machine_code import naming
-from .optimize.constant_propagation import (
-    specialize_expr,
-    specialize_primitive_template,
-    specialize_spec,
-)
+from .optimize.constant_propagation import specialize_expr, specialize_spec
 from .optimize.dce import remove_dead_local_assignments
-from .optimize.inlining import inline_call
 
 #: Optimisation levels accepted throughout dgen.
 OPT_UNOPTIMIZED = 0
@@ -146,7 +142,7 @@ def _lower_expr(
             a=_lower_expr(expr.left, var_code, primitive_code),
             b=_lower_expr(expr.right, var_code, primitive_code),
         )
-    if primitive_code is None:
+    if primitive_code is None or not isinstance(expr, Primitive):
         raise CodegenError(f"unknown expression node {type(expr).__name__}")
     return primitive_code(expr)
 
@@ -503,44 +499,43 @@ class ALUFunctionGenerator:
     # ------------------------------------------------------------------
     # Hole-controlled primitives
     # ------------------------------------------------------------------
-    def _primitive_code(self, expr) -> str:
-        operand_exprs = self._primitive_operands(expr)
+    def _primitive_code(self, expr: Primitive) -> str:
+        """A call site's code at levels 0 and 1, where primitives survive into lowering.
+
+        Level 0 calls a helper that dispatches on the opcode it is passed;
+        level 1 calls a helper whose body is the one expression the known
+        hole value selects, and inlines a ``C()`` as its literal.
+        """
         hole = expr.hole_name
         if hole is None:
             raise CodegenError(
                 f"ALU {self.spec.name!r} has an unnamed primitive site; run analysis first"
             )
         operand_codes = [
-            _lower_expr(sub, self._var_code, self._primitive_code) for sub in operand_exprs
+            _lower_expr(sub, self._var_code, self._primitive_code) for sub in expr.args
         ]
+        params = [f"op{i}" for i in range(len(expr.args))]
+        placeholders = [Var(param) for param in params]
+        name = helper_function_name(self.stage, self.kind, self.slot, hole)
 
         if self.opt_level == OPT_UNOPTIMIZED:
-            helper = self._register_generic_helper(expr, hole, len(operand_codes))
+            if name not in self._helpers:
+                self._helpers[name] = ir.FunctionDef(
+                    name=name,
+                    params=params + ["opcode"],
+                    body=_opcode_dispatch(expr.name, placeholders),
+                )
             args = operand_codes + [f'values["{self._hole_prefix}{hole}"]']
-            return f"{helper}({', '.join(args)})"
+            return f"{name}({', '.join(args)})"
 
-        template, _arity = specialize_primitive_template(expr, self._local_holes or {})
-        if self.opt_level in _INLINE_LEVELS:
-            return inline_call(template, operand_codes)
-        # OPT_SCC: keep the helper-call structure of Figure 6 version 2, but the
-        # helper body is the single specialised expression.  Immediates are an
-        # exception: a constant needs no function call, it is simply propagated.
-        if isinstance(expr, ConstExpr):
-            return template
-        helper = self._register_specialized_helper(hole, template, len(operand_codes))
-        return f"{helper}({', '.join(operand_codes)})"
-
-    @staticmethod
-    def _primitive_operands(expr) -> Sequence[Expr]:
-        if isinstance(expr, MuxExpr):
-            return list(expr.inputs)
-        if isinstance(expr, OptExpr):
-            return [expr.operand]
-        if isinstance(expr, ConstExpr):
-            return []
-        if isinstance(expr, (RelOpExpr, ArithOpExpr, BoolOpExpr)):
-            return [expr.left, expr.right]
-        raise CodegenError(f"{type(expr).__name__} is not a primitive")
+        selected = semantics.select(expr.name, self._require_hole(hole), placeholders)
+        if not expr.args:
+            return _lower_expr(selected, str)
+        if name not in self._helpers:
+            self._helpers[name] = ir.FunctionDef(
+                name=name, params=params, body=[ir.Return(_lower_expr(selected, str))]
+            )
+        return f"{name}({', '.join(operand_codes)})"
 
     def _require_hole(self, hole: str) -> int:
         assert self._local_holes is not None
@@ -548,67 +543,22 @@ class ALUFunctionGenerator:
             raise MissingMachineCodeError(self._hole_prefix + hole)
         return self._local_holes[hole]
 
-    # ------------------------------------------------------------------
-    # Helper-function registration
-    # ------------------------------------------------------------------
-    def _register_specialized_helper(self, hole: str, template: str, arity: int) -> str:
-        name = helper_function_name(self.stage, self.kind, self.slot, hole)
-        if name not in self._helpers:
-            params = [f"op{i}" for i in range(arity)]
-            body_expr = template.format(**{f"op{i}": f"op{i}" for i in range(arity)})
-            self._helpers[name] = ir.FunctionDef(
-                name=name,
-                params=params,
-                body=[ir.Return(body_expr)],
-            )
-        return name
 
-    def _register_generic_helper(self, expr, hole: str, arity: int) -> str:
-        name = helper_function_name(self.stage, self.kind, self.slot, hole)
-        if name in self._helpers:
-            return name
-        params = [f"op{i}" for i in range(arity)] + ["opcode"]
-        body = self._generic_helper_body(expr, arity)
-        self._helpers[name] = ir.FunctionDef(name=name, params=params, body=body)
-        return name
+def _opcode_dispatch(name: str, placeholders: Sequence[Var]) -> List[ir.IRStmt]:
+    """Body of a level-0 helper: what primitive ``name`` computes for each ``opcode``.
 
-    def _generic_helper_body(self, expr, arity: int) -> List[ir.IRStmt]:
-        operand_names = {f"op{i}": f"op{i}" for i in range(arity)}
-        if isinstance(expr, MuxExpr):
-            width = expr.width
-            branches = [
-                (f"opcode % {width} == {i}", [ir.Return(f"op{i}")]) for i in range(width - 1)
-            ]
-            return [ir.If(branches=branches, orelse=[ir.Return(f"op{width - 1}")])]
-        if isinstance(expr, OptExpr):
-            return [
-                ir.If(
-                    branches=[("opcode % 2 == 0", [ir.Return("op0")])],
-                    orelse=[ir.Return("0")],
-                )
-            ]
-        if isinstance(expr, ConstExpr):
-            # The "operation" of an immediate is simply to forward its machine
-            # code value.
-            return [ir.Return("opcode")]
-        if isinstance(expr, RelOpExpr):
-            table = semantics.REL_OPS
-        elif isinstance(expr, ArithOpExpr):
-            table = semantics.ARITH_OPS
-        elif isinstance(expr, BoolOpExpr):
-            table = semantics.BOOL_OPS
-        else:  # pragma: no cover - defensive
-            raise CodegenError(f"{type(expr).__name__} is not a primitive")
-        size = len(table)
-        branches = [
-            (
-                f"opcode % {size} == {opcode}",
-                [ir.Return(table[opcode][0].format(a="{op0}", b="{op1}").format(**operand_names))],
-            )
-            for opcode in range(size - 1)
-        ]
-        orelse = [ir.Return(table[size - 1][0].format(a="{op0}", b="{op1}").format(**operand_names))]
-        return [ir.If(branches=branches, orelse=orelse)]
+    An ``if`` chain tests the opcode modulo the domain against every value
+    but the last, which is the ``else``; an immediate returns the opcode.
+    """
+    domain = semantics.PRIMITIVES[name].domain
+    if domain == semantics.UNBOUNDED:
+        return [ir.Return("opcode")]
+    returns = [
+        [ir.Return(_lower_expr(semantics.select(name, value, placeholders), str))]
+        for value in range(domain)
+    ]
+    branches = [(f"opcode % {domain} == {value}", returns[value]) for value in range(domain - 1)]
+    return [ir.If(branches=branches, orelse=returns[-1])]
 
 
 def generate_alu(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CodegenError
 from ..hardware import PipelineSpec
@@ -24,7 +24,9 @@ from .codegen import OPT_LEVEL_NAMES, OPT_UNOPTIMIZED
 PathLike = Union[str, Path]
 
 #: Type of a generated stage function: (phv_read, stage_state, values) -> write containers.
-StageFunction = Callable[[Sequence[int], List[List[int]], Optional[Dict[str, int]]], List[int]]
+StageFunction = Callable[
+    [Sequence[int], List[List[int]], Optional[Dict[str, int]]], Tuple[int, ...]
+]
 
 
 @dataclass

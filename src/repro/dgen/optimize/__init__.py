@@ -3,9 +3,10 @@
 * :mod:`folding` — constant folding over ALU DSL expressions.
 * :mod:`dce` — dead-assignment elimination.
 * :mod:`constant_propagation` — sparse conditional constant propagation
-  (substitute machine-code values, fold, prune) at both the helper-function
-  and the fully-inlined granularity.
-* :mod:`inlining` — function inlining of specialised helper bodies.
+  (substitute machine-code values, fold, prune).  It also does the paper's
+  function inlining: each hole-controlled primitive is replaced by the
+  expression its machine-code value selects, with the primitive's operands
+  spliced in, so no helper call is left to inline.
 
 Every pass runs over the ALU DSL before lowering to the IR, which is never
 rewritten.  At levels 2 and 3, :func:`specialize_stmts` also propagates the
@@ -16,15 +17,9 @@ lowers those specialised bodies a second time, straight into a generated
 further pass over the assembled loop.
 """
 
-from .constant_propagation import (
-    specialize_expr,
-    specialize_primitive_template,
-    specialize_spec,
-    specialize_stmts,
-)
+from .constant_propagation import specialize_expr, specialize_spec, specialize_stmts
 from .dce import remove_dead_local_assignments
 from .folding import constant_value, fold_expr, is_constant
-from .inlining import inline_call, max_placeholder_index, placeholder_count
 
 __all__ = [
     "fold_expr",
@@ -34,8 +29,4 @@ __all__ = [
     "specialize_expr",
     "specialize_stmts",
     "specialize_spec",
-    "specialize_primitive_template",
-    "inline_call",
-    "placeholder_count",
-    "max_placeholder_index",
 ]

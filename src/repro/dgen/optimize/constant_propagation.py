@@ -11,41 +11,31 @@ This pass implements the first dgen optimisation of the paper (§3.4):
     emitting single simplified expressions in place of the previous function
     bodies."
 
-Two granularities are provided:
-
-* :func:`specialize_primitive_template` resolves one hole-controlled
-  primitive call site into a simplified expression *template* over its
-  operand placeholders (``{op0}``, ``{op1}`` ...).  This is what the
-  version-2 code of Figure 6 uses: the helper function keeps its operand
-  parameters but its body shrinks to a single return expression.
-* :func:`specialize_expr` / :func:`specialize_stmts` fully substitute hole
-  values into an expression or statement list, producing an equivalent AST
-  with no hole-controlled primitives left.  Together with constant folding
-  and dead-branch elimination this is the fully-specialised form used by the
-  version-3 (inlined) code.  :func:`specialize_stmts` also substitutes a
-  variable bound to a literal into the code after it, drops
-  self-assignments and replaces an ``if`` whose arms all do what its
-  ``else`` does by that ``else``.
+:func:`specialize_expr` / :func:`specialize_stmts` fully substitute hole
+values into an expression or statement list, producing an equivalent AST
+with no hole-controlled primitives left: each call site becomes the
+expression :func:`repro.alu_dsl.semantics.select` resolves it to, so the
+primitive's operands are inlined into that expression.  Together with
+constant folding and dead-branch elimination this is the fully-specialised
+form used by the version-3 (inlined) code.  :func:`specialize_stmts` also
+substitutes a variable bound to a literal into the code after it, drops
+self-assignments and replaces an ``if`` whose arms all do what its ``else``
+does by that ``else``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ...alu_dsl import semantics
 from ...alu_dsl.ast_nodes import (
     ALUSpec,
-    ArithOpExpr,
     Assign,
     BinaryOp,
-    BoolOpExpr,
-    ConstExpr,
     Expr,
     If,
-    MuxExpr,
     Number,
-    OptExpr,
-    RelOpExpr,
+    Primitive,
     Return,
     Stmt,
     UnaryOp,
@@ -64,41 +54,6 @@ def _hole_value(holes: Mapping[str, int], name: str | None) -> int:
         return int(holes[name])
     except KeyError:
         raise MissingMachineCodeError(name) from None
-
-
-# ----------------------------------------------------------------------
-# Primitive-site specialisation (helper-function granularity, Figure 6 v2)
-# ----------------------------------------------------------------------
-def specialize_primitive_template(expr: Expr, holes: Mapping[str, int]) -> Tuple[str, int]:
-    """Resolve one primitive call site to an expression template.
-
-    Returns ``(template, arity)`` where ``template`` is a Python expression
-    over the placeholders ``{op0}`` ... ``{opN-1}`` and ``arity`` is the
-    number of operand placeholders.  The template is exactly what the
-    specialised helper function of Figure 6 (version 2) returns.
-    """
-    if isinstance(expr, MuxExpr):
-        value = _hole_value(holes, expr.hole_name)
-        return "{op%d}" % (value % expr.width), expr.width
-    if isinstance(expr, OptExpr):
-        value = _hole_value(holes, expr.hole_name)
-        return ("{op0}" if value % 2 == 0 else "0"), 1
-    if isinstance(expr, ConstExpr):
-        value = _hole_value(holes, expr.hole_name)
-        return str(value), 0
-    if isinstance(expr, RelOpExpr):
-        value = _hole_value(holes, expr.hole_name)
-        template = semantics.REL_OPS[value % len(semantics.REL_OPS)][0]
-        return template.format(a="{op0}", b="{op1}"), 2
-    if isinstance(expr, ArithOpExpr):
-        value = _hole_value(holes, expr.hole_name)
-        template = semantics.ARITH_OPS[value % len(semantics.ARITH_OPS)][0]
-        return template.format(a="{op0}", b="{op1}"), 2
-    if isinstance(expr, BoolOpExpr):
-        value = _hole_value(holes, expr.hole_name)
-        template = semantics.BOOL_OPS[value % len(semantics.BOOL_OPS)][0]
-        return template.format(a="{op0}", b="{op1}"), 2
-    raise CodegenError(f"{type(expr).__name__} is not a hole-controlled primitive")
 
 
 # ----------------------------------------------------------------------
@@ -138,41 +93,9 @@ def _specialize(
             _specialize(expr.left, holes, hole_vars, constants),
             _specialize(expr.right, holes, hole_vars, constants),
         )
-    if isinstance(expr, MuxExpr):
-        value = _hole_value(holes, expr.hole_name)
-        selected = expr.inputs[value % expr.width]
+    if isinstance(expr, Primitive):
+        selected = semantics.select(expr.name, _hole_value(holes, expr.hole_name), expr.args)
         return _specialize(selected, holes, hole_vars, constants)
-    if isinstance(expr, OptExpr):
-        value = _hole_value(holes, expr.hole_name)
-        if value % 2 == 0:
-            return _specialize(expr.operand, holes, hole_vars, constants)
-        return Number(0)
-    if isinstance(expr, ConstExpr):
-        return Number(_hole_value(holes, expr.hole_name))
-    if isinstance(expr, RelOpExpr):
-        value = _hole_value(holes, expr.hole_name)
-        symbol = semantics.REL_OP_SYMBOLS[value % len(semantics.REL_OP_SYMBOLS)]
-        return BinaryOp(
-            symbol,
-            _specialize(expr.left, holes, hole_vars, constants),
-            _specialize(expr.right, holes, hole_vars, constants),
-        )
-    if isinstance(expr, ArithOpExpr):
-        value = _hole_value(holes, expr.hole_name)
-        symbol = semantics.ARITH_OP_SYMBOLS[value % len(semantics.ARITH_OP_SYMBOLS)]
-        return BinaryOp(
-            symbol,
-            _specialize(expr.left, holes, hole_vars, constants),
-            _specialize(expr.right, holes, hole_vars, constants),
-        )
-    if isinstance(expr, BoolOpExpr):
-        value = _hole_value(holes, expr.hole_name)
-        symbol = semantics.BOOL_OP_SYMBOLS[value % len(semantics.BOOL_OP_SYMBOLS)]
-        return BinaryOp(
-            symbol,
-            _specialize(expr.left, holes, hole_vars, constants),
-            _specialize(expr.right, holes, hole_vars, constants),
-        )
     raise CodegenError(f"unknown expression node {type(expr).__name__}")
 
 

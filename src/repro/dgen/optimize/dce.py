@@ -11,30 +11,11 @@ from __future__ import annotations
 
 from typing import List, Sequence, Set
 
-from ...alu_dsl.ast_nodes import Assign, Expr, If, Return, Stmt
-
-
-def _expr_reads(expr: Expr) -> Set[str]:
-    from ...alu_dsl.analysis import _collect_expr_vars
-
-    reads: Set[str] = set()
-    _collect_expr_vars(expr, reads)
-    return reads
+from ...alu_dsl.ast_nodes import Assign, Stmt, Var, walk_stmt_exprs
 
 
 def _stmts_reads(stmts: Sequence[Stmt]) -> Set[str]:
-    reads: Set[str] = set()
-    for stmt in stmts:
-        if isinstance(stmt, Assign):
-            reads |= _expr_reads(stmt.value)
-        elif isinstance(stmt, Return):
-            reads |= _expr_reads(stmt.value)
-        elif isinstance(stmt, If):
-            for condition, body in stmt.branches:
-                reads |= _expr_reads(condition)
-                reads |= _stmts_reads(body)
-            reads |= _stmts_reads(stmt.orelse)
-    return reads
+    return {expr.name for expr in walk_stmt_exprs(stmts) if isinstance(expr, Var)}
 
 
 def remove_dead_local_assignments(stmts: Sequence[Stmt], protected: Set[str]) -> List[Stmt]:

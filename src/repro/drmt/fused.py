@@ -50,7 +50,7 @@ from ..errors import CodegenError
 from ..ir import nodes as ir
 from ..ir.printer import execute
 from ..p4.dependency import table_usage
-from ..p4.program import Action, P4Program, Table
+from ..p4.program import Action, P4Program, Table, integer_literal
 from .scheduler import ACTION_OP, MATCH_OP, Schedule
 
 #: Name of the generated entry point.
@@ -400,10 +400,10 @@ class DrmtFusedGenerator:
             return bindings[arg]
         if "." in arg:
             return f"fields.get({arg!r}, 0)"
-        try:
-            return str(int(arg, 0))
-        except ValueError:
-            raise CodegenError(f"cannot resolve action argument {arg!r}") from None
+        value = integer_literal(arg)
+        if value is None:
+            raise CodegenError(f"cannot resolve action argument {arg!r}")
+        return str(value)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from ..errors import SimulationError
-from ..p4.program import Action, ControlApply, P4Program
+from ..p4.program import Action, ControlApply, P4Program, integer_literal
 from .scheduler import ACTION_OP, MATCH_OP, Schedule
 from .tables import TableEntry, TableStore
 
@@ -210,7 +210,7 @@ class MatchActionProcessor:
             return bindings[arg]
         if "." in arg:
             return int(packet.fields.get(arg, 0))
-        try:
-            return int(arg, 0)
-        except ValueError:
-            raise SimulationError(f"cannot resolve action argument {arg!r}") from None
+        value = integer_literal(arg)
+        if value is None:
+            raise SimulationError(f"cannot resolve action argument {arg!r}")
+        return value

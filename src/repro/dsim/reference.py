@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..alu_dsl import ALUInterpreter
-from ..alu_dsl.semantics import mux_select
 from ..errors import MissingMachineCodeError, SimulationError
 from ..hardware import PipelineSpec
 from ..machine_code import naming
@@ -80,11 +79,11 @@ class ReferenceStage:
             stage_state[slot][:] = result.state
             stateful_outputs.append(result.output)
 
-        candidates = tuple(stateless_outputs + stateful_outputs)
         outputs: List[int] = []
         for container in range(spec.width):
             selector = self._value(naming.output_mux_name(self.stage, container))
-            outputs.append(mux_select(selector, candidates + (phv[container],)))
+            choices = (*stateless_outputs, *stateful_outputs, phv[container])
+            outputs.append(choices[selector % len(choices)])
         return outputs
 
 

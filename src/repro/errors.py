@@ -14,17 +14,8 @@ class DruzhbaError(Exception):
     """Base class of every exception raised by this library."""
 
 
-class ALUDSLError(DruzhbaError):
-    """Base class for errors in the ALU domain-specific language."""
-
-
-class ALUDSLSyntaxError(ALUDSLError):
-    """Raised when ALU DSL source text cannot be tokenised or parsed.
-
-    Carries the ``line`` and ``column`` of the offending token when known so
-    that compiler developers get a precise location, matching how dgen reports
-    malformed ALU specifications.
-    """
+class _Located(DruzhbaError):
+    """A syntax error carrying the ``line`` and ``column`` of the offending text when known."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         location = ""
@@ -33,6 +24,19 @@ class ALUDSLSyntaxError(ALUDSLError):
         super().__init__(message + location)
         self.line = line
         self.column = column
+
+
+class ALUDSLError(DruzhbaError):
+    """Base class for errors in the ALU domain-specific language."""
+
+
+class ALUDSLSyntaxError(_Located, ALUDSLError):
+    """Raised when ALU DSL source text cannot be tokenised or parsed.
+
+    Carries the ``line`` and ``column`` of the offending token when known so
+    that compiler developers get a precise location, matching how dgen reports
+    malformed ALU specifications.
+    """
 
 
 class ALUDSLSemanticError(ALUDSLError):
@@ -58,14 +62,6 @@ class MissingMachineCodeError(MachineCodeError):
 
     def __init__(self, name: str, message: str | None = None):
         super().__init__(message or f"missing machine code pair: {name!r}")
-        self.name = name
-
-
-class UnknownMachineCodeError(MachineCodeError):
-    """A machine-code pair names a primitive that does not exist in the pipeline."""
-
-    def __init__(self, name: str, message: str | None = None):
-        super().__init__(message or f"unknown machine code pair: {name!r}")
         self.name = name
 
 
@@ -104,16 +100,8 @@ class DominoError(DruzhbaError):
     """Base class for errors in the Domino-like frontend."""
 
 
-class DominoSyntaxError(DominoError):
+class DominoSyntaxError(_Located, DominoError):
     """Raised when Domino source text cannot be tokenised or parsed."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        location = ""
-        if line is not None:
-            location = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + location)
-        self.line = line
-        self.column = column
 
 
 class DominoSemanticError(DominoError):
@@ -124,7 +112,7 @@ class P4Error(DruzhbaError):
     """Base class for errors in the P4-14-like program model."""
 
 
-class P4SyntaxError(P4Error):
+class P4SyntaxError(_Located, P4Error):
     """Raised when P4-14-like source text cannot be parsed."""
 
 

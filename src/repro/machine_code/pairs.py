@@ -175,18 +175,6 @@ class MachineCode(Mapping[str, int]):
                 + ("..." if len(bad) > 5 else "")
             )
 
-    def restricted_to_stage(self, stage: int) -> "MachineCode":
-        """Return only the pairs that configure primitives in ``stage``."""
-        kept = {}
-        for name, value in self._pairs.items():
-            try:
-                parsed = naming.parse_name(name)
-            except MachineCodeError:
-                continue
-            if parsed.stage == stage:
-                kept[name] = value
-        return MachineCode(kept)
-
 
 def expected_names(
     depth: int,

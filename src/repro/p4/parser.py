@@ -21,7 +21,8 @@ The accepted syntax is a compact subset of P4-14 sufficient for dRMT dgen:
     }
 
 ``//`` and ``#`` comments run to end of line.  Numbers are decimal or
-``0x``-prefixed hexadecimal.
+``0x``-prefixed hexadecimal (:func:`repro.p4.program.integer_literal`); a
+decimal with a leading zero such as ``010`` is a syntax error.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from .program import (
     Register,
     Table,
     TableRead,
+    integer_literal,
 )
 
+#: Every digit run lexes as one number token, so ``010`` is refused whole.
 _NUMBER = r"0[xX][0-9a-fA-F]+|[0-9]+"
 
 _TOKEN_RE = re.compile(
@@ -63,13 +66,22 @@ def _tokenize(source: str) -> List[str]:
     line = 1
     while position < len(source):
         match = _TOKEN_RE.match(source, position)
+        column = position - source.rfind("\n", 0, position)
         if match is None:
-            raise P4SyntaxError(f"unexpected character {source[position]!r} on line {line}")
-        line += match.group(0).count("\n")
+            raise P4SyntaxError(f"unexpected character {source[position]!r}", line, column)
+        text = match.group(0)
+        if match.lastgroup == "number" and integer_literal(text) is None:
+            raise P4SyntaxError(
+                f"integer literal {text!r} has a leading zero; "
+                "write a decimal without one or a 0x hexadecimal",
+                line,
+                column,
+            )
+        line += text.count("\n")
         position = match.end()
         if match.lastgroup in ("ws", "comment"):
             continue
-        tokens.append(match.group(0))
+        tokens.append(text)
     return tokens
 
 
@@ -110,9 +122,10 @@ class P4Parser:
 
     def _expect_number(self) -> int:
         token = self._advance()
-        if not re.fullmatch(_NUMBER, token):
+        value = integer_literal(token)
+        if value is None:
             raise P4SyntaxError(f"expected a number, found {token!r}")
-        return int(token, 16) if token[1:2] in ("x", "X") else int(token)
+        return value
 
     # ------------------------------------------------------------------
     # Top level

@@ -11,6 +11,7 @@ order (optionally under a condition).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -43,12 +44,20 @@ _VALUE_ARGS = {
 }
 
 
-def _is_integer(text: str) -> bool:
-    try:
-        int(text, 0)
-    except ValueError:
-        return False
-    return True
+#: A P4 integer literal: ``0x`` hexadecimal, or decimal without a leading zero.
+_INTEGER_LITERAL = re.compile(r"0[xX][0-9a-fA-F]+|0|[1-9][0-9]*")
+
+
+def integer_literal(text: str) -> Optional[int]:
+    """The value of the P4 integer literal ``text``, or ``None`` when it is not one.
+
+    The parser, the program check, the dRMT interpreter and the fused dRMT
+    generator all read literals here, so ``010`` is refused everywhere
+    rather than read as 10 in one place and rejected in another.
+    """
+    if _INTEGER_LITERAL.fullmatch(text) is None:
+        return None
+    return int(text, 0)
 
 
 @dataclass
@@ -299,7 +308,7 @@ class P4Program:
                                 f"action {action.name!r} references unknown field {arg!r}"
                             )
                 for arg in (call.args[index] for index in _VALUE_ARGS.get(call.op, ())):
-                    if arg not in action.params and "." not in arg and not _is_integer(arg):
+                    if arg not in action.params and "." not in arg and integer_literal(arg) is None:
                         raise P4SemanticError(
                             f"action {action.name!r} passes {arg!r} to {call.op}; an argument "
                             "must be a parameter, a declared field or an integer"

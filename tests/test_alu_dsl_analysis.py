@@ -3,7 +3,7 @@
 import pytest
 
 from repro.alu_dsl import analyze, parse, parse_and_analyze
-from repro.alu_dsl.analysis import ARITH_OP_DOMAIN, BOOL_OP_DOMAIN, OPT_DOMAIN, REL_OP_DOMAIN, UNBOUNDED
+from repro.alu_dsl.semantics import UNBOUNDED
 from repro.errors import ALUDSLSemanticError
 
 
@@ -70,11 +70,11 @@ class TestDomains:
             ("state_0 = Mux2(pkt_0, pkt_1);", "mux2_0", 2),
             ("state_0 = Mux3(pkt_0, pkt_1, pkt_0);", "mux3_0", 3),
             ("state_0 = Mux4(pkt_0, pkt_1, pkt_0, pkt_1);", "mux4_0", 4),
-            ("state_0 = Opt(state_0);", "opt_0", OPT_DOMAIN),
+            ("state_0 = Opt(state_0);", "opt_0", 2),
             ("state_0 = C();", "const_0", UNBOUNDED),
-            ("state_0 = rel_op(pkt_0, pkt_1);", "rel_op_0", REL_OP_DOMAIN),
-            ("state_0 = arith_op(pkt_0, pkt_1);", "arith_op_0", ARITH_OP_DOMAIN),
-            ("state_0 = bool_op(pkt_0, pkt_1);", "bool_op_0", BOOL_OP_DOMAIN),
+            ("state_0 = rel_op(pkt_0, pkt_1);", "rel_op_0", 6),
+            ("state_0 = arith_op(pkt_0, pkt_1);", "arith_op_0", 4),
+            ("state_0 = bool_op(pkt_0, pkt_1);", "bool_op_0", 2),
         ],
     )
     def test_domain_per_primitive(self, body, hole, domain):

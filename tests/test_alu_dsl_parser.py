@@ -4,16 +4,11 @@ import pytest
 
 from repro.alu_dsl import parse
 from repro.alu_dsl.ast_nodes import (
-    ArithOpExpr,
     Assign,
     BinaryOp,
-    BoolOpExpr,
-    ConstExpr,
     If,
-    MuxExpr,
     Number,
-    OptExpr,
-    RelOpExpr,
+    Primitive,
     Return,
     UnaryOp,
     Var,
@@ -207,44 +202,40 @@ class TestExpressions:
 class TestPrimitiveCalls:
     def test_mux2(self):
         expr = parse_body("state_0 = Mux2(pkt_0, pkt_1);")[0].value
-        assert isinstance(expr, MuxExpr)
-        assert expr.width == 2
+        assert expr == Primitive("Mux2", (Var("pkt_0"), Var("pkt_1")))
 
     def test_mux3_with_const(self):
         expr = parse_body("state_0 = Mux3(pkt_0, pkt_1, C());")[0].value
-        assert isinstance(expr, MuxExpr)
-        assert expr.width == 3
-        assert isinstance(expr.inputs[2], ConstExpr)
+        assert expr == Primitive("Mux3", (Var("pkt_0"), Var("pkt_1"), Primitive("C", ())))
 
     def test_mux4(self):
         expr = parse_body("state_0 = Mux4(pkt_0, pkt_1, state_0, C());")[0].value
-        assert expr.width == 4
+        assert expr.name == "Mux4" and len(expr.args) == 4
 
     def test_opt(self):
         expr = parse_body("state_0 = Opt(state_0);")[0].value
-        assert isinstance(expr, OptExpr)
+        assert expr == Primitive("Opt", (Var("state_0"),))
 
     def test_const(self):
         expr = parse_body("state_0 = C();")[0].value
-        assert isinstance(expr, ConstExpr)
+        assert expr == Primitive("C", ())
 
     def test_rel_op(self):
         expr = parse_body("state_0 = rel_op(pkt_0, pkt_1);")[0].value
-        assert isinstance(expr, RelOpExpr)
+        assert expr == Primitive("rel_op", (Var("pkt_0"), Var("pkt_1")))
 
     def test_arith_op(self):
         expr = parse_body("state_0 = arith_op(pkt_0, pkt_1);")[0].value
-        assert isinstance(expr, ArithOpExpr)
+        assert expr == Primitive("arith_op", (Var("pkt_0"), Var("pkt_1")))
 
     def test_bool_op(self):
         expr = parse_body("state_0 = bool_op(pkt_0, pkt_1);")[0].value
-        assert isinstance(expr, BoolOpExpr)
+        assert expr == Primitive("bool_op", (Var("pkt_0"), Var("pkt_1")))
 
     def test_nested_primitives(self):
         expr = parse_body("state_0 = arith_op(Opt(state_0), Mux3(pkt_0, pkt_1, C()));")[0].value
-        assert isinstance(expr, ArithOpExpr)
-        assert isinstance(expr.left, OptExpr)
-        assert isinstance(expr.right, MuxExpr)
+        assert expr.name == "arith_op"
+        assert [arg.name for arg in expr.args] == ["Opt", "Mux3"]
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ALUDSLSyntaxError):
@@ -271,7 +262,7 @@ class TestFigure4Example:
         assert spec.packet_fields == ["pkt_0", "pkt_1"]
         assert isinstance(spec.body[0], If)
         condition = spec.body[0].branches[0][0]
-        assert isinstance(condition, RelOpExpr)
+        assert isinstance(condition, Primitive) and condition.name == "rel_op"
 
 
 class TestUnicodeNames:

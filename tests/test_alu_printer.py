@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import atoms
 from repro.alu_dsl import ALUInterpreter, format_expr, format_spec, format_stmts, parse_and_analyze
-from repro.alu_dsl.ast_nodes import BinaryOp, MuxExpr, Number, UnaryOp, Var
+from repro.alu_dsl.ast_nodes import BinaryOp, Number, Primitive, UnaryOp, Var
 from repro.dgen.optimize import specialize_spec
 
 
@@ -26,8 +26,9 @@ class TestExpressionFormatting:
         assert format_expr(UnaryOp("!", Var("x"))) == "!x"
 
     def test_primitive_calls(self):
-        expr = MuxExpr((Var("pkt_0"), Var("pkt_1")))
+        expr = Primitive("Mux2", (Var("pkt_0"), Var("pkt_1")))
         assert format_expr(expr) == "Mux2(pkt_0, pkt_1)"
+        assert format_expr(Primitive("C", ())) == "C()"
 
     def test_statement_formatting(self):
         spec = atoms.get_atom("pred_raw")

@@ -1,31 +1,17 @@
-"""Unit tests for the dgen optimisation passes (SCC propagation, folding, DCE, inlining)."""
+"""Unit tests for the dgen optimisation passes (SCC propagation, folding, DCE)."""
 
 import pytest
 
 from repro.alu_dsl import ALUInterpreter, parse_and_analyze
 from repro import dgen
-from repro.alu_dsl.ast_nodes import (
-    ArithOpExpr,
-    Assign,
-    BinaryOp,
-    ConstExpr,
-    If,
-    MuxExpr,
-    Number,
-    OptExpr,
-    RelOpExpr,
-    Var,
-)
+from repro.alu_dsl import semantics
+from repro.alu_dsl.ast_nodes import Assign, BinaryOp, If, Number, Primitive, Var
 from repro.dgen.optimize import (
     constant_value,
     fold_expr,
-    inline_call,
     is_constant,
-    max_placeholder_index,
-    placeholder_count,
     remove_dead_local_assignments,
     specialize_expr,
-    specialize_primitive_template,
     specialize_spec,
     specialize_stmts,
 )
@@ -129,48 +115,38 @@ class TestDeadCodeElimination:
         assert remove_dead_local_assignments(stmts, protected={"state_0"}) == stmts
 
 
-class TestPrimitiveTemplates:
-    def test_mux_template_selects_input(self):
-        template, arity = specialize_primitive_template(
-            MuxExpr((Var("a"), Var("b"), Var("c")), hole_name="m"), {"m": 1}
-        )
-        assert template == "{op1}"
-        assert arity == 3
+class TestPrimitiveSelect:
+    """``semantics.select`` resolves a call site with a known hole value."""
 
-    def test_mux_template_wraps_modulo(self):
-        template, _ = specialize_primitive_template(
-            MuxExpr((Var("a"), Var("b")), hole_name="m"), {"m": 5}
-        )
-        assert template == "{op1}"
+    A, B, C = Var("a"), Var("b"), Var("c")
 
-    def test_opt_template(self):
-        assert specialize_primitive_template(OptExpr(Var("s"), hole_name="o"), {"o": 0})[0] == "{op0}"
-        assert specialize_primitive_template(OptExpr(Var("s"), hole_name="o"), {"o": 1})[0] == "0"
+    def test_mux_selects_input(self):
+        assert semantics.select("Mux3", 1, (self.A, self.B, self.C)) == self.B
 
-    def test_const_template_is_literal(self):
-        template, arity = specialize_primitive_template(ConstExpr(hole_name="c"), {"c": 55})
-        assert template == "55"
-        assert arity == 0
+    def test_mux_wraps_modulo(self):
+        assert semantics.select("Mux2", 5, (self.A, self.B)) == self.B
 
-    def test_rel_op_template(self):
-        template, _ = specialize_primitive_template(
-            RelOpExpr(Var("a"), Var("b"), hole_name="r"), {"r": 0}
-        )
-        assert "==" in template and "{op0}" in template and "{op1}" in template
+    def test_opt(self):
+        assert semantics.select("Opt", 0, (self.A,)) == self.A
+        assert semantics.select("Opt", 1, (self.A,)) == Number(0)
 
-    def test_arith_op_template(self):
-        template, _ = specialize_primitive_template(
-            ArithOpExpr(Var("a"), Var("b"), hole_name="r"), {"r": 1}
-        )
-        assert "-" in template
+    def test_const_is_literal(self):
+        assert semantics.select("C", 55, ()) == Number(55)
+
+    def test_rel_op(self):
+        assert semantics.select("rel_op", 0, (self.A, self.B)) == BinaryOp("==", self.A, self.B)
+
+    def test_arith_op(self):
+        assert semantics.select("arith_op", 1, (self.A, self.B)) == BinaryOp("-", self.A, self.B)
+        assert semantics.select("arith_op", 3, (self.A, self.B)) == BinaryOp("/", self.A, self.B)
 
     def test_missing_hole_raises(self):
         with pytest.raises(MissingMachineCodeError):
-            specialize_primitive_template(ConstExpr(hole_name="c"), {})
+            specialize_expr(Primitive("C", (), hole_name="c"), {})
 
-    def test_non_primitive_rejected(self):
+    def test_unnamed_hole_rejected(self):
         with pytest.raises(CodegenError):
-            specialize_primitive_template(Number(1), {})
+            specialize_expr(Primitive("C", ()), {})
 
 
 class TestSpecialization:
@@ -233,38 +209,6 @@ class TestSpecialization:
         specialized = specialize_spec(spec, {"opt_0": 0, "const_0": 2})
         assert specialized.holes == []
         assert specialized.hole_vars == []
-
-
-class TestInlining:
-    def test_placeholder_count(self):
-        assert placeholder_count("{op0} + {op1}") == 2
-        assert placeholder_count("{op0} + {op0}") == 1
-        assert placeholder_count("42") == 0
-
-    def test_max_placeholder_index(self):
-        assert max_placeholder_index("{op2} - {op0}") == 2
-        assert max_placeholder_index("7") == -1
-
-    def test_inline_simple_call(self):
-        assert inline_call("{op0}", ["phv[1]"]) == "phv[1]"
-
-    def test_inline_wraps_compound_arguments(self):
-        result = inline_call("int(({op0}) == ({op1}))", ["a + b", "c"])
-        assert "(a + b)" in result and "(c)" in result or "c" in result
-
-    def test_inline_does_not_wrap_atoms(self):
-        assert inline_call("{op0} + {op1}", ["x", "12"]) == "x + 12"
-
-    def test_inline_missing_argument_rejected(self):
-        with pytest.raises(CodegenError):
-            inline_call("{op1}", ["only_one"])
-
-    def test_inlined_expression_evaluates_correctly(self):
-        template, _ = specialize_primitive_template(
-            ArithOpExpr(Var("a"), Var("b"), hole_name="h"), {"h": 0}
-        )
-        code = inline_call(template, ["2 + 3", "4"])
-        assert eval(code) == 9  # noqa: S307 - controlled generated code
 
 
 STATELESS_TEMPLATE = """

@@ -142,10 +142,6 @@ class TestMachineCodeContainer:
         with pytest.raises(MachineCodeError):
             MachineCode({"not_a_primitive": 1}).validate_names()
 
-    def test_restricted_to_stage(self):
-        mc = MachineCode({output_mux_name(0, 0): 1, output_mux_name(1, 0): 2})
-        assert set(mc.restricted_to_stage(1)) == {output_mux_name(1, 0)}
-
 
 class TestFileIO:
     def test_text_round_trip(self, tmp_path):

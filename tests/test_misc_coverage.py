@@ -19,7 +19,6 @@ from repro.errors import (
     MachineCodeError,
     MissingMachineCodeError,
     SimulationError,
-    UnknownMachineCodeError,
 )
 from repro.hardware import PipelineSpec
 from repro.ir import Module
@@ -68,16 +67,20 @@ class TestErrorHierarchy:
         assert error.name == "pipeline_stage_0_output_mux_phv_0"
         assert issubclass(MissingMachineCodeError, MachineCodeError)
 
-    def test_unknown_machine_code_error(self):
-        error = UnknownMachineCodeError("bogus_pair")
-        assert "bogus_pair" in str(error)
-
 
 class TestGrammarModule:
     def test_describe_lists_all_primitives(self):
         text = grammar.describe()
         for name in grammar.primitive_names():
             assert name in text
+
+    def test_describe_lists_each_operator_choice(self):
+        lines = {line.split()[0]: line for line in grammar.describe().splitlines() if line}
+        assert lines["rel_op"].endswith("(6 choices: ==, <, >, !=, <=, >=)")
+        assert lines["arith_op"].endswith("(4 choices: +, -, *, /)")
+        assert lines["bool_op"].endswith("(2 choices: &&, ||)")
+        for name in ("Mux2", "Mux3", "Mux4", "Opt", "C"):
+            assert "choices" not in lines[name]
 
     def test_ebnf_mentions_core_productions(self):
         assert "if_stmt" in grammar.EBNF

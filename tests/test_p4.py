@@ -16,7 +16,7 @@ from repro.p4 import (
     table_usage,
 )
 from repro.p4.parser import _tokenize
-from repro.p4.program import PrimitiveCall, TableRead
+from repro.p4.program import PrimitiveCall, TableRead, integer_literal
 
 MINIMAL = """
 header_type h_t { fields { a : 8; b : 16; } }
@@ -118,6 +118,41 @@ class TestParser:
         assert program.tables["t1"].size == 16
         assert program.control_flow[1].condition_value == 2
         assert program.actions["set_a"].body[0].args == ["h.a", "0x1f"]
+
+    #: One integer literal in each place the grammar takes one.
+    LITERAL_SITES = {
+        "header width": ("a : 8;", "a : {};"),
+        "table size": ("size : 4;", "size : {};"),
+        "if": ("apply(t2);", "if (h.a == {}) {{ apply(t2); }}"),
+        "modify_field": ("modify_field(h.a, v);", "modify_field(h.a, {});"),
+    }
+
+    @pytest.mark.parametrize("site", LITERAL_SITES)
+    def test_leading_zero_decimal_rejected_at_its_location(self, site):
+        old, new = self.LITERAL_SITES[site]
+        source = MINIMAL.replace(old, new.format("010"))
+        offset = source.index("010")
+        with pytest.raises(P4SyntaxError, match="integer literal '010' has a leading zero") as info:
+            parse(source)
+        assert info.value.line == source.count("\n", 0, offset) + 1
+        assert info.value.column == offset - source.rfind("\n", 0, offset)
+
+    @pytest.mark.parametrize("literal, value", [("10", 10), ("0x1", 1), ("0", 0)])
+    @pytest.mark.parametrize("site", LITERAL_SITES)
+    def test_decimal_and_hex_literals_accepted(self, site, literal, value):
+        old, new = self.LITERAL_SITES[site]
+        program = parse(MINIMAL.replace(old, new.format(literal)))
+        read = {
+            "header width": lambda: program.header_types["h_t"].fields[0][1],
+            "table size": lambda: program.tables["t1"].size,
+            "if": lambda: program.control_flow[1].condition_value,
+            "modify_field": lambda: integer_literal(program.actions["set_a"].body[0].args[1]),
+        }[site]
+        assert read() == value
+
+    @pytest.mark.parametrize("text", ["010", "00", "-1", "+1", "1_0", " 1", "0b1", "0o7", "0x"])
+    def test_integer_literal_refuses_other_spellings(self, text):
+        assert integer_literal(text) is None
 
     def test_sample_programs_parse_and_validate(self):
         assert samples.simple_router().table_order() == ["forward", "acl", "flow_stats"]
