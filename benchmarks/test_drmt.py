@@ -77,7 +77,8 @@ def test_drmt_simulation_throughput(benchmark, num_processors, engine, drmt_pack
 
 
 def test_milp_vs_greedy_schedule_quality(capsys):
-    """Compare the optional MILP scheduler against the greedy one (no regression)."""
+    """Compare the MILP scheduler against the greedy one (no regression)."""
+    pytest.importorskip("scipy")
     from repro.drmt import MilpScheduler
 
     rows = []
@@ -87,15 +88,12 @@ def test_milp_vs_greedy_schedule_quality(capsys):
         hardware = DrmtHardwareParams()
         greedy = GreedyScheduler(program, graph, hardware).schedule()
         milp = MilpScheduler(program, graph, hardware).schedule()
-        milp_makespan = milp.makespan if milp is not None else None
-        if milp is not None:
-            assert validate_schedule(milp, program, graph) == []
-            assert milp.makespan <= greedy.makespan
-        rows.append((program_name, greedy.makespan, milp_makespan))
+        assert validate_schedule(milp, program, graph) == []
+        assert milp.makespan <= greedy.makespan
+        rows.append((program_name, greedy.makespan, milp.makespan))
 
     with capsys.disabled():
         print("\ndRMT scheduler quality (makespan in cycles)")
         print(f"{'program':22s} {'greedy':>8s} {'milp':>8s}")
         for name, greedy_makespan, milp_makespan in rows:
-            rendered = str(milp_makespan) if milp_makespan is not None else "n/a"
-            print(f"{name:22s} {greedy_makespan:>8d} {rendered:>8s}")
+            print(f"{name:22s} {greedy_makespan:>8d} {milp_makespan:>8d}")

@@ -49,7 +49,7 @@ from . import (
     verification,
 )
 from .errors import DruzhbaError
-from .hardware import PipelineSpec, describe_pipeline, make_pipeline_spec
+from .hardware import PipelineSpec, describe_pipeline
 from .machine_code import MachineCode
 
 __version__ = "1.0.0"
@@ -59,7 +59,6 @@ __all__ = [
     "DruzhbaError",
     "PipelineSpec",
     "MachineCode",
-    "make_pipeline_spec",
     "describe_pipeline",
     "alu_dsl",
     "atoms",

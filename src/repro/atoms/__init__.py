@@ -1,20 +1,11 @@
 """Banzai atom catalogue: 6 stateful and 5 stateless ALUs in the ALU DSL (paper §3.1)."""
 
-from .catalog import (
-    atom_names,
-    atom_source,
-    get_atom,
-    stateful_catalog,
-    stateless_catalog,
-)
+from .catalog import atom_names, get_atom
 from .sources import STATEFUL_SOURCES, STATELESS_SOURCES
 
 __all__ = [
     "atom_names",
-    "atom_source",
     "get_atom",
-    "stateful_catalog",
-    "stateless_catalog",
     "STATEFUL_SOURCES",
     "STATELESS_SOURCES",
 ]

@@ -24,16 +24,6 @@ def _build_catalog(kind: str) -> Dict[str, ALUSpec]:
     return catalog
 
 
-def stateful_catalog() -> Dict[str, ALUSpec]:
-    """All stateful atoms, keyed by name (``raw``, ``if_else_raw``, ...)."""
-    return dict(_build_catalog("stateful"))
-
-
-def stateless_catalog() -> Dict[str, ALUSpec]:
-    """All stateless atoms, keyed by name (``stateless_arith``, ...)."""
-    return dict(_build_catalog("stateless"))
-
-
 def atom_names() -> List[str]:
     """Every atom name in the catalogue (stateful first, then stateless)."""
     return list(STATEFUL_SOURCES) + list(STATELESS_SOURCES)
@@ -51,17 +41,6 @@ def get_atom(name: str) -> ALUSpec:
     stateless = _build_catalog("stateless")
     if name in stateless:
         return stateless[name]
-    raise ALUDSLError(
-        f"unknown atom {name!r}; known atoms: {', '.join(atom_names())}"
-    )
-
-
-def atom_source(name: str) -> str:
-    """Return the ALU DSL source text of an atom (useful for docs and the CLI)."""
-    if name in STATEFUL_SOURCES:
-        return STATEFUL_SOURCES[name]
-    if name in STATELESS_SOURCES:
-        return STATELESS_SOURCES[name]
     raise ALUDSLError(
         f"unknown atom {name!r}; known atoms: {', '.join(atom_names())}"
     )

@@ -59,16 +59,6 @@ class CompileResult:
     pipeline_spec: PipelineSpec
     fuzz_outcome: Optional[FuzzOutcome] = None
 
-    @property
-    def success(self) -> bool:
-        """True when synthesis succeeded (and post-compile fuzzing, if requested, passed)."""
-        if not self.synthesis.success or self.machine_code is None:
-            return False
-        if self.fuzz_outcome is not None:
-            return self.fuzz_outcome.passed
-        return True
-
-
 class ChipmunkCompiler:
     """Program-synthesis-based compiler targeting the Druzhba instruction set."""
 

@@ -13,7 +13,6 @@ derived from the program being compiled.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -127,24 +126,6 @@ class Sketch:
     # ------------------------------------------------------------------
     # Assignments
     # ------------------------------------------------------------------
-    def random_assignment(self, rng: random.Random) -> List[int]:
-        """A uniformly random assignment (indices into each domain)."""
-        return [rng.randrange(len(self.domains[name])) for name in self.search_names]
-
-    def zero_assignment(self) -> List[int]:
-        """The all-zeros assignment (first candidate of every domain)."""
-        return [0] * len(self.search_names)
-
-    def mutate(self, assignment: Sequence[int], rng: random.Random, positions: int = 1) -> List[int]:
-        """Return a copy of ``assignment`` with ``positions`` coordinates re-drawn."""
-        if not self.search_names:
-            return list(assignment)
-        mutated = list(assignment)
-        for _ in range(positions):
-            index = rng.randrange(len(self.search_names))
-            domain = self.domains[self.search_names[index]]
-            mutated[index] = rng.randrange(len(domain))
-        return mutated
 
     def enumerate_assignments(self) -> Iterable[List[int]]:
         """Yield every assignment in lexicographic order (use only for small spaces)."""

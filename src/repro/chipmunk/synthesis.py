@@ -6,9 +6,10 @@ without an SMT solver, this reproduction uses counterexample-guided inductive
 synthesis (CEGIS) with an explicit-search inner loop:
 
 1. draw a small set of example PHVs;
-2. search the sketch for an assignment whose pipeline behaviour matches the
-   specification on every example (exhaustively when the space is small,
-   otherwise by random restarts plus coordinate-wise hill climbing);
+2. enumerate the sketch for an assignment whose pipeline behaviour matches
+   the specification on every example (a sketch with more candidates than
+   :attr:`SynthesisConfig.exhaustive_limit` is refused: freeze pairs or
+   narrow ``search_names`` to shrink it);
 3. verify the candidate against the specification on a much larger random
    trace; a disagreeing PHV becomes a new example and the loop repeats.
 
@@ -17,7 +18,7 @@ description, which accepts machine code as runtime values — precisely the
 pre-optimisation dgen/dsim split the paper describes in §3.4 — so the
 (comparatively expensive) code generation runs only once per sketch.
 
-Because the inner loop scores thousands of candidates against the *same*
+Because the inner loop checks thousands of candidates against the *same*
 example set, three hot-path optimisations apply (none changes results):
 
 * the specification trace is computed once per distinct input trace and
@@ -27,19 +28,17 @@ example set, three hot-path optimisations apply (none changes results):
   functions sequentially — semantically identical to the tick model for a
   feedforward pipeline — instead of constructing a fresh simulator, pipeline
   and trace per candidate;
-* mismatch counting early-exits as soon as a candidate is provably no better
-  than the score it is compared against.
+* a candidate is rejected at its first mismatching PHV.
 
 The §5.2 failure mode "the synthesis engine failed to find machine code to
 satisfy 10-bit inputs in the allotted time thus only returning machine code
 that only satisfied a limited range of values" is reproduced faithfully: when
-the CEGIS loop exhausts its iteration budget, the engine returns the best
-candidate found so far flagged as unverified.
+the CEGIS loop exhausts its iteration budget, the engine returns the last
+candidate that satisfied its examples, flagged as unverified.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +46,7 @@ from .. import dgen
 from ..dgen.emit import PipelineDescription
 from ..dsim import TrafficGenerator
 from ..engine.rmt import push_phv, stage_pairs
-from ..errors import MissingMachineCodeError
+from ..errors import MissingMachineCodeError, SynthesisError
 from ..hardware import PipelineSpec
 from ..machine_code.pairs import MachineCode
 from ..testing.spec import Specification
@@ -63,9 +62,9 @@ class _CandidateEvaluator:
     the stage functions one at a time, in order — for a feedforward pipeline
     this produces exactly the tick model's outputs and state, without
     per-candidate simulator construction, PHV objects or trace records.
-    Scoring keeps its own inner loop on top of the shared
-    :func:`~repro.engine.rmt.stage_pairs` layout so mismatch counting can
-    early-exit mid-trace.
+    Checking keeps its own inner loop on top of the shared
+    :func:`~repro.engine.rmt.stage_pairs` layout so a candidate can be
+    rejected mid-trace.
     """
 
     def __init__(
@@ -93,40 +92,31 @@ class _CandidateEvaluator:
         """
         return [[int(v) for v in phv] for phv in inputs]
 
-    def mismatches(
+    def matches(
         self,
         values: Dict[str, int],
         inputs: Sequence[Sequence[int]],
         expected_outputs: Sequence[Sequence[int]],
-        limit: Optional[int] = None,
-    ) -> int:
-        """Count mismatching (PHV, container) pairs for one candidate.
+    ) -> bool:
+        """True when the candidate produces every expected output.
 
-        ``limit`` early-exits the count once it exceeds ``limit`` — any
-        return value ``<= limit`` is exact, which is all the hill climber's
-        ``candidate_score <= score`` acceptance test needs.  ``inputs`` must
-        come from :meth:`prepare`.
+        Stops at the first mismatching PHV.  ``inputs`` must come from
+        :meth:`prepare`.
         """
         pairs = stage_pairs(self._stage_functions, self._fresh_state())
         containers = self._containers
-        count = 0
         try:
             for outputs, expected in zip(inputs, expected_outputs):
                 for function, stage_state in pairs:
                     outputs = function(outputs, stage_state, values)
                 if containers is None:
-                    count += sum(
-                        1 for actual, want in zip(outputs, expected) if actual != want
-                    )
-                else:
-                    for container in containers:
-                        if outputs[container] != expected[container]:
-                            count += 1
-                if limit is not None and count > limit:
-                    return count
+                    if any(actual != want for actual, want in zip(outputs, expected)):
+                        return False
+                elif any(outputs[container] != expected[container] for container in containers):
+                    return False
         except KeyError as error:
             raise MissingMachineCodeError(str(error.args[0])) from error
-        return count
+        return True
 
     def first_counterexample(
         self,
@@ -169,12 +159,8 @@ class SynthesisConfig:
     verify_phvs: int = 400
     #: Maximum container value used for verification (10-bit by default, §5.2).
     verify_max_value: int = (1 << 10) - 1
-    #: Exhaustive enumeration is used when the sketch has at most this many candidates.
+    #: The most candidates a sketch may have; the search enumerates them all.
     exhaustive_limit: int = 50_000
-    #: Random restarts of the hill climber per CEGIS iteration.
-    restarts: int = 30
-    #: Hill-climbing steps per restart.
-    climb_steps: int = 400
     #: PRNG seed.
     seed: int = 0
 
@@ -189,12 +175,6 @@ class SynthesisResult:
     candidates_evaluated: int
     message: str = ""
     examples_used: List[List[int]] = field(default_factory=list)
-
-    @property
-    def verified(self) -> bool:
-        """Alias for :attr:`success` (the result passed the verification fuzz)."""
-        return self.success
-
 
 class SynthesisEngine:
     """CEGIS driver for one (pipeline, specification, sketch) triple."""
@@ -214,7 +194,6 @@ class SynthesisEngine:
         self.config = config or SynthesisConfig()
         self._initial_state = initial_state
         self._traffic_generator = traffic_generator
-        self._rng = random.Random(self.config.seed)
         self._candidates_evaluated = 0
         # Level-0 description: machine code is a runtime input, so one
         # generation serves every candidate.
@@ -230,36 +209,42 @@ class SynthesisEngine:
             specification.relevant_containers,
         )
         self._spec_cache: Dict[Tuple[Tuple[int, ...], ...], List[tuple]] = {}
-        # Best (score, assignment) seen by the most recent failed stochastic
-        # search; surfaces the §5.2 "limited range" fallback when no
-        # iteration ever fully satisfied its example set.
-        self._best_partial: Optional[Tuple[int, List[int]]] = None
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def synthesize(self) -> SynthesisResult:
-        """Run the CEGIS loop and return the best machine code found."""
+        """Run the CEGIS loop and return the best machine code found.
+
+        A failed run returns the last assignment that satisfied its example
+        set, if any (paper §5.2).
+        """
         config = self.config
+        size = self.sketch.space_size()
+        if size > config.exhaustive_limit:
+            raise SynthesisError(
+                f"the sketch has {size} candidates, more than exhaustive_limit="
+                f"{config.exhaustive_limit}; freeze pairs or narrow search_names"
+            )
         examples = self._initial_examples()
-        best_assignment: Optional[List[int]] = None
+        candidate: Optional[MachineCode] = None
 
         for iteration in range(1, config.max_iterations + 1):
             assignment = self._search(examples)
             if assignment is None:
                 return SynthesisResult(
-                    machine_code=self._best_machine_code(self._fallback_assignment(best_assignment)),
+                    machine_code=candidate,
                     success=False,
                     iterations=iteration,
                     candidates_evaluated=self._candidates_evaluated,
                     message="inner search could not satisfy the current example set",
                     examples_used=[list(e) for e in examples],
                 )
-            best_assignment = assignment
+            candidate = self.sketch.to_machine_code(assignment)
             counterexample = self._verify(assignment, seed=config.seed + iteration)
             if counterexample is None:
                 return SynthesisResult(
-                    machine_code=self.sketch.to_machine_code(assignment),
+                    machine_code=candidate,
                     success=True,
                     iterations=iteration,
                     candidates_evaluated=self._candidates_evaluated,
@@ -269,7 +254,7 @@ class SynthesisEngine:
             examples.append(counterexample)
 
         return SynthesisResult(
-            machine_code=self._best_machine_code(self._fallback_assignment(best_assignment)),
+            machine_code=candidate,
             success=False,
             iterations=config.max_iterations,
             candidates_evaluated=self._candidates_evaluated,
@@ -309,8 +294,7 @@ class SynthesisEngine:
         The inner search evaluates thousands of candidates against the same
         example set; the specification runs once per set and ``_search``
         threads the result through every candidate evaluation.  The cache
-        additionally serves repeated ``synthesize()`` calls and direct
-        ``_mismatches`` calls; verification traces are *not* cached (each
+        additionally serves repeated ``synthesize()`` calls; verification traces are *not* cached (each
         CEGIS iteration draws a fresh one, so entries would never be reused
         and the 400-PHV expected outputs would only accumulate memory).
         """
@@ -321,18 +305,12 @@ class SynthesisEngine:
             self._spec_cache[key] = cached
         return cached
 
-    def _mismatches(
-        self,
-        values: Dict[str, int],
-        inputs: Sequence[Sequence[int]],
-        expected: Optional[Sequence[tuple]] = None,
-        limit: Optional[int] = None,
-    ) -> int:
-        """Number of mismatching (PHV, container) pairs for one candidate."""
+    def _matches(
+        self, values: Dict[str, int], inputs: Sequence[Sequence[int]], expected: Sequence[tuple]
+    ) -> bool:
+        """True when one candidate produces ``expected`` on ``inputs``."""
         self._candidates_evaluated += 1
-        if expected is None:
-            expected = self._spec_outputs(inputs)
-        return self._evaluator.mismatches(values, inputs, expected, limit=limit)
+        return self._evaluator.matches(values, inputs, expected)
 
     def _search(self, examples: Sequence[Sequence[int]]) -> Optional[List[int]]:
         """Find an assignment with zero mismatches on ``examples`` (or ``None``)."""
@@ -340,48 +318,10 @@ class SynthesisEngine:
         expected = self._spec_outputs(examples)
         prepared = self._evaluator.prepare(examples)
         if not sketch.search_names:
-            score = self._mismatches(sketch.to_values([]), prepared, expected, limit=0)
-            return [] if score == 0 else None
-        if sketch.space_size() <= self.config.exhaustive_limit:
-            return self._search_exhaustive(prepared, expected)
-        return self._search_stochastic(prepared, expected)
-
-    def _search_exhaustive(
-        self, examples: Sequence[Sequence[int]], expected: Sequence[tuple]
-    ) -> Optional[List[int]]:
-        for assignment in self.sketch.enumerate_assignments():
-            if self._mismatches(self.sketch.to_values(assignment), examples, expected, limit=0) == 0:
+            return [] if self._matches(sketch.to_values([]), prepared, expected) else None
+        for assignment in sketch.enumerate_assignments():
+            if self._matches(sketch.to_values(assignment), prepared, expected):
                 return assignment
-        return None
-
-    def _search_stochastic(
-        self, examples: Sequence[Sequence[int]], expected: Sequence[tuple]
-    ) -> Optional[List[int]]:
-        config = self.config
-        best: Optional[Tuple[int, List[int]]] = None
-        for restart in range(config.restarts):
-            assignment = (
-                self.sketch.zero_assignment() if restart == 0 else self.sketch.random_assignment(self._rng)
-            )
-            score = self._mismatches(self.sketch.to_values(assignment), examples, expected)
-            if score == 0:
-                return assignment
-            for _ in range(config.climb_steps):
-                candidate = self.sketch.mutate(assignment, self._rng, positions=1 + self._rng.randrange(2))
-                # Scores above the incumbent are rejected whatever their exact
-                # value, so counting can stop as soon as it passes ``score``.
-                candidate_score = self._mismatches(
-                    self.sketch.to_values(candidate), examples, expected, limit=score
-                )
-                if candidate_score <= score:
-                    assignment, score = candidate, candidate_score
-                    if score == 0:
-                        return assignment
-            if best is None or score < best[0]:
-                best = (score, list(assignment))
-        # No restart satisfied every example: record the best-scoring
-        # assignment so the §5.2 "limited range" fallback can surface it.
-        self._best_partial = best
         return None
 
     def _verify(self, assignment: Sequence[int], seed: int) -> Optional[List[int]]:
@@ -394,26 +334,3 @@ class SynthesisEngine:
         expected = self.specification.run(inputs).outputs()
         prepared = self._evaluator.prepare(inputs)
         return self._evaluator.first_counterexample(values, prepared, expected)
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _fallback_assignment(
-        self, best_assignment: Optional[Sequence[int]]
-    ) -> Optional[Sequence[int]]:
-        """The assignment a failed run should surface (paper §5.2).
-
-        An assignment that satisfied a full example set in an earlier
-        iteration wins; otherwise the best-scoring candidate from the failing
-        stochastic search — previously discarded — is returned.
-        """
-        if best_assignment is not None:
-            return best_assignment
-        if self._best_partial is not None:
-            return self._best_partial[1]
-        return None
-
-    def _best_machine_code(self, assignment: Optional[Sequence[int]]) -> Optional[MachineCode]:
-        if assignment is None:
-            return None
-        return self.sketch.to_machine_code(assignment)

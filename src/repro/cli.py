@@ -254,7 +254,7 @@ def drmt_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--ticks-per-match", type=int, default=2)
     parser.add_argument("--ticks-per-action", type=int, default=1)
-    parser.add_argument("--milp", action="store_true", help="use the MILP scheduler when available")
+    parser.add_argument("--milp", action="store_true", help="use the MILP scheduler (needs scipy)")
     parser.add_argument(
         "--engine", default="auto",
         choices=[ENGINE_AUTO, ENGINE_TICK, ENGINE_FUSED],

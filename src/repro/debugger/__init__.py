@@ -1,8 +1,7 @@
 """Time-travel debugging for Druzhba pipeline simulations (paper §7 future work).
 
-Record a simulation tick by tick, then move a cursor forwards and backwards
-through it, set breakpoints on container or state values, and trace the
-per-stage journey of any PHV.
+Record a simulation tick by tick, then run a cursor forward to a breakpoint
+on a container value, rewind it, and trace the per-stage journey of any PHV.
 """
 
 from .recorder import (
@@ -11,13 +10,7 @@ from .recorder import (
     TickSnapshot,
     record_execution,
 )
-from .session import (
-    Breakpoint,
-    TimeTravelDebugger,
-    container_breakpoint,
-    phv_exit_breakpoint,
-    state_breakpoint,
-)
+from .session import Breakpoint, TimeTravelDebugger, container_breakpoint
 
 __all__ = [
     "record_execution",
@@ -26,7 +19,5 @@ __all__ = [
     "StageOccupancy",
     "TimeTravelDebugger",
     "Breakpoint",
-    "state_breakpoint",
     "container_breakpoint",
-    "phv_exit_breakpoint",
 ]

@@ -48,10 +48,6 @@ class TickSnapshot:
     entered: Optional[int]
     exited: Optional[int]
 
-    def stage(self, index: int) -> StageOccupancy:
-        """Occupancy of one stage."""
-        return self.stages[index]
-
     def state_of(self, stage: int, slot: int) -> List[int]:
         """State vector of one stateful ALU at the end of this tick."""
         return list(self.state[stage][slot])
@@ -74,11 +70,6 @@ class ExecutionRecording:
         """Number of recorded ticks."""
         return len(self.snapshots)
 
-    @property
-    def depth(self) -> int:
-        """Pipeline depth of the recorded run."""
-        return self.description.spec.depth
-
     def snapshot(self, tick: int) -> TickSnapshot:
         """The snapshot taken at the end of ``tick``."""
         if tick < 0 or tick >= len(self.snapshots):
@@ -86,10 +77,6 @@ class ExecutionRecording:
                 f"tick {tick} outside the recorded range 0..{len(self.snapshots) - 1}"
             )
         return self.snapshots[tick]
-
-    def state_series(self, stage: int, slot: int, state_var: int = 0) -> List[int]:
-        """One state variable's value at the end of every tick."""
-        return [snapshot.state[stage][slot][state_var] for snapshot in self.snapshots]
 
     # ------------------------------------------------------------------
     # PHV-centric queries

@@ -1,10 +1,10 @@
 """The time-travel debugger (paper §7 future work).
 
 A :class:`TimeTravelDebugger` wraps an :class:`ExecutionRecording` with a
-movable cursor: testers can step forward, rewind, jump to an arbitrary tick,
-and set breakpoints on PHV container values or switch-state values.  Because
-every tick was recorded, "bi-directional traveling" costs nothing: running to
-a breakpoint backwards is just a reverse scan over the snapshots.
+movable cursor: testers run forward to a breakpoint on a PHV container
+value, then rewind tick by tick.  Because every tick was recorded,
+"bi-directional traveling" costs nothing: rewinding just moves the cursor
+back over the snapshots.
 """
 
 from __future__ import annotations
@@ -31,17 +31,6 @@ class Breakpoint:
         return bool(self.predicate(snapshot))
 
 
-def state_breakpoint(
-    stage: int, slot: int, state_var: int, condition: Callable[[int], bool], name: str = ""
-) -> Breakpoint:
-    """Break when a stateful ALU's state variable satisfies ``condition``."""
-    label = name or f"state[{stage}][{slot}][{state_var}]"
-    return Breakpoint(
-        name=label,
-        predicate=lambda snapshot: condition(snapshot.state[stage][slot][state_var]),
-    )
-
-
 def container_breakpoint(
     stage: int, container: int, condition: Callable[[int], bool], name: str = ""
 ) -> Breakpoint:
@@ -60,13 +49,6 @@ def container_breakpoint(
         return condition(occupancy.write[container])
 
     return Breakpoint(name=label, predicate=predicate)
-
-
-def phv_exit_breakpoint(phv_id: int) -> Breakpoint:
-    """Break on the tick at which a specific PHV leaves the pipeline."""
-    return Breakpoint(
-        name=f"PHV {phv_id} exits", predicate=lambda snapshot: snapshot.exited == phv_id
-    )
 
 
 class TimeTravelDebugger:
@@ -92,27 +74,6 @@ class TimeTravelDebugger:
         """Snapshot under the cursor."""
         return self.recording.snapshot(self._cursor)
 
-    @property
-    def at_start(self) -> bool:
-        """True when the cursor is at the first recorded tick."""
-        return self._cursor == 0
-
-    @property
-    def at_end(self) -> bool:
-        """True when the cursor is at the last recorded tick."""
-        return self._cursor == self.recording.num_ticks - 1
-
-    def goto(self, tick: int) -> TickSnapshot:
-        """Jump to an absolute tick."""
-        snapshot = self.recording.snapshot(tick)  # validates the range
-        self._cursor = tick
-        return snapshot
-
-    def step(self, ticks: int = 1) -> TickSnapshot:
-        """Advance the cursor by ``ticks`` (clamped to the end of the recording)."""
-        self._cursor = min(self._cursor + ticks, self.recording.num_ticks - 1)
-        return self.current
-
     def rewind(self, ticks: int = 1) -> TickSnapshot:
         """Move the cursor backwards by ``ticks`` (clamped to the first tick)."""
         self._cursor = max(self._cursor - ticks, 0)
@@ -126,28 +87,15 @@ class TimeTravelDebugger:
         self.breakpoints.append(breakpoint)
         return breakpoint
 
-    def clear_breakpoints(self) -> None:
-        """Remove every registered breakpoint."""
-        self.breakpoints.clear()
-
     def run_forward(self) -> Optional[TickSnapshot]:
         """Advance until a breakpoint matches; return its snapshot or ``None`` at the end."""
-        return self._run(direction=1)
-
-    def run_backward(self) -> Optional[TickSnapshot]:
-        """Rewind until a breakpoint matches; return its snapshot or ``None`` at the start."""
-        return self._run(direction=-1)
-
-    def _run(self, direction: int) -> Optional[TickSnapshot]:
         if not self.breakpoints:
-            raise SimulationError("no breakpoints registered; use step()/rewind() instead")
-        tick = self._cursor + direction
-        while 0 <= tick < self.recording.num_ticks:
+            raise SimulationError("no breakpoints registered")
+        for tick in range(self._cursor + 1, self.recording.num_ticks):
             snapshot = self.recording.snapshot(tick)
             if any(breakpoint.matches(snapshot) for breakpoint in self.breakpoints):
                 self._cursor = tick
                 return snapshot
-            tick += direction
         return None
 
     # ------------------------------------------------------------------

@@ -22,8 +22,8 @@ Typical use::
     from repro.hardware import PipelineSpec
 
     spec = PipelineSpec(depth=2, width=2,
-                        stateful_alu=atoms.stateful_catalog()["if_else_raw"],
-                        stateless_alu=atoms.stateless_catalog()["stateless_arith"])
+                        stateful_alu=atoms.get_atom("if_else_raw"),
+                        stateless_alu=atoms.get_atom("stateless_arith"))
     description = dgen.generate(spec, machine_code, opt_level=2)
 """
 
@@ -40,9 +40,8 @@ from .codegen import (
     OPT_SCC,
     OPT_SCC_INLINE,
     OPT_UNOPTIMIZED,
-    generate_alu,
 )
-from .emit import PipelineDescription, compile_description, render
+from .emit import PipelineDescription, compile_description
 from .pipeline_builder import PipelineGenerator
 
 
@@ -91,8 +90,6 @@ def generate(
 __all__ = [
     "generate",
     "generate_module",
-    "generate_alu",
-    "render",
     "compile_description",
     "PipelineGenerator",
     "PipelineDescription",

@@ -559,22 +559,3 @@ def _opcode_dispatch(name: str, placeholders: Sequence[Var]) -> List[ir.IRStmt]:
     ]
     branches = [(f"opcode % {domain} == {value}", returns[value]) for value in range(domain - 1)]
     return [ir.If(branches=branches, orelse=returns[-1])]
-
-
-def generate_alu(
-    spec: ALUSpec,
-    stage: int,
-    kind: str,
-    slot: int,
-    opt_level: int,
-    machine_code: Optional[Mapping[str, int]] = None,
-) -> ALUCode:
-    """Convenience wrapper around :class:`ALUFunctionGenerator`."""
-    return ALUFunctionGenerator(
-        spec=spec,
-        stage=stage,
-        kind=kind,
-        slot=slot,
-        opt_level=opt_level,
-        machine_code=machine_code,
-    ).generate()

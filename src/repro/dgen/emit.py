@@ -17,9 +17,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CodegenError
 from ..hardware import PipelineSpec
-from ..ir import Module, execute, to_source
+from ..ir import Module, execute
 from ..machine_code.pairs import MachineCode
-from .codegen import OPT_LEVEL_NAMES, OPT_UNOPTIMIZED
+from .codegen import OPT_LEVEL_NAMES
 
 PathLike = Union[str, Path]
 
@@ -85,11 +85,6 @@ class PipelineDescription:
         """Human-readable optimisation level name."""
         return OPT_LEVEL_NAMES[self.opt_level]
 
-    @property
-    def needs_runtime_values(self) -> bool:
-        """True when stage functions read machine code from the ``values`` dict at runtime."""
-        return self.opt_level == OPT_UNOPTIMIZED
-
     def runtime_values(self) -> Dict[str, int]:
         """The ``values`` hash table handed to stage functions at simulation time."""
         if self.machine_code is None:
@@ -116,11 +111,6 @@ class PipelineDescription:
         path = Path(path)
         path.write_text(self.source)
         return path
-
-
-def render(module: Module) -> str:
-    """Render an IR module to Python source text."""
-    return to_source(module)
 
 
 def compile_description(

@@ -19,12 +19,10 @@ further pass over the assembled loop.
 
 from .constant_propagation import specialize_expr, specialize_spec, specialize_stmts
 from .dce import remove_dead_local_assignments
-from .folding import constant_value, fold_expr, is_constant
+from .folding import fold_expr
 
 __all__ = [
     "fold_expr",
-    "is_constant",
-    "constant_value",
     "remove_dead_local_assignments",
     "specialize_expr",
     "specialize_stmts",

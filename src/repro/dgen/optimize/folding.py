@@ -70,19 +70,3 @@ def _fold_algebraic_identities(expr: BinaryOp) -> Expr:
             if isinstance(operand, Number) and bool(operand.value) == decider:
                 return Number(int(decider))
     return expr
-
-
-def is_constant(expr: Expr) -> bool:
-    """True when ``expr`` folds to a literal number."""
-    return isinstance(fold_expr(expr), Number)
-
-
-def constant_value(expr: Expr) -> int:
-    """Return the folded literal value of ``expr``.
-
-    Raises ``ValueError`` when the expression is not constant.
-    """
-    folded = fold_expr(expr)
-    if not isinstance(folded, Number):
-        raise ValueError("expression is not constant")
-    return folded.value

@@ -107,16 +107,6 @@ class DominoProgram:
         """Initial value of every state variable."""
         return {decl.name: decl.initial for decl in self.state_decls}
 
-    @property
-    def packet_fields(self) -> List[str]:
-        """All packet fields touched by the program (reads first, then write-only fields)."""
-        fields = list(self.packet_fields_read)
-        for name in self.packet_fields_written:
-            if name not in fields:
-                fields.append(name)
-        return fields
-
-
 def walk_dexpr(expr: Expr) -> List[Expr]:
     """Pre-order traversal of a Domino expression."""
     out: List[Expr] = [expr]

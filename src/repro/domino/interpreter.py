@@ -9,7 +9,7 @@ mirrors Domino's atomic per-packet transaction semantics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, MutableMapping, Sequence
+from typing import Dict, Mapping, MutableMapping, Sequence
 
 from ..alu_dsl.ast_nodes import BinaryOp, Expr, If, Number, Stmt, UnaryOp
 from ..alu_dsl.semantics import apply_binary, apply_unary
@@ -41,14 +41,6 @@ class DominoInterpreter:
         locals_env: Dict[str, int] = {}
         self._exec_stmts(self.program.body, fields, state, locals_env)
         return fields
-
-    def run_trace(
-        self, packets: Sequence[Mapping[str, int]], state: MutableMapping[str, int] | None = None
-    ) -> List[Dict[str, int]]:
-        """Execute a whole packet trace, returning the per-packet output fields."""
-        if state is None:
-            state = self.initial_state()
-        return [self.execute(packet, state) for packet in packets]
 
     # ------------------------------------------------------------------
     # Internals

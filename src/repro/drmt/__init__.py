@@ -21,7 +21,7 @@ from .scheduler import (
     validate_schedule,
 )
 from .simulator import DRMTSimulator, DrmtPacketRecord, DrmtSimulationResult
-from .table_config import load_entries, parse_entries, parse_entry_line, populate_store
+from .table_config import parse_entries, parse_entry_line, populate_store
 from .tables import MatchActionTable, MatchPattern, TableEntry, TableStore
 from ..traffic import PacketGenerator, values_field
 
@@ -53,7 +53,6 @@ __all__ = [
     "MatchPattern",
     "parse_entries",
     "parse_entry_line",
-    "load_entries",
     "populate_store",
     "PacketGenerator",
     "values_field",

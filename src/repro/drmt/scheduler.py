@@ -12,9 +12,9 @@ The reproduction provides two back ends:
   dependency order and books each one into the earliest cycle that satisfies
   both its dependencies and the per-cycle match/action issue limits;
 * an optional **MILP formulation** solved with :func:`scipy.optimize.milp`
-  (time-indexed binary variables) that minimises the makespan; it is used
-  when scipy is importable and the instance is small enough, and falls back
-  to the greedy schedule otherwise.
+  (time-indexed binary variables) that minimises the makespan.  It needs
+  scipy and an instance of at most ``MilpScheduler.MAX_VARIABLES`` binary
+  variables; asked for without them, it raises :class:`SchedulingError`.
 
 Both honour the same constraint set, and the tests assert that every emitted
 schedule respects dependencies and issue limits.
@@ -55,13 +55,6 @@ class Schedule:
     def start(self, table: str, op_kind: str) -> int:
         """Launch cycle of one operation."""
         return self.start_times[(table, op_kind)]
-
-    def end(self, table: str, op_kind: str) -> int:
-        """Completion cycle (exclusive) of one operation."""
-        duration = (
-            self.hardware.ticks_per_match if op_kind == MATCH_OP else self.hardware.ticks_per_action
-        )
-        return self.start(table, op_kind) + duration
 
     def operations_at(self, cycle: int) -> List[Operation]:
         """Operations launched at ``cycle``."""
@@ -169,19 +162,29 @@ class MilpScheduler:
         self.hardware = hardware
 
     def schedule(self) -> Optional[Schedule]:
-        """Return an optimised schedule, or ``None`` when MILP is unavailable/oversized."""
+        """Return an optimised schedule, or ``None`` when there is nothing to schedule.
+
+        Raises :class:`SchedulingError` when scipy is missing, when the
+        instance has more than :attr:`MAX_VARIABLES` binary variables, or
+        when the solver finds no schedule.
+        """
         try:
             import numpy as np
             from scipy.optimize import LinearConstraint, milp, Bounds
-        except ImportError:  # pragma: no cover - scipy is normally installed
-            return None
+        except ImportError:
+            raise SchedulingError("the MILP scheduler needs scipy, which is not installed") from None
 
         greedy = GreedyScheduler(self.program, self.dependency_graph, self.hardware).schedule()
         horizon = greedy.makespan
         op_graph = _operation_graph(self.program, self.dependency_graph, self.hardware)
         operations = list(nx.topological_sort(op_graph))
-        if not operations or len(operations) * horizon > self.MAX_VARIABLES:
+        if not operations:
             return None
+        if len(operations) * horizon > self.MAX_VARIABLES:
+            raise SchedulingError(
+                f"the MILP instance has {len(operations) * horizon} binary variables, "
+                f"more than MAX_VARIABLES={self.MAX_VARIABLES}"
+            )
 
         index = {(op, t): i for i, (op, t) in enumerate(
             ((op, t) for op in operations for t in range(horizon))
@@ -228,7 +231,7 @@ class MilpScheduler:
             bounds=Bounds(0, 1),
         )
         if not result.success or result.x is None:
-            return None
+            raise SchedulingError(f"the MILP solve failed: {result.message}")
 
         start_times: Dict[Operation, int] = {}
         for op in operations:
@@ -252,9 +255,10 @@ def schedule_program(
 ) -> Schedule:
     """Schedule ``program`` on dRMT hardware.
 
-    The greedy list scheduler is always used; when ``use_milp`` is set and
-    the MILP back end is available and succeeds, its (no-worse) schedule is
-    returned instead.
+    The greedy list scheduler is always used; when ``use_milp`` is set, the
+    MILP schedule is returned instead unless its makespan is longer.  A MILP
+    that cannot run (no scipy, too large an instance, a failed solve) raises
+    :class:`SchedulingError` rather than leave the greedy schedule in place.
     """
     greedy = GreedyScheduler(program, dependency_graph, hardware).schedule()
     if use_milp:

@@ -162,11 +162,6 @@ class DrmtSimulationResult:
             self._inputs, self._outputs, self._dropped = (), (), ()
         return self._records
 
-    @records.setter
-    def records(self, records: List[DrmtPacketRecord]) -> None:
-        self._records = records
-        self._inputs, self._outputs, self._dropped = (), (), ()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DrmtSimulationResult):
             return NotImplemented

@@ -17,20 +17,20 @@ with patterns written as
 * ``42&&&0xff`` — ternary match (value ``&&&`` mask);
 * ``42/24`` — longest-prefix match (value ``/`` prefix length).
 
-``#`` and ``//`` comments and blank lines are ignored.
+Every value is a P4 integer literal (decimal without a leading zero, or
+``0x`` hex), read by :func:`repro.p4.program.integer_literal`; ``-1``,
+``0b11`` or ``1_0`` is an error naming the line.  ``#`` and ``//``
+comments and blank lines are ignored.
 """
 
 from __future__ import annotations
 
 import re
-from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import TableConfigError
-from ..p4.program import P4Program
+from ..p4.program import P4Program, integer_literal
 from .tables import MatchPattern, TableEntry, TableStore
-
-PathLike = Union[str, Path]
 
 _LINE_RE = re.compile(
     r"^add\s+(?P<table>\w+)\s+(?P<matches>.*?)\s*=>\s*(?P<action>\w+)\s*\((?P<args>[^)]*)\)\s*$"
@@ -39,11 +39,10 @@ _MATCH_RE = re.compile(r"(?P<field>[\w.]+)\s*=\s*(?P<pattern>[^\s]+)")
 
 
 def _parse_int(text: str) -> int:
-    text = text.strip()
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise TableConfigError(f"{text!r} is not an integer") from None
+    value = integer_literal(text)
+    if value is None:
+        raise TableConfigError(f"{text!r} is not an integer literal")
+    return value
 
 
 def parse_pattern(text: str, kind: str, width: int) -> MatchPattern:
@@ -79,19 +78,19 @@ def parse_entry_line(line: str, program: P4Program, line_number: int = 0) -> Tup
 
     declared_kinds: Dict[str, str] = {read.field: read.match_kind for read in table.reads}
     patterns: Dict[str, MatchPattern] = {}
-    for field_match in _MATCH_RE.finditer(match.group("matches")):
-        field_name = field_match.group("field")
-        if field_name not in declared_kinds:
-            raise TableConfigError(
-                f"line {line_number}: table {table_name!r} does not match on {field_name!r}"
-            )
-        width = program.field_width(field_name)
-        patterns[field_name] = parse_pattern(
-            field_match.group("pattern"), declared_kinds[field_name], width
-        )
-
     args_text = match.group("args").strip()
-    action_args = [_parse_int(arg) for arg in args_text.split(",")] if args_text else []
+    try:
+        for field_match in _MATCH_RE.finditer(match.group("matches")):
+            field_name = field_match.group("field")
+            if field_name not in declared_kinds:
+                raise TableConfigError(f"table {table_name!r} does not match on {field_name!r}")
+            width = program.field_width(field_name)
+            patterns[field_name] = parse_pattern(
+                field_match.group("pattern"), declared_kinds[field_name], width
+            )
+        action_args = [_parse_int(arg.strip()) for arg in args_text.split(",")] if args_text else []
+    except TableConfigError as error:
+        raise TableConfigError(f"line {line_number}: {error}") from None
     entry = TableEntry(patterns=patterns, action=match.group("action"), action_args=action_args)
     return table_name, entry
 
@@ -106,11 +105,6 @@ def parse_entries(text: str, program: P4Program) -> List[Tuple[str, TableEntry]]
             continue
         entries.append(parse_entry_line(line, program, line_number))
     return entries
-
-
-def load_entries(path: PathLike, program: P4Program) -> List[Tuple[str, TableEntry]]:
-    """Parse a configuration file from disk."""
-    return parse_entries(Path(path).read_text(), program)
 
 
 def populate_store(store: TableStore, entries: Sequence[Tuple[str, TableEntry]]) -> TableStore:

@@ -108,26 +108,21 @@ class MatchActionTable:
         self.hit_count = 0
         self.miss_count = 0
 
-    @property
-    def name(self) -> str:
-        """Table name."""
-        return self.definition.name
-
     def add_entry(self, entry: TableEntry) -> None:
         """Append an entry (validated against the table's reads and actions)."""
         expected_fields = set(self.definition.match_fields())
         if set(entry.patterns) != expected_fields:
             raise TableConfigError(
-                f"table {self.name!r} matches on {sorted(expected_fields)}, entry supplies "
+                f"table {self.definition.name!r} matches on {sorted(expected_fields)}, entry supplies "
                 f"{sorted(entry.patterns)}"
             )
         if entry.action not in self.definition.actions:
             raise TableConfigError(
-                f"table {self.name!r} cannot invoke action {entry.action!r}; allowed: "
+                f"table {self.definition.name!r} cannot invoke action {entry.action!r}; allowed: "
                 f"{self.definition.actions}"
             )
         if len(self.entries) >= self.definition.size:
-            raise TableConfigError(f"table {self.name!r} is full (size {self.definition.size})")
+            raise TableConfigError(f"table {self.definition.name!r} is full (size {self.definition.size})")
         self.entries.append(entry)
 
     def lookup(self, fields: Mapping[str, int]) -> Optional[TableEntry]:
@@ -161,7 +156,7 @@ class MatchActionTable:
         """
         if not self.is_exact:
             raise TableConfigError(
-                f"table {self.name!r} mixes match kinds; only all-exact tables "
+                f"table {self.definition.name!r} mixes match kinds; only all-exact tables "
                 "can be specialised into a dict index"
             )
         field_order = self.definition.match_fields()
@@ -221,10 +216,6 @@ class TableStore:
     def add_entry(self, table_name: str, entry: TableEntry) -> None:
         """Add one entry to one table."""
         self[table_name].add_entry(entry)
-
-    def total_entries(self) -> int:
-        """Number of entries across every table."""
-        return sum(len(table.entries) for table in self.tables.values())
 
     def hit_statistics(self) -> Dict[str, Tuple[int, int]]:
         """Per-table (hits, misses) counters accumulated during simulation."""

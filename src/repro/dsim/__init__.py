@@ -9,15 +9,9 @@ output trace records the modified PHVs and the state vectors.
 from .phv import PHV
 from .pipeline import Pipeline
 from .reference import ReferenceSimulator, ReferenceStage
-from .simulator import RMTSimulator, SimulationResult, simulate
+from .simulator import RMTSimulator, SimulationResult
 from .trace import Trace, TraceRecord
-from ..traffic import (
-    DEFAULT_MAX_VALUE,
-    TrafficGenerator,
-    choice_field,
-    constant_field,
-    uniform_field,
-)
+from ..traffic import DEFAULT_MAX_VALUE, TrafficGenerator, choice_field
 
 __all__ = [
     "PHV",
@@ -26,12 +20,9 @@ __all__ = [
     "ReferenceStage",
     "RMTSimulator",
     "SimulationResult",
-    "simulate",
     "Trace",
     "TraceRecord",
     "TrafficGenerator",
     "DEFAULT_MAX_VALUE",
-    "uniform_field",
     "choice_field",
-    "constant_field",
 ]

@@ -46,11 +46,6 @@ class PHV:
         values_list = [int(v) for v in values]
         return cls(phv_id=phv_id, read=values_list, write=list(values_list))
 
-    @property
-    def num_containers(self) -> int:
-        """Number of PHV containers."""
-        return len(self.read)
-
     def commit(self) -> None:
         """Move the write half into the read half (start-of-tick bookkeeping)."""
         if len(self.write) != len(self.read):

@@ -55,7 +55,7 @@ from ..engine.result import SimulationResult
 from ..errors import SimulationError
 from ..traffic import TrafficGenerator
 
-__all__ = ["RMTSimulator", "SimulationResult", "simulate"]
+__all__ = ["RMTSimulator", "SimulationResult"]
 
 
 class RMTSimulator:
@@ -170,26 +170,3 @@ class RMTSimulator:
         if self._initial_state is None:
             return None
         return [[list(alu) for alu in stage] for stage in self._initial_state]
-
-
-def simulate(
-    description,
-    phv_values: Sequence[Sequence[int]],
-    runtime_values: Optional[Dict[str, int]] = None,
-    initial_state: Optional[List[List[List[int]]]] = None,
-    engine: str = ENGINE_AUTO,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
-    shard_key: Optional[Sequence[int]] = None,
-) -> SimulationResult:
-    """One-shot convenience wrapper around :class:`RMTSimulator`."""
-    simulator = RMTSimulator(
-        description,
-        runtime_values=runtime_values,
-        initial_state=initial_state,
-        engine=engine,
-        shards=shards,
-        workers=workers,
-        shard_key=shard_key,
-    )
-    return simulator.run(phv_values)

@@ -23,12 +23,6 @@ class TraceRecord(NamedTuple):
     inputs: tuple
     outputs: tuple
 
-    @property
-    def num_containers(self) -> int:
-        """Number of PHV containers recorded."""
-        return len(self.inputs)
-
-
 class Trace:
     """An ordered collection of :class:`TraceRecord` plus final state vectors.
 
@@ -85,11 +79,6 @@ class Trace:
             self._inputs, self._outputs = (), []
         return self._records
 
-    @records.setter
-    def records(self, records: List[TraceRecord]) -> None:
-        self._records = records
-        self._inputs, self._outputs = (), []
-
     def append(self, phv_id: int, inputs: Sequence[int], outputs: Sequence[int]) -> None:
         """Record one PHV's input and output container values."""
         self.records.append(
@@ -127,10 +116,6 @@ class Trace:
         if self._records is None:
             return list(map(tuple, self._inputs))
         return [record.inputs for record in self._records]
-
-    def container_series(self, container: int) -> List[int]:
-        """The sequence of output values of one container across the trace."""
-        return [outputs[container] for outputs in self.outputs()]
 
     def format(self, limit: int = 20) -> str:
         """Human-readable rendering of the first ``limit`` records (CLI output)."""

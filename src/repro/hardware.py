@@ -164,24 +164,3 @@ def describe_pipeline(spec: PipelineSpec) -> str:
         f"({spec.stateless_alu.num_operands} operands, {len(spec.stateless_alu.holes)} holes), "
         f"{len(spec.expected_machine_code_names())} machine-code pairs expected"
     )
-
-
-def make_pipeline_spec(
-    depth: int,
-    width: int,
-    stateful_alu: ALUSpec,
-    stateless_alu: Optional[ALUSpec] = None,
-    name: str = "pipeline",
-) -> PipelineSpec:
-    """Convenience constructor that defaults the stateless ALU to the catalogue's arithmetic one."""
-    if stateless_alu is None:
-        from .atoms import stateless_catalog
-
-        stateless_alu = stateless_catalog()["stateless_full"]
-    return PipelineSpec(
-        depth=depth,
-        width=width,
-        stateful_alu=stateful_alu,
-        stateless_alu=stateless_alu,
-        name=name,
-    )

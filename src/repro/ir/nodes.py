@@ -114,13 +114,3 @@ class Module:
     globals: List[Assign] = field(default_factory=list)
     functions: List[FunctionDef] = field(default_factory=list)
     trailer: List[IRStmt] = field(default_factory=list)
-
-    def get_function(self, name: str) -> FunctionDef:
-        """Return the function definition called ``name``.
-
-        Raises ``KeyError`` when the module defines no such function.
-        """
-        for function in self.functions:
-            if function.name == name:
-                return function
-        raise KeyError(name)

@@ -7,26 +7,20 @@ behaviour (paper §3.1).
 """
 
 from .naming import (
-    PrimitiveName,
     STATEFUL,
     STATELESS,
     alu_hole_name,
     input_mux_name,
-    is_valid_name,
     output_mux_name,
-    parse_name,
 )
 from .pairs import MachineCode, expected_names
 
 __all__ = [
     "MachineCode",
-    "PrimitiveName",
     "expected_names",
     "alu_hole_name",
     "input_mux_name",
     "output_mux_name",
-    "parse_name",
-    "is_valid_name",
     "STATEFUL",
     "STATELESS",
 ]

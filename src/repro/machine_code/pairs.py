@@ -80,11 +80,6 @@ class MachineCode(Mapping[str, int]):
         self._pairs[name] = int(value)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[str, int]]) -> "MachineCode":
-        """Build from an iterable of ``(name, value)`` tuples."""
-        return cls(pairs)
-
-    @classmethod
     def from_file(cls, path: PathLike) -> "MachineCode":
         """Load machine code from a text or JSON file.
 
@@ -123,15 +118,6 @@ class MachineCode(Mapping[str, int]):
             pairs.append((name, value))
         return cls(pairs)
 
-    def to_file(self, path: PathLike) -> None:
-        """Write the pairs to ``path`` (JSON if the suffix is ``.json``, text otherwise)."""
-        path = Path(path)
-        if path.suffix == ".json":
-            path.write_text(json.dumps(dict(sorted(self._pairs.items())), indent=2) + "\n")
-        else:
-            lines = [f"{name} {value}" for name, value in sorted(self._pairs.items())]
-            path.write_text("\n".join(lines) + "\n")
-
     # ------------------------------------------------------------------
     # Derivation helpers
     # ------------------------------------------------------------------
@@ -146,10 +132,6 @@ class MachineCode(Mapping[str, int]):
         removed = set(names)
         return MachineCode({k: v for k, v in self._pairs.items() if k not in removed})
 
-    def merged(self, other: "MachineCode") -> "MachineCode":
-        """Return the union of two machine-code maps; ``other`` wins on conflicts."""
-        return self.with_pairs(dict(other))
-
     def as_dict(self) -> Dict[str, int]:
         """Return a plain ``dict`` copy of the pairs."""
         return dict(self._pairs)
@@ -160,21 +142,6 @@ class MachineCode(Mapping[str, int]):
     def missing(self, expected: Iterable[str]) -> List[str]:
         """Names in ``expected`` that have no pair here (sorted)."""
         return sorted(set(expected) - set(self._pairs))
-
-    def unknown(self, expected: Iterable[str]) -> List[str]:
-        """Names present here that the pipeline does not expect (sorted)."""
-        return sorted(set(self._pairs) - set(expected))
-
-    def validate_names(self) -> None:
-        """Check every pair name follows the naming convention of :mod:`naming`."""
-        bad = [name for name in self._pairs if not naming.is_valid_name(name)]
-        if bad:
-            raise MachineCodeError(
-                "machine code contains names that do not follow the naming convention: "
-                + ", ".join(sorted(bad)[:5])
-                + ("..." if len(bad) > 5 else "")
-            )
-
 
 def expected_names(
     depth: int,

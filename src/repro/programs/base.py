@@ -42,9 +42,9 @@ class BenchmarkProgram:
     depth / width / stateful_atom:
         Pipeline dimensions and ALU name exactly as reported in Table 1.
     description:
-        One-paragraph statement of the algorithm (including any
-        simplification relative to the original paper's algorithm — see
-        DESIGN.md for the substitution policy).
+        One-paragraph statement of the algorithm.  Where the program
+        departs from the paper's algorithm so that it fits the Table 1
+        pipeline and atom, the description says what was substituted.
     spec_function / state_template / relevant_containers:
         The high-level specification (Figure 5's "program spec").
     build_machine_code:
@@ -135,12 +135,3 @@ class BenchmarkProgram:
                 )
             state[stage][slot] = list(values)
         return state
-
-    def table1_row(self) -> Dict[str, object]:
-        """This program's identity columns of Table 1."""
-        return {
-            "program": self.display_name,
-            "pipeline_depth": self.depth,
-            "pipeline_width": self.width,
-            "alu_name": self.stateful_atom,
-        }

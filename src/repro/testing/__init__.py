@@ -5,20 +5,18 @@ driver and the failure-classification report objects.
 """
 
 from .equivalence import EquivalenceReport, Mismatch, compare_traces
-from .fuzzer import FuzzConfig, FuzzTester, fuzz_machine_code
+from .fuzzer import FuzzConfig, FuzzTester
 from .report import CampaignSummary, FailureClass, FuzzOutcome
-from .spec import FunctionSpecification, PassthroughSpecification, Specification
+from .spec import FunctionSpecification, Specification
 
 __all__ = [
     "Specification",
     "FunctionSpecification",
-    "PassthroughSpecification",
     "compare_traces",
     "EquivalenceReport",
     "Mismatch",
     "FuzzTester",
     "FuzzConfig",
-    "fuzz_machine_code",
     "FuzzOutcome",
     "FailureClass",
     "CampaignSummary",

@@ -77,12 +77,6 @@ class EquivalenceReport:
             lines.append(f"... ({len(self.mismatches) - limit} more)")
         return "\n".join(lines)
 
-    def assert_equivalent(self) -> None:
-        """Raise :class:`EquivalenceError` when the traces diverge."""
-        if not self.equivalent:
-            raise EquivalenceError(self.describe())
-
-
 def compare_traces(
     pipeline_trace: Trace,
     spec_trace: Trace,

@@ -19,7 +19,7 @@ compiler under test), it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from .. import dgen
 from ..dsim import DEFAULT_MAX_VALUE, RMTSimulator, TrafficGenerator
@@ -27,7 +27,7 @@ from ..errors import DruzhbaError, MissingMachineCodeError
 from ..hardware import PipelineSpec
 from ..machine_code.pairs import MachineCode
 from .equivalence import compare_traces
-from .report import CampaignSummary, FailureClass, FuzzOutcome
+from .report import FailureClass, FuzzOutcome
 from .spec import Specification
 
 
@@ -112,31 +112,6 @@ class FuzzTester:
                 outcome.failure_class = FailureClass.VALUE_RANGE
         return outcome
 
-    def test_all_levels(self, machine_code: MachineCode) -> Dict[int, FuzzOutcome]:
-        """Fuzz the same machine code at every dgen optimisation level.
-
-        Because the optimisation passes must not change behaviour, a compiler
-        bug shows up identically at every level; a disagreement *between*
-        levels would indicate a dgen bug instead.  Both properties are useful
-        to compiler developers, so this returns the per-level outcomes.
-        """
-        outcomes: Dict[int, FuzzOutcome] = {}
-        original_level = self.config.opt_level
-        try:
-            for level in dgen.OPT_LEVELS:
-                self.config.opt_level = level
-                outcomes[level] = self.test(machine_code)
-        finally:
-            self.config.opt_level = original_level
-        return outcomes
-
-    def campaign(self, machine_codes: Sequence[MachineCode]) -> CampaignSummary:
-        """Fuzz a corpus of machine-code programs and aggregate the outcomes."""
-        summary = CampaignSummary()
-        for machine_code in machine_codes:
-            summary.add(self.test(machine_code))
-        return summary
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -214,24 +189,3 @@ class FuzzTester:
         if self._initial_state is None:
             return None
         return [[list(alu) for alu in stage] for stage in self._initial_state]
-
-
-def fuzz_machine_code(
-    pipeline_spec: PipelineSpec,
-    machine_code: MachineCode,
-    specification: Specification,
-    num_phvs: int = 1000,
-    seed: int = 0,
-    opt_level: int = dgen.OPT_SCC_INLINE,
-    traffic_generator: Optional[TrafficGenerator] = None,
-    initial_state: Optional[List[List[List[int]]]] = None,
-) -> FuzzOutcome:
-    """One-shot helper: fuzz a single machine-code program."""
-    tester = FuzzTester(
-        pipeline_spec,
-        specification,
-        config=FuzzConfig(num_phvs=num_phvs, seed=seed, opt_level=opt_level),
-        traffic_generator=traffic_generator,
-        initial_state=initial_state,
-    )
-    return tester.test(machine_code)

@@ -94,22 +94,3 @@ class FunctionSpecification(Specification):
     def process(self, phv: Sequence[int], state: Dict[str, int]) -> List[int]:
         outputs = self.function(list(phv), state)
         return [int(v) for v in outputs]
-
-
-@dataclass
-class PassthroughSpecification(Specification):
-    """The identity specification: every container passes through unchanged.
-
-    Matches a pipeline configured with pass-through output multiplexers
-    everywhere (the :meth:`repro.hardware.PipelineSpec.passthrough_machine_code`
-    baseline); used in tests and as the simplest possible example.
-    """
-
-    num_containers: int = 1
-    relevant_containers: Optional[Sequence[int]] = None
-
-    def initial_state(self) -> Dict[str, int]:
-        return {}
-
-    def process(self, phv: Sequence[int], state: Dict[str, int]) -> List[int]:
-        return list(phv)

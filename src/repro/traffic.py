@@ -170,9 +170,6 @@ class PacketGenerator(SeededGenerator):
 # ----------------------------------------------------------------------
 # Field-generator helpers (shared by both engines)
 # ----------------------------------------------------------------------
-def uniform_field(low: int, high: int) -> FieldGenerator:
-    """Field generator drawing uniformly from ``[low, high]``."""
-    return lambda rng: rng.randint(low, high)
 
 
 def choice_field(choices: Sequence[int]) -> FieldGenerator:
@@ -186,11 +183,6 @@ def choice_field(choices: Sequence[int]) -> FieldGenerator:
     if not values:
         raise SimulationError("choice_field needs at least one choice")
     return lambda rng: rng.choice(values)
-
-
-def constant_field(value: int) -> FieldGenerator:
-    """Field generator always returning ``value`` (e.g. a fixed protocol number)."""
-    return lambda rng: int(value)
 
 
 def values_field(values: Sequence[int]) -> FieldGenerator:

@@ -1,20 +1,13 @@
-"""Bounded formal verification of pipelines and ALUs (paper §7 future work).
+"""Bounded formal verification of pipelines (paper §7 future work).
 
 The paper proposes SMT-based equivalence proofs between the pipeline
 description and a high-level specification; with no SMT solver available
-offline, this package substitutes exhaustive checking over caller-bounded
-finite domains (see DESIGN.md).  Within the bounded domain the result is a
+offline, this package checks every input trace over caller-bounded finite
+domains instead.  Within the bounded domain the result is a
 proof; outside it, the fuzzing workflow of :mod:`repro.testing` remains the
 tool of choice.
 """
 
-from .alu_equivalence import (
-    ALUCounterexample,
-    ALUEquivalenceResult,
-    check_alu_against_reference,
-    check_alu_equivalence,
-    specialized_source,
-)
 from .bounded import (
     BoundedCheckResult,
     check_bounded_equivalence,
@@ -27,9 +20,4 @@ __all__ = [
     "check_optimization_equivalence",
     "enumerate_traces",
     "BoundedCheckResult",
-    "check_alu_equivalence",
-    "check_alu_against_reference",
-    "specialized_source",
-    "ALUEquivalenceResult",
-    "ALUCounterexample",
 ]

@@ -10,8 +10,8 @@ from repro.errors import ALUDSLError
 class TestCatalogue:
     def test_counts_match_paper(self):
         """Paper §3.1: 5 stateless and 6 stateful ALUs."""
-        assert len(atoms.stateful_catalog()) == 6
-        assert len(atoms.stateless_catalog()) == 5
+        assert len(atoms.STATEFUL_SOURCES) == 6
+        assert len(atoms.STATELESS_SOURCES) == 5
 
     def test_expected_atom_names_present(self):
         names = set(atoms.atom_names())
@@ -28,24 +28,14 @@ class TestCatalogue:
         with pytest.raises(ALUDSLError):
             atoms.get_atom("quantum_alu")
 
-    def test_atom_source_returns_text(self):
-        assert "type: stateful" in atoms.atom_source("raw")
-        with pytest.raises(ALUDSLError):
-            atoms.atom_source("quantum_alu")
-
-    def test_catalog_returns_fresh_dict(self):
-        catalog = atoms.stateful_catalog()
-        catalog.clear()
-        assert atoms.stateful_catalog()  # cache unaffected by caller mutation
-
     def test_stateful_atoms_have_two_operands(self):
-        for name, spec in atoms.stateful_catalog().items():
-            assert spec.num_operands == 2, name
+        for name in atoms.STATEFUL_SOURCES:
+            assert atoms.get_atom(name).num_operands == 2, name
 
     def test_pair_has_two_state_vars_others_one(self):
-        for name, spec in atoms.stateful_catalog().items():
+        for name in atoms.STATEFUL_SOURCES:
             expected = 2 if name == "pair" else 1
-            assert spec.num_state_vars == expected
+            assert atoms.get_atom(name).num_state_vars == expected
 
 
 def run_atom(name, operands, state, holes):

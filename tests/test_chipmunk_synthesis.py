@@ -1,7 +1,5 @@
 """Unit tests for the sketch and the CEGIS synthesis engine."""
 
-import random
-
 import pytest
 
 from repro import atoms
@@ -66,7 +64,7 @@ class TestSketch:
         freeze = frozen_routing(spec, naming.STATEFUL)
         sketch = Sketch.from_pipeline(spec, freeze=freeze)
         assert not (set(freeze) & set(sketch.search_names))
-        machine_code = sketch.to_machine_code(sketch.zero_assignment())
+        machine_code = sketch.to_machine_code([0] * len(sketch.search_names))
         for name, value in freeze.items():
             assert machine_code[name] == value
 
@@ -81,8 +79,7 @@ class TestSketch:
     def test_assignment_round_trip(self):
         spec = tiny_pipeline()
         sketch = Sketch.from_pipeline(spec, constant_pool=[0, 5])
-        rng = random.Random(0)
-        assignment = sketch.random_assignment(rng)
+        assignment = [size - 1 for size in sketch.domain_sizes()]
         machine_code = sketch.to_machine_code(assignment)
         assert spec.validate_machine_code(machine_code) == []
 
@@ -100,13 +97,6 @@ class TestSketch:
         assert len(assignments) == sketch.space_size() == 2 * 3
         assert len({tuple(a) for a in assignments}) == len(assignments)
 
-    def test_mutate_changes_at_most_requested_positions(self):
-        sketch = Sketch.from_pipeline(tiny_pipeline())
-        rng = random.Random(1)
-        base = sketch.zero_assignment()
-        mutated = sketch.mutate(base, rng, positions=1)
-        differing = sum(1 for a, b in zip(base, mutated) if a != b)
-        assert differing <= 1
 
 
 class TestSynthesisEngine:
@@ -218,7 +208,7 @@ class TestChipmunkCompiler:
         compiler = ChipmunkCompiler(spec, SynthesisConfig(seed=2))
         result = compiler.compile_domino(source, layout, freeze=freeze, search_names=search,
                                          validate=True)
-        assert result.success
+        assert result.synthesis.success and result.machine_code is not None
         assert result.fuzz_outcome is not None and result.fuzz_outcome.passed
 
     def test_layout_width_mismatch_rejected(self):

@@ -1,5 +1,7 @@
 """Tests for the command-line entry points."""
 
+import json
+
 import pytest
 
 from repro.cli import dgen_main, drmt_main, dsim_main, fuzz_main
@@ -28,7 +30,7 @@ class TestDgenCli:
 
         spec = PipelineSpec(1, 1, atoms.get_atom("raw"), atoms.get_atom("stateless_full"))
         mc_path = tmp_path / "mc.json"
-        spec.passthrough_machine_code().to_file(mc_path)
+        mc_path.write_text(json.dumps(spec.passthrough_machine_code().as_dict()))
         assert dgen_main(
             ["--depth", "1", "--width", "1", "--stateful-alu", "raw",
              "--machine-code", str(mc_path), "--output", str(tmp_path / "out.py")]

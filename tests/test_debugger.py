@@ -3,13 +3,7 @@
 import pytest
 
 from repro import dgen
-from repro.debugger import (
-    TimeTravelDebugger,
-    container_breakpoint,
-    phv_exit_breakpoint,
-    record_execution,
-    state_breakpoint,
-)
+from repro.debugger import TimeTravelDebugger, container_breakpoint, record_execution
 from repro.errors import SimulationError
 from repro.programs import get_program
 
@@ -27,7 +21,7 @@ def sampling_recording():
 class TestRecording:
     def test_tick_count_includes_drain(self, sampling_recording):
         recording, inputs = sampling_recording
-        assert recording.num_ticks == len(inputs) + recording.depth
+        assert recording.num_ticks == len(inputs) + recording.description.spec.depth
 
     def test_every_phv_exits_with_recorded_output(self, sampling_recording):
         recording, inputs = sampling_recording
@@ -47,7 +41,7 @@ class TestRecording:
 
     def test_state_series_is_the_wrapping_counter(self, sampling_recording):
         recording, _inputs = sampling_recording
-        series = recording.state_series(stage=0, slot=0, state_var=0)
+        series = [snapshot.state[0][0][0] for snapshot in recording.snapshots]
         assert series[:11] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1]
 
     def test_phv_journey_covers_every_stage(self, sampling_recording):
@@ -72,52 +66,30 @@ class TestRecording:
 
 
 class TestDebuggerCursor:
-    def test_step_rewind_goto(self, sampling_recording):
+    def test_rewind_from_a_breakpoint(self, sampling_recording):
         recording, _inputs = sampling_recording
         debugger = TimeTravelDebugger(recording)
-        assert debugger.at_start
-        debugger.step(3)
-        assert debugger.current_tick == 3
-        debugger.rewind(2)
-        assert debugger.current_tick == 1
-        debugger.goto(5)
-        assert debugger.current.tick == 5
-
-    def test_step_clamps_at_end(self, sampling_recording):
-        recording, _inputs = sampling_recording
-        debugger = TimeTravelDebugger(recording)
-        debugger.step(10_000)
-        assert debugger.at_end
+        debugger.add_breakpoint(container_breakpoint(1, 0, lambda value: value == 1))
+        hit = debugger.run_forward().tick
+        assert debugger.current_tick == hit
+        assert debugger.rewind(2).tick == hit - 2 == debugger.current_tick
 
     def test_rewind_clamps_at_start(self, sampling_recording):
         recording, _inputs = sampling_recording
         debugger = TimeTravelDebugger(recording)
         debugger.rewind(5)
-        assert debugger.at_start
-
-    def test_goto_out_of_range_rejected(self, sampling_recording):
-        recording, _inputs = sampling_recording
-        with pytest.raises(SimulationError):
-            TimeTravelDebugger(recording).goto(10_000)
+        assert debugger.current_tick == 0
 
     def test_state_at_cursor_and_describe(self, sampling_recording):
         recording, _inputs = sampling_recording
         debugger = TimeTravelDebugger(recording)
-        debugger.goto(9)
-        assert debugger.state_at_cursor(0, 0) == [0]  # counter wrapped on the 10th packet
-        assert "tick 9" in debugger.describe()
+        debugger.add_breakpoint(container_breakpoint(1, 0, lambda value: value == 1))
+        snapshot = debugger.run_forward()
+        assert debugger.state_at_cursor(0, 0) == list(snapshot.state[0][0])
+        assert f"tick {snapshot.tick}" in debugger.describe()
 
 
 class TestBreakpoints:
-    def test_state_breakpoint_forward(self, sampling_recording):
-        recording, _inputs = sampling_recording
-        debugger = TimeTravelDebugger(recording)
-        debugger.add_breakpoint(state_breakpoint(0, 0, 0, lambda value: value == 0))
-        snapshot = debugger.run_forward()
-        assert snapshot is not None
-        # The counter wraps to 0 after the 10th packet (tick index 9).
-        assert snapshot.tick == 9
-
     def test_container_breakpoint_catches_sample_flag(self, sampling_recording):
         recording, _inputs = sampling_recording
         debugger = TimeTravelDebugger(recording)
@@ -126,41 +98,41 @@ class TestBreakpoints:
         assert snapshot is not None
         assert snapshot.stages[1].write[0] == 1
 
-    def test_run_backward_finds_previous_event(self, sampling_recording):
-        recording, _inputs = sampling_recording
-        debugger = TimeTravelDebugger(recording)
-        debugger.goto(recording.num_ticks - 1)
-        debugger.add_breakpoint(state_breakpoint(0, 0, 0, lambda value: value == 0))
-        snapshot = debugger.run_backward()
-        assert snapshot is not None and snapshot.tick == 9
-
     def test_run_without_breakpoints_rejected(self, sampling_recording):
         recording, _inputs = sampling_recording
         with pytest.raises(SimulationError):
             TimeTravelDebugger(recording).run_forward()
 
+    def test_run_forward_resumes_after_the_previous_hit(self, sampling_recording):
+        """Fifteen sampled packets flag only the tenth, so a second run finds nothing."""
+        recording, _inputs = sampling_recording
+        debugger = TimeTravelDebugger(recording)
+        debugger.add_breakpoint(container_breakpoint(1, 0, lambda value: value == 1))
+        hit = debugger.run_forward().tick
+        assert debugger.run_forward() is None
+        assert debugger.current_tick == hit
+        debugger.rewind(3)
+        assert debugger.run_forward().tick == hit
+
+    def test_any_registered_breakpoint_stops(self, sampling_recording):
+        recording, _inputs = sampling_recording
+        debugger = TimeTravelDebugger(recording)
+        debugger.add_breakpoint(container_breakpoint(1, 0, lambda value: value > 100))
+        debugger.add_breakpoint(container_breakpoint(0, 0, lambda value: value == 5))
+        snapshot = debugger.run_forward()
+        assert snapshot.stages[0].write[0] == 5
+
     def test_run_forward_returns_none_when_no_match(self, sampling_recording):
         recording, _inputs = sampling_recording
         debugger = TimeTravelDebugger(recording)
-        debugger.add_breakpoint(state_breakpoint(0, 0, 0, lambda value: value > 100))
+        debugger.add_breakpoint(container_breakpoint(1, 0, lambda value: value > 100))
         assert debugger.run_forward() is None
 
-    def test_phv_exit_breakpoint_and_trace_origin(self, sampling_recording):
+    def test_trace_origin(self, sampling_recording):
         recording, _inputs = sampling_recording
-        debugger = TimeTravelDebugger(recording)
-        debugger.add_breakpoint(phv_exit_breakpoint(9))
-        snapshot = debugger.run_forward()
-        assert snapshot is not None and snapshot.exited == 9
-        trace = debugger.trace_origin(9)
+        trace = TimeTravelDebugger(recording).trace_origin(9)
         assert any("stage 0" in line for line in trace)
         assert trace[-1].startswith("exited at tick")
-
-    def test_clear_breakpoints(self, sampling_recording):
-        recording, _inputs = sampling_recording
-        debugger = TimeTravelDebugger(recording)
-        debugger.add_breakpoint(phv_exit_breakpoint(1))
-        debugger.clear_breakpoints()
-        assert debugger.breakpoints == []
 
 
 class TestRecordingLevel0:
@@ -210,7 +182,7 @@ class TestRecordingLevel3:
         recording, _fused, description = level3_recording
         for phv_id in range(len(recording.inputs)):
             for stage in range(description.spec.depth):
-                occupancy = recording.snapshot(phv_id + stage).stage(stage)
+                occupancy = recording.snapshot(phv_id + stage).stages[stage]
                 assert occupancy.phv_id == phv_id
 
     def test_outputs_and_final_state_match_fused_run(self, level3_recording):
@@ -227,7 +199,7 @@ class TestRecordingLevel3:
         assert [occupancy.stage for occupancy in journey] == list(
             range(description.spec.depth)
         )
-        series = recording.state_series(0, 0, 0)
+        series = [snapshot.state[0][0][0] for snapshot in recording.snapshots]
         assert len(series) == len(recording.inputs) + description.spec.depth
 
     def test_unknown_phv_rejected(self, level3_recording):

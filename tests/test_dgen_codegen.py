@@ -9,7 +9,6 @@ from repro.alu_dsl import parse_and_analyze
 from repro.dgen.codegen import (
     ALUFunctionGenerator,
     alu_function_name,
-    generate_alu,
     helper_function_name,
 )
 from repro.dsim import RMTSimulator
@@ -39,24 +38,24 @@ def if_else_raw_atom():
 
 class TestALUFunctionGenerator:
     def test_level0_requires_no_machine_code(self, raw_atom):
-        code = generate_alu(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_UNOPTIMIZED)
+        code = ALUFunctionGenerator(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_UNOPTIMIZED).generate()
         assert code.function is not None
         assert code.helpers  # generic helpers emitted
 
     def test_optimised_levels_require_machine_code(self, raw_atom):
         with pytest.raises(CodegenError):
-            generate_alu(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_SCC)
+            ALUFunctionGenerator(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_SCC).generate()
 
     def test_kind_mismatch_rejected(self, raw_atom):
         with pytest.raises(CodegenError):
-            generate_alu(raw_atom, 0, naming.STATELESS, 0, dgen.OPT_UNOPTIMIZED)
+            ALUFunctionGenerator(raw_atom, 0, naming.STATELESS, 0, dgen.OPT_UNOPTIMIZED).generate()
 
     def test_invalid_opt_level_rejected(self, raw_atom):
         with pytest.raises(CodegenError):
             ALUFunctionGenerator(raw_atom, 0, naming.STATEFUL, 0, opt_level=7)
 
     def test_level0_body_reads_values_dict(self, raw_atom):
-        code = generate_alu(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_UNOPTIMIZED)
+        code = ALUFunctionGenerator(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_UNOPTIMIZED).generate()
         from repro.ir import Module
 
         source = to_source(Module(functions=code.helpers + [code.function]))
@@ -64,7 +63,7 @@ class TestALUFunctionGenerator:
 
     def test_level1_body_has_no_values_lookups(self, raw_atom):
         mc = alu_holes_machine_code(raw_atom, 0, naming.STATEFUL, 0, {"opt_0": 0, "const_0": 0, "mux3_0": 0})
-        code = generate_alu(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_SCC, mc)
+        code = ALUFunctionGenerator(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_SCC, mc).generate()
         from repro.ir import Module
 
         source = to_source(Module(functions=code.helpers + [code.function]))
@@ -73,15 +72,15 @@ class TestALUFunctionGenerator:
 
     def test_level2_has_no_helpers(self, raw_atom):
         mc = alu_holes_machine_code(raw_atom, 0, naming.STATEFUL, 0, {"opt_0": 0, "const_0": 0, "mux3_0": 0})
-        code = generate_alu(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_SCC_INLINE, mc)
+        code = ALUFunctionGenerator(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_SCC_INLINE, mc).generate()
         assert code.helpers == []
 
     def test_missing_hole_raises_at_generation_time(self, raw_atom):
         with pytest.raises(MissingMachineCodeError):
-            generate_alu(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_SCC_INLINE, {})
+            ALUFunctionGenerator(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_SCC_INLINE, {}).generate()
 
     def test_function_and_helper_names_carry_position(self, if_else_raw_atom):
-        code = generate_alu(if_else_raw_atom, 3, naming.STATEFUL, 1, dgen.OPT_UNOPTIMIZED)
+        code = ALUFunctionGenerator(if_else_raw_atom, 3, naming.STATEFUL, 1, dgen.OPT_UNOPTIMIZED).generate()
         assert code.function.name == alu_function_name(3, naming.STATEFUL, 1)
         assert all(helper.name.startswith("stage_3_stateful_alu_1_") for helper in code.helpers)
         assert helper_function_name(3, naming.STATEFUL, 1, "rel_op_0") in {
@@ -89,18 +88,18 @@ class TestALUFunctionGenerator:
         }
 
     def test_level0_helper_per_primitive_site(self, if_else_raw_atom):
-        code = generate_alu(if_else_raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_UNOPTIMIZED)
+        code = ALUFunctionGenerator(if_else_raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_UNOPTIMIZED).generate()
         assert len(code.helpers) == len(if_else_raw_atom.holes)
 
     def test_call_rendering(self, raw_atom):
-        code = generate_alu(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_UNOPTIMIZED)
+        code = ALUFunctionGenerator(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_UNOPTIMIZED).generate()
         call = code.call(["op_a", "op_b"], state_code="state[2]")
         assert call.startswith("stage_0_stateful_alu_0(")
         assert "state[2]" in call and call.endswith("values)")
 
     def test_call_rendering_optimised_omits_values(self, raw_atom):
         mc = alu_holes_machine_code(raw_atom, 0, naming.STATEFUL, 0, {"opt_0": 0, "const_0": 0, "mux3_0": 0})
-        code = generate_alu(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_SCC_INLINE, mc)
+        code = ALUFunctionGenerator(raw_atom, 0, naming.STATEFUL, 0, dgen.OPT_SCC_INLINE, mc).generate()
         assert "values" not in code.call(["a", "b"], state_code="state[0]")
 
 
@@ -161,7 +160,7 @@ class TestGeneratedPipelineSource:
         spec, mc = pipeline_and_machine_code
         broken = mc.without([naming.output_mux_name(0, 0)])
         description = dgen.generate(spec, broken, opt_level=0, validate_machine_code=False)
-        assert description.needs_runtime_values
+        assert description.machine_code is broken
 
     def test_machine_code_none_only_allowed_at_level0(self, pipeline_and_machine_code):
         spec, _ = pipeline_and_machine_code
@@ -346,14 +345,20 @@ class TestFusedCallFallback:
     def test_fused_loop_keeps_the_call(self, branchy):
         spec, mc = branchy
         description = dgen.generate(spec, mc, opt_level=dgen.OPT_FUSED)
-        loop = to_source(Module(functions=[description.module.get_function("run_trace")]))
+        loop = run_trace_source(description)
         # One call per mux-selected stateless ALU; unselected ones are skipped.
         assert len(re.findall(r"stage_\d+_stateless_alu_\d+\(", loop)) == spec.depth
 
 
+def run_trace_source(description):
+    """Source of a level-3 description's ``run_trace`` function."""
+    (run_trace,) = [f for f in description.module.functions if f.name == "run_trace"]
+    return to_source(Module(functions=[run_trace]))
+
+
 def fused_loop_source(description):
     """Source of the ``for phv in inputs`` loop of a level-3 description."""
-    source = to_source(Module(functions=[description.module.get_function("run_trace")]))
+    source = run_trace_source(description)
     return source[source.index("for phv in inputs"):]
 
 
@@ -482,7 +487,7 @@ class TestReservedNames:
             f"packet fields : {{pkt_0, pkt_1}}\n{name} = pkt_0 + 1; state_0 = {name};\n"
         )
         with pytest.raises(CodegenError, match=re.escape(repr(name))):
-            generate_alu(spec, 0, naming.STATEFUL, 0, level, {})
+            ALUFunctionGenerator(spec, 0, naming.STATEFUL, 0, level, {}).generate()
 
     @pytest.mark.parametrize("name", RESERVED_NAMES)
     def test_packet_field_rejected(self, name):
@@ -523,11 +528,11 @@ class TestReservedNames:
             "type: stateful\nstate variables : {phv}\nhole variables : {}\n"
             "packet fields : {pkt_0}\nphv = phv + pkt_0;\n"
         )
-        generate_alu(spec, 0, naming.STATEFUL, 0, dgen.OPT_FUSED, {})
+        ALUFunctionGenerator(spec, 0, naming.STATEFUL, 0, dgen.OPT_FUSED, {}).generate()
 
     @pytest.mark.parametrize("name", atoms.atom_names())
     def test_every_catalogue_atom_generates(self, name):
         atom = atoms.get_atom(name)
         holes = alu_holes_machine_code(atom, 0, atom.kind, 0, {hole: 0 for hole in atom.holes})
         for level in dgen.OPT_LEVELS:
-            generate_alu(atom, 0, atom.kind, 0, level, holes)
+            ALUFunctionGenerator(atom, 0, atom.kind, 0, level, holes).generate()

@@ -1,8 +1,9 @@
 """Golden digests of dgen's output: the generated source must not drift unnoticed.
 
 Each Table-1 program's pipeline description is pinned by the sha256 of its
-rendered source at every opt level, and each catalogue atom by its hole
-names, hole domains and the digest of its printed DSL text.  A refactor of
+rendered source at every opt level, each catalogue atom by its hole names,
+hole domains and the digest of its printed DSL text, and the generated
+dRMT ``run_trace`` of both sample P4 programs by the digest of its source.  A refactor of
 the ALU DSL front end or of dgen that is meant to leave the generated code
 alone must keep every digest; a change that is meant to alter the code
 updates the digests it alters, on purpose.
@@ -14,6 +15,8 @@ import pytest
 
 from repro import atoms, dgen
 from repro.alu_dsl import format_spec
+from repro.drmt import DrmtHardwareParams, generate_bundle
+from repro.p4 import samples
 from repro.programs import get_program, program_names
 
 
@@ -96,6 +99,12 @@ PROGRAMS = {
         '19f5679eae80334d030cb758095ce2588cae86d119140ee44dc6e83d336c7df2',
     ),
 }
+#: sha256 of ``generate_bundle(...).fused_program().source`` per sample P4
+#: program, scheduled greedily on the default ``DrmtHardwareParams()``.
+DRMT_FUSED = {
+    'simple_router': '762e659d1dd33d580269a5098074bd34ddd49033ef5c652c38b86984d348612d',
+    'telemetry_pipeline': 'ec75975f3db9c2267d5bbd2edec1aee0c90ebb4a37f024a72278aa13e6140344',
+}
 #: (holes, hole_domains, sha256 of format_spec) per catalogue atom.
 ATOMS = {
     'raw': (
@@ -177,3 +186,10 @@ def test_atom_holes_and_text_are_pinned(name):
     assert tuple(spec.holes) == holes, f"hole names of atom {name!r} changed"
     assert dict(spec.hole_domains) == domains, f"hole domains of atom {name!r} changed"
     assert _digest(format_spec(spec)) == text_digest, f"printed text of atom {name!r} changed"
+
+
+@pytest.mark.parametrize("name", sorted(DRMT_FUSED))
+def test_drmt_fused_source_is_pinned(name):
+    bundle = generate_bundle(getattr(samples, name)(), DrmtHardwareParams())
+    source = bundle.fused_program().source
+    assert _digest(source) == DRMT_FUSED[name], f"fused dRMT source of {name} changed"

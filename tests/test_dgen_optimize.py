@@ -7,15 +7,13 @@ from repro import dgen
 from repro.alu_dsl import semantics
 from repro.alu_dsl.ast_nodes import Assign, BinaryOp, If, Number, Primitive, Var
 from repro.dgen.optimize import (
-    constant_value,
     fold_expr,
-    is_constant,
     remove_dead_local_assignments,
     specialize_expr,
     specialize_spec,
     specialize_stmts,
 )
-from repro.dgen import generate_alu
+from repro.dgen import ALUFunctionGenerator
 from repro.errors import CodegenError, MissingMachineCodeError
 from repro.ir import Module, to_source
 
@@ -61,13 +59,6 @@ class TestFolding:
 
     def test_division_by_zero_folds_to_zero(self):
         assert fold_expr(BinaryOp("/", Number(9), Number(0))) == Number(0)
-
-    def test_is_constant_and_value(self):
-        expr = BinaryOp("+", Number(2), Number(2))
-        assert is_constant(expr)
-        assert constant_value(expr) == 4
-        with pytest.raises(ValueError):
-            constant_value(Var("x"))
 
 
 class TestDeadCodeElimination:
@@ -313,7 +304,7 @@ class TestConditionLowering:
 
     def condition_line(self, body):
         spec = parse_and_analyze(STATEFUL_TEMPLATE.format(body=body, holes=""))
-        code = generate_alu(spec, 0, "stateful", 0, dgen.OPT_SCC_INLINE, {})
+        code = ALUFunctionGenerator(spec, 0, "stateful", 0, dgen.OPT_SCC_INLINE, {}).generate()
         source = to_source(Module(functions=[code.function]))
         return next(line.strip() for line in source.splitlines() if line.strip().startswith("if "))
 

@@ -767,9 +767,6 @@ class TestColumnBackedResult:
         assert records == tick.records
         records.pop()
         assert fused.packets_processed == 49
-        fused.records = tick.records
-        assert fused.packets_processed == 50
-        assert fused.packets_dropped == tick.packets_dropped
 
     def test_results_compare_by_value(self):
         tick, fused = self._fused()

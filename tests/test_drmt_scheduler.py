@@ -1,5 +1,7 @@
 """Unit tests for the dRMT scheduler (greedy and MILP back ends)."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from repro.drmt import (
     schedule_program,
     validate_schedule,
 )
+from repro.cli import drmt_main
 from repro.errors import SchedulingError
 from repro.p4 import build_dependency_graph, parse, samples
 
@@ -67,7 +70,9 @@ class TestGreedyScheduler:
         schedule, graph = scheduled(program)
         # forward -> acl is a match dependency: acl's match waits for forward's action.
         assert graph.edges["forward", "acl"]["kind"] == "match"
-        assert schedule.start("acl", MATCH_OP) >= schedule.end("forward", ACTION_OP)
+        assert schedule.start("acl", MATCH_OP) >= (
+            schedule.start("forward", ACTION_OP) + schedule.hardware.ticks_per_action
+        )
 
     def test_independent_matches_can_overlap_with_higher_issue_limit(self):
         program = samples.simple_router()
@@ -142,21 +147,53 @@ class TestGreedyScheduler:
 
 class TestMilpScheduler:
     def test_milp_schedule_feasible_and_no_worse(self):
+        pytest.importorskip("scipy")
         program = samples.simple_router()
         graph = build_dependency_graph(program)
         hardware = DrmtHardwareParams()
         greedy = GreedyScheduler(program, graph, hardware).schedule()
         milp = MilpScheduler(program, graph, hardware).schedule()
-        if milp is None:
-            pytest.skip("scipy MILP unavailable or instance skipped")
+        assert milp.backend == "milp"
         assert validate_schedule(milp, program, graph) == []
         assert milp.makespan <= greedy.makespan
 
     def test_schedule_program_with_milp_flag(self):
+        pytest.importorskip("scipy")
         program = samples.telemetry_pipeline()
         graph = build_dependency_graph(program)
         schedule = schedule_program(program, graph, DrmtHardwareParams(), use_milp=True)
+        assert schedule.backend == "milp"
         assert validate_schedule(schedule, program, graph) == []
+
+    def test_oversized_instance_fails_loudly(self, monkeypatch):
+        pytest.importorskip("scipy")
+        monkeypatch.setattr(MilpScheduler, "MAX_VARIABLES", 1)
+        program = samples.simple_router()
+        graph = build_dependency_graph(program)
+        with pytest.raises(SchedulingError, match="MAX_VARIABLES=1"):
+            schedule_program(program, graph, DrmtHardwareParams(), use_milp=True)
+
+    def test_failed_solve_fails_loudly(self, monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+
+        class Failed:
+            success = False
+            x = None
+            message = "infeasible"
+
+        monkeypatch.setattr(optimize, "milp", lambda **_kwargs: Failed())
+        program = samples.simple_router()
+        graph = build_dependency_graph(program)
+        with pytest.raises(SchedulingError, match="MILP solve failed: infeasible"):
+            schedule_program(program, graph, DrmtHardwareParams(), use_milp=True)
+
+    def test_missing_scipy_fails_loudly(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        program = samples.simple_router()
+        graph = build_dependency_graph(program)
+        with pytest.raises(SchedulingError, match="needs scipy"):
+            schedule_program(program, graph, DrmtHardwareParams(), use_milp=True)
+        assert drmt_main(["--milp", "--packets", "5"]) == 1
 
 
 class TestScheduleProperties:

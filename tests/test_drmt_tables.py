@@ -7,11 +7,11 @@ from repro.drmt import (
     MatchPattern,
     TableEntry,
     TableStore,
-    load_entries,
     parse_entries,
     parse_entry_line,
     populate_store,
 )
+from repro.drmt.table_config import parse_pattern
 from repro.drmt.tables import MatchActionTable
 from repro.errors import TableConfigError
 from repro.p4 import samples
@@ -306,6 +306,39 @@ class TestEntryConfigFormat:
         with pytest.raises(TableConfigError):
             parse_entry_line("install forward 1 -> set_nhop", router)
 
+    @pytest.mark.parametrize("spelling", ["-1", "0b11", "1_0", " 7"])
+    def test_pattern_values_are_p4_integer_literals(self, spelling):
+        with pytest.raises(TableConfigError, match="is not an integer literal"):
+            parse_pattern(spelling, "exact", 8)
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [("010", "exact"), ("1&&&0b11", "ternary"), ("0b1&&&255", "ternary"),
+         ("10/0_8", "lpm"), ("-1/8", "lpm")],
+    )
+    def test_masks_and_prefixes_are_p4_integer_literals(self, text, kind):
+        with pytest.raises(TableConfigError, match="is not an integer literal"):
+            parse_pattern(text, kind, 8)
+
+    @pytest.mark.parametrize("spelling, value", [("0", 0), ("255", 255), ("0xff", 255), ("0XFF", 255)])
+    def test_decimal_and_hex_literals_parse(self, spelling, value):
+        assert parse_pattern(spelling, "exact", 8).value == value
+        assert parse_pattern(f"{spelling}&&&{spelling}", "ternary", 8).mask == value
+
+    @pytest.mark.parametrize("spelling", ["-1", "0b11", "1_0"])
+    def test_entry_values_are_p4_integer_literals(self, router, spelling):
+        for line in (
+            f"add flow_stats ipv4.srcAddr={spelling} => count_flow(1)",
+            f"add flow_stats ipv4.srcAddr=1 => count_flow({spelling})",
+        ):
+            with pytest.raises(TableConfigError, match="line 2: .* is not an integer literal"):
+                parse_entries("# flows\n" + line, router)
+        _table, entry = parse_entry_line(
+            "add flow_stats ipv4.srcAddr=0x0a000001 => count_flow(10)", router
+        )
+        assert entry.patterns["ipv4.srcAddr"].value == 0x0A000001
+        assert entry.action_args == [10]
+
     def test_parse_entries_ignores_comments_and_blanks(self, router):
         text = "# comment\n\nadd flow_stats ipv4.srcAddr=1 => count_flow(1)\n// more\n"
         entries = parse_entries(text, router)
@@ -315,10 +348,4 @@ class TestEntryConfigFormat:
         entries = parse_entries(samples.SIMPLE_ROUTER_ENTRIES, router)
         assert len(entries) == 7
         store = populate_store(TableStore(router), entries)
-        assert store.total_entries() == 7
-
-    def test_load_entries_from_file(self, router, tmp_path):
-        path = tmp_path / "entries.cfg"
-        path.write_text("add flow_stats ipv4.srcAddr=5 => count_flow(2)\n")
-        entries = load_entries(path, router)
-        assert entries[0][0] == "flow_stats"
+        assert sum(len(table.entries) for table in store.tables.values()) == 7

@@ -10,9 +10,6 @@ from repro.dsim import (
     Trace,
     TrafficGenerator,
     choice_field,
-    constant_field,
-    simulate,
-    uniform_field,
 )
 from repro.errors import MissingMachineCodeError, SimulationError
 from repro.hardware import PipelineSpec
@@ -45,9 +42,6 @@ class TestPHV:
         snap[0] = 9
         assert phv.read == [4]
 
-    def test_num_containers(self):
-        assert PHV.from_values(0, [1, 2, 3]).num_containers == 3
-
 
 class TestTrafficGenerator:
     def test_deterministic_for_same_seed(self):
@@ -72,17 +66,11 @@ class TestTrafficGenerator:
         generator = TrafficGenerator(
             num_containers=3,
             seed=0,
-            field_generators=[constant_field(7), choice_field([1, 2]), None],
+            field_generators=[lambda rng: 7, choice_field([1, 2]), None],
         )
         phvs = generator.generate(30)
         assert all(phv[0] == 7 for phv in phvs)
         assert all(phv[1] in (1, 2) for phv in phvs)
-
-    def test_uniform_field_bounds(self):
-        generator = TrafficGenerator(
-            num_containers=1, seed=0, field_generators=[uniform_field(10, 12)]
-        )
-        assert all(10 <= phv[0] <= 12 for phv in generator.generate(40))
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(SimulationError):
@@ -110,12 +98,6 @@ class TestTrace:
         assert trace[1].outputs == (7, 8)
         assert trace.outputs() == [(3, 4), (7, 8)]
         assert trace.inputs() == [(1, 2), (5, 6)]
-
-    def test_container_series(self):
-        trace = Trace()
-        trace.append(0, [0], [10])
-        trace.append(1, [0], [20])
-        assert trace.container_series(0) == [10, 20]
 
     def test_format_truncates(self):
         trace = Trace()
@@ -224,10 +206,6 @@ class TestSimulator:
         simulator = RMTSimulator(counter_description)
         with pytest.raises(SimulationError):
             simulator.run_traffic(TrafficGenerator(num_containers=3), 5)
-
-    def test_simulate_convenience_wrapper(self, counter_description):
-        result = simulate(counter_description, [[1], [2]])
-        assert len(result.output_trace) == 2
 
     def test_missing_runtime_machine_code_classified(self):
         spec = PipelineSpec(

@@ -17,7 +17,7 @@ from repro import atoms, dgen
 from repro.alu_dsl import parse_and_analyze
 from repro.chipmunk import Sketch, SynthesisConfig, SynthesisEngine
 from repro.dsim import RMTSimulator
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SynthesisError
 from repro.hardware import PipelineSpec
 from repro.machine_code import naming
 from repro.programs import TABLE1_ORDER, get_program
@@ -240,8 +240,8 @@ class TestSynthesisCachingRegression:
         )
         assert report.equivalent
 
-    def test_failed_stochastic_search_surfaces_best_candidate(self):
-        """§5.2: a run whose inner search fails still returns machine code."""
+    def test_oversized_sketch_refused(self):
+        """A sketch above ``exhaustive_limit`` fails loudly, naming its size."""
         spec = PipelineSpec(
             depth=1,
             width=2,
@@ -255,19 +255,9 @@ class TestSynthesisCachingRegression:
             relevant_containers=[0],
         )
         sketch = Sketch.from_pipeline(spec, constant_pool=[0, 1, 2, 3])
-        config = SynthesisConfig(
-            seed=5,
-            num_examples=10,
-            max_iterations=1,
-            restarts=2,
-            climb_steps=40,
-            exhaustive_limit=10,
-        )
-        result = SynthesisEngine(spec, specification, sketch, config).synthesize()
-        assert not result.success
-        # The seed discarded the failing iteration's best candidate and
-        # returned None here; the best-scoring assignment must now surface.
-        assert result.machine_code is not None
+        config = SynthesisConfig(seed=5, exhaustive_limit=10)
+        with pytest.raises(SynthesisError, match=f"{sketch.space_size()} candidates"):
+            SynthesisEngine(spec, specification, sketch, config).synthesize()
 
 
 class TestCompareTracesModes:

@@ -4,7 +4,7 @@ import pytest
 
 from repro import atoms
 from repro.errors import CodegenError
-from repro.hardware import PipelineSpec, describe_pipeline, make_pipeline_spec
+from repro.hardware import PipelineSpec, describe_pipeline
 from repro.machine_code import naming
 
 
@@ -110,8 +110,3 @@ class TestHelpers:
         text = describe_pipeline(make_spec(depth=3, width=4))
         assert "depth=3" in text
         assert "width=4" in text
-
-    def test_make_pipeline_spec_defaults_stateless(self):
-        spec = make_pipeline_spec(2, 2, atoms.get_atom("raw"))
-        assert spec.stateless_alu.name == "stateless_full"
-        assert spec.depth == 2

@@ -1,6 +1,5 @@
 """Unit tests for the code-generation IR and its Python printer."""
 
-import pytest
 
 from repro.ir import (
     Assign,
@@ -110,10 +109,3 @@ class TestPrinter:
         namespace = compile_module(module)
         assert namespace["TABLE"][0]() == 1
 
-
-class TestModuleQueries:
-    def test_get_function(self):
-        module = Module(functions=[FunctionDef("a", [], []), FunctionDef("b", [], [])])
-        assert module.get_function("b").name == "b"
-        with pytest.raises(KeyError):
-            module.get_function("missing")

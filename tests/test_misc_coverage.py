@@ -6,6 +6,8 @@ description wrapper, trace/report rendering, the Domino/dRMT odds and ends,
 and the public package exports.
 """
 
+import json
+
 import pytest
 
 import repro
@@ -105,7 +107,6 @@ class TestPipelineDescriptionWrapper:
 
     def test_metadata_properties(self, description):
         assert description.opt_level_name == "scc_propagation"
-        assert not description.needs_runtime_values
         assert description.function_count() >= 3
         assert description.source_line_count() > 10
 
@@ -153,9 +154,9 @@ class TestTraceAndReportRendering:
         assert "final state" in trace.format()
 
     def test_spec_trace_format_includes_state_dict(self):
-        from repro.testing import PassthroughSpecification
+        from repro.testing import FunctionSpecification
 
-        trace = PassthroughSpecification(num_containers=1).run([[1]])
+        trace = FunctionSpecification(function=lambda phv, state: phv, num_containers=1).run([[1]])
         assert trace.spec_state == {}
 
     def test_fuzz_outcome_value_range_mentions_counterexample(self):
@@ -205,7 +206,10 @@ class TestMachineCodeRoundTripThroughPrograms:
         for program in all_programs():
             path = tmp_path / f"{program.name}{suffix}"
             machine_code = program.machine_code()
-            machine_code.to_file(path)
+            if suffix == ".json":
+                path.write_text(json.dumps(machine_code.as_dict()))
+            else:
+                path.write_text("".join(f"{name} {value}\n" for name, value in machine_code.items()))
             assert MachineCode.from_file(path) == machine_code
 
     def test_domino_sources_all_parse(self):

@@ -72,15 +72,20 @@ class TestRegistry:
         assert program.pipeline_spec().validate_machine_code(program.machine_code()) == []
 
     @pytest.mark.parametrize("name", TABLE1_ORDER)
-    def test_table1_row_columns(self, name):
-        row = get_program(name).table1_row()
-        assert set(row) == {"program", "pipeline_depth", "pipeline_width", "alu_name"}
-
-    @pytest.mark.parametrize("name", TABLE1_ORDER)
     def test_descriptions_and_docs_present(self, name):
         program = get_program(name)
         assert len(program.description) > 40
         assert program.relevant_containers
+
+    @pytest.mark.parametrize("name", TABLE1_ORDER)
+    def test_traffic_fits_the_pipeline(self, name):
+        """Every generated PHV has one value per container, inside the traffic range."""
+        program = get_program(name)
+        phvs = program.traffic_generator(seed=3).generate(200)
+        assert phvs == program.traffic_generator(seed=3).generate(200)
+        for phv in phvs:
+            assert len(phv) == program.width
+            assert all(0 <= value <= program.traffic_max_value for value in phv)
 
     def test_initial_state_consistency_checked(self):
         program = get_program("conga")
@@ -93,8 +98,8 @@ class TestProgramCorrectness:
         outcome = fuzz_program(get_program(name))
         assert outcome.passed, outcome.describe()
 
-    @pytest.mark.parametrize("name", ["sampling", "snap_heavy_hitter", "rcp", "stateful_firewall"])
-    @pytest.mark.parametrize("opt_level", [0, 1])
+    @pytest.mark.parametrize("name", TABLE1_ORDER)
+    @pytest.mark.parametrize("opt_level", [0, 1, 2])
     def test_fuzz_pass_at_other_levels(self, name, opt_level):
         outcome = fuzz_program(get_program(name), opt_level=opt_level, num_phvs=150)
         assert outcome.passed, outcome.describe()

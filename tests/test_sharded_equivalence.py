@@ -635,7 +635,6 @@ class TestShardPool:
     def test_transport_keyword_is_gone_everywhere(self):
         """The pickle pool is the only shard channel; no facade selects another."""
         from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-        from repro.dsim import simulate
         from repro.engine.sharded import ShardedRmtDriver
         from repro.p4 import samples
 
@@ -643,8 +642,6 @@ class TestShardPool:
         description = compiled(program)
         with pytest.raises(TypeError, match="transport"):
             RMTSimulator(description, engine="sharded", transport="pickle")
-        with pytest.raises(TypeError, match="transport"):
-            simulate(description, [[0] * 6], transport="pickle")
         with pytest.raises(TypeError, match="transport"):
             ShardedRmtDriver(description, transport="pickle")
 

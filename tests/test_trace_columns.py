@@ -121,7 +121,6 @@ class TestColumnBackedTrace:
         records[5] = edited
         assert trace.outputs()[5] == result.outputs[5] == edited.outputs
         assert trace[5] == edited
-        assert trace.container_series(0)[5] == edited.outputs[0]
         report = compare_traces(trace, spec_trace, containers=specification.relevant_containers)
         assert report.first_mismatch is not None
         assert report.first_mismatch.phv_id == 5

@@ -10,8 +10,6 @@ from repro.traffic import (
     PacketGenerator,
     TrafficGenerator,
     choice_field,
-    constant_field,
-    uniform_field,
     values_field,
 )
 
@@ -57,13 +55,6 @@ class TestCompatibilityShims:
 
 
 class TestFieldHelpers:
-    def test_uniform_and_constant(self):
-        import random
-
-        rng = random.Random(0)
-        assert all(1 <= uniform_field(1, 3)(rng) <= 3 for _ in range(10))
-        assert constant_field(7)(rng) == 7
-
     def test_choice_field_needs_choices(self):
         with pytest.raises(SimulationError):
             choice_field([])
@@ -72,7 +63,7 @@ class TestFieldHelpers:
         generator = TrafficGenerator(
             num_containers=2,
             seed=1,
-            field_generators=[constant_field(9), None],
+            field_generators=[lambda rng: 9, None],
         )
         phvs = generator.generate(4)
         assert all(phv[0] == 9 for phv in phvs)

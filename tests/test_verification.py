@@ -1,4 +1,4 @@
-"""Tests for bounded formal verification (ALU-level and pipeline-level)."""
+"""Tests for bounded formal verification of pipelines."""
 
 import pytest
 
@@ -11,91 +11,10 @@ from repro.programs import get_program
 from repro.programs.variants import make_sampling_variant, make_threshold_variant
 from repro.testing import FunctionSpecification
 from repro.verification import (
-    check_alu_against_reference,
-    check_alu_equivalence,
     check_bounded_equivalence,
     check_optimization_equivalence,
     enumerate_traces,
-    specialized_source,
 )
-
-
-class TestALUEquivalence:
-    def test_raw_atom_matches_reference(self):
-        spec = atoms.get_atom("raw")
-        holes = {"opt_0": 0, "mux3_0": 0, "const_0": 0}
-
-        def reference(operands, state):
-            old = state[0]
-            state[0] = state[0] + operands[0]
-            return old
-
-        result = check_alu_against_reference(
-            spec, holes, reference, operand_domain=range(6), state_domain=range(6)
-        )
-        assert result.equivalent
-        assert result.cases_checked == 6 * 6 * 6  # two operands x one state variable
-
-    def test_counterexample_found_for_wrong_reference(self):
-        spec = atoms.get_atom("raw")
-        holes = {"opt_0": 0, "mux3_0": 0, "const_0": 0}
-
-        def wrong_reference(operands, state):
-            old = state[0]
-            state[0] = state[0] + operands[0] + 1  # off by one
-            return old
-
-        result = check_alu_against_reference(
-            spec, holes, wrong_reference, operand_domain=range(3), state_domain=range(3)
-        )
-        assert not result.equivalent
-        assert result.counterexample is not None
-        assert "expected" in result.describe()
-
-    def test_same_behaviour_on_different_atoms_proven_equivalent(self):
-        """A pred_raw configured with an always-true guard equals a raw accumulator."""
-        raw = atoms.get_atom("raw")
-        pred = atoms.get_atom("pred_raw")
-        raw_holes = {"opt_0": 0, "mux3_0": 0, "const_0": 0}
-        pred_holes = {
-            "opt_0": 1, "const_0": 0, "mux3_0": 2, "rel_op_0": 5,   # 0 >= 0: always true
-            "opt_1": 0, "const_1": 0, "mux3_1": 0, "arith_op_0": 0,  # state += pkt_0
-        }
-        result = check_alu_equivalence(
-            pred, pred_holes, raw, raw_holes, operand_domain=range(5), state_domain=range(5)
-        )
-        assert result.equivalent
-
-    def test_differently_configured_atoms_not_equivalent(self):
-        raw = atoms.get_atom("raw")
-        add_holes = {"opt_0": 0, "mux3_0": 0, "const_0": 0}       # state += pkt_0
-        overwrite_holes = {"opt_0": 1, "mux3_0": 0, "const_0": 0}  # state = pkt_0
-        result = check_alu_equivalence(
-            raw, add_holes, raw, overwrite_holes, operand_domain=range(4), state_domain=range(4)
-        )
-        assert not result.equivalent
-
-    def test_mismatched_shapes_rejected(self):
-        with pytest.raises(SpecificationError):
-            check_alu_equivalence(
-                atoms.get_atom("raw"), {}, atoms.get_atom("pair"), {}, operand_domain=range(2)
-            )
-
-    def test_domain_size_guard(self):
-        spec = atoms.get_atom("raw")
-        with pytest.raises(SpecificationError):
-            check_alu_against_reference(
-                spec, {"opt_0": 0, "mux3_0": 0, "const_0": 0},
-                lambda operands, state: 0,
-                operand_domain=range(1000), state_domain=range(1000), max_cases=100,
-            )
-
-    def test_specialized_source_is_hole_free_dsl(self):
-        spec = atoms.get_atom("if_else_raw")
-        holes = {hole: 0 for hole in spec.holes}
-        text = specialized_source(spec, holes)
-        assert "C()" not in text and "Mux3" not in text
-        assert text.startswith("type: stateful")
 
 
 class TestBoundedPipelineEquivalence:
