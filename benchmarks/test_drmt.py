@@ -87,7 +87,7 @@ def test_milp_vs_greedy_schedule_quality(capsys):
         graph = build_dependency_graph(program)
         hardware = DrmtHardwareParams()
         greedy = GreedyScheduler(program, graph, hardware).schedule()
-        milp = MilpScheduler(program, graph, hardware).schedule()
+        milp = MilpScheduler(program, graph, hardware).schedule(greedy.makespan)
         assert validate_schedule(milp, program, graph) == []
         assert milp.makespan <= greedy.makespan
         rows.append((program_name, greedy.makespan, milp.makespan))

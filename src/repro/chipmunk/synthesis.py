@@ -45,7 +45,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import dgen
 from ..dgen.emit import PipelineDescription
 from ..dsim import TrafficGenerator
-from ..engine.rmt import push_phv, stage_pairs
+from ..dsim.pipeline import copy_state
+from ..engine.rmt import prepare_inputs, push_phv, stage_pairs
 from ..errors import MissingMachineCodeError, SynthesisError
 from ..hardware import PipelineSpec
 from ..machine_code.pairs import MachineCode
@@ -73,24 +74,11 @@ class _CandidateEvaluator:
         initial_state: Optional[List[List[List[int]]]],
         containers: Optional[Sequence[int]],
     ):
-        self._description = description
         self._stage_functions = list(description.stage_functions)
-        self._initial_state = initial_state
+        self._initial_state = (
+            initial_state if initial_state is not None else description.initial_state()
+        )
         self._containers = list(containers) if containers is not None else None
-
-    def _fresh_state(self) -> List[List[List[int]]]:
-        if self._initial_state is None:
-            return self._description.initial_state()
-        return [[list(alu) for alu in stage] for stage in self._initial_state]
-
-    @staticmethod
-    def prepare(inputs: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Coerce an input trace to container-int lists, once per example set.
-
-        Stage functions read their PHV argument and return a new tuple, so
-        prepared inputs can be handed to every candidate without copying.
-        """
-        return [[int(v) for v in phv] for phv in inputs]
 
     def matches(
         self,
@@ -101,9 +89,9 @@ class _CandidateEvaluator:
         """True when the candidate produces every expected output.
 
         Stops at the first mismatching PHV.  ``inputs`` must come from
-        :meth:`prepare`.
+        :func:`~repro.engine.rmt.prepare_inputs`.
         """
-        pairs = stage_pairs(self._stage_functions, self._fresh_state())
+        pairs = stage_pairs(self._stage_functions, copy_state(self._initial_state))
         containers = self._containers
         try:
             for outputs, expected in zip(inputs, expected_outputs):
@@ -126,9 +114,9 @@ class _CandidateEvaluator:
     ) -> Optional[List[int]]:
         """The first input PHV on which the candidate diverges, or ``None``.
 
-        ``inputs`` must come from :meth:`prepare`.
+        ``inputs`` must come from :func:`~repro.engine.rmt.prepare_inputs`.
         """
-        pairs = stage_pairs(self._stage_functions, self._fresh_state())
+        pairs = stage_pairs(self._stage_functions, copy_state(self._initial_state))
         containers = self._containers
         try:
             for phv, expected in zip(inputs, expected_outputs):
@@ -288,7 +276,7 @@ class SynthesisEngine:
             max_value=max_value,
         )
 
-    def _spec_outputs(self, inputs: Sequence[Sequence[int]]) -> List[tuple]:
+    def _spec_outputs(self, inputs: List[Tuple[int, ...]]) -> List[tuple]:
         """Expected output containers per input PHV, cached per example set.
 
         The inner search evaluates thousands of candidates against the same
@@ -298,7 +286,7 @@ class SynthesisEngine:
         CEGIS iteration draws a fresh one, so entries would never be reused
         and the 400-PHV expected outputs would only accumulate memory).
         """
-        key = tuple(tuple(int(v) for v in phv) for phv in inputs)
+        key = tuple(inputs)
         cached = self._spec_cache.get(key)
         if cached is None:
             cached = self.specification.run(inputs).outputs()
@@ -315,8 +303,8 @@ class SynthesisEngine:
     def _search(self, examples: Sequence[Sequence[int]]) -> Optional[List[int]]:
         """Find an assignment with zero mismatches on ``examples`` (or ``None``)."""
         sketch = self.sketch
-        expected = self._spec_outputs(examples)
-        prepared = self._evaluator.prepare(examples)
+        prepared = prepare_inputs(self._description, examples)
+        expected = self._spec_outputs(prepared)
         if not sketch.search_names:
             return [] if self._matches(sketch.to_values([]), prepared, expected) else None
         for assignment in sketch.enumerate_assignments():
@@ -328,9 +316,8 @@ class SynthesisEngine:
         """Fuzz the candidate over the full value range; return a counterexample PHV or None."""
         config = self.config
         generator = self._make_traffic(config.verify_max_value, seed)
-        inputs = generator.generate(config.verify_phvs)
+        prepared = prepare_inputs(self._description, generator.generate(config.verify_phvs))
         values = self.sketch.to_values(assignment)
         # Fresh trace every iteration (seed varies), so no point caching it.
-        expected = self.specification.run(inputs).outputs()
-        prepared = self._evaluator.prepare(inputs)
+        expected = self.specification.run(prepared).outputs()
         return self._evaluator.first_counterexample(values, prepared, expected)

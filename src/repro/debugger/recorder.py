@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..dgen.emit import PipelineDescription
 from ..dsim.phv import PHV
-from ..dsim.pipeline import Pipeline
+from ..dsim.pipeline import Pipeline, copy_state
+from ..engine.rmt import prepare_inputs
 from ..errors import SimulationError
 
 
@@ -141,12 +142,16 @@ def record_execution(
 ) -> ExecutionRecording:
     """Simulate ``inputs`` through ``description`` while recording every tick.
 
-    ``initial_state`` is copied, so the caller's lists are left as they were.
+    ``inputs`` is read by :func:`~repro.engine.rmt.prepare_inputs`, as under
+    every RMT driver, so a value or a PHV width that a simulator refuses is
+    refused here with the same error.  ``initial_state`` is copied, so the
+    caller's lists are left as they were.
     """
-    if initial_state is not None:
-        initial_state = [[list(alu) for alu in stage] for stage in initial_state]
-    pipeline = Pipeline(description, runtime_values=runtime_values, initial_state=initial_state)
-    recording = ExecutionRecording(description=description, inputs=[list(v) for v in inputs])
+    work = prepare_inputs(description, inputs)
+    pipeline = Pipeline(
+        description, runtime_values=runtime_values, initial_state=copy_state(initial_state)
+    )
+    recording = ExecutionRecording(description=description, inputs=list(map(list, work)))
 
     def capture(entered: Optional[int], exited_phv: Optional[PHV]) -> None:
         stages = tuple(
@@ -173,7 +178,7 @@ def record_execution(
         if exited_phv is not None:
             recording.outputs[exited_phv.phv_id] = exited_phv.snapshot()
 
-    for index, values in enumerate(inputs):
+    for index, values in enumerate(work):
         exited = pipeline.tick(PHV.from_values(index, values))
         capture(entered=index, exited_phv=exited)
     while pipeline.in_flight:

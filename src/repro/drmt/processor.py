@@ -33,7 +33,7 @@ class RegisterFile:
     def write(self, register: str, index: int, value: int) -> None:
         """Write one register cell."""
         array = self._get(register)
-        array[index % len(array)] = int(value)
+        array[index % len(array)] = value
 
     def dump(self, register: str, limit: Optional[int] = None) -> List[int]:
         """Copy of a register array (optionally truncated)."""
@@ -209,7 +209,7 @@ class MatchActionProcessor:
         if arg in bindings:
             return bindings[arg]
         if "." in arg:
-            return int(packet.fields.get(arg, 0))
+            return packet.fields.get(arg, 0)
         value = integer_literal(arg)
         if value is None:
             raise SimulationError(f"cannot resolve action argument {arg!r}")

@@ -147,7 +147,7 @@ class MilpScheduler:
     """Time-indexed MILP formulation solved with ``scipy.optimize.milp``.
 
     Decision variables x[op, t] ∈ {0, 1} select the launch cycle of each
-    operation within a horizon derived from the greedy schedule; constraints
+    operation within a horizon, the greedy schedule's makespan; constraints
     enforce one launch per operation, dependency separations and per-cycle
     issue limits; the objective minimises the weighted sum of launch times
     (which minimises the makespan for these precedence structures).
@@ -161,8 +161,11 @@ class MilpScheduler:
         self.dependency_graph = dependency_graph
         self.hardware = hardware
 
-    def schedule(self) -> Optional[Schedule]:
+    def schedule(self, horizon: int) -> Optional[Schedule]:
         """Return an optimised schedule, or ``None`` when there is nothing to schedule.
+
+        Every operation launches before cycle ``horizon``, the makespan of
+        the greedy schedule the MILP improves on.
 
         Raises :class:`SchedulingError` when scipy is missing, when the
         instance has more than :attr:`MAX_VARIABLES` binary variables, or
@@ -174,8 +177,6 @@ class MilpScheduler:
         except ImportError:
             raise SchedulingError("the MILP scheduler needs scipy, which is not installed") from None
 
-        greedy = GreedyScheduler(self.program, self.dependency_graph, self.hardware).schedule()
-        horizon = greedy.makespan
         op_graph = _operation_graph(self.program, self.dependency_graph, self.hardware)
         operations = list(nx.topological_sort(op_graph))
         if not operations:
@@ -262,7 +263,7 @@ def schedule_program(
     """
     greedy = GreedyScheduler(program, dependency_graph, hardware).schedule()
     if use_milp:
-        optimised = MilpScheduler(program, dependency_graph, hardware).schedule()
+        optimised = MilpScheduler(program, dependency_graph, hardware).schedule(greedy.makespan)
         if optimised is not None and optimised.makespan <= greedy.makespan:
             return optimised
     return greedy

@@ -291,26 +291,27 @@ class DRMTSimulator:
 
     def _run_tick(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
         """The paper's per-tick round-robin processor loop."""
+        from ..engine.drmt import prepare_packets
+
+        inputs, work = prepare_packets(packets)
         num_processors = len(self.processors)
         for processor in self.processors:
             processor.operations_executed = 0
         records: List[DrmtPacketRecord] = []
-        inputs: Dict[int, Dict[str, int]] = {}
 
         tick = 0
         injected = 0
-        total = len(packets)
+        total = len(work)
         # Keep ticking until every injected packet has completed its program.
         while injected < total or any(processor.in_flight for processor in self.processors):
             if injected < total:
                 processor_id = tick % num_processors
                 packet = PacketContext(
                     packet_id=injected,
-                    fields=dict(packets[injected]),
+                    fields=work[injected],
                     arrival_tick=tick,
                     processor=processor_id,
                 )
-                inputs[injected] = dict(packets[injected])
                 self.processors[processor_id].accept(packet)
                 injected += 1
 
@@ -323,7 +324,7 @@ class DRMTSimulator:
                             arrival_tick=finished.arrival_tick,
                             completed_tick=finished.completed_tick,
                             inputs=inputs[finished.packet_id],
-                            outputs=dict(finished.fields),
+                            outputs=finished.fields,
                             dropped=finished.dropped,
                         )
                     )

@@ -88,7 +88,7 @@ class TableEntry:
     def matches(self, fields: Mapping[str, int]) -> bool:
         """True when every pattern matches the packet's field values."""
         for field_name, pattern in self.patterns.items():
-            if not pattern.matches(int(fields.get(field_name, 0))):
+            if not pattern.matches(fields.get(field_name, 0)):
                 return False
         return True
 

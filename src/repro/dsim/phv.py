@@ -43,7 +43,7 @@ class PHV:
     @classmethod
     def from_values(cls, phv_id: int, values: Sequence[int]) -> "PHV":
         """Create a PHV whose read half holds ``values`` (write half starts as a copy)."""
-        values_list = [int(v) for v in values]
+        values_list = list(values)
         return cls(phv_id=phv_id, read=values_list, write=list(values_list))
 
     def commit(self) -> None:

@@ -30,6 +30,13 @@ from ..errors import MissingMachineCodeError, SimulationError
 from .phv import PHV
 
 
+def copy_state(state: Optional[List[List[List[int]]]]) -> Optional[List[List[List[int]]]]:
+    """Deep copy of per-stage, per-ALU state vectors (``None`` stays ``None``)."""
+    if state is None:
+        return None
+    return [[list(alu) for alu in stage] for stage in state]
+
+
 class Pipeline:
     """Executable pipeline built from a dgen pipeline description."""
 
@@ -72,10 +79,6 @@ class Pipeline:
                         "each stateful ALU state vector must have "
                         f"{self.description.spec.num_state_vars} entries"
                     )
-
-    def state_snapshot(self) -> List[List[List[int]]]:
-        """Deep copy of the per-stage, per-ALU state vectors."""
-        return [[list(alu_state) for alu_state in stage_state] for stage_state in self.state]
 
     # ------------------------------------------------------------------
     # Tick execution

@@ -54,6 +54,7 @@ from ..engine.base import (
 from ..engine.result import SimulationResult
 from ..errors import SimulationError
 from ..traffic import TrafficGenerator
+from .pipeline import copy_state
 
 __all__ = ["RMTSimulator", "SimulationResult"]
 
@@ -101,7 +102,7 @@ class RMTSimulator:
         return ShardedRmtDriver(
             self.description,
             runtime_values=self._runtime_values,
-            initial_state=self._initial_state_copy(),
+            initial_state=copy_state(self._initial_state),
             shards=sharding.shards,
             workers=sharding.workers,
             key=sharding.key,
@@ -151,7 +152,7 @@ class RMTSimulator:
         else:
             runner = drivers.run_fused
         return runner(
-            self.description, phv_values, self._runtime_values, self._initial_state_copy()
+            self.description, phv_values, self._runtime_values, copy_state(self._initial_state)
         )
 
     def run_traffic(self, generator: TrafficGenerator, count: int) -> SimulationResult:
@@ -162,11 +163,3 @@ class RMTSimulator:
                 f"pipeline width is {self.description.spec.width}"
             )
         return self.run(generator.generate(count))
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _initial_state_copy(self) -> Optional[List[List[List[int]]]]:
-        if self._initial_state is None:
-            return None
-        return [[list(alu) for alu in stage] for stage in self._initial_state]

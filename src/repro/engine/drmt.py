@@ -9,9 +9,10 @@ each packet to completion; a bundle has it only when the schedule proves
 that bit-identical to the tick interpreter (no register hazard), and the
 facade runs every other bundle under tick.
 
-:func:`prepare_packets` copies the trace twice at C speed: once for the
-records' input column and once for the working dicts the loop mutates
-(int-coerced only when some value is not already an ``int``).
+:func:`prepare_packets` is the one place a dRMT input value is decided,
+for the tick driver and the fused one alike: it copies the trace twice at C
+speed, once for the records' input column and once for the working dicts a
+driver mutates, and reads every value as an exact ``int``.
 
 :func:`assemble_result` builds the same :class:`DrmtSimulationResult` as the
 tick interpreter, column-backed: it keeps the input dicts, the mutated
@@ -25,27 +26,40 @@ tick ``p`` on processor ``p % N`` and completes at tick
 from __future__ import annotations
 
 from itertools import chain
+from operator import index
 from typing import Dict, List, Sequence, Tuple
 
 from ..drmt.simulator import DrmtSimulationResult
+from ..errors import SimulationError
 
 
 def prepare_packets(
     packets: Sequence[Dict[str, int]]
 ) -> Tuple[List[Dict[str, int]], List[Dict[str, int]]]:
-    """Copy the input packets and build integer-coerced working dicts.
+    """Read the input packets as an input column and working dicts of exact ints.
+
+    A value is accepted when :func:`operator.index` accepts it (``int``,
+    ``bool``, ``IntEnum``, ...) and stored as an exact ``int``; any other
+    value (``float``, ``str``, ``None``, ``Decimal``) raises
+    :class:`SimulationError` naming the packet and the field.
 
     Both copies are the caller's own: the result never aliases the packet
     dicts passed in.  When every field value is already an ``int`` (checked
-    at C speed over the flattened values), the working dicts are plain
-    copies; only mixed-type traces take the per-value ``int()`` pass.
+    at C speed over the flattened values), both are plain copies; only a
+    trace with another value type takes the per-value pass.
     """
     inputs = list(map(dict, packets))
-    if set(map(type, chain.from_iterable(map(dict.values, inputs)))) <= {int}:
-        work = list(map(dict.copy, inputs))
-    else:
-        work = [{name: int(value) for name, value in packet.items()} for packet in inputs]
-    return inputs, work
+    if not set(map(type, chain.from_iterable(map(dict.values, inputs)))) <= {int}:
+        for number, packet in enumerate(inputs):
+            for name, value in packet.items():
+                try:
+                    packet[name] = index(value)
+                except TypeError:
+                    raise SimulationError(
+                        f"packet {number} field {name!r}: "
+                        f"{value!r} ({type(value).__name__}) is not an integer"
+                    ) from None
+    return inputs, list(map(dict.copy, inputs))
 
 
 def assemble_result(

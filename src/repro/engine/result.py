@@ -9,14 +9,14 @@ which driver ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..dsim.trace import Trace
 from ..errors import SimulationError
 
 
-@dataclass(init=False)
+@dataclass
 class SimulationResult:
     """Everything a simulation run produces.
 
@@ -24,11 +24,10 @@ class SimulationResult:
     ----------
     input_trace:
         The PHV values fed into the pipeline, in input order, as integer
-        lists.  A driver passes ``None``: the lists are then built from the
-        output trace's input column on first read and cached, as
-        :attr:`Trace.records <repro.dsim.trace.Trace.records>` is, so a
-        result holds one copy of the inputs until they are read, and editing
-        them does not change the output trace.
+        lists, built from the output trace's input column on first read and
+        cached, as :attr:`Trace.records <repro.dsim.trace.Trace.records>` is,
+        so a result holds one copy of the inputs until they are read, and
+        editing them does not change the output trace.
     output_trace:
         The output trace: one record per input PHV (same order), plus the
         final per-stage state vectors.
@@ -42,18 +41,9 @@ class SimulationResult:
     output_trace: Trace
     ticks: int
     engine: str = "tick"
-
-    def __init__(
-        self,
-        input_trace: Optional[List[List[int]]],
-        output_trace: Trace,
-        ticks: int,
-        engine: str = "tick",
-    ) -> None:
-        self._input_trace = input_trace
-        self.output_trace = output_trace
-        self.ticks = ticks
-        self.engine = engine
+    _input_trace: Optional[List[List[int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def input_trace(self) -> List[List[int]]:
@@ -106,6 +96,4 @@ def sequential_result(
     """
     trace = Trace.from_columns(inputs, list(map(tuple, outputs)), final_state)
     ticks = len(inputs) + depth if inputs else 0
-    return SimulationResult(
-        input_trace=None, output_trace=trace, ticks=ticks, engine=engine
-    )
+    return SimulationResult(output_trace=trace, ticks=ticks, engine=engine)

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import index
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..dgen.emit import PipelineDescription
 from ..dsim.phv import PHV
-from ..dsim.pipeline import Pipeline
+from ..dsim.pipeline import Pipeline, copy_state
 from ..dsim.trace import Trace
 from ..errors import MissingMachineCodeError, SimulationError
 from .base import ENGINE_FUSED, ENGINE_GENERIC, ENGINE_TICK
@@ -106,7 +107,7 @@ def run_tick(
 ) -> SimulationResult:
     """Tick-accurate driver: the paper's §3.3 per-tick pipeline model.
 
-    The input trace is coerced by :func:`prepare_inputs`, as under the
+    The input trace is read by :func:`prepare_inputs`, as under the
     sequential drivers, so every driver reports the same ``input_trace``.
     """
     inputs = prepare_inputs(description, phv_values)
@@ -121,9 +122,8 @@ def run_tick(
     trace = Trace()
     for phv, input_values in zip(exited, inputs):
         trace.append(phv.phv_id, input_values, phv.snapshot())
-    trace.final_state = pipeline.state_snapshot()
+    trace.final_state = copy_state(pipeline.state)
     return SimulationResult(
-        input_trace=None,
         output_trace=trace,
         ticks=pipeline.current_tick,
         engine=ENGINE_TICK,
@@ -133,7 +133,13 @@ def run_tick(
 def prepare_inputs(
     description: PipelineDescription, phv_values: Sequence[Iterable[int]]
 ) -> List[Tuple[int, ...]]:
-    """Coerce the input trace to one tuple of exact ``int`` per PHV and check widths.
+    """Read the input trace as one tuple of exact ``int`` per PHV and check widths.
+
+    This is the one place an RMT input value is decided: a value is accepted
+    when :func:`operator.index` accepts it (``int``, ``bool``, ``IntEnum``,
+    ``numpy.int64``, ...) and stored as an exact ``int``; any other value
+    (``float``, ``str``, ``None``, ``Decimal``) raises
+    :class:`SimulationError` naming the PHV and the container.
 
     The column is the loop input, the output trace's input column and the
     source of the result's ``input_trace``.  Tuples keep it immutable, so the
@@ -146,8 +152,9 @@ def prepare_inputs(
     output — both checks and the copy run at C speed.  The container checks
     run first, so neither a one-shot trace nor a one-shot row is ever drained
     by the value-type check; any other trace (a generator, ``bool`` or
-    ``IntEnum`` values, ``range`` or iterator rows, ...) takes the single
-    ``int()`` pass.
+    ``IntEnum`` values, ``range`` or iterator rows, ...) is read into rows
+    once and takes the single ``operator.index`` pass, and only a trace that
+    fails it is scanned for the value to name.
     """
     if (
         type(phv_values) in (list, tuple)
@@ -156,7 +163,20 @@ def prepare_inputs(
     ):
         work = list(map(tuple, phv_values))
     else:
-        work = [tuple(map(int, values)) for values in phv_values]
+        rows = list(map(tuple, phv_values))
+        try:
+            work = [tuple(map(index, values)) for values in rows]
+        except TypeError:
+            for number, values in enumerate(rows):
+                for container, value in enumerate(values):
+                    try:
+                        index(value)
+                    except TypeError:
+                        raise SimulationError(
+                            f"PHV {number} container {container}: "
+                            f"{value!r} ({type(value).__name__}) is not an integer"
+                        ) from None
+            raise
     validate_widths(work, description.spec.width)
     return work
 

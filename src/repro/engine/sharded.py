@@ -53,6 +53,7 @@ import math
 import os
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from ..dsim.pipeline import copy_state
 from ..errors import SimulationError
 from ..machine_code import readsets
 from .base import (
@@ -92,7 +93,7 @@ def stable_flow_hash(values: Sequence[int]) -> int:
     """
     folded = _FNV_OFFSET
     for value in values:
-        value = int(value) & _MASK64
+        value &= _MASK64
         while True:
             folded = ((folded ^ (value & 0xFF)) * _FNV_PRIME) & _MASK64
             value >>= 8
@@ -333,13 +334,13 @@ class ShardedRmtDriver:
         plan = plan_shards(len(work), self.shards, keys)
         handle = rmt_drivers.shard_handle(description, self.inner_mode, self._values)
         if len(plan) <= 1:
-            outputs, state = handle.run(work, _copy_state(base_state))
+            outputs, state = handle.run(work, copy_state(base_state))
             return sequential_result(
                 work, outputs, state, description.spec.depth, self.engine_name
             )
 
         shard_works = plan.scatter(work)
-        shard_states = [_copy_state(base_state) for _ in range(len(plan))]
+        shard_states = [copy_state(base_state) for _ in range(len(plan))]
         results = ShardTransport().run_rmt_shards(
             handle, shard_works, shard_states, self.workers, len(work), self.pool_threshold
         )
@@ -363,7 +364,3 @@ class ShardedRmtDriver:
         return sequential_result(
             work, outputs, merged_state, description.spec.depth, self.engine_name
         )
-
-
-def _copy_state(state: List[List[List[int]]]) -> List[List[List[int]]]:
-    return [[list(variables) for variables in vectors] for vectors in state]

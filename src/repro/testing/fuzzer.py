@@ -23,6 +23,7 @@ from typing import List, Optional
 
 from .. import dgen
 from ..dsim import DEFAULT_MAX_VALUE, RMTSimulator, TrafficGenerator
+from ..dsim.pipeline import copy_state
 from ..errors import DruzhbaError, MissingMachineCodeError
 from ..hardware import PipelineSpec
 from ..machine_code.pairs import MachineCode
@@ -163,7 +164,7 @@ class FuzzTester:
         traffic = self._make_traffic(max_value, seed)
         inputs = traffic.generate(config.num_phvs)
         simulator = RMTSimulator(
-            description, initial_state=self._copy_initial_state(), engine=config.engine
+            description, initial_state=copy_state(self._initial_state), engine=config.engine
         )
         try:
             result = simulator.run(inputs)
@@ -184,8 +185,3 @@ class FuzzTester:
             seed=seed,
             max_value=max_value,
         )
-
-    def _copy_initial_state(self) -> Optional[List[List[List[int]]]]:
-        if self._initial_state is None:
-            return None
-        return [[list(alu) for alu in stage] for stage in self._initial_state]

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import dgen
 from ..dsim import RMTSimulator
+from ..dsim.pipeline import copy_state
 from ..errors import SpecificationError
 from ..hardware import PipelineSpec
 from ..machine_code.pairs import MachineCode
@@ -95,15 +96,10 @@ def check_bounded_equivalence(
 
     description = dgen.generate(pipeline_spec, machine_code, opt_level=opt_level)
 
-    def fresh_state() -> Optional[List[List[List[int]]]]:
-        if initial_state is None:
-            return None
-        return [[list(alu) for alu in stage] for stage in initial_state]
-
     traces_checked = 0
     for trace in enumerate_traces(domain, pipeline_spec.width, trace_length):
         traces_checked += 1
-        simulator = RMTSimulator(description, initial_state=fresh_state())
+        simulator = RMTSimulator(description, initial_state=copy_state(initial_state))
         result = simulator.run(trace)
         expected = specification.run(trace)
         # Fast screen first (count-only, stop at the first disagreement);
@@ -165,17 +161,13 @@ def check_optimization_equivalence(
         for level in dgen.OPT_LEVELS
     }
 
-    def fresh_state() -> Optional[List[List[List[int]]]]:
-        if initial_state is None:
-            return None
-        return [[list(alu) for alu in stage] for stage in initial_state]
-
     traces_checked = 0
     for trace in enumerate_traces(domain, pipeline_spec.width, trace_length):
         traces_checked += 1
         results: Dict[int, object] = {}
         for level, description in descriptions.items():
-            results[level] = RMTSimulator(description, initial_state=fresh_state()).run(trace)
+            simulator = RMTSimulator(description, initial_state=copy_state(initial_state))
+            results[level] = simulator.run(trace)
         baseline = results[dgen.OPT_UNOPTIMIZED]
         for level in (dgen.OPT_SCC, dgen.OPT_SCC_INLINE, dgen.OPT_FUSED):
             candidate = results[level]

@@ -5,7 +5,8 @@ Hypothesis draws whole programs as P4 source text and builds them through
 actions mixing field arithmetic, drops and reads and writes of small
 registers indexed by packet fields, default actions that a table does not
 list, table entries with overlapping patterns and priorities, and packet
-traces, some missing a field.  Each program is validated, scheduled onto
+traces, some missing a field and some carrying ``bool`` or ``IntEnum``
+values.  Each program is validated, scheduled onto
 drawn dRMT hardware and run under both drivers; records, register dump,
 table hits and tick count must agree.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from enum import IntEnum
 from typing import Dict, List, Tuple
 
 import pytest
@@ -53,6 +55,17 @@ REGISTERS = ("r0", "r1")
 #: Small values, so matches, register-cell collisions and true conditions
 #: happen often.
 small = st.integers(min_value=0, max_value=7)
+
+
+class Small(IntEnum):
+    ZERO = 0
+    ONE = 1
+    FIVE = 5
+
+
+#: Packet field values: small ints, and ``bool`` and ``IntEnum`` values,
+#: which the dRMT reader stores as exact ints for both drivers.
+field_values = st.one_of(small, st.booleans(), st.sampled_from(Small))
 
 
 @dataclass
@@ -167,7 +180,7 @@ def drmt_cases(draw) -> DrmtCase:
 
     packets = []
     for _ in range(draw(st.integers(min_value=0, max_value=24))):
-        packet = {field: draw(small) for field in FIELDS}
+        packet = {field: draw(field_values) for field in FIELDS}
         if draw(st.integers(min_value=0, max_value=9)) == 0:
             del packet[draw(st.sampled_from(FIELDS))]
         packets.append(packet)
@@ -274,6 +287,16 @@ def _register_cycles(case: DrmtCase) -> Dict[str, Tuple[set, set]]:
     return cycles
 
 
+def _exact_ints(result) -> bool:
+    """True when every record's input and output values are exact ints."""
+    return all(
+        type(value) is int
+        for record in result.records
+        for packet in (record.inputs, record.outputs)
+        for value in packet.values()
+    )
+
+
 class TestFusedMatchesTickOnDrawnPrograms:
     @settings(max_examples=EXAMPLES, deadline=None)
     @example(case=PINNED_CONFINED)
@@ -285,6 +308,7 @@ class TestFusedMatchesTickOnDrawnPrograms:
         program.validate()
         bundle = generate_bundle(program, case.hardware)
         tick = DRMTSimulator(bundle, case.entries, engine="tick").run_packets(case.packets)
+        assert _exact_ints(tick)
         event(f"register hazard: {bundle.hazard is not None}")
         if bundle.hazard is not None:
             register, _cycles = bundle.hazard
@@ -297,6 +321,7 @@ class TestFusedMatchesTickOnDrawnPrograms:
         fused = DRMTSimulator(bundle, case.entries, engine="fused").run_packets(case.packets)
         assert fused.engine == "fused"
         assert fused.records == tick.records
+        assert _exact_ints(fused)
         assert fused.register_dump == tick.register_dump
         assert fused.table_hits == tick.table_hits
         assert fused.ticks == tick.ticks

@@ -152,7 +152,7 @@ class TestMilpScheduler:
         graph = build_dependency_graph(program)
         hardware = DrmtHardwareParams()
         greedy = GreedyScheduler(program, graph, hardware).schedule()
-        milp = MilpScheduler(program, graph, hardware).schedule()
+        milp = MilpScheduler(program, graph, hardware).schedule(greedy.makespan)
         assert milp.backend == "milp"
         assert validate_schedule(milp, program, graph) == []
         assert milp.makespan <= greedy.makespan
@@ -164,6 +164,22 @@ class TestMilpScheduler:
         schedule = schedule_program(program, graph, DrmtHardwareParams(), use_milp=True)
         assert schedule.backend == "milp"
         assert validate_schedule(schedule, program, graph) == []
+
+    def test_schedule_program_schedules_greedily_once(self, monkeypatch):
+        pytest.importorskip("scipy")
+        calls = []
+        greedy_schedule = GreedyScheduler.schedule
+
+        def counted(scheduler):
+            calls.append(scheduler)
+            return greedy_schedule(scheduler)
+
+        monkeypatch.setattr(GreedyScheduler, "schedule", counted)
+        program = samples.telemetry_pipeline()
+        graph = build_dependency_graph(program)
+        schedule = schedule_program(program, graph, DrmtHardwareParams(), use_milp=True)
+        assert schedule.backend == "milp"
+        assert len(calls) == 1
 
     def test_oversized_instance_fails_loudly(self, monkeypatch):
         pytest.importorskip("scipy")

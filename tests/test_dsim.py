@@ -11,6 +11,7 @@ from repro.dsim import (
     TrafficGenerator,
     choice_field,
 )
+from repro.dsim.pipeline import copy_state
 from repro.errors import MissingMachineCodeError, SimulationError
 from repro.hardware import PipelineSpec
 from repro.machine_code import naming
@@ -170,9 +171,10 @@ class TestPipeline:
 
     def test_state_snapshot_is_deep_copy(self, counter_description):
         pipeline = Pipeline(counter_description)
-        snapshot = pipeline.state_snapshot()
+        snapshot = copy_state(pipeline.state)
         snapshot[0][0][0] = 999
         assert pipeline.state[0][0][0] == 0
+        assert copy_state(None) is None
 
 
 class TestSimulator:
