@@ -91,13 +91,10 @@ ALLOWED: Dict[str, Tuple[str, str]] = {
         UNSEEN, "the README documents it as every RMT result's input column",
     ),
     "repro.dsim.trace.Trace.inputs": (
-        UNSEEN, "builds SimulationResult.input_trace",
+        UNSEEN, "the input column; SimulationResult.input_trace and Trace.__eq__ read it",
     ),
     "repro.dsim.trace.Trace.__eq__": (
         UNSEEN, "== on traces; no bundled script compares two",
-    ),
-    "repro.drmt.simulator.DrmtSimulationResult.__eq__": (
-        UNSEEN, "== on dRMT results; no bundled script compares two",
     ),
     "repro.machine_code.pairs.MachineCode.__eq__": (
         UNSEEN, "== on machine code; no bundled script compares two",

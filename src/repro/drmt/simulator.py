@@ -22,14 +22,14 @@ bundle has no hazard and tick when it has one, and an explicit
 naming the register and its cycles.  A generator error propagates instead
 of falling back to tick.
 
-Both drivers report per-run per-processor statistics.  Register and
-table-hit state accumulate across runs of one simulator under both drivers.
+Both drivers return through :func:`repro.engine.drmt.assemble_result` and
+report per-run per-processor statistics.  Register and table-hit state
+accumulate across runs of one simulator under both drivers.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..engine.base import ENGINE_FUSED, ENGINE_TICK, resolve_engine
@@ -62,85 +62,41 @@ class DrmtPacketRecord:
         return self.completed_tick - self.arrival_tick + 1
 
 
-#: What two results must share to compare equal (the records included).
-_RESULT_FIELDS = (
-    "records",
-    "ticks",
-    "per_processor_packets",
-    "per_processor_operations",
-    "table_hits",
-    "register_dump",
-    "engine",
-)
-
-
+@dataclass
 class DrmtSimulationResult:
-    """Output of one dRMT simulation run.
+    """Output of one dRMT simulation run, whatever its driver.
 
-    ``engine`` names the driver that produced the result (``tick`` or
-    ``fused``).
+    Both drivers build it through :func:`repro.engine.drmt.assemble_result`;
+    ``engine`` names the one that ran (``tick`` or ``fused``).
 
-    The fused driver's result is column-backed (:meth:`from_columns`): it
-    keeps the input and output dict columns and the dropped flags, and
-    builds the :class:`DrmtPacketRecord` list only when :attr:`records` is
-    first read.  Packet ``p``'s id, processor (``p % N``), arrival tick
-    (``p``) and completion tick follow from its index.  From then on the
-    records list is authoritative, as for :class:`repro.dsim.Trace`.
+    The result keeps the input and output dict columns and the dropped
+    flags, and builds :class:`DrmtPacketRecord` objects from them on every
+    read of :attr:`records`, caching none; a record's ``inputs`` and
+    ``outputs`` are the columns' own dicts.  Packet ``p``'s id, processor
+    (``p % num_processors``), arrival tick (``p``) and completion tick
+    (``p + completion_offset``) follow from its index.  The columns are
+    kept without copying: callers hand over lists they no longer mutate.
+    Two results compare equal when their columns and summaries are equal.
     :attr:`packets_processed`, :attr:`packets_dropped` and :meth:`describe`
     read the columns and build no more records than they print.
     """
 
-    def __init__(
-        self,
-        records: Optional[List[DrmtPacketRecord]] = None,
-        ticks: int = 0,
-        per_processor_packets: Optional[Dict[int, int]] = None,
-        per_processor_operations: Optional[Dict[int, int]] = None,
-        table_hits: Optional[Dict[str, Tuple[int, int]]] = None,
-        register_dump: Optional[Dict[str, List[int]]] = None,
-        engine: str = "tick",
-    ):
-        self._records: Optional[List[DrmtPacketRecord]] = records if records is not None else []
-        self._inputs: Sequence[Dict[str, int]] = ()
-        self._outputs: Sequence[Dict[str, int]] = ()
-        self._dropped: Sequence[bool] = ()
-        self._num_processors = 1
-        self._completion_offset = 0
-        self.ticks = ticks
-        self.per_processor_packets = per_processor_packets or {}
-        self.per_processor_operations = per_processor_operations or {}
-        self.table_hits = table_hits or {}
-        self.register_dump = register_dump or {}
-        self.engine = engine
+    inputs: Sequence[Dict[str, int]] = field(repr=False)
+    outputs: Sequence[Dict[str, int]] = field(repr=False)
+    dropped: Sequence[bool] = field(repr=False)
+    num_processors: int
+    completion_offset: int
+    ticks: int
+    per_processor_packets: Dict[int, int]
+    per_processor_operations: Dict[int, int]
+    table_hits: Dict[str, Tuple[int, int]]
+    register_dump: Dict[str, List[int]]
+    engine: str
 
-    @classmethod
-    def from_columns(
-        cls,
-        inputs: Sequence[Dict[str, int]],
-        outputs: Sequence[Dict[str, int]],
-        dropped: Sequence[bool],
-        num_processors: int,
-        completion_offset: int,
-        **summary,
-    ) -> "DrmtSimulationResult":
-        """A result over packets ``0..n-1`` injected round-robin, one per tick.
-
-        Packet ``p`` ran on processor ``p % num_processors``, arrived at tick
-        ``p`` and completed at tick ``p + completion_offset``.  The columns
-        are kept without copying; callers hand over lists they no longer
-        mutate.  ``summary`` carries the remaining constructor fields.
-        """
-        result = cls(**summary)
-        result._records = None
-        result._inputs, result._outputs, result._dropped = inputs, outputs, dropped
-        result._num_processors = num_processors
-        result._completion_offset = completion_offset
-        return result
-
-    def _build_records(self, packets: range) -> List[DrmtPacketRecord]:
+    def _record_list(self, packets: range) -> List[DrmtPacketRecord]:
         """The records of ``packets``, built from the columns."""
-        num_processors, offset = self._num_processors, self._completion_offset
-        inputs, outputs, dropped = self._inputs, self._outputs, self._dropped
+        num_processors, offset = self.num_processors, self.completion_offset
+        inputs, outputs, dropped = self.inputs, self.outputs, self.dropped
         return [
             DrmtPacketRecord(
                 packet_id=packet,
@@ -156,32 +112,18 @@ class DrmtSimulationResult:
 
     @property
     def records(self) -> List[DrmtPacketRecord]:
-        """One record per packet, built from the columns on first access."""
-        if self._records is None:
-            self._records = self._build_records(range(len(self._outputs)))
-            self._inputs, self._outputs, self._dropped = (), (), ()
-        return self._records
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DrmtSimulationResult):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in _RESULT_FIELDS)
-
-    __hash__ = None  # type: ignore[assignment]
+        """One record per packet, built from the columns."""
+        return self._record_list(range(len(self.outputs)))
 
     @property
     def packets_processed(self) -> int:
         """Packets that completed the program."""
-        if self._records is None:
-            return len(self._outputs)
-        return len(self._records)
+        return len(self.outputs)
 
     @property
     def packets_dropped(self) -> int:
         """Packets dropped by an action."""
-        if self._records is None:
-            return sum(map(bool, self._dropped))
-        return sum(1 for record in self._records if record.dropped)
+        return sum(map(bool, self.dropped))
 
     def throughput(self) -> float:
         """Completed packets per simulation tick."""
@@ -199,11 +141,7 @@ class DrmtSimulationResult:
             f"packets per processor: {dict(sorted(self.per_processor_packets.items()))}",
             f"table hits/misses:     {self.table_hits}",
         ]
-        if self._records is None:
-            shown = self._build_records(range(total)[:limit])
-        else:
-            shown = self._records[:limit]
-        for record in shown:
+        for record in self._record_list(range(total)[:limit]):
             lines.append(
                 f"  packet {record.packet_id} (proc {record.processor}, latency {record.latency}): "
                 f"dropped={record.dropped}"
@@ -290,18 +228,27 @@ class DRMTSimulator:
         )
 
     def _run_tick(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
-        """The paper's per-tick round-robin processor loop."""
-        from ..engine.drmt import prepare_packets
+        """The paper's per-tick round-robin processor loop.
 
-        inputs, work = prepare_packets(packets)
+        The processors mutate the working dicts in place and the loop fills
+        the dropped flags; :func:`~repro.engine.drmt.assemble_result` then
+        builds the result as for the fused driver.  The loop stays an
+        independent reference: a packet that completes at a tick other than
+        ``p + makespan - 1``, or a tick count or per-processor operation
+        count other than the builder's, raises :class:`SimulationError`.
+        """
+        from ..engine import drmt as drivers
+
+        inputs, work = drivers.prepare_packets(packets)
         num_processors = len(self.processors)
         for processor in self.processors:
             processor.operations_executed = 0
-        records: List[DrmtPacketRecord] = []
+        total = len(work)
+        dropped = [False] * total
+        completion_offset = max(self.bundle.schedule.makespan - 1, 0)
 
         tick = 0
         injected = 0
-        total = len(work)
         # Keep ticking until every injected packet has completed its program.
         while injected < total or any(processor.in_flight for processor in self.processors):
             if injected < total:
@@ -317,39 +264,36 @@ class DRMTSimulator:
 
             for processor in self.processors:
                 for finished in processor.tick(tick):
-                    records.append(
-                        DrmtPacketRecord(
-                            packet_id=finished.packet_id,
-                            processor=finished.processor,
-                            arrival_tick=finished.arrival_tick,
-                            completed_tick=finished.completed_tick,
-                            inputs=inputs[finished.packet_id],
-                            outputs=finished.fields,
-                            dropped=finished.dropped,
+                    if finished.completed_tick != finished.packet_id + completion_offset:
+                        raise SimulationError(
+                            f"packet {finished.packet_id} completed at tick "
+                            f"{finished.completed_tick}, expected "
+                            f"{finished.packet_id + completion_offset}"
                         )
-                    )
+                    dropped[finished.packet_id] = finished.dropped
             tick += 1
             if tick > (total + 1) * (self.bundle.schedule.makespan + num_processors + 1) + 10:
                 raise SimulationError("dRMT simulation failed to drain; schedule appears inconsistent")
 
-        records.sort(key=lambda record: record.packet_id)
-        packets_done = Counter(record.processor for record in records)
-        return DrmtSimulationResult(
-            records=records,
-            ticks=tick,
-            per_processor_packets={
-                processor.processor_id: packets_done[processor.processor_id]
-                for processor in self.processors
-            },
-            per_processor_operations={
-                processor.processor_id: processor.operations_executed for processor in self.processors
-            },
-            table_hits=self.tables.hit_statistics(),
-            register_dump={
-                name: self.registers.dump(name, self.register_dump_limit)
-                for name in self.bundle.program.registers
-            },
+        result = drivers.assemble_result(
+            self.bundle,
+            self.tables,
+            self.registers,
+            inputs,
+            work,
+            dropped,
+            self.register_dump_limit,
+            engine=ENGINE_TICK,
         )
+        operations = {
+            processor.processor_id: processor.operations_executed for processor in self.processors
+        }
+        if (tick, operations) != (result.ticks, result.per_processor_operations):
+            raise SimulationError(
+                f"tick loop ran {tick} ticks and {operations} operations per processor, "
+                f"expected {result.ticks} and {result.per_processor_operations}"
+            )
+        return result
 
     def run_traffic(
         self,

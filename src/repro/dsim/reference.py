@@ -127,8 +127,6 @@ class ReferenceSimulator:
 
     def run(self, phv_values: Sequence[Sequence[int]]) -> Trace:
         """Run a whole input trace and return the output trace."""
-        trace = Trace()
-        for index, values in enumerate(phv_values):
-            trace.append(index, values, self.process_phv(values))
-        trace.final_state = [[list(alu) for alu in stage] for stage in self.state]
-        return trace
+        inputs = list(map(tuple, phv_values))
+        outputs = list(map(self.process_phv, inputs))
+        return Trace(inputs, outputs, [[list(alu) for alu in stage] for stage in self.state])

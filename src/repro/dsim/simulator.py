@@ -38,6 +38,7 @@ selection rules (``"auto"``).
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from typing import Dict, List, Optional, Sequence
 
 from ..engine.base import (
@@ -125,6 +126,10 @@ class RMTSimulator:
         """
         from ..engine import rmt as drivers
 
+        if not isinstance(phv_values, Sized):
+            # The auto-shard rule needs the trace's length: read a one-shot
+            # trace into rows once, before any driver sees it.
+            phv_values = list(phv_values)
         mode = resolve_engine(
             self.engine,
             fused_available=self.description.fused_function is not None,

@@ -1,4 +1,4 @@
-"""The dRMT fused driver.
+"""The dRMT fused driver and the result builder both dRMT drivers share.
 
 The dRMT tick interpreter (:class:`repro.drmt.simulator.DRMTSimulator`'s
 per-tick loop) scans every in-flight packet for due operations each cycle.
@@ -14,13 +14,13 @@ for the tick driver and the fused one alike: it copies the trace twice at C
 speed, once for the records' input column and once for the working dicts a
 driver mutates, and reads every value as an exact ``int``.
 
-:func:`assemble_result` builds the same :class:`DrmtSimulationResult` as the
-tick interpreter, column-backed: it keeps the input dicts, the mutated
-working dicts and the dropped flags, and the records are built on first
-read.  Arrival/completion ticks, processor assignment and operation counts
-follow from the round-robin injection discipline (packet ``p`` enters at
-tick ``p`` on processor ``p % N`` and completes at tick
-``p + makespan - 1``), so the records match the tick model field for field.
+:func:`assemble_result` builds the :class:`DrmtSimulationResult` of both
+drivers: it keeps the input dicts, the mutated working dicts and the
+dropped flags, and records are built from them on read.  Arrival/completion
+ticks, processor assignment and operation counts follow from the
+round-robin injection discipline (packet ``p`` enters at tick ``p`` on
+processor ``p % N`` and completes at tick ``p + makespan - 1``); the tick
+interpreter checks its own counts against them.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def assemble_result(
     register_dump_limit: int,
     engine: str,
 ) -> DrmtSimulationResult:
-    """Build the tick-compatible, column-backed result of a sequential dRMT run."""
+    """Build the result of a dRMT run from its columns, whatever its driver."""
     total = len(inputs)
     makespan = bundle.schedule.makespan
     num_processors = bundle.hardware.num_processors
@@ -85,7 +85,7 @@ def assemble_result(
     ticks = 0
     if total:
         ticks = total + completion_offset if makespan else total
-    return DrmtSimulationResult.from_columns(
+    return DrmtSimulationResult(
         inputs,
         work,
         dropped,

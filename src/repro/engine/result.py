@@ -2,14 +2,15 @@
 
 Every driver of a compiled pipeline description that
 :class:`repro.dsim.RMTSimulator` dispatches — tick, generic, fused and
-sharded — returns the same :class:`SimulationResult`, so downstream
-consumers (equivalence checking, fuzzing, benchmarks, the CLI) never care
-which driver ran.
+sharded — returns the same :class:`SimulationResult`, built by
+:func:`sequential_result` from the run's input and output columns, so
+downstream consumers (equivalence checking, fuzzing, benchmarks, the CLI)
+never care which driver ran.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..dsim.trace import Trace
@@ -22,15 +23,9 @@ class SimulationResult:
 
     Attributes
     ----------
-    input_trace:
-        The PHV values fed into the pipeline, in input order, as integer
-        lists, built from the output trace's input column on first read and
-        cached, as :attr:`Trace.records <repro.dsim.trace.Trace.records>` is,
-        so a result holds one copy of the inputs until they are read, and
-        editing them does not change the output trace.
     output_trace:
-        The output trace: one record per input PHV (same order), plus the
-        final per-stage state vectors.
+        The output trace: the input and output columns (one entry per input
+        PHV, same order), plus the final per-stage state vectors.
     ticks:
         Number of simulation ticks executed (inputs + pipeline drain).
     engine:
@@ -41,16 +36,16 @@ class SimulationResult:
     output_trace: Trace
     ticks: int
     engine: str = "tick"
-    _input_trace: Optional[List[List[int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def input_trace(self) -> List[List[int]]:
-        """The PHV values fed into the pipeline as integer lists, in input order."""
-        if self._input_trace is None:
-            self._input_trace = list(map(list, self.output_trace.inputs()))
-        return self._input_trace
+        """The PHV values fed into the pipeline as integer lists, in input order.
+
+        Built from the output trace's input column on every read, so the
+        result holds one copy of the inputs and editing the returned lists
+        changes nothing.
+        """
+        return list(map(list, self.output_trace.inputs()))
 
     @property
     def outputs(self) -> List[tuple]:
@@ -82,18 +77,17 @@ def sequential_result(
     depth: int,
     engine: str,
 ) -> SimulationResult:
-    """Assemble a :class:`SimulationResult` for a sequential (non-tick) driver.
+    """Assemble the :class:`SimulationResult` of an RMT run, whatever its driver.
 
     The tick model runs one tick per input plus ``depth`` drain ticks; the
     sequential drivers do no ticking of their own but report the equivalent
-    count so results stay comparable across drivers.  ``inputs`` (the
+    count so results stay comparable across drivers (the tick driver checks
+    that its pipeline counted the same).  ``inputs`` (the
     :func:`~repro.engine.rmt.prepare_inputs` column) becomes the output
-    trace's input column, from which the result builds its ``input_trace``
-    on first read; the trace's records too are built only when read (see
-    :class:`~repro.dsim.trace.Trace`).  Generated stage functions and
-    ``run_trace`` already yield tuples, which ``map(tuple, ...)`` passes
-    through without copying.
+    trace's input column and ``outputs`` its output column; see
+    :class:`~repro.dsim.trace.Trace`.
     """
-    trace = Trace.from_columns(inputs, list(map(tuple, outputs)), final_state)
     ticks = len(inputs) + depth if inputs else 0
-    return SimulationResult(output_trace=trace, ticks=ticks, engine=engine)
+    return SimulationResult(
+        output_trace=Trace(inputs, outputs, final_state), ticks=ticks, engine=engine
+    )

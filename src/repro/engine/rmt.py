@@ -3,8 +3,9 @@
 All three drivers execute the same compiled pipeline description and — for
 the feedforward pipelines dgen generates — produce bit-for-bit identical
 results: each stage's state is touched in PHV arrival order under every
-driver.  They differ only in how much interpreter machinery sits on the hot
-path:
+driver.  Each reads its inputs through :func:`prepare_inputs` and returns
+through :func:`~repro.engine.result.sequential_result`; they differ only in
+how much interpreter machinery sits on the hot path:
 
 * :func:`run_tick` drives :class:`repro.dsim.pipeline.Pipeline`, the paper's
   §3.3 per-tick model (PHV objects, read/write-half commits, slot
@@ -39,8 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..dgen.emit import PipelineDescription
 from ..dsim.phv import PHV
-from ..dsim.pipeline import Pipeline, copy_state
-from ..dsim.trace import Trace
+from ..dsim.pipeline import Pipeline
 from ..errors import MissingMachineCodeError, SimulationError
 from .base import ENGINE_FUSED, ENGINE_GENERIC, ENGINE_TICK
 from .result import SimulationResult, sequential_result, validate_widths
@@ -107,8 +107,12 @@ def run_tick(
 ) -> SimulationResult:
     """Tick-accurate driver: the paper's §3.3 per-tick pipeline model.
 
-    The input trace is read by :func:`prepare_inputs`, as under the
-    sequential drivers, so every driver reports the same ``input_trace``.
+    The input trace is read by :func:`prepare_inputs` and the result built
+    by :func:`sequential_result`, as under the sequential drivers; the
+    exited PHVs become the output column.  The pipeline stays an
+    independent reference: a PHV that exits out of input order, or a tick
+    count other than the one the builder derives, raises
+    :class:`SimulationError`.
     """
     inputs = prepare_inputs(description, phv_values)
     pipeline = Pipeline(
@@ -119,15 +123,20 @@ def run_tick(
         raise SimulationError(
             f"pipeline emitted {len(exited)} PHVs for {len(inputs)} inputs"
         )
-    trace = Trace()
-    for phv, input_values in zip(exited, inputs):
-        trace.append(phv.phv_id, input_values, phv.snapshot())
-    trace.final_state = copy_state(pipeline.state)
-    return SimulationResult(
-        output_trace=trace,
-        ticks=pipeline.current_tick,
-        engine=ENGINE_TICK,
+    for position, phv in enumerate(exited):
+        if phv.phv_id != position:
+            raise SimulationError(
+                f"PHV {phv.phv_id} exited the pipeline in position {position}"
+            )
+    result = sequential_result(
+        inputs, [phv.read for phv in exited], pipeline.state, description.spec.depth, ENGINE_TICK
     )
+    if pipeline.current_tick != result.ticks:
+        raise SimulationError(
+            f"pipeline ran {pipeline.current_tick} ticks for {len(inputs)} inputs, "
+            f"expected {result.ticks}"
+        )
+    return result
 
 
 def prepare_inputs(

@@ -49,8 +49,8 @@ class Specification(ABC):
     def run(self, input_trace: Sequence[Sequence[int]]) -> Trace:
         """Run the specification over a whole input trace.
 
-        The trace is column-backed (:meth:`Trace.from_columns`) and holds its
-        own copy of the inputs, so the caller may reuse its lists.
+        The returned trace holds its own copy of the inputs as its input
+        column, so the caller may reuse its lists.
         """
         state = self.initial_state()
         outputs_column: List[tuple] = []
@@ -67,9 +67,7 @@ class Specification(ABC):
                     f"expected {self.num_containers}"
                 )
             outputs_column.append(tuple(outputs))
-        trace = Trace.from_columns(list(map(tuple, input_trace)), outputs_column)
-        trace.spec_state = dict(state)
-        return trace
+        return Trace(list(map(tuple, input_trace)), outputs_column, spec_state=dict(state))
 
 
 @dataclass

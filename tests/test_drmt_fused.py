@@ -10,11 +10,15 @@ import pytest
 from repro.drmt import (
     DRMTSimulator,
     DrmtHardwareParams,
+    DrmtPacketRecord,
     PacketGenerator,
     generate_bundle,
 )
+from repro.drmt import simulator as simulator_module
 from repro.drmt import MatchPattern, TableEntry
 from repro.drmt.fused import generate_fused, register_hazard
+from repro.drmt.processor import PacketContext
+from repro.engine import drmt as drmt_drivers
 from repro.errors import CodegenError, SimulationError
 from repro.p4 import samples
 from repro.traffic import choice_field
@@ -749,24 +753,44 @@ class TestColumnBackedResult:
         ).run_packets(packets)
         return tick, fused
 
-    def test_summaries_build_no_records(self):
+    def test_summaries_build_no_records(self, monkeypatch):
         tick, fused = self._fused()
+        built = []
+
+        def counting_record(**fields):
+            built.append(fields["packet_id"])
+            return DrmtPacketRecord(**fields)
+
+        monkeypatch.setattr(simulator_module, "DrmtPacketRecord", counting_record)
         assert fused.packets_processed == tick.packets_processed == 50
         assert fused.packets_dropped == tick.packets_dropped > 0
         assert fused.throughput() == tick.throughput()
-        assert fused._records is None
+        assert built == []
         text = fused.describe(limit=4)
-        assert fused._records is None
+        assert built == [0, 1, 2, 3]
         assert text.replace("fused engine", "tick engine") == tick.describe(limit=4)
         assert "... (46 more packets)" in text
 
-    def test_records_materialise_once_and_stay_authoritative(self):
+    @pytest.mark.parametrize("engine", ["tick", "fused"])
+    def test_record_list_edits_change_no_accessor(self, engine):
         tick, fused = self._fused()
-        records = fused.records
-        assert fused.records is records
+        result = {"tick": tick, "fused": fused}[engine]
+
+        def views():
+            return (
+                result.records, result.packets_processed, result.packets_dropped,
+                result.throughput(), result.describe(limit=50),
+            )
+
+        before = views()
+        records = result.records
+        assert result.records is not records
         assert records == tick.records
         records.pop()
-        assert fused.packets_processed == 49
+        records[0] = records[1]
+        records.reverse()
+        assert views() == before
+        assert result.packets_processed == 50
 
     def test_results_compare_by_value(self):
         tick, fused = self._fused()
@@ -774,3 +798,94 @@ class TestColumnBackedResult:
         fused.engine = "tick"
         fused.per_processor_packets = tick.per_processor_packets
         assert fused == tick
+
+
+class TestTickChecks:
+    """The tick loop builds its result like the fused driver and checks its own counts."""
+
+    def _simulator(self):
+        bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams(num_processors=3))
+        packets = PacketGenerator(bundle.program, seed=5).generate(20)
+        simulator = DRMTSimulator(
+            bundle, table_entries=samples.SIMPLE_ROUTER_ENTRIES, engine="tick"
+        )
+        return simulator, packets
+
+    def test_a_packet_completing_late_raises_naming_it(self, monkeypatch):
+        simulator, packets = self._simulator()
+        is_complete = PacketContext.is_complete
+
+        def one_tick_late_for_packet_3(packet, makespan, current_tick):
+            if packet.packet_id == 3:
+                makespan += 1
+            return is_complete(packet, makespan, current_tick)
+
+        monkeypatch.setattr(PacketContext, "is_complete", one_tick_late_for_packet_3)
+        makespan = simulator.bundle.schedule.makespan
+        with pytest.raises(
+            SimulationError,
+            match=rf"^packet 3 completed at tick {makespan + 3}, expected {makespan + 2}$",
+        ):
+            simulator.run_packets(packets)
+
+    @pytest.mark.parametrize("field", ["ticks", "per_processor_operations"])
+    def test_counts_other_than_the_builders_raise(self, monkeypatch, field):
+        simulator, packets = self._simulator()
+        assemble_result = drmt_drivers.assemble_result
+
+        def off_by_one(*args, **kwargs):
+            result = assemble_result(*args, **kwargs)
+            if field == "ticks":
+                result.ticks += 1
+            else:
+                result.per_processor_operations[0] += 1
+            return result
+
+        monkeypatch.setattr(drmt_drivers, "assemble_result", off_by_one)
+        with pytest.raises(SimulationError, match=r"^tick loop ran \d+ ticks and"):
+            simulator.run_packets(packets)
+
+
+class TestRecordKeyContract:
+    """Packets may omit declared fields or carry undeclared ones.
+
+    Tick and fused give equal records, and each record's ``outputs`` keys
+    are its ``inputs`` keys plus fields that an action of the program writes.
+    """
+
+    EXTRA = "extra.tag"
+
+    def _packets(self, program, count=90):
+        written = sorted(
+            {name for action in program.actions.values() for name in action.fields_written()}
+        )
+        read_only = sorted(set(program.all_fields()) - set(written))
+        packets = PacketGenerator(program, seed=8).generate(count)
+        for number, packet in enumerate(packets):
+            if number % 3 == 0:
+                del packet[written[number // 3 % len(written)]]
+            elif number % 3 == 1:
+                del packet[read_only[number // 3 % len(read_only)]]
+            else:
+                packet[self.EXTRA] = number
+        return set(written), packets
+
+    @pytest.mark.parametrize("program_name", sorted(PROGRAMS))
+    def test_outputs_are_inputs_plus_written_fields(self, program_name):
+        factory, entries = PROGRAMS[program_name]
+        bundle = generate_bundle(factory(), DrmtHardwareParams(num_processors=4))
+        written, packets = self._packets(bundle.program)
+        tick, fused = (
+            DRMTSimulator(bundle, table_entries=entries, engine=engine).run_packets(packets)
+            for engine in ("tick", "fused")
+        )
+        assert fused.records == tick.records
+        added = set()
+        for record, packet in zip(fused.records, packets):
+            assert record.inputs == packet
+            assert set(record.inputs) <= set(record.outputs)
+            assert set(record.outputs) - set(record.inputs) <= written
+            added |= set(record.outputs) - set(record.inputs)
+            if self.EXTRA in record.inputs:
+                assert record.outputs[self.EXTRA] == record.inputs[self.EXTRA]
+        assert added, "no action wrote a field its packet omitted"

@@ -8,6 +8,7 @@ from repro.dsim import (
     Pipeline,
     RMTSimulator,
     Trace,
+    TraceRecord,
     TrafficGenerator,
     choice_field,
 )
@@ -91,21 +92,21 @@ class TestTrafficGenerator:
 
 
 class TestTrace:
-    def test_append_and_access(self):
-        trace = Trace()
-        trace.append(0, [1, 2], [3, 4])
-        trace.append(1, [5, 6], [7, 8])
+    def test_columns_and_access(self):
+        trace = Trace([[1, 2], (5, 6)], [[3, 4], (7, 8)])
         assert len(trace) == 2
-        assert trace[1].outputs == (7, 8)
+        assert trace[1] == trace[-1] == TraceRecord(1, (5, 6), (7, 8))
+        assert trace.records == list(trace) == [trace[0], trace[1]]
         assert trace.outputs() == [(3, 4), (7, 8)]
         assert trace.inputs() == [(1, 2), (5, 6)]
+        with pytest.raises(IndexError):
+            trace[2]
 
     def test_format_truncates(self):
-        trace = Trace()
-        for index in range(30):
-            trace.append(index, [index], [index])
+        trace = Trace([[index] for index in range(30)], [[index] for index in range(30)])
         rendered = trace.format(limit=5)
-        assert "more records" in rendered
+        assert rendered.count("->") == 6  # the header and five records
+        assert "... (25 more records)" in rendered
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ import pytest
 from repro import atoms, dgen
 from repro.alu_dsl import parse_and_analyze
 from repro.chipmunk import Sketch, SynthesisConfig, SynthesisEngine
-from repro.dsim import RMTSimulator
+from repro.dsim import RMTSimulator, Trace
 from repro.errors import SimulationError, SynthesisError
 from repro.hardware import PipelineSpec
 from repro.machine_code import naming
@@ -260,6 +260,14 @@ class TestSynthesisCachingRegression:
             SynthesisEngine(spec, specification, sketch, config).synthesize()
 
 
+def corrupted(trace, indices):
+    """``trace`` with every container of the PHVs at ``indices`` incremented."""
+    outputs = trace.outputs()
+    for index in indices:
+        outputs[index] = tuple(value + 1 for value in outputs[index])
+    return Trace(trace.inputs(), outputs, trace.final_state)
+
+
 class TestCompareTracesModes:
     def _traces(self):
         program = get_program("sampling")
@@ -275,11 +283,8 @@ class TestCompareTracesModes:
 
     def test_count_only_matches_full_comparison(self):
         pipeline_trace, spec_trace = self._traces()
-        # Corrupt one record to force mismatches.
-        bad = pipeline_trace.records[5]
-        pipeline_trace.records[5] = bad._replace(
-            outputs=tuple(v + 1 for v in bad.outputs)
-        )
+        # Corrupt one PHV's outputs to force mismatches.
+        pipeline_trace = corrupted(pipeline_trace, [5])
         full = compare_traces(pipeline_trace, spec_trace)
         counted = compare_traces(pipeline_trace, spec_trace, count_only=True)
         assert not counted.mismatches
@@ -288,11 +293,7 @@ class TestCompareTracesModes:
 
     def test_limit_early_exit(self):
         pipeline_trace, spec_trace = self._traces()
-        for index in (3, 4, 5):
-            record = pipeline_trace.records[index]
-            pipeline_trace.records[index] = record._replace(
-                outputs=tuple(v + 1 for v in record.outputs)
-            )
+        pipeline_trace = corrupted(pipeline_trace, [3, 4, 5])
         limited = compare_traces(pipeline_trace, spec_trace, limit=0)
         assert limited.truncated
         assert limited.mismatch_count == 1

@@ -148,10 +148,8 @@ class TestTraceAndReportRendering:
     def test_trace_format_includes_state(self):
         from repro.dsim import Trace
 
-        trace = Trace()
-        trace.append(0, [1], [2])
-        trace.final_state = [[[5]]]
-        assert "final state" in trace.format()
+        trace = Trace([[1]], [[2]], final_state=[[[5]]])
+        assert "final state: [[[5]]]" in trace.format()
 
     def test_spec_trace_format_includes_state_dict(self):
         from repro.testing import FunctionSpecification

@@ -31,10 +31,8 @@ def fuzz(pipeline_spec, machine_code, specification, num_phvs, seed=0, opt_level
 
 
 def trace_of(records):
-    trace = Trace()
-    for index, (inputs, outputs) in enumerate(records):
-        trace.append(index, inputs, outputs)
-    return trace
+    """A trace over ``(inputs, outputs)`` pairs, PHV ids in list order."""
+    return Trace([inputs for inputs, _ in records], [outputs for _, outputs in records])
 
 
 class TestSpecifications:
@@ -86,11 +84,8 @@ class TestSpecifications:
 
         spec = FunctionSpecification(function=accumulate, num_containers=2, state_template={"total": 0})
         inputs = [[3, 1], [4, 1], [5, 9]]
-        expected = Trace()
         state = spec.initial_state()
-        for index, phv in enumerate(inputs):
-            expected.append(index, phv, spec.process(phv, state))
-        expected.spec_state = state
+        expected = Trace(inputs, [spec.process(phv, state) for phv in inputs], spec_state=state)
 
         trace = spec.run(inputs)
         assert trace.records == expected.records

@@ -1,22 +1,23 @@
 """Column-backed output traces and the one-copy input preparation behind them.
 
-A sequential RMT driver coerces the caller's trace once into a column of
-int tuples and uses that column as the loop input, as the output trace's
-input column and as the source of the result's ``input_trace``; its output
-trace builds :class:`TraceRecord` objects only when ``records`` is read.
-Three invariants make that sound and are pinned here:
+Every RMT driver, tick included, coerces the caller's trace once into a
+column of int tuples and uses that column as the loop input, as the output
+trace's input column and as the source of the result's ``input_trace``; the
+output trace builds :class:`TraceRecord` objects from its columns on every
+read and caches none.  Three invariants make that sound and are pinned here:
 
 * no driver mutates the PHV lists it loops over (generic stage loop, fused
   ``run_trace``, the tick driver), for every Table-1 program at every opt
   level that has the driver;
-* a column-backed trace is indistinguishable from a record-built one: the
-  same records as the tick model's, record edits visible through every
-  accessor, the same width errors and the same reading of ``bool`` values
-  as exact ints;
+* a trace's records are the tick model's under every driver, editing a
+  returned ``records``, ``inputs()``, ``outputs()`` or ``input_trace`` list
+  changes no accessor, width errors name the same PHV and ``bool`` values
+  read as exact ints;
 * every driver accepts the same input trace shapes — list or tuple rows,
   ``bool``/``IntEnum``/``numpy.int64`` values, ``range`` and one-shot
-  iterator rows — gives the plain-int trace's result for each, and keeps
-  its result apart from the caller's rows and from ``input_trace`` edits.
+  iterator rows, a one-shot trace — gives the plain-int trace's result for
+  each, and keeps its result apart from the caller's rows and from
+  ``input_trace`` edits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from repro import dgen
 from repro.dsim import RMTSimulator
 from repro.dsim import trace as trace_module
 from repro.dsim.trace import Trace
-from repro.engine.result import SimulationResult
+from repro.dsim.pipeline import Pipeline
+from repro.engine import rmt as rmt_module
+from repro.engine.result import SimulationResult, sequential_result
 from repro.engine.rmt import run_stage_loop
 from repro.engine.sharded import ShardedRmtDriver
 from repro.errors import SimulationError
@@ -104,31 +107,41 @@ class TestColumnBackedTrace:
         assert runs[False].engine == "fused" and runs[True].engine == "tick"
         assert runs[False].output_trace.records == runs[True].output_trace.records
 
-    def test_record_edits_after_materialisation_show_everywhere(self, descriptions):
+    @pytest.mark.parametrize("tick_accurate", [False, True])
+    def test_edits_to_returned_lists_change_no_accessor(self, descriptions, tick_accurate):
         program, description = descriptions["sampling", dgen.OPT_FUSED]
         inputs = program.traffic_generator(seed=1).generate(PHVS)
         result = RMTSimulator(description, initial_state=program.initial_pipeline_state()).run(
-            inputs
+            inputs, tick_accurate=tick_accurate
         )
         specification = program.specification()
         spec_trace = specification.run(inputs)
         trace = result.output_trace
+
+        def views():
+            return (
+                trace.records, list(trace), trace.inputs(), trace.outputs(),
+                result.input_trace, result.outputs, trace.format(limit=PHVS), len(trace),
+            )
+
+        before = views()
+        records = trace.records
+        assert trace.records is not records
+        records[5] = records[5]._replace(outputs=tuple(value + 1 for value in records[5].outputs))
+        records.append(records[0])
+        input_trace = result.input_trace
+        input_trace[5][0] += 1
+        input_trace.append(list(input_trace[0]))
+        outputs = trace.outputs()
+        outputs[5] = tuple(value + 1 for value in outputs[5])
+        trace.inputs().pop()
+
+        assert views() == before
+        assert trace[5] == before[0][5]
+        assert trace[5].inputs == tuple(inputs[5])
         assert compare_traces(
             trace, spec_trace, containers=specification.relevant_containers
         ).equivalent
-
-        records = trace.records
-        edited = records[5]._replace(outputs=tuple(value + 1 for value in records[5].outputs))
-        records[5] = edited
-        assert trace.outputs()[5] == result.outputs[5] == edited.outputs
-        assert trace[5] == edited
-        report = compare_traces(trace, spec_trace, containers=specification.relevant_containers)
-        assert report.first_mismatch is not None
-        assert report.first_mismatch.phv_id == 5
-        assert report.first_mismatch.inputs == tuple(inputs[5])
-
-        trace.append(PHVS, [0] * len(inputs[0]), [0] * len(inputs[0]))
-        assert len(trace) == len(trace.outputs()) == PHVS + 1
 
     def test_equivalent_verdict_builds_no_records(self, descriptions, monkeypatch):
         program, description = descriptions["sampling", dgen.OPT_FUSED]
@@ -168,6 +181,57 @@ class TestColumnBackedTrace:
         for trace_values in (result.outputs, result.input_trace, result.output_trace.inputs()):
             assert all(type(value) is int for phv in trace_values for value in phv)
 
+
+
+class TestTickDriverChecks:
+    """The tick driver builds its result like the others and checks the pipeline."""
+
+    def _run(self, descriptions):
+        program, description = descriptions["sampling", dgen.OPT_FUSED]
+        return RMTSimulator(
+            description, initial_state=program.initial_pipeline_state(), engine="tick"
+        ).run(program.traffic_generator(seed=3).generate(PHVS))
+
+    def test_result_comes_from_sequential_result(self, descriptions, monkeypatch):
+        built = []
+
+        def recording(*args):
+            built.append(sequential_result(*args))
+            return built[-1]
+
+        monkeypatch.setattr(rmt_module, "sequential_result", recording)
+        result = self._run(descriptions)
+        assert built == [result] and result.engine == "tick"
+        assert result.ticks == PHVS + descriptions["sampling", dgen.OPT_FUSED][1].spec.depth
+
+    def test_out_of_order_exit_raises_naming_the_phv(self, descriptions, monkeypatch):
+        process = Pipeline.process
+
+        def swapped(pipeline, phv_values):
+            exited = process(pipeline, phv_values)
+            exited[4], exited[5] = exited[5], exited[4]
+            return exited
+
+        monkeypatch.setattr(Pipeline, "process", swapped)
+        with pytest.raises(SimulationError, match=r"^PHV 5 exited the pipeline in position 4$"):
+            self._run(descriptions)
+
+    def test_extra_drain_tick_raises(self, descriptions, monkeypatch):
+        drain = Pipeline.drain
+
+        def one_tick_more(pipeline):
+            drained = drain(pipeline)
+            pipeline.tick(None)
+            return drained
+
+        monkeypatch.setattr(Pipeline, "drain", one_tick_more)
+        depth = descriptions["sampling", dgen.OPT_FUSED][1].spec.depth
+        with pytest.raises(
+            SimulationError,
+            match=rf"^pipeline ran {PHVS + depth + 1} ticks for {PHVS} inputs, "
+            rf"expected {PHVS + depth}$",
+        ):
+            self._run(descriptions)
 
 ENGINES = ["tick", "generic", "fused", "sharded"]
 
@@ -290,8 +354,37 @@ class TestInputContract:
         assert result.final_state == plain.final_state
         assert result.input_trace == plain.input_trace == generator.generate(PHVS)
 
-    def test_result_builds_its_input_trace_on_first_read(self):
-        trace = Trace.from_columns([(1, 2), (3, 4)], [(5, 6), (7, 8)])
+    def test_result_builds_its_input_trace_on_each_read(self):
+        trace = Trace([(1, 2), (3, 4)], [(5, 6), (7, 8)])
         built = SimulationResult(trace, 2, "fused")
         assert built.input_trace == [[1, 2], [3, 4]] and built.engine == "fused"
-        assert built.input_trace is built.input_trace
+        assert built.input_trace is not built.input_trace
+        built.input_trace[0][0] = 9
+        assert built.input_trace == [[1, 2], [3, 4]]
+        assert trace.inputs() == [(1, 2), (3, 4)]
+
+    @pytest.mark.parametrize(
+        "engine, options",
+        [("auto", {}), ("tick", {}), ("generic", {}), ("fused", {}), ("auto", {"shards": 2})],
+    )
+    def test_simulator_takes_a_one_shot_trace(self, descriptions, engine, options):
+        # RMTSimulator.run reads the trace's length for the auto-shard rule;
+        # a generator is read into rows once before that.
+        program, description = descriptions["sampling", dgen.OPT_FUSED]
+        generator = program.traffic_generator(seed=1)
+
+        def run(rows):
+            return RMTSimulator(
+                description,
+                initial_state=program.initial_pipeline_state(),
+                engine=engine,
+                **options,
+            ).run(rows)
+
+        plain = run(generator.generate(5))
+        result = run(generator.iter_phvs(5))
+        assert result.engine == plain.engine
+        assert result.outputs == plain.outputs
+        assert result.final_state == plain.final_state
+        assert result.ticks == plain.ticks
+        assert result.input_trace == generator.generate(5)
