@@ -26,7 +26,7 @@ A dRMT cell times ``DRMTSimulator.run_packets`` alone: each round's
 simulator, with its parsed table entries, is built before the timed
 region.  Each fused dRMT cell records its own non-gating ``facade_ratio``:
 that ``run_packets`` time divided by the bare generated ``run_trace`` on
-prepared packet dicts.
+prepared packet rows.
 
 Since PR 3 the sweep adds the *sharded* 1M-PHV cell: the flow-counters
 workload (per-flow state, flow id in container 0) once under the generic
@@ -171,17 +171,18 @@ def measure_drmt_cell(name: str, engine: str, packets: int, rounds: int) -> Dict
 def measure_raw_drmt_run_trace(bundle, entries, trace, rounds: int) -> float:
     """Best-of-``rounds`` time of the bare generated dRMT ``run_trace`` loop.
 
-    Runs on prepared packet dicts with fresh tables and registers each
-    round.  The denominator of the fused dRMT cell's ``facade_ratio``;
-    recorded, never gated.
+    Runs on the rows ``repro.engine.drmt.prepare_packets`` reads (the loop
+    never mutates them, so every round shares one copy) with fresh tables
+    and registers each round.  The denominator of the fused dRMT cell's
+    ``facade_ratio``; recorded, never gated.
     """
     run_trace = bundle.fused_program().run_trace
-    works = [prepare_packets(trace)[1] for _ in range(rounds)]
+    rows, _ragged = prepare_packets(trace, bundle.fields)
     simulators = [DRMTSimulator(bundle, table_entries=entries) for _ in range(rounds)]
 
     def run():
         simulator = simulators.pop()
-        run_trace(works.pop(), simulator.tables.tables, simulator.registers.arrays())
+        run_trace(rows, simulator.tables.tables, simulator.registers.arrays())
 
     return _best_of(rounds, run)
 

@@ -17,7 +17,7 @@ analysis summary the simulator needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 
@@ -49,7 +49,8 @@ class DrmtProgramBundle:
     """Everything dRMT dsim needs to simulate one program.
 
     ``hazard`` is :func:`~repro.drmt.fused.register_hazard` of the schedule,
-    computed once: ``None`` when the bundle has a fused program.
+    computed once: ``None`` when the bundle has a fused program.  ``fields``
+    is ``program.all_fields()``, the layout of a packet's row.
     """
 
     program: P4Program
@@ -58,6 +59,7 @@ class DrmtProgramBundle:
     hardware: DrmtHardwareParams
     analysis: StaticAnalysis
     hazard: Optional[Hazard]
+    fields: Tuple[str, ...]
     _fused: Optional[DrmtFusedProgram] = field(default=None, repr=False, compare=False)
 
     def fused_program(self) -> DrmtFusedProgram:
@@ -134,4 +136,5 @@ def generate_bundle(
         hardware=hardware,
         analysis=analysis,
         hazard=register_hazard(program, schedule),
+        fields=tuple(program.all_fields()),
     )

@@ -2,12 +2,20 @@
 
 RMT descriptions generated at opt level 3 carry a ``run_trace`` loop with
 every stage inlined; this module gives a dRMT program bundle the same
-treatment.  The generated module contains a ``run_trace(packets, tables,
+treatment.  The generated module contains a ``run_trace(rows, tables,
 registers)`` function with every scheduled match and action operation
 inlined — action bodies specialised per action (argument resolution, field
 arithmetic, register indexing with the instance count baked in) in schedule
 order — so the per-tick interpreter machinery (operation scans, packet
 contexts, argument re-parsing) disappears from the hot path.
+
+A packet is one tuple of ints in ``P4Program.all_fields()`` order, like a
+dRMT processor's fixed packet header vector: the loop unpacks each row into
+one local per field (``f0, f1, ... = rows[p]``), reads and writes those
+locals, and appends one output tuple per packet.  A ragged packet's absent
+field holds :data:`~repro.drmt.simulator.UNSET`, which reads as 0; the two
+sites that store a field unchanged (``modify_field`` from a field and
+``register_write`` of one) add ``+ 0``, so a copied absent field is a plain 0.
 
 The loop runs each packet to completion, packet after packet, and is
 bit-identical to the tick interpreter whenever :func:`register_hazard`
@@ -33,7 +41,10 @@ every read uses the exact match kind are *dict-specialised* through
 single dict probe; ternary, LPM and mixed tables get
 :meth:`~repro.drmt.tables.MatchActionTable.masked_rows`, and each match is an
 inline first-match loop comparing every field under the row's mask, the
-rows pre-sorted so the first hit is ``lookup``'s winner.  Hit and miss counts
+rows pre-sorted so the first hit is ``lookup``'s winner.  Both probes hold
+each entry's action resolved (an index into the table's actions and its
+arguments padded to the action's arity), so a hit dispatches on an int and
+reads its arguments without a length test.  Hit and miss counts
 accumulate in locals and are folded back into the table's counters on exit,
 so the observable statistics stay identical to the interpreter's.  The tick
 interpreter keeps calling ``lookup``, which makes tick-vs-fused equivalence
@@ -113,6 +124,10 @@ class DrmtFusedGenerator:
         self.program = program
         self.schedule = schedule
         self._conditions = {apply.table: apply for apply in program.control_flow}
+        #: One local per declared field, in ``all_fields()`` order: the row layout.
+        self._locals = {name: f"f{index}" for index, name in enumerate(program.all_fields())}
+        self._row = ", ".join(self._locals.values()) + ("," if len(self._locals) == 1 else "")
+        self._emit = ir.ExprStmt(f"emit(({self._row}))")
 
     # ------------------------------------------------------------------
     # Module assembly
@@ -139,54 +154,53 @@ class DrmtFusedGenerator:
         return module
 
     def _run_trace_function(self) -> ir.FunctionDef:
-        body: List[ir.IRStmt] = []
-        body.append(ir.Assign("n", "len(packets)"))
-        body.append(ir.Assign("dropped", "[False] * n"))
-        if self.schedule.start_times:
+        body: List[ir.IRStmt] = [
+            ir.Assign("n", "len(rows)"),
+            ir.Assign("dropped", "[False] * n"),
+            ir.Assign("outputs", "[]"),
+            ir.If(branches=[("n == 0", [ir.Return("outputs, dropped")])], orelse=[]),
+            ir.Assign("emit", "outputs.append"),
+            ir.Comment("hoist table probes and register arrays"),
+        ]
+        table_names = self.program.table_order()
+        for table_name in table_names:
+            # Build each table's probe structure once per trace (a dict
+            # index for all-exact tables, first-match masked rows for the
+            # rest), count hits and misses locally, and fold them back
+            # into the table's counters on exit (identical totals to
+            # ``lookup``).
+            safe = _ident(table_name)
+            body.append(ir.Assign(f"table_{safe}", f"tables[{table_name!r}]"))
+            if self._is_exact(table_name):
+                body.append(ir.Assign(f"index_{safe}", f"table_{safe}.exact_index()"))
+            else:
+                body.append(ir.Assign(f"rows_{safe}", f"table_{safe}.masked_rows()"))
+            body.append(ir.Assign(f"hits_{safe}", "0"))
+            body.append(ir.Assign(f"misses_{safe}", "0"))
+        for register_name in self.program.registers:
             body.append(
-                ir.If(branches=[("n == 0", [ir.Return("dropped")])], orelse=[])
+                ir.Assign(f"reg_{_ident(register_name)}", f"registers[{register_name!r}]")
             )
-            body.append(ir.Comment("hoist table probes and register arrays"))
-            table_names = self.program.table_order()
-            for table_name in table_names:
-                # Build each table's probe structure once per trace (a dict
-                # index for all-exact tables, first-match masked rows for the
-                # rest), count hits and misses locally, and fold them back
-                # into the table's counters on exit (identical totals to
-                # ``lookup``).
-                safe = _ident(table_name)
-                body.append(ir.Assign(f"table_{safe}", f"tables[{table_name!r}]"))
-                if self._is_exact(table_name):
-                    body.append(ir.Assign(f"index_{safe}", f"table_{safe}.exact_index()"))
-                else:
-                    body.append(ir.Assign(f"rows_{safe}", f"table_{safe}.masked_rows()"))
-                body.append(ir.Assign(f"hits_{safe}", "0"))
-                body.append(ir.Assign(f"misses_{safe}", "0"))
-            for register_name in self.program.registers:
-                body.append(
-                    ir.Assign(f"reg_{_ident(register_name)}", f"registers[{register_name!r}]")
-                )
-            body.append(ir.For("p", "range(n)", self._packet_body()))
-            for table_name in table_names:
-                safe = _ident(table_name)
-                body.append(
-                    ir.Assign(f"table_{safe}.hit_count", f"table_{safe}.hit_count + hits_{safe}")
-                )
-                body.append(
-                    ir.Assign(
-                        f"table_{safe}.miss_count", f"table_{safe}.miss_count + misses_{safe}"
-                    )
-                )
-        body.append(ir.Return("dropped"))
+        body.append(ir.For("p", "range(n)", self._packet_body()))
+        for table_name in table_names:
+            safe = _ident(table_name)
+            body.append(
+                ir.Assign(f"table_{safe}.hit_count", f"table_{safe}.hit_count + hits_{safe}")
+            )
+            body.append(
+                ir.Assign(f"table_{safe}.miss_count", f"table_{safe}.miss_count + misses_{safe}")
+            )
+        body.append(ir.Return("outputs, dropped"))
         return ir.FunctionDef(
             name=RUN_TRACE_FUNCTION_NAME,
-            params=["packets", "tables", "registers"],
+            params=["rows", "tables", "registers"],
             body=body,
             docstring=(
-                "Fused dRMT trace loop: run each packet's inlined operations to "
-                "completion in schedule order, packet after packet, which the module's "
-                "loop shape proves bit-identical to the tick interleaving.  Mutates the "
-                "packet field dicts and register arrays in place and returns the "
+                "Fused dRMT trace loop: unpack each packet's row into one local per "
+                "field, run its inlined operations to completion in schedule order and "
+                "append its output row, packet after packet, which the module's loop "
+                "shape proves bit-identical to the tick interleaving.  Mutates the "
+                "register arrays in place and returns the output rows and the "
                 "per-packet dropped flags."
             ),
         )
@@ -196,17 +210,23 @@ class DrmtFusedGenerator:
 
         ``MatchActionProcessor`` executes the operations due at one cycle in
         ``Schedule.operations_at`` order, which is the insertion order of
-        ``start_times``; a stable sort by start cycle preserves it.
+        ``start_times``; a stable sort by start cycle preserves it.  A
+        packet's output row is appended once: at the end of the loop body,
+        or, for a packet that an action drops before the last operation, at
+        the end of that action, which holds every write made before the
+        ``continue``.
         """
         operations = sorted(self.schedule.start_times, key=self.schedule.start_times.get)
-        body: List[ir.IRStmt] = [ir.Assign("fields", "packets[p]")]
+        body: List[ir.IRStmt] = [ir.Assign(self._row or "()", "rows[p]")]
         for index, (table_name, kind) in enumerate(operations):
             if kind == MATCH_OP:
                 body.extend(self._match_stmts(table_name))
                 continue
-            body.extend(self._action_stmts(table_name))
-            if self._may_drop(table_name) and index + 1 < len(operations):
+            follows = index + 1 < len(operations)
+            body.extend(self._action_stmts(table_name, emit_on_drop=follows))
+            if follows and self._may_drop(table_name):
                 body.append(ir.If(branches=[("dropped[p]", [ir.Continue()])], orelse=[]))
+        body.append(self._emit)
         return body
 
     # ------------------------------------------------------------------
@@ -216,9 +236,7 @@ class DrmtFusedGenerator:
         condition = self._conditions.get(table_name)
         if condition is None or condition.condition_field is None:
             return None
-        return (
-            f"fields.get({condition.condition_field!r}, 0) == {condition.condition_value}"
-        )
+        return f"{self._locals[condition.condition_field]} == {condition.condition_value}"
 
     def _may_drop(self, table_name: str) -> bool:
         return any(
@@ -233,27 +251,19 @@ class DrmtFusedGenerator:
 
     def _match_stmts(self, table_name: str) -> List[ir.IRStmt]:
         safe = _ident(table_name)
-        match_fields = self.program.tables[table_name].match_fields()
+        keys = [self._locals[field] for field in self.program.tables[table_name].match_fields()]
         if self._is_exact(table_name):
-            key = (
-                "(" + ", ".join(f"fields.get({field!r}, 0)" for field in match_fields) + ",)"
-                if match_fields
-                else "()"
-            )
+            key = "(" + "".join(f"{key}, " for key in keys).rstrip() + ")"
             lookup_stmts: List[ir.IRStmt] = [ir.Assign("_entry", f"index_{safe}.get({key})")]
         else:
             # First-match scan over the masked rows (see
-            # MatchActionTable.masked_rows): read each field once, then
-            # compare it under every row's mask.
-            lookup_stmts = [
-                ir.Assign(f"_k{index}", f"fields.get({field!r}, 0)")
-                for index, field in enumerate(match_fields)
-            ]
-            row_target = "".join(f"_m{index}, _w{index}, " for index in range(len(match_fields)))
+            # MatchActionTable.masked_rows): compare each field local under
+            # every row's mask.
+            row_target = "".join(f"_m{index}, _w{index}, " for index in range(len(keys)))
             row_test = " and ".join(
-                f"_k{index} & _m{index} == _w{index}" for index in range(len(match_fields))
+                f"{key} & _m{index} == _w{index}" for index, key in enumerate(keys)
             )
-            lookup_stmts += [
+            lookup_stmts = [
                 ir.Assign("_entry", "None"),
                 ir.For(
                     f"{row_target}_row_entry",
@@ -285,14 +295,14 @@ class DrmtFusedGenerator:
             )
         ]
 
-    def _action_stmts(self, table_name: str) -> List[ir.IRStmt]:
+    def _action_stmts(self, table_name: str, emit_on_drop: bool) -> List[ir.IRStmt]:
         table = self.program.tables[table_name]
         hit_body: List[ir.IRStmt] = [ir.Assign("entry", f"m_{_ident(table_name)}")]
-        dispatch = self._action_dispatch(table)
+        dispatch = self._action_dispatch(table, emit_on_drop)
         miss_body: List[ir.IRStmt] = []
         if table.default_action is not None:
             miss_body = self._action_body(
-                self.program.actions[table.default_action], entry_args=False
+                self.program.actions[table.default_action], False, emit_on_drop
             )
         # When a hit runs what a miss runs (the default action is the only
         # action and reads no entry arguments), there is nothing to test.
@@ -303,38 +313,38 @@ class DrmtFusedGenerator:
             return stmts
         return [ir.If(branches=[(condition, stmts)], orelse=[])]
 
-    def _action_dispatch(self, table: Table) -> List[ir.IRStmt]:
-        """Dispatch over the actions a matched entry may invoke."""
+    def _action_dispatch(self, table: Table, emit_on_drop: bool) -> List[ir.IRStmt]:
+        """Dispatch over the actions a matched entry may invoke.
+
+        ``entry`` is :meth:`~repro.drmt.tables.MatchActionTable.resolved_action`.
+        """
         action_names = list(table.actions)
         if len(action_names) == 1:
-            return self._action_body(
-                self.program.actions[action_names[0]], entry_args=True
-            )
+            return self._action_body(self.program.actions[action_names[0]], True, emit_on_drop)
         branches: List[Tuple[str, List[ir.IRStmt]]] = []
-        stmts: List[ir.IRStmt] = [ir.Assign("_name", "entry.action")]
-        for action_name in action_names:
-            body = self._action_body(self.program.actions[action_name], entry_args=True)
-            branches.append((f"_name == {action_name!r}", body or [ir.Pass()]))
-        stmts.append(ir.If(branches=branches, orelse=[]))
-        return stmts
+        for index, action_name in enumerate(action_names):
+            body = self._action_body(self.program.actions[action_name], True, emit_on_drop)
+            branches.append((f"_act == {index}", body or [ir.Pass()]))
+        return [ir.Assign("_act", "entry[0]"), ir.If(branches=branches, orelse=[])]
 
-    def _action_body(self, action: Action, entry_args: bool) -> List[ir.IRStmt]:
-        """Inline one action: bind used parameters, then its primitive calls."""
+    def _action_body(self, action: Action, entry_args: bool, emit_on_drop: bool) -> List[ir.IRStmt]:
+        """Inline one action: bind used parameters, then its primitive calls.
+
+        An action that drops appends the packet's output row after its last
+        call when ``emit_on_drop`` (operations follow, so the loop skips them).
+        """
         used_params = {
             arg for call in action.body for arg in call.args if arg in action.params
         }
         bindings: Dict[str, str] = {}
         stmts: List[ir.IRStmt] = []
-        if entry_args and used_params:
-            stmts.append(ir.Assign("_args", "entry.action_args"))
         for index, param in enumerate(action.params):
             if param not in used_params:
                 continue
             if entry_args:
+                # The probe padded the arguments to the action's arity.
                 local = f"_a{index}"
-                stmts.append(
-                    ir.Assign(local, f"_args[{index}] if len(_args) > {index} else 0")
-                )
+                stmts.append(ir.Assign(local, f"entry[{index + 1}]"))
                 bindings[param] = local
             else:
                 # A default action runs with no entry arguments: every
@@ -343,6 +353,8 @@ class DrmtFusedGenerator:
 
         for call in action.body:
             stmts.extend(self._primitive_stmts(call, bindings))
+        if emit_on_drop and any(call.op == "drop" for call in action.body):
+            stmts.append(self._emit)
         return stmts
 
     def _primitive_stmts(self, call, bindings: Dict[str, str]) -> List[ir.IRStmt]:
@@ -351,40 +363,23 @@ class DrmtFusedGenerator:
             return []
         if op == "drop":
             return [ir.Assign("dropped[p]", "True")]
-        if op == "modify_field":
-            destination, source = call.args[0], call.args[1]
-            return [ir.Assign(f"fields[{destination!r}]", self._value(source, bindings))]
-        if op == "add_to_field":
-            destination, source = call.args[0], call.args[1]
-            return [
-                ir.Assign(
-                    f"fields[{destination!r}]",
-                    f"fields.get({destination!r}, 0) + ({self._value(source, bindings)})",
-                )
-            ]
-        if op == "subtract_from_field":
-            destination, source = call.args[0], call.args[1]
-            return [
-                ir.Assign(
-                    f"fields[{destination!r}]",
-                    f"fields.get({destination!r}, 0) - ({self._value(source, bindings)})",
-                )
-            ]
-        if op == "register_read":
-            destination, register, index_arg = call.args[0], call.args[1], call.args[2]
-            return [
-                ir.Assign(
-                    f"fields[{destination!r}]", self._register_cell(register, index_arg, bindings)
-                )
-            ]
         if op == "register_write":
             register, index_arg, value_arg = call.args[0], call.args[1], call.args[2]
             return [
                 ir.Assign(
                     self._register_cell(register, index_arg, bindings),
-                    self._value(value_arg, bindings),
+                    self._value(value_arg, bindings, stored=True),
                 )
             ]
+        target = self._locals[call.args[0]]
+        if op == "modify_field":
+            return [ir.Assign(target, self._value(call.args[1], bindings, stored=True))]
+        if op == "add_to_field":
+            return [ir.Assign(target, f"{target} + ({self._value(call.args[1], bindings)})")]
+        if op == "subtract_from_field":
+            return [ir.Assign(target, f"{target} - ({self._value(call.args[1], bindings)})")]
+        if op == "register_read":
+            return [ir.Assign(target, self._register_cell(call.args[1], call.args[2], bindings))]
         raise CodegenError(f"unsupported primitive {op!r}")  # pragma: no cover - validated upstream
 
     def _register_cell(self, register: str, index_arg: str, bindings: Dict[str, str]) -> str:
@@ -394,12 +389,17 @@ class DrmtFusedGenerator:
         size = declaration.instance_count
         return f"reg_{_ident(register)}[({self._value(index_arg, bindings)}) % {size}]"
 
-    def _value(self, arg: str, bindings: Dict[str, str]) -> str:
-        """Source fragment for one action argument (the interpreter's ``_resolve``)."""
+    def _value(self, arg: str, bindings: Dict[str, str], stored: bool = False) -> str:
+        """Source fragment for one action argument (the interpreter's ``_resolve``).
+
+        A field that ``stored`` copies unchanged into a field or a register
+        gets ``+ 0``, which turns a ragged packet's
+        :data:`~repro.drmt.simulator.UNSET` into a plain 0.
+        """
         if arg in bindings:
             return bindings[arg]
-        if "." in arg:
-            return f"fields.get({arg!r}, 0)"
+        if arg in self._locals:
+            return f"{self._locals[arg]} + 0" if stored else self._locals[arg]
         value = integer_literal(arg)
         if value is None:
             raise CodegenError(f"cannot resolve action argument {arg!r}")

@@ -42,6 +42,17 @@ from .table_config import parse_entries, populate_store
 from .tables import TableEntry, TableStore
 
 
+class _Unset(int):
+    """The type of :data:`UNSET`."""
+
+
+#: What a ragged packet's row holds for a declared field the packet omits.
+#: It reads as the 0 an absent field reads as: arithmetic, masks, ``==``
+#: and dict probes on it give or match plain ints.  A record's ``outputs``
+#: leave out every slot that still holds it.
+UNSET = _Unset(0)
+
+
 @dataclass
 class DrmtPacketRecord:
     """One packet's inputs, outputs and fate."""
@@ -69,10 +80,14 @@ class DrmtSimulationResult:
     Both drivers build it through :func:`repro.engine.drmt.assemble_result`;
     ``engine`` names the one that ran (``tick`` or ``fused``).
 
-    The result keeps the input and output dict columns and the dropped
-    flags, and builds :class:`DrmtPacketRecord` objects from them on every
-    read of :attr:`records`, caching none; a record's ``inputs`` and
-    ``outputs`` are the columns' own dicts.  Packet ``p``'s id, processor
+    The result keeps the input and output columns, one tuple per packet in
+    ``fields`` order (see :func:`repro.engine.drmt.prepare_packets`), the
+    ragged packets' exact-int dicts by packet index, and the dropped flags.
+    It builds :class:`DrmtPacketRecord` objects from them on every read of
+    :attr:`records`, caching none: each record's ``inputs`` and ``outputs``
+    are new dicts.  A ragged packet's ``inputs`` are its own dict, and its
+    ``outputs`` leave out the fields still :data:`UNSET` and carry its
+    undeclared keys unchanged.  Packet ``p``'s id, processor
     (``p % num_processors``), arrival tick (``p``) and completion tick
     (``p + completion_offset``) follow from its index.  The columns are
     kept without copying: callers hand over lists they no longer mutate.
@@ -81,8 +96,10 @@ class DrmtSimulationResult:
     read the columns and build no more records than they print.
     """
 
-    inputs: Sequence[Dict[str, int]] = field(repr=False)
-    outputs: Sequence[Dict[str, int]] = field(repr=False)
+    fields: Tuple[str, ...] = field(repr=False)
+    inputs: Sequence[Tuple[int, ...]] = field(repr=False)
+    ragged: Dict[int, Dict[str, int]] = field(repr=False)
+    outputs: Sequence[Tuple[int, ...]] = field(repr=False)
     dropped: Sequence[bool] = field(repr=False)
     num_processors: int
     completion_offset: int
@@ -93,10 +110,20 @@ class DrmtSimulationResult:
     register_dump: Dict[str, List[int]]
     engine: str
 
-    def _record_list(self, packets: range) -> List[DrmtPacketRecord]:
-        """The records of ``packets``, built from the columns."""
-        num_processors, offset = self.num_processors, self.completion_offset
-        inputs, outputs, dropped = self.inputs, self.outputs, self.dropped
+    def _record_list(self, count: int) -> List[DrmtPacketRecord]:
+        """The records of the first ``count`` packets, built from the columns."""
+        names, num_processors, offset = self.fields, self.num_processors, self.completion_offset
+        inputs = [dict(zip(names, row)) for row in self.inputs[:count]]
+        outputs = [dict(zip(names, row)) for row in self.outputs[:count]]
+        for packet, given in self.ragged.items():
+            if packet < count:
+                inputs[packet] = dict(given)
+                outputs[packet] = {
+                    name: value for name, value in outputs[packet].items() if value is not UNSET
+                }
+                outputs[packet].update(
+                    (name, value) for name, value in given.items() if name not in names
+                )
         return [
             DrmtPacketRecord(
                 packet_id=packet,
@@ -105,15 +132,15 @@ class DrmtSimulationResult:
                 completed_tick=packet + offset,
                 inputs=inputs[packet],
                 outputs=outputs[packet],
-                dropped=bool(dropped[packet]),
+                dropped=bool(dropped),
             )
-            for packet in packets
+            for packet, dropped in zip(range(count), self.dropped)
         ]
 
     @property
     def records(self) -> List[DrmtPacketRecord]:
         """One record per packet, built from the columns."""
-        return self._record_list(range(len(self.outputs)))
+        return self._record_list(len(self.outputs))
 
     @property
     def packets_processed(self) -> int:
@@ -141,7 +168,7 @@ class DrmtSimulationResult:
             f"packets per processor: {dict(sorted(self.per_processor_packets.items()))}",
             f"table hits/misses:     {self.table_hits}",
         ]
-        for record in self._record_list(range(total)[:limit]):
+        for record in self._record_list(min(total, limit)):
             lines.append(
                 f"  packet {record.packet_id} (proc {record.processor}, latency {record.latency}): "
                 f"dropped={record.dropped}"
@@ -214,14 +241,15 @@ class DRMTSimulator:
         """Run the whole trace under the bundle's generated fused loop."""
         from ..engine import drmt as drivers
 
-        inputs, work = drivers.prepare_packets(packets)
-        dropped = drivers.run_fused(self.bundle, self.tables, self.registers, work)
+        rows, ragged = drivers.prepare_packets(packets, self.bundle.fields)
+        outputs, dropped = drivers.run_fused(self.bundle, self.tables, self.registers, rows)
         return drivers.assemble_result(
             self.bundle,
             self.tables,
             self.registers,
-            inputs,
-            work,
+            rows,
+            ragged,
+            outputs,
             dropped,
             self.register_dump_limit,
             engine=ENGINE_FUSED,
@@ -230,16 +258,24 @@ class DRMTSimulator:
     def _run_tick(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
         """The paper's per-tick round-robin processor loop.
 
-        The processors mutate the working dicts in place and the loop fills
-        the dropped flags; :func:`~repro.engine.drmt.assemble_result` then
-        builds the result as for the fused driver.  The loop stays an
-        independent reference: a packet that completes at a tick other than
-        ``p + makespan - 1``, or a tick count or per-processor operation
-        count other than the builder's, raises :class:`SimulationError`.
+        The input rows become the working dicts (a ragged packet's own
+        dict), the processors mutate them in place and the loop fills the
+        dropped flags; the dicts then go back into rows, with :data:`UNSET`
+        for a field still absent, and
+        :func:`~repro.engine.drmt.assemble_result` builds the result as for
+        the fused driver.  The loop stays an independent reference: a
+        packet that completes at a tick other than ``p + makespan - 1``, or
+        a tick count or per-processor operation count other than the
+        builder's, raises :class:`SimulationError`.
         """
         from ..engine import drmt as drivers
 
-        inputs, work = drivers.prepare_packets(packets)
+        fields = self.bundle.fields
+        rows, ragged = drivers.prepare_packets(packets, fields)
+        work = [
+            dict(ragged[number]) if number in ragged else dict(zip(fields, row))
+            for number, row in enumerate(rows)
+        ]
         num_processors = len(self.processors)
         for processor in self.processors:
             processor.operations_executed = 0
@@ -279,8 +315,9 @@ class DRMTSimulator:
             self.bundle,
             self.tables,
             self.registers,
-            inputs,
-            work,
+            rows,
+            ragged,
+            [tuple([packet.get(name, UNSET) for name in fields]) for packet in work],
             dropped,
             self.register_dump_limit,
             engine=ENGINE_TICK,

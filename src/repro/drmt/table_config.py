@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..errors import TableConfigError
 from ..p4.program import P4Program, integer_literal
-from .tables import MatchPattern, TableEntry, TableStore
+from .tables import MatchPattern, TableEntry, TableStore, check_action_args
 
 _LINE_RE = re.compile(
     r"^add\s+(?P<table>\w+)\s+(?P<matches>.*?)\s*=>\s*(?P<action>\w+)\s*\((?P<args>[^)]*)\)\s*$"
@@ -89,9 +89,10 @@ def parse_entry_line(line: str, program: P4Program, line_number: int = 0) -> Tup
                 field_match.group("pattern"), declared_kinds[field_name], width
             )
         action_args = [_parse_int(arg.strip()) for arg in args_text.split(",")] if args_text else []
+        entry = TableEntry(patterns=patterns, action=match.group("action"), action_args=action_args)
+        check_action_args(program, table_name, entry)
     except TableConfigError as error:
         raise TableConfigError(f"line {line_number}: {error}") from None
-    entry = TableEntry(patterns=patterns, action=match.group("action"), action_args=action_args)
     return table_name, entry
 
 

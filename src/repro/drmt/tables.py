@@ -98,6 +98,19 @@ class TableEntry:
         return sum(pattern.specificity for pattern in self.patterns.values())
 
 
+def check_action_args(program: P4Program, table_name: str, entry: TableEntry) -> None:
+    """Raise when ``entry`` passes its action more arguments than it has parameters.
+
+    Fewer arguments are accepted: a missing one reads as 0 under both drivers.
+    """
+    action = program.actions.get(entry.action)
+    if action is not None and len(entry.action_args) > len(action.params):
+        raise TableConfigError(
+            f"table {table_name!r}: action {entry.action!r} takes {len(action.params)} "
+            f"argument(s), the entry passes {len(entry.action_args)}"
+        )
+
+
 class MatchActionTable:
     """A populated match+action table."""
 
@@ -121,6 +134,7 @@ class MatchActionTable:
                 f"table {self.definition.name!r} cannot invoke action {entry.action!r}; allowed: "
                 f"{self.definition.actions}"
             )
+        check_action_args(self.program, self.definition.name, entry)
         if len(self.entries) >= self.definition.size:
             raise TableConfigError(f"table {self.definition.name!r} is full (size {self.definition.size})")
         self.entries.append(entry)
@@ -143,16 +157,27 @@ class MatchActionTable:
         """
         return self.definition.is_exact
 
-    def exact_index(self) -> Dict[Tuple[int, ...], TableEntry]:
+    def resolved_action(self, entry: TableEntry) -> Tuple[int, ...]:
+        """``(action index, arg0, arg1, ...)``: ``entry``'s action as the fused loop runs it.
+
+        The index is the action's position in the table's ``actions`` list;
+        the arguments are padded with 0 to the action's arity, as the tick
+        interpreter binds a missing argument.
+        """
+        arity = len(self.program.actions[entry.action].params)
+        args = tuple(entry.action_args) + (0,) * (arity - len(entry.action_args))
+        return (self.definition.actions.index(entry.action),) + args
+
+    def exact_index(self) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
         """The dict-lookup specialisation of an all-exact table.
 
         Maps the tuple of pattern values (in ``match_fields`` order) to the
-        entry :meth:`lookup` would return for a packet carrying exactly those
-        values: when several entries share one key, the winner is the highest
-        ``(priority, specificity)`` pair, earliest added on ties — the same
-        tie-break ``max`` applies over the scan's candidate list.  Rebuild
-        after adding entries; the generated fused loop builds it once per
-        ``run_trace`` call.
+        :meth:`resolved_action` of the entry :meth:`lookup` would return for
+        a packet carrying exactly those values: when several entries share
+        one key, the winner is the highest ``(priority, specificity)`` pair,
+        earliest added on ties — the same tie-break ``max`` applies over the
+        scan's candidate list.  Rebuild after adding entries; the generated
+        fused loop builds it once per ``run_trace`` call.
         """
         if not self.is_exact:
             raise TableConfigError(
@@ -169,14 +194,15 @@ class MatchActionTable:
                 best.specificity,
             ):
                 index[key] = entry
-        return index
+        return {key: self.resolved_action(entry) for key, entry in index.items()}
 
     def masked_rows(self) -> List[tuple]:
         """The first-match specialisation of a table of any match kinds.
 
-        One row per entry, ``(mask0, want0, mask1, want1, ..., entry)`` in
+        One row per entry, ``(mask0, want0, mask1, want1, ..., action)`` in
         ``match_fields`` order, where ``want = value & mask`` (see
-        :attr:`MatchPattern.match_mask`): a packet matches a row when every
+        :attr:`MatchPattern.match_mask`) and ``action`` is the entry's
+        :meth:`resolved_action`: a packet matches a row when every
         ``fields.get(field, 0) & mask == want``.  Rows are sorted by
         ``(priority, specificity)``, descending and stable, so the first
         matching row holds the entry :meth:`lookup` returns — ``max`` over
@@ -186,15 +212,16 @@ class MatchActionTable:
         """
         field_order = self.definition.match_fields()
         rows = []
-        for entry in self.entries:
+        for entry in sorted(
+            self.entries, key=lambda entry: (entry.priority, entry.specificity), reverse=True
+        ):
             row: List[object] = []
             for name in field_order:
                 pattern = entry.patterns[name]
                 mask = pattern.match_mask
                 row += (mask, pattern.value & mask)
-            row.append(entry)
+            row.append(self.resolved_action(entry))
             rows.append(tuple(row))
-        rows.sort(key=lambda row: (row[-1].priority, row[-1].specificity), reverse=True)
         return rows
 
 

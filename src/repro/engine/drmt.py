@@ -10,64 +10,90 @@ that bit-identical to the tick interpreter (no register hazard), and the
 facade runs every other bundle under tick.
 
 :func:`prepare_packets` is the one place a dRMT input value is decided,
-for the tick driver and the fused one alike: it copies the trace twice at C
-speed, once for the records' input column and once for the working dicts a
-driver mutates, and reads every value as an exact ``int``.
+for the tick driver and the fused one alike: it reads each packet into one
+tuple of exact ints in ``P4Program.all_fields()`` order, at C speed when
+every packet carries exactly the declared fields.  Those rows are the fused
+loop's input and the result's input column; the tick driver turns them
+into the working dicts its processors mutate.
 
 :func:`assemble_result` builds the :class:`DrmtSimulationResult` of both
-drivers: it keeps the input dicts, the mutated working dicts and the
-dropped flags, and records are built from them on read.  Arrival/completion
-ticks, processor assignment and operation counts follow from the
-round-robin injection discipline (packet ``p`` enters at tick ``p`` on
-processor ``p % N`` and completes at tick ``p + makespan - 1``); the tick
-interpreter checks its own counts against them.
+drivers: it keeps the input and output row columns, the ragged packets'
+dicts and the dropped flags, and records are built from them on read.
+Arrival/completion ticks, processor assignment and operation counts follow
+from the round-robin injection discipline (packet ``p`` enters at tick
+``p`` on processor ``p % N`` and completes at tick ``p + makespan - 1``);
+the tick interpreter checks its own counts against them.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import index
-from typing import Dict, List, Sequence, Tuple
+from operator import index, itemgetter
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..drmt.simulator import DrmtSimulationResult
+from ..drmt.simulator import UNSET, DrmtSimulationResult
 from ..errors import SimulationError
+
+Row = Tuple[int, ...]
 
 
 def prepare_packets(
-    packets: Sequence[Dict[str, int]]
-) -> Tuple[List[Dict[str, int]], List[Dict[str, int]]]:
-    """Read the input packets as an input column and working dicts of exact ints.
+    packets: Iterable[Dict[str, int]], fields: Sequence[str]
+) -> Tuple[List[Row], Dict[int, Dict[str, int]]]:
+    """Read the input packets as rows of exact ints in ``fields`` order.
+
+    Returns the rows and the *ragged* packets: those whose keys are not
+    exactly ``fields``.  A ragged packet's row holds :data:`UNSET` for each
+    field it omits, and its exact-int dict, undeclared keys included, is
+    kept by packet index for its records.
 
     A value is accepted when :func:`operator.index` accepts it (``int``,
     ``bool``, ``IntEnum``, ...) and stored as an exact ``int``; any other
     value (``float``, ``str``, ``None``, ``Decimal``) raises
     :class:`SimulationError` naming the packet and the field.
 
-    Both copies are the caller's own: the result never aliases the packet
-    dicts passed in.  When every field value is already an ``int`` (checked
-    at C speed over the flattened values), both are plain copies; only a
-    trace with another value type takes the per-value pass.
+    When every packet has one key per field (a dict cannot repeat a key, so
+    an ``itemgetter`` call that succeeds proves the key set) and every
+    value is an ``int`` (checked at C speed over the flattened rows), the
+    rows come from one ``itemgetter`` pass; any other trace, and a program
+    of fewer than two fields, takes the per-packet pass.  Neither result
+    aliases the packet dicts passed in.
     """
-    inputs = list(map(dict, packets))
-    if not set(map(type, chain.from_iterable(map(dict.values, inputs)))) <= {int}:
-        for number, packet in enumerate(inputs):
-            for name, value in packet.items():
-                try:
-                    packet[name] = index(value)
-                except TypeError:
-                    raise SimulationError(
-                        f"packet {number} field {name!r}: "
-                        f"{value!r} ({type(value).__name__}) is not an integer"
-                    ) from None
-    return inputs, list(map(dict.copy, inputs))
+    packets = packets if isinstance(packets, (list, tuple)) else list(packets)
+    # itemgetter returns a tuple for two or more names only.
+    if len(fields) > 1 and set(map(len, packets)) <= {len(fields)}:
+        try:
+            rows = list(map(itemgetter(*fields), packets))
+        except KeyError:
+            pass
+        else:
+            if set(map(type, chain.from_iterable(rows))) <= {int}:
+                return rows, {}
+    rows, ragged = [], {}
+    declared = set(fields)
+    for number, packet in enumerate(packets):
+        values = {}
+        for name, value in packet.items():
+            try:
+                values[name] = index(value)
+            except TypeError:
+                raise SimulationError(
+                    f"packet {number} field {name!r}: "
+                    f"{value!r} ({type(value).__name__}) is not an integer"
+                ) from None
+        if values.keys() != declared:
+            ragged[number] = values
+        rows.append(tuple([values.get(name, UNSET) for name in fields]))
+    return rows, ragged
 
 
 def assemble_result(
     bundle,
     tables,
     registers,
-    inputs: List[Dict[str, int]],
-    work: List[Dict[str, int]],
+    inputs: List[Row],
+    ragged: Dict[int, Dict[str, int]],
+    outputs: List[Row],
     dropped: Sequence[bool],
     register_dump_limit: int,
     engine: str,
@@ -86,8 +112,10 @@ def assemble_result(
     if total:
         ticks = total + completion_offset if makespan else total
     return DrmtSimulationResult(
+        bundle.fields,
         inputs,
-        work,
+        ragged,
+        outputs,
         dropped,
         num_processors,
         completion_offset,
@@ -106,6 +134,6 @@ def assemble_result(
     )
 
 
-def run_fused(bundle, tables, registers, work: Sequence[Dict[str, int]]) -> List[bool]:
-    """Execute the bundle's generated fused loop on prepared packet dicts."""
-    return bundle.fused_program().run_trace(work, tables.tables, registers.arrays())
+def run_fused(bundle, tables, registers, rows: Sequence[Row]) -> Tuple[List[Row], List[bool]]:
+    """Execute the bundle's generated fused loop on prepared rows: outputs and drop flags."""
+    return bundle.fused_program().run_trace(rows, tables.tables, registers.arrays())

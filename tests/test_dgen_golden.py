@@ -102,8 +102,8 @@ PROGRAMS = {
 #: sha256 of ``generate_bundle(...).fused_program().source`` per sample P4
 #: program, scheduled greedily on the default ``DrmtHardwareParams()``.
 DRMT_FUSED = {
-    'simple_router': '762e659d1dd33d580269a5098074bd34ddd49033ef5c652c38b86984d348612d',
-    'telemetry_pipeline': 'ec75975f3db9c2267d5bbd2edec1aee0c90ebb4a37f024a72278aa13e6140344',
+    'simple_router': '87903c62ae8fb4451dbc8fdee676fc8054f3bcca239f99d9931f28b7e4b933b3',
+    'telemetry_pipeline': 'd30506981c93f29e7f47a13d07beadc3988e67e4250ca4764fc52f33aad0a1b6',
 }
 #: (holes, hole_domains, sha256 of format_spec) per catalogue atom.
 ATOMS = {

@@ -792,6 +792,20 @@ class TestColumnBackedResult:
         assert views() == before
         assert result.packets_processed == 50
 
+    @pytest.mark.parametrize("engine", ["tick", "fused"])
+    def test_records_are_built_on_every_read(self, engine):
+        tick, fused = self._fused()
+        result = {"tick": tick, "fused": fused}[engine]
+        first = result.records[0]
+        first.outputs["ipv4.ttl"] = -1
+        first.inputs.clear()
+        assert result.records == tick.records
+        assert result.records[0] is not first
+        for column in (result.inputs, result.outputs):
+            assert len(column) == 50
+            assert all(type(row) is tuple for row in column)
+            assert all(type(value) is int for row in column for value in row)
+
     def test_results_compare_by_value(self):
         tick, fused = self._fused()
         assert fused != tick  # engine differs
@@ -889,3 +903,124 @@ class TestRecordKeyContract:
             if self.EXTRA in record.inputs:
                 assert record.outputs[self.EXTRA] == record.inputs[self.EXTRA]
         assert added, "no action wrote a field its packet omitted"
+
+
+#: Every field is one slot of a packet's row.  ``copy`` writes ``meta.copy``
+#: from ``meta.seen`` and stores ``pkt.c`` in a register; nothing writes
+#: ``pkt.c`` or ``meta.seen``.
+RAGGED_PROGRAM = """
+header_type pkt_t { fields { a : 8; b : 8; c : 8; } }
+header_type meta_t { fields { copy : 8; seen : 8; } }
+header pkt_t pkt;
+metadata meta_t meta;
+register saved { width : 32; instance_count : 4; }
+action copy(v) {
+    modify_field(meta.copy, meta.seen);
+    add_to_field(pkt.b, v);
+    register_write(saved, pkt.a, pkt.c);
+}
+table t { reads { pkt.a : exact; } actions { copy; } default_action : copy; }
+control ingress { apply(t); }
+"""
+RAGGED_ENTRIES = "add t pkt.a=1 => copy(5)\n"
+RAGGED_FULL = {"pkt.a": 1, "pkt.b": 2, "pkt.c": 3, "meta.copy": 4, "meta.seen": 6}
+
+
+def _exact_records(result):
+    return all(
+        type(value) is int
+        for record in result.records
+        for packet in (record.inputs, record.outputs)
+        for value in packet.values()
+    )
+
+
+class TestRaggedPackets:
+    """Packets that omit a declared field or carry an undeclared key.
+
+    Each case runs under both drivers and checks tick == fused on records,
+    register dump, table hits and ticks.
+    """
+
+    def _run(self, packets):
+        bundle = generate_bundle(RAGGED_PROGRAM, DrmtHardwareParams(num_processors=2))
+        tick = _assert_fused_matches_tick(bundle, packets, RAGGED_ENTRIES)
+        fused = DRMTSimulator(bundle, RAGGED_ENTRIES, engine="fused").run_packets(packets)
+        for result in (tick, fused):
+            assert _exact_records(result)
+            assert all(type(value) is int for value in result.register_dump["saved"])
+        return fused
+
+    def test_a_trace_mixing_full_and_ragged_packets(self):
+        packets = []
+        for number in range(40):
+            packet = {name: (value + number) % 4 for name, value in RAGGED_FULL.items()}
+            if number % 4 == 1:
+                del packet[sorted(packet)[number // 4 % len(packet)]]
+            elif number % 4 == 2:
+                packet["extra.tag"] = number
+            packets.append(packet)
+        result = self._run(packets)
+        assert sorted(result.ragged) == [n for n in range(40) if n % 4 in (1, 2)]
+        for record, packet in zip(result.records, packets):
+            assert record.inputs == packet
+
+    def test_absent_field_copied_into_absent_field_reads_zero(self):
+        packet = {"pkt.a": 1, "pkt.b": 2, "pkt.c": 3}
+        (record,) = self._run([packet]).records
+        assert record.outputs == {"pkt.a": 1, "pkt.b": 7, "pkt.c": 3, "meta.copy": 0}
+        assert type(record.outputs["meta.copy"]) is int
+
+    def test_absent_read_only_field_stays_absent(self):
+        packet = {"pkt.a": 2, "pkt.b": 2, "meta.copy": 9, "meta.seen": 4}
+        result = self._run([packet])
+        (record,) = result.records
+        assert record.outputs == {"pkt.a": 2, "pkt.b": 2, "meta.copy": 4, "meta.seen": 4}
+        # The absent pkt.c was stored as a plain 0.
+        assert result.register_dump["saved"][2] == 0
+
+    def test_undeclared_key_is_carried_through(self):
+        packet = dict(RAGGED_FULL, **{"extra.tag": 11})
+        (record,) = self._run([packet]).records
+        assert record.inputs == packet
+        assert record.outputs["extra.tag"] == 11
+        assert record.outputs["meta.copy"] == 6
+
+    @pytest.mark.parametrize("engine", ["tick", "fused"])
+    def test_non_int_value_in_a_ragged_packet_raises_located(self, engine):
+        bundle = generate_bundle(RAGGED_PROGRAM, DrmtHardwareParams(num_processors=2))
+        packets = [dict(RAGGED_FULL), {"pkt.a": 1, "pkt.b": 2.5}]
+        simulator = DRMTSimulator(bundle, RAGGED_ENTRIES, engine=engine)
+        with pytest.raises(
+            SimulationError, match=r"^packet 1 field 'pkt\.b': 2\.5 \(float\) is not an integer$"
+        ):
+            simulator.run_packets(packets)
+
+
+#: ``first`` drops a packet whose ``pkt.a`` is 1 after writing ``pkt.a``,
+#: then adds to ``pkt.b`` in the same action; ``second``, scheduled after
+#: it, writes ``pkt.b`` for the packets that go on.
+DROP_PROGRAM = """
+header_type pkt_t { fields { a : 8; b : 8; } }
+header pkt_t pkt;
+action mark_drop() { modify_field(pkt.a, 9); drop(); add_to_field(pkt.b, 1); }
+action later() { modify_field(pkt.b, 7); }
+table first { reads { pkt.a : exact; } actions { mark_drop; } }
+table second { reads { pkt.b : exact; } actions { later; } default_action : later; }
+control ingress { apply(first); apply(second); }
+"""
+
+
+class TestDroppedPacketRows:
+    @pytest.mark.parametrize("num_processors", [1, 3])
+    def test_a_dropped_packets_row_holds_its_writes_before_the_drop(self, num_processors):
+        bundle = generate_bundle(DROP_PROGRAM, DrmtHardwareParams(num_processors=num_processors))
+        assert bundle.schedule.start("second", "match") > bundle.schedule.start("first", "action")
+        packets = [{"pkt.a": number % 3, "pkt.b": number} for number in range(12)]
+        entries = "add first pkt.a=1 => mark_drop()\n"
+        _assert_fused_matches_tick(bundle, packets, entries)
+        result = DRMTSimulator(bundle, entries, engine="fused").run_packets(packets)
+        for number, (row, dropped) in enumerate(zip(result.outputs, result.dropped)):
+            assert dropped == (number % 3 == 1)
+            assert row == ((9, number + 1) if dropped else (number % 3, 7))
+        assert result.table_hits == {"first": (4, 8), "second": (0, 8)}

@@ -15,7 +15,7 @@ from repro.drmt.table_config import parse_pattern
 from repro.drmt.tables import MatchActionTable
 from repro.errors import TableConfigError
 from repro.p4 import samples
-from repro.p4.program import Table, TableRead
+from repro.p4.program import Action, P4Program, Table, TableRead
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +140,13 @@ class TestTables:
             TableStore(router)["ghost"]
 
 
+def _table(definition):
+    """A table of ``definition`` in a program whose one action is ``act(v)``."""
+    return MatchActionTable(definition, P4Program("t", actions={"act": Action("act", ["v"], [])}))
+
+
 def _first_matching_row(rows, field_names, fields):
-    """The entry of the first row whose every masked field matches (the fused probe)."""
+    """The resolved action of the first row whose every masked field matches (the fused probe)."""
     for row in rows:
         if all(
             fields.get(name, 0) & row[2 * index] == row[2 * index + 1]
@@ -185,7 +190,7 @@ class TestMaskedRows:
             actions=["act"],
             size=256,
         )
-        table = MatchActionTable(definition, program=None)
+        table = _table(definition)
         # Few priorities and a small value domain: priority and specificity
         # ties between overlapping entries happen often.
         for number in range(data.draw(st.integers(min_value=0, max_value=12), label="entries")):
@@ -201,7 +206,8 @@ class TestMaskedRows:
                 )
             )
         rows = table.masked_rows()
-        assert sorted(id(row[-1]) for row in rows) == sorted(map(id, table.entries))
+        # Each entry's one argument is its number, so a resolved action names its entry.
+        assert sorted(row[-1] for row in rows) == [(0, number) for number in range(len(rows))]
 
         packet_strategy = st.dictionaries(
             st.sampled_from(field_names), st.integers(min_value=-20, max_value=300), max_size=3
@@ -209,7 +215,9 @@ class TestMaskedRows:
         hits = misses = 0
         for packet in data.draw(st.lists(packet_strategy, max_size=20), label="packets"):
             expected = table.lookup(packet)
-            assert _first_matching_row(rows, field_names, packet) is expected
+            assert _first_matching_row(rows, field_names, packet) == (
+                None if expected is None else table.resolved_action(expected)
+            )
             if expected is None:
                 misses += 1
             else:
@@ -220,18 +228,18 @@ class TestMaskedRows:
         definition = Table(
             name="t", reads=[TableRead(field="pkt.f", match_kind="lpm")], actions=["act"], size=8
         )
-        table = MatchActionTable(definition, program=None)
+        table = _table(definition)
         entries = [
-            TableEntry({"pkt.f": MatchPattern("lpm", 0, prefix_len=0, width=8)}, "act"),
-            TableEntry({"pkt.f": MatchPattern("lpm", 0x10, prefix_len=4, width=8)}, "act"),
-            TableEntry({"pkt.f": MatchPattern("lpm", 0x10, prefix_len=4, width=8)}, "act"),
-            TableEntry({"pkt.f": MatchPattern("lpm", 0, prefix_len=0, width=8)}, "act", priority=1),
+            TableEntry({"pkt.f": MatchPattern("lpm", 0, prefix_len=0, width=8)}, "act", [0]),
+            TableEntry({"pkt.f": MatchPattern("lpm", 0x10, prefix_len=4, width=8)}, "act", [1]),
+            TableEntry({"pkt.f": MatchPattern("lpm", 0x10, prefix_len=4, width=8)}, "act", [2]),
+            TableEntry({"pkt.f": MatchPattern("lpm", 0, prefix_len=0, width=8)}, "act", [3], 1),
         ]
         for entry in entries:
             table.add_entry(entry)
         rows = table.masked_rows()
-        # Identity, not equality: the two tied entries compare equal.
-        assert [id(row[-1]) for row in rows] == list(map(id, [entries[i] for i in (3, 1, 2, 0)]))
+        # Each entry's argument is its position: the two tied entries keep their order.
+        assert [row[-1] for row in rows] == [(0, 3), (0, 1), (0, 2), (0, 0)]
         assert rows[1][:2] == (-(1 << 4), 0x10)
         assert rows[0][:2] == (0, 0)
 
@@ -255,7 +263,7 @@ class TestMaskedRows:
         definition = Table(
             name="t", reads=[TableRead(field="pkt.f", match_kind="ternary")], actions=["act"], size=8
         )
-        table = MatchActionTable(definition, program=None)
+        table = _table(definition)
         table.add_entry(TableEntry({"pkt.f": MatchPattern("range", 1)}, "act"))
         with pytest.raises(TableConfigError):
             table.masked_rows()
@@ -349,3 +357,49 @@ class TestEntryConfigFormat:
         assert len(entries) == 7
         store = populate_store(TableStore(router), entries)
         assert sum(len(table.entries) for table in store.tables.values()) == 7
+
+
+class TestEntryArgumentCount:
+    """An entry may pass its action fewer arguments than it has parameters, never more."""
+
+    EXTRA = "add forward ipv4.dstAddr=167772160/8 => set_nhop(3, 99, 7)"
+    MESSAGE = r"table 'forward': action 'set_nhop' takes 1 argument\(s\), the entry passes 3"
+
+    def _forward_entry(self, args):
+        pattern = MatchPattern("lpm", 167772160, prefix_len=8, width=32)
+        return TableEntry({"ipv4.dstAddr": pattern}, "set_nhop", args)
+
+    def test_parse_entries_rejects_extra_arguments(self, router):
+        with pytest.raises(TableConfigError, match=rf"^line 2: {self.MESSAGE}$"):
+            parse_entries("# routes\n" + self.EXTRA, router)
+
+    def test_table_store_rejects_extra_arguments(self, router):
+        store = TableStore(router)
+        with pytest.raises(TableConfigError, match=rf"^{self.MESSAGE}$"):
+            store.add_entry("forward", self._forward_entry([3, 99, 7]))
+        assert store["forward"].entries == []
+
+    def test_simulator_entries_text_rejects_extra_arguments(self, router):
+        from repro.drmt import DRMTSimulator, generate_bundle
+
+        with pytest.raises(TableConfigError, match=self.MESSAGE):
+            DRMTSimulator(generate_bundle(router), table_entries=self.EXTRA)
+
+    def test_missing_arguments_are_padded_with_zero(self, router):
+        store = TableStore(router)
+        store.add_entry("forward", self._forward_entry([]))
+        store.add_entry("flow_stats", TableEntry(
+            {"ipv4.srcAddr": MatchPattern("exact", 42, width=32)}, "count_flow", []
+        ))
+        # set_nhop is the first of forward's actions, count_flow of flow_stats'.
+        assert store["forward"].masked_rows() == [(-(1 << 24), 167772160, (0, 0))]
+        assert store["flow_stats"].exact_index() == {(42,): (0, 0)}
+
+    def test_resolved_action_indexes_the_tables_actions(self, router):
+        entries = parse_entries(samples.SIMPLE_ROUTER_ENTRIES, router)
+        store = populate_store(TableStore(router), entries)
+        acl = store["acl"]
+        assert acl.definition.actions == ["drop_packet", "allow"]
+        assert [row[-1] for row in acl.masked_rows()] == [(0,), (1,)]
+        flows = sorted(store["flow_stats"].exact_index().items())
+        assert flows == [((42,), (0, 1)), ((77,), (0, 2))]

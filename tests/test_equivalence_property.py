@@ -411,7 +411,7 @@ class TestExactLookupSpecialisation:
     @given(data=st.data())
     def test_exact_index_agrees_with_linear_scan(self, data):
         from repro.drmt.tables import MatchActionTable, MatchPattern, TableEntry
-        from repro.p4.program import Table, TableRead
+        from repro.p4.program import Action, P4Program, Table, TableRead
 
         num_fields = data.draw(st.integers(min_value=1, max_value=3), label="fields")
         field_names = [f"pkt.f{index}" for index in range(num_fields)]
@@ -421,7 +421,8 @@ class TestExactLookupSpecialisation:
             actions=["act"],
             size=256,
         )
-        table = MatchActionTable(definition, program=None)
+        program = P4Program("t", actions={"act": Action("act", ["v"], [])})
+        table = MatchActionTable(definition, program)
         # Values from a tiny domain so duplicate keys (priority contests) and
         # both hits and misses happen often.
         value_strategy = st.integers(min_value=0, max_value=3)
@@ -435,7 +436,9 @@ class TestExactLookupSpecialisation:
             ),
             label="entries",
         )
-        for values, priority in entries:
+        # Each entry's one argument is its position, so a resolved action
+        # names the entry it came from.
+        for position, (values, priority) in enumerate(entries):
             table.add_entry(
                 TableEntry(
                     patterns={
@@ -443,7 +446,7 @@ class TestExactLookupSpecialisation:
                         for name, value in zip(field_names, values)
                     },
                     action="act",
-                    action_args=[priority],
+                    action_args=[position],
                     priority=priority,
                 )
             )
@@ -456,7 +459,8 @@ class TestExactLookupSpecialisation:
             fields = dict(zip(field_names, values))
             scanned = table.lookup(fields)
             probed = index.get(tuple(values))
-            assert probed is scanned, (values, entries)
+            expected = None if scanned is None else table.resolved_action(scanned)
+            assert probed == expected, (values, entries)
 
     def test_exact_index_rejects_mixed_match_kinds(self):
         from repro.drmt.tables import MatchActionTable
